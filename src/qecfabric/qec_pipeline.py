@@ -17,6 +17,7 @@ machinery.
 from __future__ import annotations
 
 import itertools
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -45,6 +46,20 @@ from .uf_decoder import decode, decode_with_stats, is_logical_failure, is_valid
 
 STAGE_NAMES = ("leaf_agg", "uplink", "root_agg", "decode", "root_dist", "downlink", "leaf_dist")
 ROUTER_STAGE_NAMES = ("router_proc", "router_net")
+#: Simulator event kinds; kind k is handled by ``Pipeline._on_<k>``.
+_EVENT_KINDS = (
+    "leaf_agg_done",
+    "router_up",
+    "router_up_fwd",
+    "root_up",
+    "root_agg_done",
+    "decode_done",
+    "dist_ready",
+    "router_down",
+    "router_down_fwd",
+    "leaf_down",
+    "leaf_apply_done",
+)
 
 # RNG stream tags under the campaign master seed
 _STREAM_SHOT = 7  # per-shot stage jitter
@@ -319,18 +334,14 @@ class Pipeline:
         self.syndrome_source = source
 
         self._ctx = None
-        sim = self.sim
-        sim.on("leaf_agg_done", self._on_leaf_agg_done)
-        sim.on("router_up", self._on_router_up)
-        sim.on("router_up_fwd", self._on_router_up_fwd)
-        sim.on("root_up", self._on_root_up)
-        sim.on("root_agg_done", self._on_root_agg_done)
-        sim.on("decode_done", self._on_decode_done)
-        sim.on("dist_ready", self._on_dist_ready)
-        sim.on("router_down", self._on_router_down)
-        sim.on("router_down_fwd", self._on_router_down_fwd)
-        sim.on("leaf_down", self._on_leaf_down)
-        sim.on("leaf_apply_done", self._on_leaf_apply_done)
+        # The simulator's handler table reaches the pipeline only through a
+        # weak reference.  Without that cycle a dropped pipeline, with its
+        # graphs and fabric, is freed at once instead of at the next full
+        # garbage collection.
+        ref = weakref.ref(self)
+        for kind in _EVENT_KINDS:
+            method = getattr(type(self), "_on_" + kind)
+            self.sim.on(kind, lambda ev, method=method: method(ref(), ev))
 
     # ---- per-shot inputs -------------------------------------------------
 

@@ -7,6 +7,12 @@ then peeled leaf-first along a spanning forest to extract the correction.
 All tie-breaks (growth order, fusion order, peeling order) use fixed
 vertex/edge-id order, so decoding is a pure function of (graph, syndrome).
 
+Work after growth is O(defects + fully grown edges): growth records the
+edges it brings to full growth, and cluster assembly and peeling touch only
+those edges, their endpoints and the defects.  The one graph-sized cost is
+the O(V + E) allocation of the per-vertex and per-edge arrays, which runs
+in C.  ``is_valid`` likewise costs O(correction weight + defects) in Python.
+
 ``oracle_decode`` is an independent reference: exhaustive minimum-weight
 search on small graphs, shortest-path defect pairing on small syndromes.
 It shares no code with the cluster decoder beyond the graph structures.
@@ -79,9 +85,10 @@ class ClusterState:
     """Disjoint-set forest over graph vertices with cluster growth state.
 
     Tracks per-cluster defect parity, a boundary-touch flag, per-edge growth
-    meters (0 / half / full) and the list of candidate growth edges.  A
-    cluster is frozen (stops growing) once its parity is even or it touches
-    the boundary.
+    meters (0 / half / full), the list of candidate growth edges and the
+    ids of the edges grown to full, in the order they fused.  A cluster is
+    frozen (stops growing) once its parity is even or it touches the
+    boundary.
     """
 
     def __init__(self, graph: DecodingGraph, defects):
@@ -93,6 +100,7 @@ class ClusterState:
         self.touches_boundary = [False] * n
         self.growth = [0] * graph.n_edges
         self.defect = [False] * n
+        self.full_edges = []
         self._edge_lists = {}
         for v in defects:
             self.parity[v] = 1
@@ -167,6 +175,7 @@ class ClusterState:
             lst[:] = keep
         for e_id in sorted(fused):
             stats.fusions += 1
+            self.full_edges.append(e_id)
             e = self.graph.edges[e_id]
             if e.v == BOUNDARY:
                 self.touches_boundary[self.find(e.u)] = True
@@ -218,7 +227,12 @@ def _peel_cluster(graph, verts, defect, interior_full, boundary_full, touches_bo
 
 
 def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
-    """Union-find decode returning the correction and growth statistics."""
+    """Union-find decode returning the correction and growth statistics.
+
+    After growth the work is O(defects + fully grown edges): every vertex
+    outside a defect's cluster is a defect-free singleton, and a cluster's
+    vertices are its defects plus the endpoints of its full interior edges.
+    """
     defects = syndrome.defect_vertices(graph)
     stats = DecodeStats()
     if not defects:
@@ -228,30 +242,30 @@ def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
     while state.grow(stats):
         pass
 
-    members = defaultdict(list)
-    for v in range(graph.n_vertices):
-        members[state.find(v)].append(v)
+    find = state.find
+    touched = set(defects)
     interior_full = defaultdict(list)
     boundary_full = defaultdict(list)
-    for e_id, g in enumerate(state.growth):
-        if g >= FULL:
-            e = graph.edges[e_id]
-            root = state.find(e.u)
-            if e.v == BOUNDARY:
-                boundary_full[root].append(e_id)
-            else:
-                interior_full[root].append(e_id)
+    for e_id in sorted(state.full_edges):
+        e = graph.edges[e_id]
+        root = find(e.u)
+        if e.v == BOUNDARY:
+            boundary_full[root].append(e_id)
+        else:
+            interior_full[root].append(e_id)
+            touched.add(e.u)
+            touched.add(e.v)
+    members = defaultdict(list)
+    for v in sorted(touched):
+        members[find(v)].append(v)
 
     selected = []
     for root in sorted(members):
-        verts = members[root]
-        if not any(state.defect[v] for v in verts):
-            continue
         stats.clusters += 1
         selected.extend(
             _peel_cluster(
                 graph,
-                verts,
+                members[root],
                 state.defect,
                 interior_full[root],
                 boundary_full[root],
@@ -396,21 +410,18 @@ def count_min_weight_solutions(graph: DecodingGraph, syndrome: SyndromeRounds, w
 
 
 def is_valid(correction: Correction, syndrome: SyndromeRounds, graph: DecodingGraph) -> bool:
-    """True iff the correction's edge parity reproduces the sector syndrome."""
-    flipped = bytearray(graph.n_vertices)
+    """True iff the correction's edge parity reproduces the sector syndrome.
+
+    Raises ValueError when the syndrome's shape does not match the graph.
+    Costs one numpy scan of the sector's syndrome bits plus Python work in
+    O(correction weight + defects).
+    """
+    defects = set(syndrome.defect_vertices(graph))
+    flipped = set()
     for e_id in correction.fault_ids:
         e = graph.edges[e_id]
-        flipped[e.u] ^= 1
-        if e.v != BOUNDARY:
-            flipped[e.v] ^= 1
-    sector_bits = syndrome.sector_bits(graph.sector)
-    if sector_bits.shape != (graph.rounds, graph.n_stabilizers):
-        raise ValueError("syndrome dimensions do not match graph")
-    for v, f in enumerate(flipped):
-        t, s = divmod(v, graph.n_stabilizers)
-        if int(sector_bits[t, s]) != f:
-            return False
-    return True
+        flipped.symmetric_difference_update((e.u,) if e.v == BOUNDARY else (e.u, e.v))
+    return flipped == defects
 
 
 def is_logical_failure(pattern: ErrorPattern, correction: Correction, layout: CodeLayout) -> bool:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,30 @@ def test_run_shot_uses_synced_timers():
     pipeline = qp.Pipeline(config, seed=31)
     assert max(abs(v) for v in pipeline.sync_residuals.values()) == 0
     assert pipeline.run_shot(0).end_to_end_ps == 451_000
+
+
+def test_pipeline_freed_when_last_reference_goes(monkeypatch):
+    # with the cycle collector off, a pipeline that is still alive after its
+    # last reference is dropped is held by a reference cycle
+    refs = []
+
+    class Tracked(qp.Pipeline):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(qp, "Pipeline", Tracked)
+    config = ExperimentConfig()
+    gc.disable()
+    try:
+        pipeline = Tracked(config)
+        pipeline.run_shot(0)
+        del pipeline
+        assert refs[0]() is None
+        qp.run_campaign(config, shots=2, jobs=1)
+        assert len(refs) == 2 and refs[1]() is None
+    finally:
+        gc.enable()
 
 
 def test_wilson_interval_basics():

@@ -1,6 +1,10 @@
+import functools
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecfabric import code_model as cm
 from qecfabric import uf_decoder as uf
@@ -9,6 +13,17 @@ from qecfabric import uf_decoder as uf
 def graph_for(d, sector=cm.SECTOR_X, rounds=None):
     layout = cm.build_layout(d)
     return layout, cm.build_decoding_graph(layout, sector, rounds or d)
+
+
+def correction_of(graph, fault_ids):
+    pattern = cm.pattern_from_fault_ids(graph, fault_ids)
+    return uf.Correction(
+        sector=graph.sector,
+        fault_ids=frozenset(fault_ids),
+        data_faults=pattern.data_faults,
+        measurement_faults=pattern.measurement_faults,
+        graph=graph,
+    )
 
 
 def test_zero_syndrome_gives_empty_correction():
@@ -90,6 +105,81 @@ def test_worst_case_style_pattern_valid():
     assert stats.growth_iterations >= 1
 
 
+# ---- pinned corpus and properties ---------------------------------------
+
+# sha256 over the corpus below of (sorted fault ids, growth iterations,
+# fusions, clusters), pinned from the decoder whose post-growth pass still
+# scanned every vertex and edge; the region-proportional pass must match it.
+CORPUS_DIGEST = "9f301d0f9cd9b8b75b2417c0e26114efce63a2fd1b0ae48fcacb552bfccc1675"
+
+
+def equivalence_corpus():
+    """Exhaustive d=3 weight <= 1 and d=5 weight <= 2 syndromes, then sampled d=7/9 shots."""
+    for d, max_weight in ((3, 1), (5, 2)):
+        layout = cm.build_layout(d)
+        for sector in cm.SECTORS:
+            graph = cm.build_decoding_graph(layout, sector, d)
+            for w in range(max_weight + 1):
+                for combo in itertools.combinations(range(graph.n_edges), w):
+                    flipped = set()
+                    for e_id in combo:
+                        e = graph.edges[e_id]
+                        flipped ^= {e.u} if e.v == cm.BOUNDARY else {e.u, e.v}
+                    yield graph, cm.syndrome_from_defects(graph, sorted(flipped))
+    for d in (7, 9):
+        layout = cm.build_layout(d)
+        graphs = [cm.build_decoding_graph(layout, s, d) for s in cm.SECTORS]
+        for p in (1e-3, 1e-2, 0.05):
+            for shot in range(200):
+                for k, graph in enumerate(graphs):
+                    pattern = cm.sample_errors(graph, p, seed=d, stream=(shot, k))
+                    yield graph, cm.syndrome_of(pattern, graph)
+
+
+def test_decoder_reproduces_pinned_corpus():
+    digest = hashlib.sha256()
+    for graph, syn in equivalence_corpus():
+        corr, stats = uf.decode_with_stats(graph, syn)
+        record = (sorted(corr.fault_ids), stats.growth_iterations, stats.fusions, stats.clusters)
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+@functools.lru_cache(maxsize=None)
+def cached_graph(d, rounds, sector):
+    return cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
+
+
+# the oracle searches subsets by increasing weight; beyond this the search
+# on a 35-edge graph no longer fits the test's time budget
+ORACLE_MAX_WEIGHT = 4
+
+
+@st.composite
+def decode_instances(draw):
+    d = draw(st.sampled_from([3, 5, 7, 9]))
+    rounds = draw(st.integers(1, d + 2))
+    sector = draw(st.sampled_from(cm.SECTORS))
+    p = draw(st.floats(0.0, 0.3, exclude_min=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, rounds, sector, p, seed
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(decode_instances())
+def test_decoder_properties(instance):
+    d, rounds, sector, p, seed = instance
+    graph = cached_graph(d, rounds, sector)
+    syn = cm.syndrome_of(cm.sample_errors(graph, p, seed), graph)
+    corr, stats = uf.decode_with_stats(graph, syn)
+    assert uf.is_valid(corr, syn, graph)
+    again, again_stats = uf.decode_with_stats(graph, syn)
+    assert again.fault_ids == corr.fault_ids and again_stats == stats
+    if graph.n_edges <= 40 and corr.weight <= ORACLE_MAX_WEIGHT:
+        oracle = uf.oracle_decode(graph, syn, max_weight=corr.weight)
+        assert oracle.weight <= corr.weight
+
+
 # ---- oracle ---------------------------------------------------------------
 
 
@@ -169,6 +259,47 @@ def test_is_valid_trivial_cases():
     assert uf.is_valid(empty, zero, graph)
     nonzero = cm.syndrome_from_defects(graph, [0])
     assert not uf.is_valid(empty, nonzero, graph)
+
+
+def test_is_valid_rejects_wrong_shape():
+    layout, graph = graph_for(3)
+    empty = correction_of(graph, [])
+    with pytest.raises(ValueError):
+        uf.is_valid(empty, cm.empty_syndrome(layout, graph.rounds + 1), graph)
+
+
+def test_is_valid_rejects_a_dropped_edge():
+    layout, graph = graph_for(5)
+    syn = cm.syndrome_of(cm.sample_errors(graph, 0.05, seed=8), graph)
+    corr = uf.decode(graph, syn)
+    assert corr.weight >= 1 and uf.is_valid(corr, syn, graph)
+    for e_id in corr.fault_ids:
+        assert not uf.is_valid(correction_of(graph, corr.fault_ids - {e_id}), syn, graph)
+
+
+def test_is_valid_boundary_edge_corrects_single_defect():
+    layout, graph = graph_for(3)
+    boundary = [e_id for e_id, e in enumerate(graph.edges) if e.v == cm.BOUNDARY]
+    for e_id in boundary:
+        syn = cm.syndrome_from_defects(graph, [graph.edges[e_id].u])
+        assert uf.is_valid(correction_of(graph, [e_id]), syn, graph)
+
+
+def test_is_valid_double_flips_cancel():
+    # a spacelike edge in rounds 0 and 1 plus the timelike edges of both
+    # its endpoints form a cycle: every vertex on it is flipped twice
+    layout, graph = graph_for(3, rounds=2)
+    e = next(e for e in graph.edges if e.kind == cm.SPACELIKE and e.v != cm.BOUNDARY)
+    cycle = [
+        graph.fault_id_of((e.qubit, 0), cm.SPACELIKE),
+        graph.fault_id_of((e.qubit, 1), cm.SPACELIKE),
+        graph.fault_id_of((e.u, 0), cm.TIMELIKE),
+        graph.fault_id_of((e.v, 0), cm.TIMELIKE),
+    ]
+    corr = correction_of(graph, cycle)
+    assert uf.is_valid(corr, cm.empty_syndrome(layout, 2), graph)
+    for v in (e.u, e.v, e.u + graph.n_stabilizers, e.v + graph.n_stabilizers):
+        assert not uf.is_valid(corr, cm.syndrome_from_defects(graph, [v]), graph)
 
 
 def test_logical_failure_trivial_cases():
