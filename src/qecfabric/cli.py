@@ -153,7 +153,8 @@ def cmd_ler(args) -> int:
     table = {}
     for d in distances:
         est = qec_pipeline.ler_campaign(
-            d, config.error_rate, config.shots, config.seed, rounds=config.rounds
+            d, config.error_rate, config.shots, config.seed, rounds=config.rounds,
+            jobs=config.jobs,
         )
         lo, hi = est.ci95
         rows.append([d, est.rounds, config.error_rate, est.shots, est.failures,

@@ -11,12 +11,17 @@ actual syndrome) while decoder duration is table-driven.
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
 path for accuracy studies that skips the (transport-independent) timing
-machinery.
+machinery.  It decodes each distinct syndrome once per sector and call
+(a memo cleared whenever it holds ``batch`` entries), checks every defect
+shot's residual for an empty syndrome with numpy, and shards by (sector,
+batch range) over ``jobs`` worker processes with identical results.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -772,6 +777,67 @@ class LerEstimate:
         return wilson_interval(self.failures, self.shots)
 
 
+def _ler_sector_failures(
+    layout: CodeLayout,
+    k: int,
+    rounds: int,
+    error_rate: float,
+    seed: int,
+    batch: int,
+    batches: range,
+    shots: int,
+) -> np.ndarray:
+    """Failure flags of sector ``SECTORS[k]`` for the shots of a contiguous batch range.
+
+    Entry i is shot ``batches.start * batch + i``.  A shot fails when its
+    faults, XOR the correction of its syndrome (memoized: the decoder is a
+    pure function of (graph, syndrome)), cross the logical chain oddly.
+    """
+    graph = build_decoding_graph(layout, SECTORS[k], rounds)
+    incidence = graph.incidence_matrix().astype(np.float32)
+    chain = layout.crossing_chain[graph.sector]
+    chain_mask = np.array(
+        [1.0 if (e.kind == SPACELIKE and e.qubit in chain) else 0.0 for e in graph.edges],
+        dtype=np.float32,
+    )
+    first = batches.start * batch
+    failed = np.zeros(min(batches.stop * batch, shots) - first, dtype=bool)
+    memo = {}  # packed defect row -> edge-indicator row of its correction
+    for b in batches:
+        lo = b * batch - first
+        n = min(batch, len(failed) - lo)
+        rng = rng_stream(seed, _STREAM_LER, layout.distance, k, b)
+        bits = rng.random((n, graph.n_edges)) < error_rate
+        f32 = bits.astype(np.float32)
+        # float32 sums of 0/1 entries are exact integers far below 2**24
+        defects = (f32 @ incidence).astype(np.int32) & 1
+        crossings = (f32 @ chain_mask).astype(np.int32) & 1
+        has_defect = defects.any(axis=1)
+        quiet = np.flatnonzero(~has_defect)
+        failed[lo + quiet] = crossings[quiet] == 1
+        rows = np.flatnonzero(has_defect)
+        if not len(rows):
+            continue
+        packed = np.packbits(defects[rows], axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        corrections = []
+        for row, key in zip(rows, keys):
+            corr = memo.get(key)
+            if corr is None:
+                if len(memo) >= batch:
+                    memo.clear()
+                syn = syndrome_from_defects(graph, np.flatnonzero(defects[row]).tolist())
+                corr = np.zeros(graph.n_edges, dtype=bool)
+                corr[list(decode(graph, syn).fault_ids)] = True
+                memo[key] = corr
+            corrections.append(corr)
+        residual = (bits[rows] ^ np.array(corrections)).astype(np.float32)
+        if ((residual @ incidence).astype(np.int32) & 1).any():
+            raise ValueError("correction does not annihilate the pattern's syndrome")
+        failed[lo + rows] = ((residual @ chain_mask).astype(np.int32) & 1) == 1
+    return failed
+
+
 def ler_campaign(
     distance: int,
     error_rate: float,
@@ -779,6 +845,7 @@ def ler_campaign(
     seed: int,
     rounds: int | None = None,
     batch: int = 8192,
+    jobs: int = 1,
 ) -> LerEstimate:
     """Vectorized Monte-Carlo logical-error-rate estimate for one distance.
 
@@ -787,35 +854,45 @@ def ler_campaign(
     whole batches at once and decodes only the shots that show defects.
     Shot i of a given (seed, distance) is reproducible independent of the
     batch size schedule only if ``batch`` is kept fixed.
+
+    Each distinct syndrome is decoded once per sector and call: a memo built
+    fresh for every sector (and every shard) maps the packed defect row to
+    its correction, and is cleared when it holds ``batch`` entries, so
+    memory stays O(batch x edges).  Every defect shot's residual is still
+    checked to have an empty syndrome (ValueError otherwise).
+
+    ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
+    most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are
+    independent Philox streams, so every job count gives the same result.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if not 0.0 <= error_rate <= 1.0:
+        raise ValueError(f"error_rate must be a probability, got {error_rate}")
+    if rounds is not None and rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     layout = build_layout(distance)
-    r = rounds if rounds else distance
+    r = distance if rounds is None else rounds
+    n_batches = -(-shots // batch)
+    cuts = np.linspace(0, n_batches, min(jobs, n_batches) + 1, dtype=int)
+    shards = [
+        (k, range(int(a), int(b))) for k in range(len(SECTORS)) for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    tasks = [(layout, k, r, error_rate, seed, batch, batches, shots) for k, batches in shards]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        parts = [_ler_sector_failures(*task) for task in tasks]
+    else:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            futures = [pool.submit(_ler_sector_failures, *task) for task in tasks]
+            parts = [f.result() for f in futures]
     failed = np.zeros(shots, dtype=bool)
-    for k, sector in enumerate(SECTORS):
-        graph = build_decoding_graph(layout, sector, r)
-        incidence = graph.incidence_matrix().astype(np.float32)
-        chain = layout.crossing_chain[sector]
-        chain_mask = np.array(
-            [1.0 if (e.kind == SPACELIKE and e.qubit in chain) else 0.0 for e in graph.edges],
-            dtype=np.float32,
-        )
-        done = 0
-        batch_index = 0
-        while done < shots:
-            n = min(batch, shots - done)
-            rng = rng_stream(seed, _STREAM_LER, distance, k, batch_index)
-            bits = rng.random((n, graph.n_edges)) < error_rate
-            f32 = bits.astype(np.float32)
-            defects = (f32 @ incidence) % 2
-            crossings = (f32 @ chain_mask) % 2
-            has_defect = defects.any(axis=1)
-            quiet = np.nonzero(~has_defect)[0]
-            failed[done + quiet] |= crossings[quiet] > 0.5
-            for i in np.nonzero(has_defect)[0]:
-                pattern = pattern_from_fault_ids(graph, np.nonzero(bits[i])[0].tolist())
-                syn = syndrome_from_defects(graph, np.nonzero(defects[i] > 0.5)[0].tolist())
-                corr = decode(graph, syn)
-                failed[done + i] |= is_logical_failure(pattern, corr, layout)
-            done += n
-            batch_index += 1
+    for (_, batches), part in zip(shards, parts):
+        first = batches.start * batch
+        failed[first : first + len(part)] |= part
     return LerEstimate(distance, r, error_rate, shots, int(failed.sum()))

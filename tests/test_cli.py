@@ -53,6 +53,23 @@ def test_ler_zero_rate(tmp_path):
     assert summary["distances"]["3"]["failures"] == 0
 
 
+def test_ler_forwards_jobs(tmp_path, monkeypatch):
+    from qecfabric import qec_pipeline
+
+    seen = []
+    real = qec_pipeline.ler_campaign
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("jobs"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qec_pipeline, "ler_campaign", recording)
+    rc = main(["ler", "--shots", "100", "--error-rate", "0", "--distances", "3",
+               "--jobs", "2", "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert seen == [2]
+
+
 def test_capacity_table_router_step(tmp_path):
     out = tmp_path / "r"
     rc = main(["capacity", "--profile", "vcu129", "--distances", "3..21",

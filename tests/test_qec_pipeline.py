@@ -234,6 +234,93 @@ def test_ler_campaign_reproducible_and_batch_stable():
     assert a.failures == b.failures
 
 
+# Failure counts measured before corrections were memoized by syndrome and
+# residuals were checked in numpy: (distance, p, shots, seed, rounds, batch).
+PINNED_LER_FAILURES = [
+    ((3, 0.02, 3_000, 7, None, 8192), 245),
+    ((3, 0.5, 2_000, 2, None, 8192), 1458),
+    ((5, 0.01, 20_000, 3, None, 8192), 299),
+    ((7, 0.01, 5_000, 1, None, 8192), 31),
+    ((3, 0.03, 20_000, 5, 1, 8192), 610),
+    ((5, 0.005, 10_000, 9, 8, 1000), 36),
+    ((5, 0.004, 20_000, 4, None, 3000), 23),
+]
+
+
+@pytest.mark.parametrize("args, failures", PINNED_LER_FAILURES)
+def test_ler_campaign_pinned_failures(args, failures):
+    distance, p, shots, seed, rounds, batch = args
+    est = qp.ler_campaign(distance, p, shots, seed=seed, rounds=rounds, batch=batch)
+    assert est.failures == failures
+
+
+def _reference_ler_failures(distance, p, shots, seed, batch):
+    """Per-shot loop through ErrorPattern and is_logical_failure, no memo."""
+    layout = cm.build_layout(distance)
+    failed = np.zeros(shots, dtype=bool)
+    for k, sector in enumerate(cm.SECTORS):
+        graph = cm.build_decoding_graph(layout, sector, distance)
+        for b, lo in enumerate(range(0, shots, batch)):
+            n = min(batch, shots - lo)
+            rng = cm.rng_stream(seed, qp._STREAM_LER, distance, k, b)
+            bits = rng.random((n, graph.n_edges)) < p
+            for i in range(n):
+                pattern = cm.pattern_from_fault_ids(graph, np.flatnonzero(bits[i]).tolist())
+                corr = uf.decode(graph, cm.syndrome_of(pattern, graph))
+                failed[lo + i] |= uf.is_logical_failure(pattern, corr, layout)
+    return int(failed.sum())
+
+
+def test_ler_campaign_matches_reference_loop_when_memo_clears():
+    # batch=40 clears the 40-entry memo many times within and across batches
+    est = qp.ler_campaign(3, 0.05, 600, seed=11, batch=40)
+    assert est.failures == _reference_ler_failures(3, 0.05, 600, 11, 40)
+    assert est.failures > 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"shots": 0},
+        {"batch": 0},
+        {"error_rate": 1.5},
+        {"error_rate": -0.1},
+        {"error_rate": float("nan")},
+        {"rounds": 0},
+        {"jobs": 0},
+    ],
+)
+def test_ler_campaign_rejects_bad_inputs(kwargs, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before validating inputs")
+
+    monkeypatch.setattr(qp, "rng_stream", no_sampling)
+    args = dict(distance=3, error_rate=0.01, shots=100, seed=1) | kwargs
+    with pytest.raises(ValueError):
+        qp.ler_campaign(**args)
+
+
+def test_ler_campaign_jobs_match_serial():
+    serial = qp.ler_campaign(3, 0.02, 3_000, seed=7, batch=1000, jobs=1)
+    parallel = qp.ler_campaign(3, 0.02, 3_000, seed=7, batch=1000, jobs=2)
+    assert parallel == serial
+    assert serial.failures == 237
+
+
+def test_ler_campaign_checks_every_residual(monkeypatch):
+    real = qp.decode
+
+    def drop_one_edge(graph, syndrome):
+        corr = real(graph, syndrome)
+        if not corr.fault_ids:
+            return corr
+        return uf._correction_from_ids(graph, sorted(corr.fault_ids)[1:])
+
+    monkeypatch.setattr(qp, "decode", drop_one_edge)
+    with pytest.raises(ValueError, match="does not annihilate"):
+        qp.ler_campaign(3, 0.02, 500, seed=7)
+
+
 def test_ler_decreases_with_distance_at_moderate_rate():
     # fast sanity version of the error-suppression property
     shots = 30_000
