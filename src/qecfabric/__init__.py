@@ -47,6 +47,7 @@ from .code_model import (
 )
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .fabric_sim import (
+    CapacityError,
     Clock,
     Event,
     Fabric,
@@ -66,7 +67,6 @@ from .link_layer import (
 )
 from .qec_pipeline import (
     CampaignResult,
-    CapacityError,
     LeafMap,
     LerEstimate,
     Pipeline,

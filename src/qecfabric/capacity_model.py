@@ -110,10 +110,7 @@ def estimate_latency(distance: int, profile: PlatformProfile, decode_table=None)
     plus per-router-layer processing and round-trip network add-ons for as
     many layers as the qubit count forces.
     """
-    table = DEFAULT_DECODE_TABLE if decode_table is None else decode_table
-    decode_ps, _ = decode_latency_ps(table, distance)
-    layers = router_layers_needed(profile, distance)
-    return profile.base_latency_ps + decode_ps + layers * profile.router_layer_ps
+    return capacity_estimate(distance, profile, decode_table).predicted_latency_ps
 
 
 def decoder_peak_throughput(bits: int = DECODER_PEAK_BITS, time_ps: int = DECODER_PEAK_TIME_PS) -> Fraction:
@@ -126,21 +123,21 @@ def syndrome_rate_required(distance: int, cycle_time_ps: int = DEFAULT_CYCLE_TIM
     return Fraction((distance * distance - 1) * PS_PER_SECOND, cycle_time_ps)
 
 
+def available_throughput(link: LinkModel, decoder_peak_bps=None) -> Fraction:
+    """Lesser of the link's effective payload rate and the decoder's peak rate."""
+    peak = decoder_peak_throughput() if decoder_peak_bps is None else Fraction(decoder_peak_bps)
+    return min(effective_throughput(link), peak)
+
+
 def throughput_margin(
     distance: int,
     link: LinkModel,
     decoder_peak_bps=None,
     cycle_time_ps: int = DEFAULT_CYCLE_TIME_PS,
 ) -> Fraction:
-    """available / required throughput ratio for one distance.
-
-    Available throughput is the lesser of the network's effective rate and
-    the decoder's peak processing rate.
-    """
-    peak = decoder_peak_throughput() if decoder_peak_bps is None else Fraction(decoder_peak_bps)
-    available = min(effective_throughput(link), peak)
-    required = syndrome_rate_required(distance, cycle_time_ps)
-    return available / required
+    """available / required throughput ratio for one distance."""
+    available = available_throughput(link, decoder_peak_bps)
+    return available / syndrome_rate_required(distance, cycle_time_ps)
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ def capacity_estimate(
     decode_ps, anchored = decode_latency_ps(table, distance)
     latency = profile.base_latency_ps + decode_ps + layers * profile.router_layer_ps
     required_bps = syndrome_rate_required(distance, cycle_time_ps)
-    available_bps = min(effective_throughput(link), decoder_peak_throughput())
+    available_bps = available_throughput(link)
     return CapacityEstimate(
         distance=distance,
         required_qubits=need,

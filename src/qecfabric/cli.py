@@ -25,8 +25,7 @@ from .config import (
     ExperimentConfig,
     load_config,
 )
-from .fabric_sim import Fabric, Simulator, TopologyConfig, global_sync
-from .qec_pipeline import CapacityError
+from .fabric_sim import CapacityError, Fabric, Simulator, TopologyConfig, global_sync
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,10 +84,11 @@ def cmd_latency(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = qec_pipeline.run_campaign(config)
 
+    stage_stats = result.stage_stats()
     stage_rows = []
     stages_json = {}
     for name in result.stage_names:
-        stats = result.stage_stats()[name]
+        stats = stage_stats[name]
         if name == "decode":
             mean = config.stage_latency.decode_ps(config.distance)
             jitter = 0 if config.zero_jitter else config.stage_latency.decode_jitter_ps
@@ -121,21 +121,21 @@ def cmd_latency(args) -> int:
         [[lo + i, int(c)] for i, c in enumerate(counts)],
     )
 
+    e2e = result.end_to_end_stats()
     summary = dict(
         _report_meta(config),
         shots=result.n_shots,
         distance=config.distance,
         stages=stages_json,
-        end_to_end=result.end_to_end_stats(),
+        end_to_end=e2e,
         all_corrections_valid=bool(result.valid.all()),
         ler=result.ler(),
     )
     _write_json(out / "latency_summary.json", summary)
 
-    e2e = result.end_to_end_stats()
     print(f"{result.n_shots} shots at distance {config.distance}")
     for name in result.stage_names:
-        s = result.stage_stats()[name]
+        s = stage_stats[name]
         print(f"  {name:11s} mean {s['mean_ps'] / 1000:8.3f} ns   "
               f"spread [{s['min_ps'] / 1000:.3f}, {s['max_ps'] / 1000:.3f}]")
     print(f"  end-to-end  mean {e2e['mean_ps'] / 1000:8.3f} ns   "
@@ -265,7 +265,7 @@ def cmd_throughput(args) -> int:
     link28 = link_layer.LinkModel(28_000_000_000, lanes=4)
     peak = capacity_model.decoder_peak_throughput()
     required = capacity_model.syndrome_rate_required(d, config.cycle_time_ps)
-    available = min(capacity_model.effective_throughput(link10), peak)
+    available = capacity_model.available_throughput(link10)
     margin = available / required
 
     rows = [

@@ -227,9 +227,6 @@ class DecodingGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def vertex_id(self, stab: int, round: int) -> int:
-        return round * self.n_stabilizers + stab
-
     def fault_id_of(self, entry, kind) -> int:
         """Fault id for a (qubit, round) data fault or (stab, round) measurement fault."""
         table = self._spacelike_ids if kind == SPACELIKE else self._timelike_ids
@@ -284,7 +281,6 @@ class ErrorPattern:
     sector: str
     data_faults: frozenset
     measurement_faults: frozenset
-    rng_seed: int = 0
 
     @property
     def weight(self) -> int:
@@ -308,11 +304,10 @@ class ErrorPattern:
             sector=self.sector,
             data_faults=self.data_faults ^ other.data_faults,
             measurement_faults=self.measurement_faults ^ other.measurement_faults,
-            rng_seed=self.rng_seed,
         )
 
 
-def pattern_from_fault_ids(graph: DecodingGraph, fault_ids, rng_seed: int = 0) -> ErrorPattern:
+def pattern_from_fault_ids(graph: DecodingGraph, fault_ids) -> ErrorPattern:
     """Inverse of ErrorPattern.fault_ids."""
     data, meas = set(), set()
     for e_id in fault_ids:
@@ -321,7 +316,7 @@ def pattern_from_fault_ids(graph: DecodingGraph, fault_ids, rng_seed: int = 0) -
             data.add((e.qubit, e.round))
         else:
             meas.add((e.stab, e.round))
-    return ErrorPattern(graph.sector, frozenset(data), frozenset(meas), rng_seed)
+    return ErrorPattern(graph.sector, frozenset(data), frozenset(meas))
 
 
 def sample_errors(graph: DecodingGraph, p: float, seed: int, stream=()) -> ErrorPattern:
@@ -334,7 +329,7 @@ def sample_errors(graph: DecodingGraph, p: float, seed: int, stream=()) -> Error
         raise ValueError(f"p must be a probability, got {p}")
     rng = rng_stream(seed, *stream)
     hits = np.nonzero(rng.random(graph.n_edges) < p)[0]
-    return pattern_from_fault_ids(graph, hits.tolist(), rng_seed=seed)
+    return pattern_from_fault_ids(graph, hits.tolist())
 
 
 @dataclass(frozen=True, eq=False)

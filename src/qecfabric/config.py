@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import capacity_model
+from .fabric_sim import TopologyConfig
 from .link_layer import LinkModel
 from .qec_pipeline import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig
 
@@ -20,22 +21,23 @@ TOOL_VERSION = "0.1.0"
 
 _SYNDROME_SOURCES = ("auto", "worst_case", "sampled")
 
+#: Data links carry only a rate: their transport time is the measured
+#: ``stage_latency.uplink``/``downlink`` stage.  Sync links also carry latency.
+_DATA_LINKS = ("uplink", "downlink")
+_LINKS = _DATA_LINKS + ("sync_uplink", "sync_downlink")
+_LATENCY_KEYS = ("one_way_latency_ps", "jitter_half_width_ps")
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _default_uplink():
-    return LinkModel(10_000_000_000, 1, 157_000, 16_000)
-
-
-def _default_downlink():
-    return LinkModel(10_000_000_000, 1, 155_000, 9_000)
-
-
-def _default_sync_link():
-    # timer-alignment frames ride the raw link latency, symmetric both ways
-    return LinkModel(10_000_000_000, 1, 156_000, 0)
+def _data_link_latency_error(name: str, key: str) -> ConfigError:
+    return ConfigError(
+        f"links.{name}.{key}: data-link transport time is set by "
+        f"stage_latency.{name} (mean_ps, jitter_ps); links.{name} takes only "
+        f"line_rate_bps and lanes"
+    )
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,10 @@ class ExperimentConfig:
     drift_ppm: int = 0
     sync_at_start: bool = True
     stage_latency: StageLatencyConfig = field(default_factory=StageLatencyConfig)
-    uplink: LinkModel = field(default_factory=_default_uplink)
-    downlink: LinkModel = field(default_factory=_default_downlink)
-    sync_uplink: LinkModel = field(default_factory=_default_sync_link)
-    sync_downlink: LinkModel = field(default_factory=_default_sync_link)
+    uplink: LinkModel = LinkModel(10_000_000_000)
+    downlink: LinkModel = LinkModel(10_000_000_000)
+    sync_uplink: LinkModel = TopologyConfig.sync_uplink
+    sync_downlink: LinkModel = TopologyConfig.sync_downlink
 
     def validate(self) -> "ExperimentConfig":
         if self.distance < 1 or self.distance % 2 == 0:
@@ -80,6 +82,12 @@ class ExperimentConfig:
             raise ConfigError("qubits_per_leaf must be >= 1")
         if self.cycle_time_ps < 1:
             raise ConfigError("cycle_time_ps must be >= 1")
+        if self.clock_offset_bound_ps < 0:
+            raise ConfigError("clock.offset_bound_ps must be >= 0")
+        for name in _DATA_LINKS:
+            link = getattr(self, name)
+            if link != LinkModel(link.line_rate_bps, link.lanes):
+                raise _data_link_latency_error(name, "/".join(_LATENCY_KEYS))
         if self.syndrome_source not in _SYNDROME_SOURCES:
             raise ConfigError(
                 f"syndrome_source must be one of {_SYNDROME_SOURCES}, got {self.syndrome_source!r}"
@@ -93,13 +101,12 @@ class ExperimentConfig:
         return self
 
     def to_dict(self) -> dict:
-        def link_dict(l):
-            return {
-                "line_rate_bps": l.line_rate_bps,
-                "lanes": l.lanes,
-                "one_way_latency_ps": l.one_way_latency_ps,
-                "jitter_half_width_ps": l.jitter_half_width_ps,
-            }
+        def link_dict(name):
+            link = getattr(self, name)
+            out = {"line_rate_bps": link.line_rate_bps, "lanes": link.lanes}
+            if name not in _DATA_LINKS:
+                out.update({key: getattr(link, key) for key in _LATENCY_KEYS})
+            return out
 
         stage = {
             name: {
@@ -132,12 +139,7 @@ class ExperimentConfig:
                 "sync_at_start": self.sync_at_start,
             },
             "stage_latency": stage,
-            "links": {
-                "uplink": link_dict(self.uplink),
-                "downlink": link_dict(self.downlink),
-                "sync_uplink": link_dict(self.sync_uplink),
-                "sync_downlink": link_dict(self.sync_downlink),
-            },
+            "links": {name: link_dict(name) for name in _LINKS},
         }
 
     def canonical_json(self) -> str:
@@ -179,18 +181,22 @@ def _reject_unknown(data: dict, path: str):
         raise ConfigError(f"unknown config key(s) {sorted(data)} at {path or 'top level'}")
 
 
-def _link_from_dict(data: dict, path: str, default: LinkModel) -> LinkModel:
+def _link_from_dict(data: dict, name: str, default: LinkModel) -> LinkModel:
     data = dict(data)
-    link = LinkModel(
-        line_rate_bps=_take(data, "line_rate_bps", int, path, default.line_rate_bps),
-        lanes=_take(data, "lanes", int, path, default.lanes),
-        one_way_latency_ps=_take(data, "one_way_latency_ps", int, path, default.one_way_latency_ps),
-        jitter_half_width_ps=_take(
-            data, "jitter_half_width_ps", int, path, default.jitter_half_width_ps
-        ),
-    )
+    path = f"links.{name}."
+    keys = ("line_rate_bps", "lanes")
+    if name in _DATA_LINKS:
+        for key in _LATENCY_KEYS:
+            if key in data:
+                raise _data_link_latency_error(name, key)
+    else:
+        keys += _LATENCY_KEYS
+    kwargs = {key: _take(data, key, int, path, getattr(default, key)) for key in keys}
     _reject_unknown(data, path)
-    return link
+    try:
+        return replace(default, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path[:-1]}: {exc}") from None
 
 
 def _stage_from_dict(data: dict) -> StageLatencyConfig:
@@ -204,11 +210,13 @@ def _stage_from_dict(data: dict) -> StageLatencyConfig:
             entry = _take(data, name, dict, "stage_latency.", None)
             entry = dict(entry)
             base = defaults.stage(name)
-            kwargs[name] = StageLatency(
-                mean_ps=_take(entry, "mean_ps", int, f"stage_latency.{name}.", base.mean_ps),
-                jitter_ps=_take(entry, "jitter_ps", int, f"stage_latency.{name}.", base.jitter_ps),
-            )
+            mean = _take(entry, "mean_ps", int, f"stage_latency.{name}.", base.mean_ps)
+            jitter = _take(entry, "jitter_ps", int, f"stage_latency.{name}.", base.jitter_ps)
             _reject_unknown(entry, f"stage_latency.{name}")
+            try:
+                kwargs[name] = StageLatency(mean_ps=mean, jitter_ps=jitter)
+            except ValueError as exc:
+                raise ConfigError(f"stage_latency.{name}: {exc}") from None
     if "decode_table" in data:
         table = _take(data, "decode_table", dict, "stage_latency.", None)
         parsed = {}
@@ -227,7 +235,7 @@ def _stage_from_dict(data: dict) -> StageLatencyConfig:
     try:
         return replace(defaults, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"stage_latency: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -247,18 +255,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _reject_unknown(clock, "clock")
 
     links = dict(_take(data, "links", dict, "", {}))
-    uplink = _link_from_dict(dict(_take(links, "uplink", dict, "links.", {})), "links.uplink.", base.uplink)
-    downlink = _link_from_dict(
-        dict(_take(links, "downlink", dict, "links.", {})), "links.downlink.", base.downlink
-    )
-    sync_up = _link_from_dict(
-        dict(_take(links, "sync_uplink", dict, "links.", {})), "links.sync_uplink.", base.sync_uplink
-    )
-    sync_down = _link_from_dict(
-        dict(_take(links, "sync_downlink", dict, "links.", {})),
-        "links.sync_downlink.",
-        base.sync_downlink,
-    )
+    parsed_links = {
+        name: _link_from_dict(_take(links, name, dict, "links.", {}), name, getattr(base, name))
+        for name in _LINKS
+    }
     _reject_unknown(links, "links")
 
     stage = _stage_from_dict(dict(_take(data, "stage_latency", dict, "", {})))
@@ -280,10 +280,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         drift_ppm=drift,
         sync_at_start=sync_at_start,
         stage_latency=stage,
-        uplink=uplink,
-        downlink=downlink,
-        sync_uplink=sync_up,
-        sync_downlink=sync_down,
+        **parsed_links,
     )
     _reject_unknown(data, "")
     return config.validate()
@@ -314,7 +311,7 @@ DEFAULT_PROVENANCE = [
     ("stage_latency.leaf_dist", "9000 +- 1000 ps", "measured leaf-side error distribution"),
     ("stage_latency.router_proc", "45000 ps", "router on-board processing add-on per layer"),
     ("stage_latency.router_net", "312000 ps", "router round-trip network add-on per layer"),
-    ("links.uplink/downlink", "157/155 ns, 10 Gb/s", "per-direction link latencies; the raw link achieves ~156 ns one way"),
+    ("links.uplink/downlink", "10 Gb/s x 1 lane", "rate only; latency is stage_latency.uplink/downlink"),
     ("links.sync_*", "156 ns symmetric", "timer-alignment frames on the raw link"),
     ("error_rate", "0.001", "physical error rate typical of current superconducting qubits"),
     ("cycle_time_ps", "1000000", "typical 1 us measurement cycle"),

@@ -32,6 +32,10 @@ class SyncError(RuntimeError):
     """A timer-alignment round lost one of its timestamps."""
 
 
+class CapacityError(ValueError):
+    """The configured tree cannot host the code's qubits."""
+
+
 def _half_even_div2(n: int) -> int:
     """n / 2 rounded half to even, exact integer arithmetic."""
     q, r = divmod(n, 2)
@@ -54,15 +58,13 @@ class Clock:
 
 @dataclass
 class NodeState:
-    """One fabric node: role, tree links, clock and role-specific state."""
+    """One fabric node: role, tree links and clock."""
 
     node_id: int
     role: str
     parent: int | None = None
     children: tuple = ()
     clock: Clock = field(default_factory=Clock)
-    inbox: deque = field(default_factory=deque)
-    state: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -137,16 +139,15 @@ class TopologyConfig:
 
     ``router_layers`` inserts that many aggregation levels between the root
     and the leaves; every non-leaf node is limited to ``root_ports`` or
-    ``router_children`` downstream ports.  Data and timer-sync traffic may
-    use different link parameters (sync frames are tiny control frames).
+    ``router_children`` downstream ports.  The links here carry only the
+    timer-alignment frames; data transport time is a pipeline stage
+    (``StageLatencyConfig.uplink``/``downlink``), not a property of the tree.
     """
 
     n_leaves: int
     root_ports: int = 4
     router_children: int = 29
     router_layers: int = 0
-    uplink: LinkModel = LinkModel(10_000_000_000, 1, 157_000, 16_000)
-    downlink: LinkModel = LinkModel(10_000_000_000, 1, 155_000, 9_000)
     sync_uplink: LinkModel = LinkModel(10_000_000_000, 1, 156_000, 0)
     sync_downlink: LinkModel = LinkModel(10_000_000_000, 1, 156_000, 0)
     clock_offset_bound_ps: int = 0
@@ -169,8 +170,10 @@ class Fabric:
         for _ in range(config.router_layers):
             levels.append(-(-levels[-1] // config.router_children))
         if levels[-1] > config.root_ports:
-            raise ValueError(
-                f"{levels[-1]} top-level nodes exceed the root's {config.root_ports} ports"
+            raise CapacityError(
+                f"{config.n_leaves} leaf boards need {levels[-1]} top-level nodes with "
+                f"router_layers={config.router_layers}, more than the root's "
+                f"{config.root_ports} ports. Add a router layer to extend capacity."
             )
 
         next_id = 0
@@ -199,21 +202,12 @@ class Fabric:
         for node in self.nodes.values():
             for child in node.children:
                 self._endpoints[(node.node_id, child)] = {
-                    "data_down": LinkEndpoint(config.downlink),
-                    "data_up": LinkEndpoint(config.uplink),
                     "sync_down": LinkEndpoint(config.sync_downlink),
                     "sync_up": LinkEndpoint(config.sync_uplink),
                 }
 
     def _attach(self, parents, children):
-        limit = (
-            self.config.root_ports
-            if parents == [self.root_id]
-            else self.config.router_children
-        )
         fanout = -(-len(children) // len(parents))
-        if fanout > limit:
-            raise ValueError(f"fan-out {fanout} exceeds port limit {limit}")
         for k, child in enumerate(children):
             parent = parents[k // fanout]
             self.nodes[child].parent = parent

@@ -2,8 +2,10 @@
 
 Captures the rate/overhead consequences of the line code (64 payload bits
 carried in 66 wire bits, 3.03% overhead) plus a fixed one-way latency with
-uniform jitter.  Scrambling, alignment and CRC internals are not modeled;
-links are lossless and FIFO.
+uniform jitter.  The latency and jitter apply to timer-alignment (sync)
+frames; data transport time is the pipeline's measured uplink/downlink stage,
+and data links contribute only their rate.  Scrambling, alignment and CRC
+internals are not modeled; links are lossless and FIFO.
 """
 
 from __future__ import annotations

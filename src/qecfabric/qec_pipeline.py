@@ -45,6 +45,7 @@ from .code_model import (
     syndrome_from_defects,
     syndrome_of,
 )
+from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
 from .fabric_sim import ROLE_ROOT, Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay
 from .uf_decoder import decode, decode_with_stats, is_logical_failure, is_valid
@@ -73,10 +74,6 @@ _STREAM_SYNC = 5  # timer-alignment message jitter
 _STREAM_LER = 13  # batched Monte-Carlo sampling
 
 Z95 = 1.959963984540054
-
-
-class CapacityError(RuntimeError):
-    """The configured tree cannot host the code's qubits."""
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,15 @@ class StageLatencyConfig:
     decode_jitter_ps: int = 0
 
     def __post_init__(self):
-        for d in self.decode_table:
+        if not self.decode_table:
+            raise ValueError("decode table is empty")
+        for d, ps in self.decode_table.items():
             if int(d) % 2 == 0 or int(d) < 1:
                 raise ValueError(f"decode table keys must be odd distances, got {d}")
+            if ps < 0:
+                raise ValueError(f"decode table latency for d={d} must be >= 0, got {ps}")
+        if self.decode_jitter_ps < 0:
+            raise ValueError("decode_jitter_ps must be >= 0")
 
     def stage(self, name: str) -> StageLatency:
         if name == "decode":
@@ -185,8 +188,6 @@ class SyndromeMessage:
     round_range: tuple
     leaf: int
     bits: tuple
-    emit_ps: int | None = None
-    recv_ps: int | None = None
 
 
 @dataclass
@@ -194,8 +195,6 @@ class CorrectionMessage:
     shot: int
     leaf: int
     error_bits: tuple  # (sector, data qubit) entries with a net correction
-    emit_ps: int | None = None
-    recv_ps: int | None = None
 
 
 @dataclass
@@ -283,37 +282,24 @@ class Pipeline:
         self.decode_duration_ps = self.stages.decode_ps(self.distance)
 
         self.layout = build_layout(self.distance)
-        self.graphs = {s: build_decoding_graph(self.layout, s, self.rounds) for s in SECTORS}
         self.leaf_map = assign_qubits_to_leaves(self.layout, config.qubits_per_leaf)
 
         profile = capacity_model.get_profile(config.profile)
-        self.profile = profile
-        layers = config.router_layers
-        top_level = self.leaf_map.n_leaves
-        for _ in range(layers):
-            top_level = -(-top_level // profile.router_children)
-        if top_level > profile.root_ports:
-            raise CapacityError(
-                f"distance {self.distance} needs {self.leaf_map.n_leaves} leaf boards; "
-                f"{top_level} top-level nodes exceed the {profile.name} root's "
-                f"{profile.root_ports} ports with router_layers={layers}. "
-                f"Add a router layer to extend capacity."
-            )
-
         topo = TopologyConfig(
             n_leaves=self.leaf_map.n_leaves,
             root_ports=profile.root_ports,
             router_children=profile.router_children,
-            router_layers=layers,
-            uplink=config.uplink,
-            downlink=config.downlink,
+            router_layers=config.router_layers,
             sync_uplink=config.sync_uplink,
             sync_downlink=config.sync_downlink,
             clock_offset_bound_ps=config.clock_offset_bound_ps,
             drift_ppm=config.drift_ppm,
         )
-        self.sim = Simulator(trace=trace)
+        # the fabric refuses a tree that cannot host the code (CapacityError)
+        # before the decoding graphs are built
         self.fabric = Fabric(topo, seed=self.seed)
+        self.graphs = {s: build_decoding_graph(self.layout, s, self.rounds) for s in SECTORS}
+        self.sim = Simulator(trace=trace)
         if config.sync_at_start:
             global_sync(self.sim, self.fabric, rng_stream(self.seed, _STREAM_SYNC))
         self.sync_residuals = {
@@ -326,7 +312,7 @@ class Pipeline:
         for node_id, node in self.fabric.nodes.items():
             depth = len(self.fabric.path_to_root(node_id))
             self._level[node_id] = depth  # root=0, top routers=1, ...
-        self._router_layers = layers
+        self._router_layers = config.router_layers
         self._leaf_index = {n: i for i, n in enumerate(self.fabric.leaf_ids)}
 
         # syndrome source: the worst-case d=3 pattern mirrors the latency
@@ -404,11 +390,7 @@ class Pipeline:
         cols = leaf_ancilla_columns(self.layout, self.leaf_map, leaf_idx)
         bits = tuple(int(b) for b in ctx["syndrome"].bits[self.rounds - 1, cols])
         msg = SyndromeMessage(
-            shot=ctx["shot"],
-            round_range=(self.rounds - 1, self.rounds),
-            leaf=leaf_idx,
-            bits=bits,
-            emit_ps=self._local(ev.node),
+            shot=ctx["shot"], round_range=(self.rounds - 1, self.rounds), leaf=leaf_idx, bits=bits
         )
         parent = self.fabric.nodes[ev.node].parent
         delay = ctx["dur"]["uplink"] + excess_serialization_delay(len(bits), self.config.uplink)
@@ -442,7 +424,6 @@ class Pipeline:
         ctx = self._ctx
         root = self.fabric.root_id
         for msg in ev.payload:
-            msg.recv_ps = self._local(root)
             ctx["root_msgs"].append(msg)
             ctx["bits_received"] += len(msg.bits)
         ctx["root_up_count"] += 1
@@ -507,17 +488,20 @@ class Pipeline:
         per_leaf = {leaf: [] for leaf in range(self.leaf_map.n_leaves)}
         for sector, qubit in entries:
             per_leaf[self.leaf_map.leaf_of(qubit)].append((sector, qubit))
-        ctx["sent_messages"] = {}
-        for leaf, owned in per_leaf.items():
-            ctx["sent_messages"][leaf] = CorrectionMessage(
-                shot=ctx["shot"], leaf=leaf, error_bits=tuple(owned), emit_ps=self._local(ev.node)
-            )
+        ctx["sent_messages"] = {
+            leaf: CorrectionMessage(shot=ctx["shot"], leaf=leaf, error_bits=tuple(owned))
+            for leaf, owned in per_leaf.items()
+        }
         ctx["correction_bits"] = len(entries)
+        self._send_down(ev.node)
+
+    def _send_down(self, node_id):
+        """Forward the corrections from a root or router to each of its children."""
+        ctx = self._ctx
         now = self.sim.now
-        for child in self.fabric.nodes[self.fabric.root_id].children:
+        for child in self.fabric.nodes[node_id].children:
             if child in self._leaf_index:
-                leaf_idx = self._leaf_index[child]
-                msg = ctx["sent_messages"][leaf_idx]
+                msg = ctx["sent_messages"][self._leaf_index[child]]
                 delay = ctx["dur"]["downlink"] + excess_serialization_delay(
                     len(msg.error_bits), self.config.downlink
                 )
@@ -534,29 +518,13 @@ class Pipeline:
         self.sim.schedule(self.sim.now + proc_down, ev.node, "router_down_fwd", None)
 
     def _on_router_down_fwd(self, ev):
-        ctx = self._ctx
-        level = self._level[ev.node]
-        self._mark(("router_down_fwd", level), self._local(ev.node))
-        now = self.sim.now
-        for child in self.fabric.nodes[ev.node].children:
-            if child in self._leaf_index:
-                leaf_idx = self._leaf_index[child]
-                msg = ctx["sent_messages"][leaf_idx]
-                delay = ctx["dur"]["downlink"] + excess_serialization_delay(
-                    len(msg.error_bits), self.config.downlink
-                )
-                self.sim.schedule(now + delay, child, "leaf_down", msg)
-            else:
-                net_down = ctx["dur"]["router_net"] - ctx["dur"]["router_net"] // 2
-                self.sim.schedule(now + net_down, child, "router_down", None)
+        self._mark(("router_down_fwd", self._level[ev.node]), self._local(ev.node))
+        self._send_down(ev.node)
 
     def _on_leaf_down(self, ev):
-        ctx = self._ctx
-        msg = ev.payload
-        msg.recv_ps = self._local(ev.node)
         self._mark("leaf_arrive", self._local(ev.node))
         self.sim.schedule(
-            self.sim.now + ctx["dur"]["leaf_dist"], ev.node, "leaf_apply_done", msg
+            self.sim.now + self._ctx["dur"]["leaf_dist"], ev.node, "leaf_apply_done", ev.payload
         )
 
     def _on_leaf_apply_done(self, ev):
@@ -653,6 +621,17 @@ def run_shot(config, seed=None, shot: int = 0) -> ShotReport:
     return Pipeline(config, seed=seed).run_shot(shot)
 
 
+def _latency_stats(arr: np.ndarray) -> dict:
+    return {
+        "mean_ps": float(arr.mean()),
+        "min_ps": int(arr.min()),
+        "max_ps": int(arr.max()),
+        "p50_ps": float(np.percentile(arr, 50)),
+        "p90_ps": float(np.percentile(arr, 90)),
+        "p99_ps": float(np.percentile(arr, 99)),
+    }
+
+
 @dataclass
 class CampaignResult:
     """Aggregated per-stage samples and decode outcomes of a campaign."""
@@ -665,29 +644,10 @@ class CampaignResult:
     failures: np.ndarray
 
     def stage_stats(self):
-        out = {}
-        for name in self.stage_names:
-            arr = self.samples[name]
-            out[name] = {
-                "mean_ps": float(arr.mean()),
-                "min_ps": int(arr.min()),
-                "max_ps": int(arr.max()),
-                "p50_ps": float(np.percentile(arr, 50)),
-                "p90_ps": float(np.percentile(arr, 90)),
-                "p99_ps": float(np.percentile(arr, 99)),
-            }
-        return out
+        return {name: _latency_stats(self.samples[name]) for name in self.stage_names}
 
     def end_to_end_stats(self):
-        arr = self.end_to_end_ps
-        return {
-            "mean_ps": float(arr.mean()),
-            "min_ps": int(arr.min()),
-            "max_ps": int(arr.max()),
-            "p50_ps": float(np.percentile(arr, 50)),
-            "p90_ps": float(np.percentile(arr, 90)),
-            "p99_ps": float(np.percentile(arr, 99)),
-        }
+        return _latency_stats(self.end_to_end_ps)
 
     def ler(self):
         k = int(self.failures.sum())
@@ -734,30 +694,39 @@ def _campaign_range(config, seed, start, stop) -> CampaignResult:
     return CampaignResult(n, names, samples, end_to_end, valid, failures)
 
 
-def _campaign_worker(args):
-    return _campaign_range(*args)
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Processes for ``tasks`` independent tasks: at most jobs, tasks and CPUs."""
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+def _run_tasks(fn, tasks, workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, over ``workers`` spawned processes if > 1."""
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return [f.result() for f in futures]
 
 
 def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     """Run many shots and aggregate stage statistics plus an LER estimate.
 
     Shots are pure functions of (config, seed, shot index), so splitting a
-    campaign across worker processes changes nothing but wall time.
+    campaign into contiguous shot ranges, one per worker process (at most
+    ``min(jobs, shots, os.cpu_count())``), changes nothing but wall time.
     """
     shots = config.shots if shots is None else shots
     seed = config.seed if seed is None else seed
     jobs = config.jobs if jobs is None else jobs
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if jobs <= 1:
-        return _campaign_range(config, seed, 0, shots)
-    bounds = np.linspace(0, shots, jobs + 1, dtype=int)
-    tasks = [
-        (config, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-    ]
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        parts = list(pool.map(_campaign_worker, tasks))
-    return CampaignResult.merge(parts)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = _worker_count(jobs, shots)
+    bounds = np.linspace(0, shots, workers + 1, dtype=int)
+    tasks = [(config, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    return CampaignResult.merge(_run_tasks(_campaign_range, tasks, workers))
 
 
 @dataclass(frozen=True)
@@ -883,14 +852,7 @@ def ler_campaign(
         (k, range(int(a), int(b))) for k in range(len(SECTORS)) for a, b in zip(cuts[:-1], cuts[1:])
     ]
     tasks = [(layout, k, r, error_rate, seed, batch, batches, shots) for k, batches in shards]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [_ler_sector_failures(*task) for task in tasks]
-    else:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(_ler_sector_failures, *task) for task in tasks]
-            parts = [f.result() for f in futures]
+    parts = _run_tasks(_ler_sector_failures, tasks, _worker_count(jobs, len(tasks)))
     failed = np.zeros(shots, dtype=bool)
     for (_, batches), part in zip(shards, parts):
         first = batches.start * batch

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qecfabric import capacity_model as cap
+from qecfabric import fabric_sim as fs
+from qecfabric import qec_pipeline as qp
 from qecfabric.code_model import build_layout
 from qecfabric.link_layer import LinkModel
 
@@ -106,3 +108,26 @@ def test_extrapolation_table_shape():
     # the prototype root holds 56 qubits: d=5 (49) fits, d=7 (97) needs a layer
     assert rows[1].router_layers == 0
     assert rows[2].router_layers == 1
+
+
+@pytest.mark.parametrize("profile", sorted(cap.PROFILES))
+def test_fabric_capacity_matches_closed_form(profile):
+    assert issubclass(fs.CapacityError, ValueError)
+    assert qp.CapacityError is fs.CapacityError
+    prof = cap.get_profile(profile)
+    for d in range(3, 22, 2):
+        for layers in range(3):
+            topo = fs.TopologyConfig(
+                n_leaves=-(-cap.required_qubits(d) // prof.qubits_per_leaf),
+                root_ports=prof.root_ports,
+                router_children=prof.router_children,
+                router_layers=layers,
+            )
+            fits = cap.required_qubits(d) <= cap.max_qubits(prof, layers)
+            try:
+                fs.Fabric(topo)
+                built = True
+            except fs.CapacityError as exc:
+                assert "Add a router layer" in str(exc)
+                built = False
+            assert built == fits, (d, layers)

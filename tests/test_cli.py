@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -121,6 +122,9 @@ def test_config_error_exit_code(tmp_path):
     rc = main(["latency", "--config", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "r")])
     assert rc == 2
+    bad.write_text(json.dumps({"stage_latency": {"uplink": {"mean_ps": -1}}}))
+    rc = main(["latency", "--config", str(bad), "--out", str(tmp_path / "r")])
+    assert rc == 2
 
 
 def test_capacity_error_exit_code(tmp_path):
@@ -153,3 +157,55 @@ def test_selftest_passes():
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def _report_digests(out):
+    """sha256 of every report file, with ``config_hash`` dropped from the JSON ones."""
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            payload = json.loads(data)
+            payload.pop("config_hash")
+            data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+#: Report digests recorded at commit 4793abf, before the data-link latency keys
+#: left the config schema.  ``config_hash`` is dropped: that schema change moves it.
+GOLDEN_REPORTS = {
+    "latency --shots 200 --seed 3": {
+        "latency_hist.csv": "1ccedbd566fcedb3fbbd1663de8074eff5e193d6cf6bccd6bc2816a000f05311",
+        "latency_stages.csv": "3606cb220e6f1f5f1733d200eaf1429966c41ff31b5992a58acaedede950e509",
+        "latency_summary.json": "744f99317555f901fc7f7f1a0204f2ff15d76a23a7b6926183357c411cea7652",
+    },
+    "latency --distance 13 --router-layers 1 --shots 20": {
+        "latency_hist.csv": "65c7e6adc1b96efd623ec13f26e2d568819e61b41e6395afccdefbf9f6f580e9",
+        "latency_stages.csv": "7ed4c1f0e39395206fcc9b03acd2b5fede57cfaf0d3017eec9b3430a12276add",
+        "latency_summary.json": "12f18115d4c273efc428db147a944338487a222eb9e0d2f5fd1b07e5ff47875e",
+    },
+    "ler --shots 20000 --distances 3,5": {
+        "ler.csv": "7093124dcc4614d776ed3830a65bea930d08994f0278ae4209ee2d5afedae531",
+        "ler_summary.json": "3df65f46a84fc1a8d914495906de473e1532435bba17b08f3e5579f905fcefee",
+    },
+    "capacity": {
+        "capacity.csv": "ceee41144ad5c5943deb7d0b3ddc84ac289bb81dbee10393be176ff1039e51b7",
+        "capacity_summary.json": "b7acdc28bf323b55aa014a7a3eb9c2e847f5162af29a52531b7c733bcd0dd372",
+    },
+    "extrapolate": {
+        "extrapolate.csv": "8b0bd29a24d487a79a23386339f4d91af1b83116db76dc4bdc0862a3f4a1dc96",
+        "extrapolate_summary.json": "b3c1e46ab39179002ee671ed2e867aa8e4cf978c59af30c0a55b273fa6712674",
+    },
+    "throughput": {
+        "throughput.csv": "ed4b7ffd5a412d6c86b0ed36a67e6077f31d33c6be966a35bafaa3a8a7ee62a3",
+        "throughput_summary.json": "ee9e7dc9d1445a430df13d85f0f8e6a54c634d343abab9ce69e6aa8777d2579e",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS), ids=lambda a: a.replace(" ", "_"))
+def test_golden_reports(tmp_path, argv):
+    out = tmp_path / "r"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert _report_digests(out) == GOLDEN_REPORTS[argv]

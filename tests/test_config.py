@@ -1,16 +1,21 @@
 import json
+import re
 
 import pytest
 
 from qecfabric.config import ConfigError, ExperimentConfig, config_from_dict, load_config
+from qecfabric.link_layer import LinkModel
 
 
 def test_defaults_validate():
     config = ExperimentConfig().validate()
     assert config.distance == 3
     assert config.stage_latency.uplink.mean_ps == 157_000
-    assert config.uplink.one_way_latency_ps == 157_000
-    assert config.downlink.one_way_latency_ps == 155_000
+    assert config.stage_latency.downlink.mean_ps == 155_000
+    # data-link transport time has one owner, the stage table
+    for name in ("uplink", "downlink"):
+        with pytest.raises(ConfigError, match=f"stage_latency.{name}"):
+            config_from_dict({"links": {name: {"one_way_latency_ps": 999_000}}})
 
 
 def test_round_trip_through_dict():
@@ -55,6 +60,25 @@ def test_semantic_validation():
         ExperimentConfig(profile="nope").validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(syndrome_source="worst_case", distance=5).validate()
+    with pytest.raises(ConfigError, match="stage_latency.uplink"):
+        ExperimentConfig(uplink=LinkModel(10_000_000_000, 1, 157_000)).validate()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"links": {"uplink": {"lanes": 0}}}, "links.uplink"),
+        ({"links": {"downlink": {"jitter_half_width_ps": 9_000}}}, "stage_latency.downlink"),
+        ({"stage_latency": {"uplink": {"mean_ps": -1}}}, "stage_latency.uplink"),
+        ({"stage_latency": {"decode_table": {}}}, "decode table is empty"),
+        ({"stage_latency": {"decode_table": {"3": -1}}}, "decode table latency"),
+        ({"stage_latency": {"decode_jitter_ps": -3}}, "decode_jitter_ps"),
+        ({"clock": {"offset_bound_ps": -5}}, "clock.offset_bound_ps"),
+    ],
+)
+def test_bad_values_rejected(data, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(data)
 
 
 def test_partial_override_keeps_defaults():

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -128,6 +129,44 @@ def test_campaign_is_job_count_invariant():
     assert (sequential.end_to_end_ps == parallel.end_to_end_ps).all()
     for name in sequential.stage_names:
         assert (sequential.samples[name] == parallel.samples[name]).all()
+
+
+def test_campaign_worker_count_is_bounded(monkeypatch):
+    config = ExperimentConfig(seed=4).validate()
+    with pytest.raises(ValueError, match="jobs"):
+        qp.run_campaign(config, shots=3, jobs=0)
+    asked = []
+
+    class InlinePool:
+        """Records the requested worker count and runs every task in this process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(qp, "ProcessPoolExecutor", InlinePool)
+    serial = qp.run_campaign(config, shots=3, jobs=1)
+    assert asked == []
+    for cpus, workers in ((8, 3), (2, 2)):
+        monkeypatch.setattr(qp.os, "cpu_count", lambda: cpus)
+        result = qp.run_campaign(config, shots=3, jobs=64)
+        assert asked.pop() == workers
+        assert result.n_shots == 3 and result.stage_names == serial.stage_names
+        for name in serial.stage_names:
+            assert (result.samples[name] == serial.samples[name]).all()
+        assert (result.end_to_end_ps == serial.end_to_end_ps).all()
+        assert (result.valid == serial.valid).all()
+        assert (result.failures == serial.failures).all()
 
 
 def test_campaign_repeatable():
