@@ -81,7 +81,6 @@ from .qec_pipeline import (
     worst_case_d3_syndrome,
 )
 from .uf_decoder import (
-    Correction,
     OracleCapError,
     decode,
     is_logical_failure,

@@ -44,15 +44,18 @@ def _write_csv(path: Path, header, rows):
 
 
 def _parse_distances(text: str):
-    """'3..21' (odd values), '3,5,7', or '' for an empty sweep."""
-    text = text.strip()
-    if not text:
-        return []
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        return [d for d in range(lo, hi + 1) if d % 2 == 1]
-    return [int(part) for part in text.split(",") if part.strip()]
+    """'3..21' (odd values), '3,5,7', or '' for an empty sweep; ConfigError if malformed."""
+    try:
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            distances = [d for d in range(int(lo_s), int(hi_s) + 1) if d % 2 == 1]
+        else:
+            distances = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"--distances {text!r} is not like '3,5,7' or '3..21'") from None
+    if any(d < 1 or d % 2 == 0 for d in distances):
+        raise ConfigError(f"--distances {text!r}: every distance must be an odd integer >= 1")
+    return distances
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -181,6 +184,8 @@ def cmd_ler(args) -> int:
 
 
 def _capacity_rows(distances, profile, config):
+    # leaves hold the config's qubits_per_leaf, as in the tree `latency` builds
+    profile = replace(profile, qubits_per_leaf=config.qubits_per_leaf)
     estimates = capacity_model.extrapolation_table(
         distances, profile, config.stage_latency.decode_table
     )

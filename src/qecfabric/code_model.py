@@ -173,6 +173,10 @@ class DecodingGraph:
     stabilizer.  The edge list order is fixed (per-round spacelike edges in
     data-qubit order, then timelike edges), and the position of an edge in
     the list is its fault id.
+
+    ``crossing_ids`` are the spacelike edges on the sector's logical
+    crossing chain: a residual error is a logical failure iff it holds an
+    odd number of them.
     """
 
     def __init__(self, layout: CodeLayout, sector: str, rounds: int):
@@ -216,6 +220,10 @@ class DecodingGraph:
             else:
                 self._timelike_ids[(e.stab, e.round)] = e_id
         self.incident_edges = tuple(tuple(ids) for ids in incident)
+        chain = layout.crossing_chain[sector]
+        self.crossing_ids = frozenset(
+            e_id for e_id, e in enumerate(self.edges) if e.kind == SPACELIKE and e.qubit in chain
+        )
 
         self._incidence = None
 
@@ -269,54 +277,42 @@ def build_decoding_graph(layout: CodeLayout, sector: str, rounds: int) -> Decodi
     return DecodingGraph(layout, sector, rounds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorPattern:
-    """A concrete set of faults on one sector's decoding graph.
+    """A set of faults on one sector's decoding graph, named by fault id.
 
-    ``data_faults`` holds (data qubit, round) entries (spacelike edges) and
-    ``measurement_faults`` holds (stabilizer, round) entries (timelike
-    edges, rounds 0..r-2 since the final round is read out perfectly).
+    A sampled error and a decoder's correction are both ErrorPatterns; the
+    residual of a shot is their XOR.  Build one with ``pattern_from_fault_ids``.
     """
 
-    sector: str
-    data_faults: frozenset
-    measurement_faults: frozenset
+    graph: DecodingGraph = field(repr=False)
+    fault_ids: frozenset
+
+    @property
+    def sector(self) -> str:
+        return self.graph.sector
 
     @property
     def weight(self) -> int:
-        return len(self.data_faults) + len(self.measurement_faults)
-
-    def fault_ids(self, graph: DecodingGraph) -> frozenset:
-        """Resolve the pattern to fault ids; rejects entries foreign to graph."""
-        if graph.sector != self.sector:
-            raise ValueError(f"pattern sector {self.sector} does not match graph {graph.sector}")
-        ids = set()
-        for entry in self.data_faults:
-            ids.add(graph.fault_id_of(entry, SPACELIKE))
-        for entry in self.measurement_faults:
-            ids.add(graph.fault_id_of(entry, TIMELIKE))
-        return frozenset(ids)
+        return len(self.fault_ids)
 
     def __xor__(self, other: "ErrorPattern") -> "ErrorPattern":
-        if other.sector != self.sector:
-            raise ValueError("cannot combine patterns from different sectors")
-        return ErrorPattern(
-            sector=self.sector,
-            data_faults=self.data_faults ^ other.data_faults,
-            measurement_faults=self.measurement_faults ^ other.measurement_faults,
-        )
+        _check_same_graph(other.graph, self.graph)
+        return ErrorPattern(self.graph, self.fault_ids ^ other.fault_ids)
+
+
+def _check_same_graph(a: DecodingGraph, b: DecodingGraph):
+    """ValueError unless a and b have equal distance, sector and rounds (not identity)."""
+    if (a.layout.distance, a.sector, a.rounds) != (b.layout.distance, b.sector, b.rounds):
+        raise ValueError("pattern graph differs in distance, sector or rounds")
 
 
 def pattern_from_fault_ids(graph: DecodingGraph, fault_ids) -> ErrorPattern:
-    """Inverse of ErrorPattern.fault_ids."""
-    data, meas = set(), set()
-    for e_id in fault_ids:
-        e = graph.edges[e_id]
-        if e.kind == SPACELIKE:
-            data.add((e.qubit, e.round))
-        else:
-            meas.add((e.stab, e.round))
-    return ErrorPattern(graph.sector, frozenset(data), frozenset(meas))
+    """The pattern of the given fault ids; rejects an id outside [0, n_edges)."""
+    ids = frozenset(map(int, fault_ids))
+    if ids and (min(ids) < 0 or max(ids) >= graph.n_edges):
+        raise ValueError(f"fault ids outside [0, {graph.n_edges}) for this graph")
+    return ErrorPattern(graph, ids)
 
 
 def sample_errors(graph: DecodingGraph, p: float, seed: int, stream=()) -> ErrorPattern:
@@ -410,9 +406,9 @@ def syndrome_of(pattern: ErrorPattern, graph: DecodingGraph) -> SyndromeRounds:
     The virtual boundary absorbs parity silently.  Only the graph's own
     sector columns are populated; combine sectors with XOR.
     """
-    ids = pattern.fault_ids(graph)
+    _check_same_graph(pattern.graph, graph)
     flipped = np.zeros(graph.n_vertices, dtype=np.uint8)
-    for e_id in ids:
+    for e_id in pattern.fault_ids:
         e = graph.edges[e_id]
         flipped[e.u] ^= 1
         if e.v != BOUNDARY:

@@ -51,7 +51,7 @@ class ExperimentConfig:
     seed: int = 1
     jobs: int = 1
     profile: str = "zcu216"
-    qubits_per_leaf: int = 14
+    qubits_per_leaf: int = capacity_model.PlatformProfile.qubits_per_leaf
     router_layers: int = 0
     syndrome_source: str = "auto"
     zero_jitter: bool = False

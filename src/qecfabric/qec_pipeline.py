@@ -33,7 +33,6 @@ from .code_model import (
     SECTOR_X,
     SECTOR_Z,
     SECTORS,
-    SPACELIKE,
     CodeLayout,
     SyndromeRounds,
     build_decoding_graph,
@@ -160,8 +159,10 @@ class LeafMap:
         return range(start, min(start + self.qubits_per_leaf, self.total_qubits))
 
 
-def assign_qubits_to_leaves(layout: CodeLayout, qubits_per_leaf: int = 14) -> LeafMap:
-    """Assign every data and ancilla qubit to a leaf, 14 per board by default."""
+def assign_qubits_to_leaves(
+    layout: CodeLayout, qubits_per_leaf: int = capacity_model.PlatformProfile.qubits_per_leaf
+) -> LeafMap:
+    """Assign every data and ancilla qubit to a leaf, contiguously by qubit id."""
     if qubits_per_leaf < 1:
         raise ValueError("qubits_per_leaf must be >= 1")
     total = layout.total_qubits
@@ -184,15 +185,12 @@ def leaf_ancilla_columns(layout: CodeLayout, leaf_map: LeafMap, leaf: int):
 
 @dataclass
 class SyndromeMessage:
-    shot: int
-    round_range: tuple
     leaf: int
     bits: tuple
 
 
 @dataclass
 class CorrectionMessage:
-    shot: int
     leaf: int
     error_bits: tuple  # (sector, data qubit) entries with a net correction
 
@@ -389,9 +387,7 @@ class Pipeline:
         self._mark("leaf_agg", self._local(ev.node))
         cols = leaf_ancilla_columns(self.layout, self.leaf_map, leaf_idx)
         bits = tuple(int(b) for b in ctx["syndrome"].bits[self.rounds - 1, cols])
-        msg = SyndromeMessage(
-            shot=ctx["shot"], round_range=(self.rounds - 1, self.rounds), leaf=leaf_idx, bits=bits
-        )
+        msg = SyndromeMessage(leaf=leaf_idx, bits=bits)
         parent = self.fabric.nodes[ev.node].parent
         delay = ctx["dur"]["uplink"] + excess_serialization_delay(len(bits), self.config.uplink)
         kind = "root_up" if self.fabric.nodes[parent].role == ROLE_ROOT else "router_up"
@@ -460,7 +456,7 @@ class Pipeline:
             valid = valid and is_valid(corr, syndrome, graph)
             pattern = ctx["patterns"].get(sector)
             if pattern is not None:
-                failure = failure or is_logical_failure(pattern, corr, self.layout)
+                failure = failure or is_logical_failure(pattern, corr)
         ctx["corrections"] = corrections
         ctx["valid"] = valid
         ctx["failure"] = failure
@@ -475,9 +471,12 @@ class Pipeline:
         """(sector, qubit) entries whose per-qubit correction parity is odd."""
         entries = []
         for sector in SECTORS:
+            edges = self.graphs[sector].edges
             parity = {}
-            for qubit, _round in ctx["corrections"][sector].data_faults:
-                parity[qubit] = parity.get(qubit, 0) ^ 1
+            for e_id in ctx["corrections"][sector].fault_ids:
+                qubit = edges[e_id].qubit
+                if qubit is not None:  # timelike edges touch no data qubit
+                    parity[qubit] = parity.get(qubit, 0) ^ 1
             entries.extend((sector, q) for q, v in sorted(parity.items()) if v)
         return entries
 
@@ -489,7 +488,7 @@ class Pipeline:
         for sector, qubit in entries:
             per_leaf[self.leaf_map.leaf_of(qubit)].append((sector, qubit))
         ctx["sent_messages"] = {
-            leaf: CorrectionMessage(shot=ctx["shot"], leaf=leaf, error_bits=tuple(owned))
+            leaf: CorrectionMessage(leaf=leaf, error_bits=tuple(owned))
             for leaf, owned in per_leaf.items()
         }
         ctx["correction_bits"] = len(entries)
@@ -578,7 +577,6 @@ class Pipeline:
 
         syndrome, patterns = self._syndrome_for_shot(shot)
         ctx = {
-            "shot": shot,
             "dur": self._stage_durations(shot),
             "syndrome": syndrome,
             "patterns": patterns,
@@ -764,11 +762,8 @@ def _ler_sector_failures(
     """
     graph = build_decoding_graph(layout, SECTORS[k], rounds)
     incidence = graph.incidence_matrix().astype(np.float32)
-    chain = layout.crossing_chain[graph.sector]
-    chain_mask = np.array(
-        [1.0 if (e.kind == SPACELIKE and e.qubit in chain) else 0.0 for e in graph.edges],
-        dtype=np.float32,
-    )
+    chain_mask = np.zeros(graph.n_edges, dtype=np.float32)
+    chain_mask[list(graph.crossing_ids)] = 1.0
     first = batches.start * batch
     failed = np.zeros(min(batches.stop * batch, shots) - first, dtype=bool)
     memo = {}  # packed defect row -> edge-indicator row of its correction

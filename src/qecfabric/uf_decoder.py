@@ -3,7 +3,9 @@
 The decoder follows the standard union-find scheme: clusters seeded on
 defect vertices grow by half edges, merge through a disjoint-set forest,
 freeze once their parity is even or they touch the open boundary, and are
-then peeled leaf-first along a spanning forest to extract the correction.
+then peeled leaf-first along a spanning forest to extract the correction,
+an ``ErrorPattern`` on the same graph: a shot's residual is the XOR of the
+sampled pattern and the correction.
 All tie-breaks (growth order, fusion order, peeling order) use fixed
 vertex/edge-id order, so decoding is a pure function of (graph, syndrome).
 
@@ -22,12 +24,10 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .code_model import (
     BOUNDARY,
-    SPACELIKE,
-    CodeLayout,
     DecodingGraph,
     ErrorPattern,
     SyndromeRounds,
@@ -41,37 +41,6 @@ FULL = 2
 
 class OracleCapError(ValueError):
     """Instance too large for the brute-force oracle."""
-
-
-@dataclass(frozen=True, eq=False)
-class Correction:
-    """Edge set selected by a decoder for one sector.
-
-    ``data_faults``/``measurement_faults`` mirror ErrorPattern so residuals
-    can be formed by XOR.  ``graph`` is the decoding graph the fault ids
-    refer to.
-    """
-
-    sector: str
-    fault_ids: frozenset
-    data_faults: frozenset
-    measurement_faults: frozenset
-    graph: DecodingGraph = field(repr=False)
-
-    @property
-    def weight(self) -> int:
-        return len(self.fault_ids)
-
-
-def _correction_from_ids(graph: DecodingGraph, fault_ids) -> Correction:
-    pat = pattern_from_fault_ids(graph, fault_ids)
-    return Correction(
-        sector=graph.sector,
-        fault_ids=frozenset(int(i) for i in fault_ids),
-        data_faults=pat.data_faults,
-        measurement_faults=pat.measurement_faults,
-        graph=graph,
-    )
 
 
 @dataclass
@@ -236,7 +205,7 @@ def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
     defects = syndrome.defect_vertices(graph)
     stats = DecodeStats()
     if not defects:
-        return _correction_from_ids(graph, ()), stats
+        return pattern_from_fault_ids(graph, ()), stats
 
     state = ClusterState(graph, defects)
     while state.grow(stats):
@@ -272,10 +241,10 @@ def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
                 state.touches_boundary[root],
             )
         )
-    return _correction_from_ids(graph, selected), stats
+    return pattern_from_fault_ids(graph, selected), stats
 
 
-def decode(graph: DecodingGraph, syndrome: SyndromeRounds) -> Correction:
+def decode(graph: DecodingGraph, syndrome: SyndromeRounds) -> ErrorPattern:
     """Decode one sector's syndrome; the correction always annihilates it."""
     correction, _ = decode_with_stats(graph, syndrome)
     return correction
@@ -361,7 +330,7 @@ def oracle_decode(
     exhaustive_edge_cap: int = 40,
     defect_cap: int = 12,
     max_weight: int = 6,
-) -> Correction:
+) -> ErrorPattern:
     """Minimum-weight correction by brute force, for small-instance checks.
 
     Graphs with at most ``exhaustive_edge_cap`` edges are searched by
@@ -371,7 +340,7 @@ def oracle_decode(
     """
     defects = syndrome.defect_vertices(graph)
     if not defects:
-        return _correction_from_ids(graph, ())
+        return pattern_from_fault_ids(graph, ())
     if graph.n_edges <= exhaustive_edge_cap:
         target = 0
         for v in defects:
@@ -384,10 +353,10 @@ def oracle_decode(
                 for e_id in combo:
                     acc ^= masks[e_id]
                 if acc == target:
-                    return _correction_from_ids(graph, combo)
+                    return pattern_from_fault_ids(graph, combo)
         raise OracleCapError(f"no solution of weight <= {max_weight} found")
     if len(defects) <= defect_cap:
-        return _correction_from_ids(graph, _pairing_decode(graph, defects))
+        return pattern_from_fault_ids(graph, _pairing_decode(graph, defects))
     raise OracleCapError(
         f"instance too large: {graph.n_edges} edges, {len(defects)} defects"
     )
@@ -409,7 +378,7 @@ def count_min_weight_solutions(graph: DecodingGraph, syndrome: SyndromeRounds, w
     return count
 
 
-def is_valid(correction: Correction, syndrome: SyndromeRounds, graph: DecodingGraph) -> bool:
+def is_valid(correction: ErrorPattern, syndrome: SyndromeRounds, graph: DecodingGraph) -> bool:
     """True iff the correction's edge parity reproduces the sector syndrome.
 
     Raises ValueError when the syndrome's shape does not match the graph.
@@ -424,17 +393,14 @@ def is_valid(correction: Correction, syndrome: SyndromeRounds, graph: DecodingGr
     return flipped == defects
 
 
-def is_logical_failure(pattern: ErrorPattern, correction: Correction, layout: CodeLayout) -> bool:
-    """True iff the residual error crosses the sector's logical chain oddly.
+def is_logical_failure(pattern: ErrorPattern, correction: ErrorPattern) -> bool:
+    """True iff the residual error holds an odd number of the graph's crossing edges.
 
-    The residual is pattern XOR correction; only its spacelike support
-    matters (measurement faults never touch the data).  Rejects corrections
+    The residual is pattern XOR correction; only ``graph.crossing_ids``
+    count (measurement faults never touch the data).  Rejects corrections
     that do not annihilate the pattern's syndrome.
     """
     graph = correction.graph
     if not is_valid(correction, syndrome_of(pattern, graph), graph):
         raise ValueError("correction does not annihilate the pattern's syndrome")
-    chain = layout.crossing_chain[pattern.sector]
-    residual = pattern.data_faults ^ correction.data_faults
-    crossings = sum(1 for qubit, _ in residual if qubit in chain)
-    return crossings % 2 == 1
+    return len((pattern.fault_ids ^ correction.fault_ids) & graph.crossing_ids) % 2 == 1

@@ -127,7 +127,7 @@ def _exhaustive_failures(distance, max_weight):
             pattern = cm.pattern_from_fault_ids(graph, ids)
             syn = cm.syndrome_of(pattern, graph)
             corr = uf.decode(graph, syn)
-            if uf.is_logical_failure(pattern, corr, layout):
+            if uf.is_logical_failure(pattern, corr):
                 failures += 1
             checked += 1
     return failures, checked

@@ -1,8 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from qecfabric import capacity_model as cap
+from qecfabric import fabric_sim as fs
 from qecfabric.cli import main
 
 
@@ -125,6 +128,32 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text(json.dumps({"stage_latency": {"uplink": {"mean_ps": -1}}}))
     rc = main(["latency", "--config", str(bad), "--out", str(tmp_path / "r")])
     assert rc == 2
+    for command, distances in (("ler", "4"), ("capacity", "4"), ("ler", "3..x")):
+        rc = main([command, "--distances", distances, "--out", str(tmp_path / "r")])
+        assert rc == 2, (command, distances)
+
+
+@pytest.mark.parametrize(
+    "qubits_per_leaf, leaves, layers, max_qubits", [(7, 126, 2, 23548), (14, 63, 1, 1624)]
+)
+def test_capacity_uses_config_leaf_size(tmp_path, qubits_per_leaf, leaves, layers, max_qubits):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"qubits_per_leaf": qubits_per_leaf}))
+    out = tmp_path / "r"
+    assert main(["capacity", "--distances", "21", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "capacity_summary.json").read_text())["rows"]
+    assert (row["leaves_needed"], row["router_layers"], row["max_qubits"]) == (
+        leaves, layers, max_qubits
+    )
+    # the fabric that `latency` builds agrees on the router depth
+    prof = cap.get_profile("zcu216")
+    topo = fs.TopologyConfig(
+        n_leaves=leaves, root_ports=prof.root_ports, router_children=prof.router_children,
+        router_layers=layers,
+    )
+    fs.Fabric(topo)
+    with pytest.raises(fs.CapacityError):
+        fs.Fabric(replace(topo, router_layers=layers - 1))
 
 
 def test_capacity_error_exit_code(tmp_path):

@@ -113,9 +113,8 @@ def test_sample_errors_reproducible():
     a = cm.sample_errors(graph, 0.05, seed=123, stream=(4, 1))
     b = cm.sample_errors(graph, 0.05, seed=123, stream=(4, 1))
     c = cm.sample_errors(graph, 0.05, seed=123, stream=(4, 2))
-    assert a.data_faults == b.data_faults
-    assert a.measurement_faults == b.measurement_faults
-    assert (a.data_faults, a.measurement_faults) != (c.data_faults, c.measurement_faults)
+    assert a.fault_ids == b.fault_ids
+    assert a.fault_ids != c.fault_ids
 
 
 def test_sample_errors_concentration():
@@ -137,7 +136,7 @@ def test_sample_errors_concentration():
 
 def test_syndrome_of_empty_pattern():
     graph = cm.build_decoding_graph(cm.build_layout(3), cm.SECTOR_X, 3)
-    pattern = cm.ErrorPattern(cm.SECTOR_X, frozenset(), frozenset())
+    pattern = cm.pattern_from_fault_ids(graph, [])
     assert cm.syndrome_of(pattern, graph).total_weight == 0
 
 
@@ -161,10 +160,11 @@ def test_syndrome_single_fault_weights():
 def test_syndrome_rejects_foreign_fault():
     layout = cm.build_layout(3)
     graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 2)
-    bad = cm.ErrorPattern(cm.SECTOR_X, frozenset(), frozenset({(0, 1)}))  # t=1 has no edge
-    with pytest.raises(ValueError):
-        cm.syndrome_of(bad, graph)
-    wrong_sector = cm.ErrorPattern(cm.SECTOR_Z, frozenset({(0, 0)}), frozenset())
+    for foreign in (-1, graph.n_edges):  # no such fault id on this graph
+        with pytest.raises(ValueError):
+            cm.syndrome_of(cm.pattern_from_fault_ids(graph, [foreign]), graph)
+    z_graph = cm.build_decoding_graph(layout, cm.SECTOR_Z, 2)
+    wrong_sector = cm.pattern_from_fault_ids(z_graph, [0])
     with pytest.raises(ValueError):
         cm.syndrome_of(wrong_sector, graph)
 

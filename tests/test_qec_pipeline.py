@@ -101,8 +101,11 @@ def test_bit_conservation_and_feedback():
     expected = set()
     for sector in cm.SECTORS:
         parity = {}
-        for qubit, _ in ctx["corrections"][sector].data_faults:
-            parity[qubit] = parity.get(qubit, 0) ^ 1
+        edges = pipeline.graphs[sector].edges
+        for e_id in ctx["corrections"][sector].fault_ids:
+            if edges[e_id].kind == cm.SPACELIKE:
+                qubit = edges[e_id].qubit
+                parity[qubit] = parity.get(qubit, 0) ^ 1
         expected |= {(sector, q) for q, v in parity.items() if v}
     applied = set()
     for leaf, entries in ctx["applied"].items():
@@ -306,7 +309,7 @@ def _reference_ler_failures(distance, p, shots, seed, batch):
             for i in range(n):
                 pattern = cm.pattern_from_fault_ids(graph, np.flatnonzero(bits[i]).tolist())
                 corr = uf.decode(graph, cm.syndrome_of(pattern, graph))
-                failed[lo + i] |= uf.is_logical_failure(pattern, corr, layout)
+                failed[lo + i] |= uf.is_logical_failure(pattern, corr)
     return int(failed.sum())
 
 
@@ -353,7 +356,7 @@ def test_ler_campaign_checks_every_residual(monkeypatch):
         corr = real(graph, syndrome)
         if not corr.fault_ids:
             return corr
-        return uf._correction_from_ids(graph, sorted(corr.fault_ids)[1:])
+        return cm.pattern_from_fault_ids(graph, sorted(corr.fault_ids)[1:])
 
     monkeypatch.setattr(qp, "decode", drop_one_edge)
     with pytest.raises(ValueError, match="does not annihilate"):

@@ -16,14 +16,7 @@ def graph_for(d, sector=cm.SECTOR_X, rounds=None):
 
 
 def correction_of(graph, fault_ids):
-    pattern = cm.pattern_from_fault_ids(graph, fault_ids)
-    return uf.Correction(
-        sector=graph.sector,
-        fault_ids=frozenset(fault_ids),
-        data_faults=pattern.data_faults,
-        measurement_faults=pattern.measurement_faults,
-        graph=graph,
-    )
+    return cm.pattern_from_fault_ids(graph, fault_ids)
 
 
 def test_zero_syndrome_gives_empty_correction():
@@ -306,14 +299,8 @@ def test_logical_failure_trivial_cases():
     layout, graph = graph_for(3)
     pattern = cm.sample_errors(graph, 0.05, seed=17)
     syn = cm.syndrome_of(pattern, graph)
-    exact = uf.Correction(
-        sector=graph.sector,
-        fault_ids=pattern.fault_ids(graph),
-        data_faults=pattern.data_faults,
-        measurement_faults=pattern.measurement_faults,
-        graph=graph,
-    )
-    assert uf.is_logical_failure(pattern, exact, layout) is False
+    exact = cm.pattern_from_fault_ids(graph, pattern.fault_ids)
+    assert uf.is_logical_failure(pattern, exact) is False
 
 
 def test_full_logical_chain_is_a_failure():
@@ -321,13 +308,13 @@ def test_full_logical_chain_is_a_failure():
     # the X-sector's undetectable chain runs along the opposite sector's
     # support (a full row); it crosses the X crossing chain exactly once
     chain = layout.crossing_chain[cm.SECTOR_Z]
-    pattern = cm.ErrorPattern(
-        cm.SECTOR_X, frozenset((q, 0) for q in chain), frozenset()
+    pattern = cm.pattern_from_fault_ids(
+        graph, [graph.fault_id_of((q, 0), cm.SPACELIKE) for q in chain]
     )
     syn = cm.syndrome_of(pattern, graph)
     assert syn.total_weight == 0  # the chain is undetectable
     empty = uf.decode(graph, syn)
-    assert uf.is_logical_failure(pattern, empty, layout) is True
+    assert uf.is_logical_failure(pattern, empty) is True
 
 
 def test_invalid_correction_rejected_by_failure_check():
@@ -335,7 +322,7 @@ def test_invalid_correction_rejected_by_failure_check():
     pattern = cm.pattern_from_fault_ids(graph, [0])
     empty = uf.decode(graph, cm.empty_syndrome(layout, graph.rounds))
     with pytest.raises(ValueError):
-        uf.is_logical_failure(pattern, empty, layout)
+        uf.is_logical_failure(pattern, empty)
 
 
 def test_distance_three_corrects_every_single_fault():
@@ -346,7 +333,7 @@ def test_distance_three_corrects_every_single_fault():
             pattern = cm.pattern_from_fault_ids(graph, [e_id])
             syn = cm.syndrome_of(pattern, graph)
             corr = uf.decode(graph, syn)
-            assert not uf.is_logical_failure(pattern, corr, layout)
+            assert not uf.is_logical_failure(pattern, corr)
 
 
 def test_data_fault_weight_one_at_d3_all_rounds():
@@ -357,4 +344,4 @@ def test_data_fault_weight_one_at_d3_all_rounds():
     for e_id in spacelike:
         pattern = cm.pattern_from_fault_ids(graph, [e_id])
         corr = uf.decode(graph, cm.syndrome_of(pattern, graph))
-        assert not uf.is_logical_failure(pattern, corr, layout)
+        assert not uf.is_logical_failure(pattern, corr)
