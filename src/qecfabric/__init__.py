@@ -12,8 +12,8 @@ Library layout:
   latency, jitter).
 - ``qec_pipeline``: the timed end-to-end decoding-feedback loop, campaign
   statistics and Monte-Carlo logical-error-rate estimation.
-- ``capacity_model``: closed-form capacity, latency extrapolation and
-  throughput margins.
+- ``capacity_model``: the stage latency table, which owns every latency
+  term, and closed-form capacity, latency and throughput-margin math on it.
 - ``config`` / ``cli``: experiment configuration and the command-line tool.
 """
 
@@ -22,6 +22,8 @@ from .capacity_model import (
     PROFILES,
     CapacityEstimate,
     PlatformProfile,
+    StageLatency,
+    StageLatencyConfig,
     capacity_estimate,
     decode_latency_ps,
     decoder_peak_throughput,
@@ -71,8 +73,6 @@ from .qec_pipeline import (
     LerEstimate,
     Pipeline,
     ShotReport,
-    StageLatency,
-    StageLatencyConfig,
     assign_qubits_to_leaves,
     ler_campaign,
     run_campaign,

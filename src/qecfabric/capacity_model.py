@@ -1,38 +1,47 @@
-"""Closed-form capacity, latency-extrapolation and throughput-margin math.
+"""The stage latency table, and closed-form capacity, latency and throughput math.
 
-Everything here is pure arithmetic on platform constants: how many qubits a
-given root/router configuration can host, what end-to-end latency to expect
-at a given code distance, and how much throughput headroom the fabric keeps
-over the syndrome stream.
+``StageLatencyConfig`` owns every latency term: the timed pipeline draws its
+stage durations from it, and the closed-form latency adds its decode and
+router means to the quoted non-decoder base.  The rest is arithmetic on
+platform constants: qubits per tree and throughput headroom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .link_layer import PS_PER_SECOND, LinkModel, effective_throughput
 
+STAGE_NAMES = ("leaf_agg", "uplink", "root_agg", "decode", "root_dist", "downlink", "leaf_dist")
+ROUTER_STAGE_NAMES = ("router_proc", "router_net")
+
+#: Measured decoder latencies (ps) at the distances we have numbers for.
+DEFAULT_DECODE_TABLE = {3: 56_000, 5: 65_000, 7: 90_000, 13: 250_000}
+
+#: Quoted total of all non-decoder components (ps).  The stage means sum to
+#: 5 ns more, so a zero-jitter simulated loop runs that much longer.
+BASE_LATENCY_PS = 390_000
+
+#: Peak decoder throughput reference: 440 syndrome bits in 11.5 ns.
+DECODER_PEAK_BITS = 440
+DECODER_PEAK_TIME_PS = 11_500
+
+DEFAULT_CYCLE_TIME_PS = 1_000_000
+
 
 @dataclass(frozen=True)
 class PlatformProfile:
-    """Port counts and per-layer latency add-ons of one hardware root/router mix."""
+    """Port counts and leaf size of one hardware root/router mix."""
 
     name: str
     root_ports: int
     router_children: int = 29
     qubits_per_leaf: int = 14
-    router_proc_ps: int = 45_000
-    router_net_rt_ps: int = 312_000
-    base_latency_ps: int = 390_000
 
     def __post_init__(self):
         if min(self.root_ports, self.router_children, self.qubits_per_leaf) < 1:
             raise ValueError("profile counts must be positive")
-
-    @property
-    def router_layer_ps(self) -> int:
-        return self.router_proc_ps + self.router_net_rt_ps
 
 
 PROFILES = {
@@ -40,14 +49,70 @@ PROFILES = {
     "vcu129": PlatformProfile("vcu129", root_ports=34),
 }
 
-#: Measured decoder latencies (ps) at the distances we have numbers for.
-DEFAULT_DECODE_TABLE = {3: 56_000, 5: 65_000, 7: 90_000, 13: 250_000}
 
-#: Peak decoder throughput reference: 440 syndrome bits in 11.5 ns.
-DECODER_PEAK_BITS = 440
-DECODER_PEAK_TIME_PS = 11_500
+@dataclass(frozen=True)
+class StageLatency:
+    mean_ps: int
+    jitter_ps: int = 0
 
-DEFAULT_CYCLE_TIME_PS = 1_000_000
+    def __post_init__(self):
+        if self.mean_ps < 0 or self.jitter_ps < 0:
+            raise ValueError("stage latency parameters must be >= 0")
+
+
+@dataclass(frozen=True)
+class StageLatencyConfig:
+    """Measured mean and min-max half-spread of every pipeline stage (ps).
+
+    Decode latency is keyed by distance; router stages apply once per layer.
+    Defaults are the reference three-board measurements (``--show-defaults``).
+    """
+
+    leaf_agg: StageLatency = StageLatency(29_000, 3_000)
+    uplink: StageLatency = StageLatency(157_000, 16_000)
+    root_agg: StageLatency = StageLatency(20_000, 10_000)
+    root_dist: StageLatency = StageLatency(25_000, 3_000)
+    downlink: StageLatency = StageLatency(155_000, 9_000)
+    leaf_dist: StageLatency = StageLatency(9_000, 1_000)
+    router_proc: StageLatency = StageLatency(45_000, 0)
+    router_net: StageLatency = StageLatency(312_000, 0)
+    decode_table: dict = field(default_factory=lambda: dict(DEFAULT_DECODE_TABLE))
+    decode_jitter_ps: int = 0
+
+    def __post_init__(self):
+        if not self.decode_table:
+            raise ValueError("decode table is empty")
+        for d, ps in self.decode_table.items():
+            if int(d) % 2 == 0 or int(d) < 1:
+                raise ValueError(f"decode table keys must be odd distances, got {d}")
+            if ps < 0:
+                raise ValueError(f"decode table latency for d={d} must be >= 0, got {ps}")
+        if self.decode_jitter_ps < 0:
+            raise ValueError("decode_jitter_ps must be >= 0")
+
+    def stage(self, name: str) -> StageLatency:
+        if name == "decode":
+            raise ValueError("decode latency is distance-keyed, use decode_ps()")
+        return getattr(self, name)
+
+    def decode_ps(self, distance: int) -> int:
+        value, _ = decode_latency_ps(self.decode_table, distance)
+        return value
+
+    def at_distance(self, distance: int) -> dict:
+        """Every stage's latency at one distance, in ``STAGE_NAMES + ROUTER_STAGE_NAMES`` order."""
+        decode = StageLatency(self.decode_ps(distance), self.decode_jitter_ps)
+        names = STAGE_NAMES + ROUTER_STAGE_NAMES
+        return {n: decode if n == "decode" else getattr(self, n) for n in names}
+
+    def zero_jitter(self) -> "StageLatencyConfig":
+        """Copy with every jitter half-width forced to 0."""
+        kwargs = {
+            name: StageLatency(getattr(self, name).mean_ps, 0)
+            for name in STAGE_NAMES + ROUTER_STAGE_NAMES
+            if name != "decode"
+        }
+        return replace(self, decode_jitter_ps=0, **kwargs)
 
 
 def get_profile(name: str) -> PlatformProfile:
@@ -103,14 +168,14 @@ def decode_latency_ps(decode_table, distance: int):
     return int(round(value)), False
 
 
-def estimate_latency(distance: int, profile: PlatformProfile, decode_table=None) -> int:
+def estimate_latency(distance: int, profile: PlatformProfile, stages=None) -> int:
     """Predicted end-to-end decoding-feedback latency in ps.
 
-    Base non-decoder latency, plus the decoder's latency at this distance,
-    plus per-router-layer processing and round-trip network add-ons for as
-    many layers as the qubit count forces.
+    The quoted non-decoder base, plus the stage table's decode latency at
+    this distance, plus its per-layer router processing and round-trip
+    network means for as many layers as the qubit count forces.
     """
-    return capacity_estimate(distance, profile, decode_table).predicted_latency_ps
+    return capacity_estimate(distance, profile, stages).predicted_latency_ps
 
 
 def decoder_peak_throughput(bits: int = DECODER_PEAK_BITS, time_ps: int = DECODER_PEAK_TIME_PS) -> Fraction:
@@ -160,19 +225,21 @@ class CapacityEstimate:
 def capacity_estimate(
     distance: int,
     profile: PlatformProfile,
-    decode_table=None,
+    stages: StageLatencyConfig | None = None,
     link: LinkModel | None = None,
     cycle_time_ps: int = DEFAULT_CYCLE_TIME_PS,
 ) -> CapacityEstimate:
-    """Full capacity/latency/throughput picture for one distance."""
-    table = DEFAULT_DECODE_TABLE if decode_table is None else decode_table
+    """Full capacity/latency/throughput picture for one distance; feasible needs all three."""
+    if stages is None:
+        stages = StageLatencyConfig()
     if link is None:
         link = LinkModel(10_000_000_000, lanes=profile.root_ports)
     need = required_qubits(distance)
     layers = router_layers_needed(profile, distance)
     cap = max_qubits(profile, layers)
-    decode_ps, anchored = decode_latency_ps(table, distance)
-    latency = profile.base_latency_ps + decode_ps + layers * profile.router_layer_ps
+    decode_ps, anchored = decode_latency_ps(stages.decode_table, distance)
+    router_ps = stages.router_proc.mean_ps + stages.router_net.mean_ps
+    latency = BASE_LATENCY_PS + decode_ps + layers * router_ps
     required_bps = syndrome_rate_required(distance, cycle_time_ps)
     available_bps = available_throughput(link)
     return CapacityEstimate(
@@ -186,10 +253,11 @@ def capacity_estimate(
         predicted_latency_ps=latency,
         throughput_required_bps=required_bps,
         throughput_available_bps=available_bps,
-        feasible=need <= cap and required_bps <= available_bps,
+        feasible=need <= cap and required_bps <= available_bps and latency <= cycle_time_ps,
     )
 
 
-def extrapolation_table(distances, profile: PlatformProfile, decode_table=None, link=None):
+def extrapolation_table(distances, profile: PlatformProfile, stages=None, link=None,
+                        cycle_time_ps: int = DEFAULT_CYCLE_TIME_PS):
     """Capacity estimates for each distance, in the given order."""
-    return [capacity_estimate(d, profile, decode_table, link) for d in distances]
+    return [capacity_estimate(d, profile, stages, link, cycle_time_ps) for d in distances]

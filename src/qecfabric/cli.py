@@ -88,17 +88,15 @@ def cmd_latency(args) -> int:
     result = qec_pipeline.run_campaign(config)
 
     stage_stats = result.stage_stats()
+    stages = config.stage_latency.zero_jitter() if config.zero_jitter else config.stage_latency
+    windows = stages.at_distance(config.distance)
     stage_rows = []
     stages_json = {}
     for name in result.stage_names:
         stats = stage_stats[name]
-        if name == "decode":
-            mean = config.stage_latency.decode_ps(config.distance)
-            jitter = 0 if config.zero_jitter else config.stage_latency.decode_jitter_ps
-        else:
-            st = config.stage_latency.stage(name)
-            mean = st.mean_ps
-            jitter = 0 if config.zero_jitter else st.jitter_ps
+        # a router-stage sample is summed over every layer of the tree
+        scale = config.router_layers if name in capacity_model.ROUTER_STAGE_NAMES else 1
+        mean, jitter = scale * windows[name].mean_ps, scale * windows[name].jitter_ps
         within = mean - jitter <= stats["min_ps"] and stats["max_ps"] <= mean + jitter
         stage_rows.append(
             [name, f"{stats['mean_ps']:.3f}", stats["min_ps"], stats["max_ps"],
@@ -187,7 +185,7 @@ def _capacity_rows(distances, profile, config):
     # leaves hold the config's qubits_per_leaf, as in the tree `latency` builds
     profile = replace(profile, qubits_per_leaf=config.qubits_per_leaf)
     estimates = capacity_model.extrapolation_table(
-        distances, profile, config.stage_latency.decode_table
+        distances, profile, config.stage_latency, cycle_time_ps=config.cycle_time_ps
     )
     rows = []
     for est in estimates:
@@ -238,8 +236,9 @@ def cmd_extrapolate(args) -> int:
     _write_csv(out / "extrapolate.csv", header, [[r[k] for k in header] for r in rows])
     _write_json(out / "extrapolate_summary.json",
                 dict(_report_meta(config), profile=profile.name,
-                     base_latency_ps=profile.base_latency_ps,
-                     stage_mean_sum_ps=_nondecoder_stage_sum(config),
+                     base_latency_ps=capacity_model.BASE_LATENCY_PS,
+                     stage_mean_sum_ps=sum(config.stage_latency.stage(n).mean_ps
+                                           for n in capacity_model.STAGE_NAMES if n != "decode"),
                      rows=rows))
     for r in rows:
         flag = "" if r["decode_anchored"] else " (decode estimated)"
@@ -248,13 +247,6 @@ def cmd_extrapolate(args) -> int:
               f"latency={r['predicted_latency_ps'] / 1000:8.2f} ns{flag}")
     print(f"reports written to {out}")
     return EXIT_OK
-
-
-def _nondecoder_stage_sum(config) -> int:
-    # measured stage means total 395 ns of non-decode latency; the quoted
-    # scalar base is 390 ns -- reported side by side for transparency
-    names = ("leaf_agg", "uplink", "root_agg", "root_dist", "downlink", "leaf_dist")
-    return sum(config.stage_latency.stage(n).mean_ps for n in names)
 
 
 def cmd_throughput(args) -> int:

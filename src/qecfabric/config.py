@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import capacity_model
+from .capacity_model import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig
 from .fabric_sim import TopologyConfig
 from .link_layer import LinkModel
-from .qec_pipeline import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig
 
 TOOL_VERSION = "0.1.0"
 
@@ -55,7 +55,7 @@ class ExperimentConfig:
     router_layers: int = 0
     syndrome_source: str = "auto"
     zero_jitter: bool = False
-    cycle_time_ps: int = 1_000_000
+    cycle_time_ps: int = capacity_model.DEFAULT_CYCLE_TIME_PS
     clock_offset_bound_ps: int = 1_000_000
     drift_ppm: int = 0
     sync_at_start: bool = True
@@ -109,10 +109,7 @@ class ExperimentConfig:
             return out
 
         stage = {
-            name: {
-                "mean_ps": self.stage_latency.stage(name).mean_ps,
-                "jitter_ps": self.stage_latency.stage(name).jitter_ps,
-            }
+            name: asdict(self.stage_latency.stage(name))
             for name in STAGE_NAMES + ROUTER_STAGE_NAMES
             if name != "decode"
         }
@@ -204,19 +201,17 @@ def _stage_from_dict(data: dict) -> StageLatencyConfig:
     defaults = StageLatencyConfig()
     kwargs = {}
     for name in STAGE_NAMES + ROUTER_STAGE_NAMES:
-        if name == "decode":
+        if name == "decode" or name not in data:
             continue
-        if name in data:
-            entry = _take(data, name, dict, "stage_latency.", None)
-            entry = dict(entry)
-            base = defaults.stage(name)
-            mean = _take(entry, "mean_ps", int, f"stage_latency.{name}.", base.mean_ps)
-            jitter = _take(entry, "jitter_ps", int, f"stage_latency.{name}.", base.jitter_ps)
-            _reject_unknown(entry, f"stage_latency.{name}")
-            try:
-                kwargs[name] = StageLatency(mean_ps=mean, jitter_ps=jitter)
-            except ValueError as exc:
-                raise ConfigError(f"stage_latency.{name}: {exc}") from None
+        entry = dict(_take(data, name, dict, "stage_latency.", None))
+        base = defaults.stage(name)
+        mean = _take(entry, "mean_ps", int, f"stage_latency.{name}.", base.mean_ps)
+        jitter = _take(entry, "jitter_ps", int, f"stage_latency.{name}.", base.jitter_ps)
+        _reject_unknown(entry, f"stage_latency.{name}")
+        try:
+            kwargs[name] = StageLatency(mean_ps=mean, jitter_ps=jitter)
+        except ValueError as exc:
+            raise ConfigError(f"stage_latency.{name}: {exc}") from None
     if "decode_table" in data:
         table = _take(data, "decode_table", dict, "stage_latency.", None)
         parsed = {}
@@ -297,26 +292,40 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+def _latency_row(key: str, st: StageLatency, note: str):
+    value = f"{st.mean_ps} +- {st.jitter_ps} ps" if st.jitter_ps else f"{st.mean_ps} ps"
+    return (f"stage_latency.{key}", value, note)
+
+
+_STAGES = StageLatencyConfig()
+
 #: Human-readable provenance of every default, printed by --show-defaults.
 DEFAULT_PROVENANCE = [
-    ("stage_latency.leaf_agg", "29000 +- 3000 ps", "measured leaf-side syndrome aggregation"),
-    ("stage_latency.uplink", "157000 +- 16000 ps", "measured leaf-to-root network transfer"),
-    ("stage_latency.root_agg", "20000 +- 10000 ps", "measured root aggregation and pre-decode"),
-    ("stage_latency.decode_table[3]", "56000 ps", "measured decode, worst-case d=3 pattern"),
-    ("stage_latency.decode_table[5]", "65000 ps", "measured standalone decode, pre-sampled d=5 syndromes"),
-    ("stage_latency.decode_table[7]", "90000 ps", "measured standalone decode, pre-sampled d=7 syndromes"),
-    ("stage_latency.decode_table[13]", "250000 ps", "reported decoder latency at d=13"),
-    ("stage_latency.root_dist", "25000 +- 3000 ps", "measured root-side error distribution"),
-    ("stage_latency.downlink", "155000 +- 9000 ps", "measured root-to-leaf network transfer"),
-    ("stage_latency.leaf_dist", "9000 +- 1000 ps", "measured leaf-side error distribution"),
-    ("stage_latency.router_proc", "45000 ps", "router on-board processing add-on per layer"),
-    ("stage_latency.router_net", "312000 ps", "router round-trip network add-on per layer"),
+    _latency_row("leaf_agg", _STAGES.leaf_agg, "measured leaf-side syndrome aggregation"),
+    _latency_row("uplink", _STAGES.uplink, "measured leaf-to-root network transfer"),
+    _latency_row("root_agg", _STAGES.root_agg, "measured root aggregation and pre-decode"),
+    _latency_row("decode_table[3]", StageLatency(_STAGES.decode_table[3]),
+                 "measured decode, worst-case d=3 pattern"),
+    _latency_row("decode_table[5]", StageLatency(_STAGES.decode_table[5]),
+                 "measured standalone decode, pre-sampled d=5 syndromes"),
+    _latency_row("decode_table[7]", StageLatency(_STAGES.decode_table[7]),
+                 "measured standalone decode, pre-sampled d=7 syndromes"),
+    _latency_row("decode_table[13]", StageLatency(_STAGES.decode_table[13]),
+                 "reported decoder latency at d=13"),
+    _latency_row("root_dist", _STAGES.root_dist, "measured root-side error distribution"),
+    _latency_row("downlink", _STAGES.downlink, "measured root-to-leaf network transfer"),
+    _latency_row("leaf_dist", _STAGES.leaf_dist, "measured leaf-side error distribution"),
+    _latency_row("router_proc", _STAGES.router_proc, "router on-board processing add-on per layer"),
+    _latency_row("router_net", _STAGES.router_net, "router round-trip network add-on per layer"),
     ("links.uplink/downlink", "10 Gb/s x 1 lane", "rate only; latency is stage_latency.uplink/downlink"),
     ("links.sync_*", "156 ns symmetric", "timer-alignment frames on the raw link"),
     ("error_rate", "0.001", "physical error rate typical of current superconducting qubits"),
-    ("cycle_time_ps", "1000000", "typical 1 us measurement cycle"),
+    ("cycle_time_ps", str(capacity_model.DEFAULT_CYCLE_TIME_PS), "typical 1 us measurement cycle"),
     ("profile.zcu216", "4 root ports x 14 qubits", "prototype root board, 4 x 10 Gb/s transceivers"),
     ("profile.vcu129", "34 root ports x 14 qubits", "high-port-count root option (476 qubits direct)"),
-    ("profile.router", "29 children, +45 ns proc, +312 ns net", "router board option per added layer"),
-    ("capacity.base_latency_ps", "390000", "quoted total of all non-decoder components (stage means sum to 395000)"),
+    ("profile.router", f"{capacity_model.PlatformProfile.router_children} children",
+     "router board option per added layer; latency is stage_latency.router_*"),
+    ("capacity.base_latency_ps", str(capacity_model.BASE_LATENCY_PS),
+     "quoted total of all non-decoder components (stage means sum to "
+     f"{sum(_STAGES.stage(n).mean_ps for n in STAGE_NAMES if n != 'decode')})"),
 ]

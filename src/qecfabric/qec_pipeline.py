@@ -4,9 +4,9 @@ One shot walks the full loop: leaf-side syndrome aggregation, uplink
 transport, root-side aggregation, decoding, error distribution, downlink
 transport and leaf-side application, all inside one discrete-event
 simulation with timestamps read off the synchronized node timers.  Stage
-durations come from a configured table of measured means and min-max jitter
-spreads; decoder correctness is real (the union-find decoder runs on the
-actual syndrome) while decoder duration is table-driven.
+durations come from ``capacity_model.StageLatencyConfig``'s measured means
+and min-max jitter spreads; decoder correctness is real (the union-find
+decoder runs on the actual syndrome) while decoder duration is table-driven.
 
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
@@ -24,11 +24,12 @@ import multiprocessing
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import capacity_model
+from .capacity_model import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig  # noqa: F401
 from .code_model import (
     SECTOR_X,
     SECTOR_Z,
@@ -49,8 +50,6 @@ from .fabric_sim import ROLE_ROOT, Fabric, Simulator, TopologyConfig, global_syn
 from .link_layer import excess_serialization_delay
 from .uf_decoder import decode, decode_with_stats, is_logical_failure, is_valid
 
-STAGE_NAMES = ("leaf_agg", "uplink", "root_agg", "decode", "root_dist", "downlink", "leaf_dist")
-ROUTER_STAGE_NAMES = ("router_proc", "router_net")
 #: Simulator event kinds; kind k is handled by ``Pipeline._on_<k>``.
 _EVENT_KINDS = (
     "leaf_agg_done",
@@ -73,72 +72,6 @@ _STREAM_SYNC = 5  # timer-alignment message jitter
 _STREAM_LER = 13  # batched Monte-Carlo sampling
 
 Z95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class StageLatency:
-    mean_ps: int
-    jitter_ps: int = 0
-
-    def __post_init__(self):
-        if self.mean_ps < 0 or self.jitter_ps < 0:
-            raise ValueError("stage latency parameters must be >= 0")
-
-
-def _default_decode_table():
-    return dict(capacity_model.DEFAULT_DECODE_TABLE)
-
-
-@dataclass(frozen=True)
-class StageLatencyConfig:
-    """Measured mean and min-max half-spread of every pipeline stage (ps).
-
-    Defaults are the reference three-board measurements: 29+-3 leaf
-    aggregation, 157+-16 uplink, 20+-10 root aggregation and pre-decode,
-    a decode table keyed by distance (fixed 56 ns at d=3), 25+-3 root
-    distribution, 155+-9 downlink and 9+-1 leaf distribution, plus 45 ns
-    processing / 312 ns round-trip network per router layer.
-    """
-
-    leaf_agg: StageLatency = StageLatency(29_000, 3_000)
-    uplink: StageLatency = StageLatency(157_000, 16_000)
-    root_agg: StageLatency = StageLatency(20_000, 10_000)
-    root_dist: StageLatency = StageLatency(25_000, 3_000)
-    downlink: StageLatency = StageLatency(155_000, 9_000)
-    leaf_dist: StageLatency = StageLatency(9_000, 1_000)
-    router_proc: StageLatency = StageLatency(45_000, 0)
-    router_net: StageLatency = StageLatency(312_000, 0)
-    decode_table: dict = field(default_factory=_default_decode_table)
-    decode_jitter_ps: int = 0
-
-    def __post_init__(self):
-        if not self.decode_table:
-            raise ValueError("decode table is empty")
-        for d, ps in self.decode_table.items():
-            if int(d) % 2 == 0 or int(d) < 1:
-                raise ValueError(f"decode table keys must be odd distances, got {d}")
-            if ps < 0:
-                raise ValueError(f"decode table latency for d={d} must be >= 0, got {ps}")
-        if self.decode_jitter_ps < 0:
-            raise ValueError("decode_jitter_ps must be >= 0")
-
-    def stage(self, name: str) -> StageLatency:
-        if name == "decode":
-            raise ValueError("decode latency is distance-keyed, use decode_ps()")
-        return getattr(self, name)
-
-    def decode_ps(self, distance: int) -> int:
-        value, _ = capacity_model.decode_latency_ps(self.decode_table, distance)
-        return value
-
-    def zero_jitter(self) -> "StageLatencyConfig":
-        """Copy with every jitter half-width forced to 0."""
-        kwargs = {
-            name: StageLatency(getattr(self, name).mean_ps, 0)
-            for name in STAGE_NAMES + ROUTER_STAGE_NAMES
-            if name != "decode"
-        }
-        return replace(self, decode_jitter_ps=0, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -274,10 +207,12 @@ class Pipeline:
         self.error_rate = config.error_rate
         self.cycle_ps = config.cycle_time_ps
 
-        self.stages = config.stage_latency
+        stages = config.stage_latency
         if config.zero_jitter:
-            self.stages = self.stages.zero_jitter()
-        self.decode_duration_ps = self.stages.decode_ps(self.distance)
+            stages = stages.zero_jitter()
+        self._stage_windows = tuple(
+            (name, st.mean_ps, st.jitter_ps) for name, st in stages.at_distance(self.distance).items()
+        )
 
         self.layout = build_layout(self.distance)
         self.leaf_map = assign_qubits_to_leaves(self.layout, config.qubits_per_leaf)
@@ -357,12 +292,7 @@ class Pipeline:
         """
         rng = None
         durations = {}
-        for name in STAGE_NAMES + ROUTER_STAGE_NAMES:
-            if name == "decode":
-                mean, hw = self.decode_duration_ps, self.stages.decode_jitter_ps
-            else:
-                st = self.stages.stage(name)
-                mean, hw = st.mean_ps, st.jitter_ps
+        for name, mean, hw in self._stage_windows:
             if hw > 0:
                 if rng is None:
                     rng = rng_stream(self.seed, _STREAM_SHOT, shot)

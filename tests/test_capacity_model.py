@@ -1,3 +1,5 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,9 @@ import pytest
 from qecfabric import capacity_model as cap
 from qecfabric import fabric_sim as fs
 from qecfabric import qec_pipeline as qp
+from qecfabric.cli import main
 from qecfabric.code_model import build_layout
+from qecfabric.config import ExperimentConfig
 from qecfabric.link_layer import LinkModel
 
 
@@ -131,3 +135,59 @@ def test_fabric_capacity_matches_closed_form(profile):
                 assert "Add a router layer" in str(exc)
                 built = False
             assert built == fits, (d, layers)
+
+
+def test_feasible_requires_latency_within_cycle():
+    zcu = cap.get_profile("zcu216")
+    est = cap.capacity_estimate(13, zcu)
+    assert est.predicted_latency_ps == 997_000 and est.feasible
+    tight = cap.capacity_estimate(13, zcu, cycle_time_ps=900_000)
+    assert tight.predicted_latency_ps == 997_000
+    assert not tight.feasible
+    assert cap.capacity_estimate(21, cap.get_profile("vcu129")).feasible
+
+
+def _zero_jitter_offsets(stages):
+    """Simulated zero-jitter end-to-end minus the closed form, over every tree that builds."""
+    offsets = {}
+    per_layer = stages.router_proc.mean_ps + stages.router_net.mean_ps
+    for profile in sorted(cap.PROFILES):
+        for d in (3, 5, 7, 9, 13):
+            est = cap.capacity_estimate(d, cap.get_profile(profile), stages)
+            for layers in range(3):
+                config = ExperimentConfig(
+                    distance=d, profile=profile, router_layers=layers, zero_jitter=True,
+                    stage_latency=stages,
+                ).validate()
+                try:
+                    pipeline = qp.Pipeline(config)
+                except qp.CapacityError:
+                    assert layers < est.router_layers, (profile, d, layers)
+                    continue
+                # the closed form places the fewest layers that fit; each
+                # extra layer adds one more router round trip
+                predicted = est.predicted_latency_ps + (layers - est.router_layers) * per_layer
+                offsets[profile, d, layers] = pipeline.run_shot(0).end_to_end_ps - predicted
+    return offsets
+
+
+@pytest.mark.parametrize("router_net_ps", [None, 100_000])
+def test_closed_form_equals_zero_jitter_simulation(tmp_path, router_net_ps):
+    stages = qp.StageLatencyConfig()
+    if router_net_ps is not None:
+        stages = replace(stages, router_net=qp.StageLatency(router_net_ps))
+    stage_mean_sum = sum(stages.stage(n).mean_ps for n in qp.STAGE_NAMES if n != "decode")
+    assert stage_mean_sum - cap.BASE_LATENCY_PS == 5_000
+    offsets = _zero_jitter_offsets(stages)
+    assert len(offsets) == 27
+    assert set(offsets.values()) == {5_000}, offsets
+
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({} if router_net_ps is None else
+                              {"stage_latency": {"router_net": {"mean_ps": router_net_ps}}}))
+    out = tmp_path / "r"
+    assert main(["extrapolate", "--distances", "13", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "extrapolate_summary.json").read_text())["rows"]
+    assert (row["router_layers"], row["predicted_latency_ps"]) == (
+        (1, 997_000) if router_net_ps is None else (1, 785_000)
+    )

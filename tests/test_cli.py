@@ -156,6 +156,31 @@ def test_capacity_uses_config_leaf_size(tmp_path, qubits_per_leaf, leaves, layer
         fs.Fabric(replace(topo, router_layers=layers - 1))
 
 
+def test_capacity_uses_config_cycle_time(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"cycle_time_ps": 500_000}))
+    out = tmp_path / "r"
+    assert main(["capacity", "--distances", "21", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "capacity_summary.json").read_text())["rows"]
+    # 440 syndrome bits per 500 ns cycle, as `throughput` reports it
+    assert row["throughput_required_bps"] == 880e6
+    assert row["predicted_latency_ps"] == 997_000 and row["feasible"] is False
+    assert main(["throughput", "--config", str(cfg), "--distance", "21",
+                 "--out", str(tmp_path / "t")]) == 0
+    ledger = json.loads((tmp_path / "t" / "throughput_summary.json").read_text())
+    assert ledger["required_bps"] == row["throughput_required_bps"]
+
+
+def test_latency_router_windows_scale_with_layers(tmp_path):
+    out = tmp_path / "r"
+    assert main(["latency", "--router-layers", "2", "--zero-jitter", "--shots", "2",
+                 "--out", str(out)]) == 0
+    stages = json.loads((out / "latency_summary.json").read_text())["stages"]
+    assert stages["router_proc"]["configured_mean_ps"] == 2 * 45_000
+    assert stages["router_net"]["configured_mean_ps"] == 2 * 312_000
+    assert {name: s["within_bounds"] for name, s in stages.items()} == dict.fromkeys(stages, True)
+
+
 def test_capacity_error_exit_code(tmp_path):
     rc = main(["latency", "--distance", "17", "--shots", "1",
                "--syndrome-source", "sampled", "--out", str(tmp_path / "r")])
