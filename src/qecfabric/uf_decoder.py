@@ -11,9 +11,11 @@ vertex/edge-id order, so decoding is a pure function of (graph, syndrome).
 
 Work after growth is O(defects + fully grown edges): growth records the
 edges it brings to full growth, and cluster assembly and peeling touch only
-those edges, their endpoints and the defects.  The one graph-sized cost is
-the O(V + E) allocation of the per-vertex and per-edge arrays, which runs
-in C.  ``is_valid`` likewise costs O(correction weight + defects) in Python.
+those edges, their endpoints and the defects.  The cluster state lives in
+dicts keyed by the vertices and edges a decode touches, so the one
+graph-sized cost is the numpy scan of the sector's syndrome bits for its
+defects.  ``is_valid`` likewise costs that scan plus O(correction weight +
+defects) in Python.
 
 ``oracle_decode`` is an independent reference: exhaustive minimum-weight
 search on small graphs, shortest-path defect pairing on small syndromes.
@@ -53,35 +55,39 @@ class DecodeStats:
 class ClusterState:
     """Disjoint-set forest over graph vertices with cluster growth state.
 
-    Tracks per-cluster defect parity, a boundary-touch flag, per-edge growth
-    meters (0 / half / full), the list of candidate growth edges and the
-    ids of the edges grown to full, in the order they fused.  A cluster is
-    frozen (stops growing) once its parity is even or it touches the
-    boundary.
+    Tracks per-cluster defect parity, the roots whose cluster touches the
+    boundary, per-edge growth meters (0 / half / full), the list of
+    candidate growth edges and the ids of the edges grown to full, in the
+    order they fused.  A cluster is frozen (stops growing) once its parity
+    is even or it touches the boundary.
+
+    Every table holds only the vertices and edges the decode touches, so
+    setting up costs O(defects), not O(V + E): a vertex absent from
+    ``parent`` is a root, and absent entries of ``rank``, ``parity`` and
+    ``growth`` read as 0.
     """
 
     def __init__(self, graph: DecodingGraph, defects):
         self.graph = graph
-        n = graph.n_vertices
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.parity = [0] * n
-        self.touches_boundary = [False] * n
-        self.growth = [0] * graph.n_edges
-        self.defect = [False] * n
+        self.parent = {}
+        self.rank = {}
+        self.parity = defaultdict(int)
+        self.touches_boundary = set()
+        self.growth = {}
+        self.defect = frozenset(defects)
         self.full_edges = []
         self._edge_lists = {}
         for v in defects:
             self.parity[v] = 1
-            self.defect[v] = True
             self._edge_lists[v] = list(graph.incident_edges[v])
 
     def find(self, v: int) -> int:
+        parent = self.parent
         root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:  # path compression
-            self.parent[v], v = root, self.parent[v]
+        while root in parent:
+            root = parent[root]
+        while v != root:  # path compression
+            parent[v], v = root, parent[v]
         return root
 
     def _edges_of(self, root: int):
@@ -96,13 +102,15 @@ class ClusterState:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
-        if self.rank[ra] < self.rank[rb]:
+        rank_a, rank_b = self.rank.get(ra, 0), self.rank.get(rb, 0)
+        if rank_a < rank_b:
             ra, rb = rb, ra
-        elif self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+        elif rank_a == rank_b:
+            self.rank[ra] = rank_a + 1
         self.parent[rb] = ra
         self.parity[ra] ^= self.parity[rb]
-        self.touches_boundary[ra] = self.touches_boundary[ra] or self.touches_boundary[rb]
+        if rb in self.touches_boundary:
+            self.touches_boundary.add(ra)
         self._edges_of(ra).extend(self._edges_of(rb))
         self._edge_lists.pop(rb, None)
         return ra
@@ -112,7 +120,7 @@ class ClusterState:
         roots = set()
         for v, pr in self._edge_lists.items():
             r = self.find(v)
-            if self.parity[r] == 1 and not self.touches_boundary[r]:
+            if self.parity[r] == 1 and r not in self.touches_boundary:
                 roots.add(r)
         return sorted(roots)
 
@@ -128,15 +136,17 @@ class ClusterState:
             return False
         stats.growth_iterations += 1
         fused = set()
+        growth = self.growth
+        growth_of = growth.get
         for root in active:
             lst = self._edge_lists[root]
             keep = []
             for e_id in lst:
-                g = self.growth[e_id]
+                g = growth_of(e_id, 0)
                 if g >= FULL:
                     continue
                 g += HALF
-                self.growth[e_id] = g
+                growth[e_id] = g
                 if g >= FULL:
                     fused.add(e_id)
                 else:
@@ -147,7 +157,7 @@ class ClusterState:
             self.full_edges.append(e_id)
             e = self.graph.edges[e_id]
             if e.v == BOUNDARY:
-                self.touches_boundary[self.find(e.u)] = True
+                self.touches_boundary.add(self.find(e.u))
             else:
                 self.union(e.u, e.v)
         return True
@@ -182,7 +192,7 @@ def _peel_cluster(graph, verts, defect, interior_full, boundary_full, touches_bo
                 queue.append(w)
 
     selected = []
-    live = dict((v, defect[v]) for v in order)
+    live = {v: v in defect for v in order}
     for v in reversed(order[1:]):
         if live[v]:
             pv, pe = parent_of[v]
@@ -238,7 +248,7 @@ def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
                 state.defect,
                 interior_full[root],
                 boundary_full[root],
-                state.touches_boundary[root],
+                root in state.touches_boundary,
             )
         )
     return pattern_from_fault_ids(graph, selected), stats

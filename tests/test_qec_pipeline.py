@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import itertools
 import weakref
 from concurrent.futures import Future
 
@@ -116,6 +118,97 @@ def test_bit_conservation_and_feedback():
     assert report.correction_bits_sent == len(expected)
 
 
+def dropping_one_edge(decode):
+    """``decode`` with the lowest fault id removed from every non-empty correction."""
+
+    def decode_dropping(graph, syndrome):
+        corr = decode(graph, syndrome)
+        if not corr.fault_ids:
+            return corr
+        return cm.pattern_from_fault_ids(graph, sorted(corr.fault_ids)[1:])
+
+    return decode_dropping
+
+
+def test_pipeline_checks_every_correction(monkeypatch):
+    # a correction that leaves defects behind must stop the shot, not read
+    # as a silent valid=False logical failure
+    monkeypatch.setattr(qp, "decode", dropping_one_edge(qp.decode))
+    config = ExperimentConfig(
+        distance=5, shots=1, syndrome_source="sampled", error_rate=0.05, seed=6
+    ).validate()
+    with pytest.raises(ValueError, match="correction does not annihilate"):
+        qp.Pipeline(config).run_shot(0)
+
+
+def expected_leaf_corrections(pipeline, corrections):
+    """Per leaf, the (sector, qubit) entries of odd per-qubit correction parity."""
+    per_leaf = {leaf: [] for leaf in range(pipeline.leaf_map.n_leaves)}
+    for sector in cm.SECTORS:
+        parity = {}
+        edges = pipeline.graphs[sector].edges
+        for e_id in corrections[sector].fault_ids:
+            if edges[e_id].kind == cm.SPACELIKE:
+                parity[edges[e_id].qubit] = parity.get(edges[e_id].qubit, 0) ^ 1
+        for qubit in sorted(q for q, v in parity.items() if v):
+            per_leaf[pipeline.leaf_map.leaf_of(qubit)].append((sector, qubit))
+    return {leaf: tuple(entries) for leaf, entries in per_leaf.items()}
+
+
+def test_pipeline_memo_matches_reference_loop(monkeypatch):
+    # at p=0.004 about an eighth of 400 d=5 shots repeat an earlier syndrome,
+    # and a 4-entry memo clears dozens of times
+    bound = 4
+    monkeypatch.setattr(qp, "_DECODE_MEMO_ENTRIES", bound)
+    decodes = []
+    real = qp.decode
+    monkeypatch.setattr(qp, "decode", lambda graph, syn: decodes.append(1) or real(graph, syn))
+    config = ExperimentConfig(
+        distance=5, syndrome_source="sampled", error_rate=0.004, seed=3
+    ).validate()
+    pipeline = qp.Pipeline(config)
+    reference = qp.Pipeline(config)
+    shots = 400
+    failures = 0
+    for shot in range(shots):
+        report = pipeline.run_shot(shot)
+        assert len(pipeline._decoded) <= bound
+        syndrome, patterns = reference._syndrome_for_shot(shot)
+        graphs = reference.graphs
+        corrections = {s: uf.decode(graphs[s], syndrome) for s in cm.SECTORS}
+        assert report.valid == all(
+            uf.is_valid(corrections[s], syndrome, graphs[s]) for s in cm.SECTORS
+        )
+        failure = any(uf.is_logical_failure(patterns[s], corrections[s]) for s in cm.SECTORS)
+        assert report.logical_failure == failure
+        applied = expected_leaf_corrections(reference, corrections)
+        assert pipeline.last_context["applied"] == applied
+        assert report.correction_bits_sent == sum(len(e) for e in applied.values())
+        failures += failure
+    assert failures > 0
+    assert len(decodes) < 2 * shots  # some shots were served by the memo
+
+
+def test_memo_hit_keeps_the_per_shot_logical_check(monkeypatch):
+    # two shots with one syndrome: faults-free, then a logical operator
+    config = ExperimentConfig(distance=3, syndrome_source="sampled").validate()
+    pipeline = qp.Pipeline(config)
+    graph = pipeline.graphs[cm.SECTOR_X]
+    # round-0 faults on the top row of data qubits: an X-sector logical operator
+    logical = cm.pattern_from_fault_ids(
+        graph, [graph.fault_id_of((q, 0), cm.SPACELIKE) for q in range(config.distance)]
+    )
+    assert cm.syndrome_of(logical, graph).total_weight == 0
+    assert len(logical.fault_ids & graph.crossing_ids) == 1
+    syndrome = cm.empty_syndrome(pipeline.layout, pipeline.rounds)
+    empty = {s: cm.pattern_from_fault_ids(pipeline.graphs[s], ()) for s in cm.SECTORS}
+    inputs = {0: (syndrome, empty), 1: (syndrome, {**empty, cm.SECTOR_X: logical})}
+    monkeypatch.setattr(pipeline, "_syndrome_for_shot", inputs.get)
+    assert not pipeline.run_shot(0).logical_failure
+    assert pipeline.run_shot(1).logical_failure
+    assert len(pipeline._decoded) == 1
+
+
 def test_campaign_reports_match_single_shots():
     config = ExperimentConfig(shots=5, seed=9).validate()
     result = qp.run_campaign(config)
@@ -172,6 +265,42 @@ def test_campaign_worker_count_is_bounded(monkeypatch):
         assert (result.failures == serial.failures).all()
 
 
+def campaign_digest(result):
+    """sha256 over every per-shot array of a campaign, in stage-name order."""
+    digest = hashlib.sha256()
+    for name in result.stage_names:
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(result.samples[name], dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(result.end_to_end_ps, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(result.valid, dtype=np.uint8).tobytes())
+    digest.update(np.ascontiguousarray(result.failures, dtype=np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+# Per-shot campaign digests pinned before the pipeline memoized decodes by
+# syndrome: (config overrides, shots) -> campaign_digest.  The golden reports
+# hash only summary statistics; these pin every shot.
+PINNED_CAMPAIGN_DIGESTS = [
+    ({"seed": 7}, 500, "98cb61ee07671a769f5eca55fbb056f2509461f3d35b1147064fcd6e2de9ef06"),
+    (
+        {"distance": 13, "router_layers": 1},
+        20,
+        "eaeb3a2d470245a12fb0a79e88c2722e2b77286ade7bb1446ed7a2ea3c3cd242",
+    ),
+    (
+        {"distance": 5, "syndrome_source": "sampled", "error_rate": 0.02},
+        200,
+        "1a5ffe816f4164a45ab5e917a665042654a92dd21c4566655d2246172d4c1427",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, shots, digest", PINNED_CAMPAIGN_DIGESTS)
+def test_campaign_reproduces_pinned_digest(overrides, shots, digest):
+    config = ExperimentConfig(**overrides).validate()
+    assert campaign_digest(qp.run_campaign(config, shots=shots, jobs=1)) == digest
+
+
 def test_campaign_repeatable():
     config = ExperimentConfig(shots=50, seed=12).validate()
     a = qp.run_campaign(config)
@@ -202,20 +331,36 @@ def test_capacity_error_directs_to_router_layer():
     assert report.valid
 
 
-def test_worst_case_syndrome_properties():
-    syn = qp.worst_case_d3_syndrome()
-    assert syn.total_weight > 0
+def search_worst_case_d3():
+    """Per sector, the weight <= 2 fault ids whose decode grows longest (ties to the smallest ids)."""
     layout = cm.build_layout(3)
-    _, patterns = qp._worst_case_d3()
+    found = {}
     for sector in cm.SECTORS:
         graph = cm.build_decoding_graph(layout, sector, 3)
-        corr, stats = uf.decode_with_stats(graph, syn)
-        assert uf.is_valid(corr, syn, graph)
-        # the cached pattern maximizes growth over every weight-1 pattern
-        for e_id in range(graph.n_edges):
-            single = cm.syndrome_of(cm.pattern_from_fault_ids(graph, [e_id]), graph)
-            _, single_stats = uf.decode_with_stats(graph, single)
-            assert stats.growth_iterations >= single_stats.growth_iterations
+
+        def key(ids):
+            syn = cm.syndrome_of(cm.pattern_from_fault_ids(graph, ids), graph)
+            return -uf.decode_with_stats(graph, syn)[1].growth_iterations, ids
+
+        candidates = itertools.chain(
+            ((i,) for i in range(graph.n_edges)), itertools.combinations(range(graph.n_edges), 2)
+        )
+        found[sector] = min(candidates, key=key)
+    return found
+
+
+def test_worst_case_syndrome_properties():
+    assert search_worst_case_d3() == qp._WORST_D3_FAULT_IDS
+    syn, patterns = qp._worst_case_d3()
+    assert syn == qp.worst_case_d3_syndrome()
+    assert syn.total_weight > 0
+    layout = cm.build_layout(3)
+    for sector in cm.SECTORS:
+        graph = cm.build_decoding_graph(layout, sector, 3)
+        assert patterns[sector].fault_ids == frozenset(qp._WORST_D3_FAULT_IDS[sector])
+        own = cm.syndrome_of(patterns[sector], graph)
+        assert (own.sector_bits(sector) == syn.sector_bits(sector)).all()
+        assert uf.is_valid(uf.decode(graph, syn), syn, graph)
 
 
 def test_run_shot_uses_synced_timers():
@@ -350,15 +495,7 @@ def test_ler_campaign_jobs_match_serial():
 
 
 def test_ler_campaign_checks_every_residual(monkeypatch):
-    real = qp.decode
-
-    def drop_one_edge(graph, syndrome):
-        corr = real(graph, syndrome)
-        if not corr.fault_ids:
-            return corr
-        return cm.pattern_from_fault_ids(graph, sorted(corr.fault_ids)[1:])
-
-    monkeypatch.setattr(qp, "decode", drop_one_edge)
+    monkeypatch.setattr(qp, "decode", dropping_one_edge(qp.decode))
     with pytest.raises(ValueError, match="does not annihilate"):
         qp.ler_campaign(3, 0.02, 500, seed=7)
 

@@ -82,10 +82,10 @@ def test_growth_is_monotone():
     defects = [graph.edges[0].u]
     state = uf.ClusterState(graph, defects)
     stats = uf.DecodeStats()
-    previous = list(state.growth)
+    previous = dict(state.growth)
     while state.grow(stats):
-        assert all(after >= before for before, after in zip(previous, state.growth))
-        previous = list(state.growth)
+        assert all(state.growth[e_id] >= before for e_id, before in previous.items())
+        previous = dict(state.growth)
 
 
 def test_worst_case_style_pattern_valid():
