@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .link_layer import PS_PER_SECOND, LinkModel, effective_throughput
+from .link_layer import DEFAULT_LINE_RATE_BPS, PS_PER_SECOND, LinkModel, effective_throughput
 
 STAGE_NAMES = ("leaf_agg", "uplink", "root_agg", "decode", "root_dist", "downlink", "leaf_dist")
 ROUTER_STAGE_NAMES = ("router_proc", "router_net")
@@ -178,6 +178,11 @@ def estimate_latency(distance: int, profile: PlatformProfile, stages=None) -> in
     return capacity_estimate(distance, profile, stages).predicted_latency_ps
 
 
+def root_link(profile: PlatformProfile, uplink=LinkModel(DEFAULT_LINE_RATE_BPS)) -> LinkModel:
+    """The syndrome stream's link into the root: one data uplink per root port."""
+    return replace(uplink, lanes=uplink.lanes * profile.root_ports)
+
+
 def decoder_peak_throughput(bits: int = DECODER_PEAK_BITS, time_ps: int = DECODER_PEAK_TIME_PS) -> Fraction:
     """Decoder bits/s at its peak operating point (exact rational)."""
     return Fraction(bits * PS_PER_SECOND, time_ps)
@@ -233,7 +238,7 @@ def capacity_estimate(
     if stages is None:
         stages = StageLatencyConfig()
     if link is None:
-        link = LinkModel(10_000_000_000, lanes=profile.root_ports)
+        link = root_link(profile)
     need = required_qubits(distance)
     layers = router_layers_needed(profile, distance)
     cap = max_qubits(profile, layers)

@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,16 +58,31 @@ def _parse_distances(text: str):
     return distances
 
 
-def _resolve_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    overrides = {}
-    for name in ("distance", "rounds", "error_rate", "shots", "seed", "jobs",
-                 "profile", "router_layers", "syndrome_source"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "zero_jitter", False):
-        overrides["zero_jitter"] = True
+#: Flags that override one config field each: field -> ``add_argument`` options.
+#: An absent flag parses to None and leaves the config's value alone.
+_OVERRIDE_FLAGS = {
+    "seed": {"type": int},
+    "distance": {"type": int},
+    "rounds": {"type": int},
+    "error_rate": {"type": float},
+    "shots": {"type": int},
+    "jobs": {"type": int},
+    "profile": {"choices": sorted(capacity_model.PROFILES)},
+    "router_layers": {"type": int},
+    "zero_jitter": {"action": "store_true", "default": None},
+    "syndrome_source": {"choices": ("auto", "worst_case", "sampled")},
+}
+
+
+def _resolve_config(args, **fixed) -> ExperimentConfig:
+    """The config file (or the defaults), then the given flags, then ``fixed``."""
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {
+        name: getattr(args, name)
+        for name in _OVERRIDE_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    overrides.update(fixed)
     if overrides:
         config = replace(config, **overrides)
     return config.validate()
@@ -146,7 +161,8 @@ def cmd_latency(args) -> int:
 
 
 def cmd_ler(args) -> int:
-    config = _resolve_config(args)
+    # the LER path samples every shot, so any number of rounds is valid
+    config = _resolve_config(args, syndrome_source="sampled")
     distances = _parse_distances(args.distances)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,25 +200,16 @@ def cmd_ler(args) -> int:
 def _capacity_rows(distances, profile, config):
     # leaves hold the config's qubits_per_leaf, as in the tree `latency` builds
     profile = replace(profile, qubits_per_leaf=config.qubits_per_leaf)
+    link = capacity_model.root_link(profile, config.uplink)
     estimates = capacity_model.extrapolation_table(
-        distances, profile, config.stage_latency, cycle_time_ps=config.cycle_time_ps
+        distances, profile, config.stage_latency, link, config.cycle_time_ps
     )
     rows = []
     for est in estimates:
-        rows.append({
-            "distance": est.distance,
-            "required_qubits": est.required_qubits,
-            "leaves_needed": est.leaves_needed,
-            "router_layers": est.router_layers,
-            "max_qubits": est.max_qubits,
-            "decode_ps": est.decode_ps,
-            "decode_anchored": est.decode_anchored,
-            "predicted_latency_ps": est.predicted_latency_ps,
-            "throughput_required_bps": float(est.throughput_required_bps),
-            "throughput_available_bps": float(est.throughput_available_bps),
-            "margin_ratio": float(est.throughput_available_bps / est.throughput_required_bps),
-            "feasible": est.feasible,
-        })
+        required, available = est.throughput_required_bps, est.throughput_available_bps
+        rows.append(dict(asdict(est), throughput_required_bps=float(required),
+                         throughput_available_bps=float(available),
+                         margin_ratio=float(available / required)))
     return rows
 
 
@@ -252,17 +259,19 @@ def cmd_extrapolate(args) -> int:
 def cmd_throughput(args) -> int:
     config = _resolve_config(args)
     # the headline ledger is quoted at d=21 unless a distance is pinned
-    explicit = args.distance is not None or getattr(args, "config", None)
+    explicit = args.distance is not None or args.config
     d = config.distance if explicit else 21
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     profile = capacity_model.get_profile(config.profile)
 
+    # the paper's quoted 4 x 10G and 4 x 28G figures, for reference
     link10 = link_layer.LinkModel(10_000_000_000, lanes=4)
     link28 = link_layer.LinkModel(28_000_000_000, lanes=4)
     peak = capacity_model.decoder_peak_throughput()
     required = capacity_model.syndrome_rate_required(d, config.cycle_time_ps)
-    available = capacity_model.available_throughput(link10)
+    root = capacity_model.root_link(profile, config.uplink)
+    available = capacity_model.available_throughput(root)
     margin = available / required
 
     rows = [
@@ -362,44 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print every default with its provenance and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, shots=True):
+    def command(name, func, summary, overrides):
+        # no abbreviations: `ler --distance` must not pass for `--distances`
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--distance", type=int)
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--error-rate", dest="error_rate", type=float)
-        p.add_argument("--profile", choices=sorted(capacity_model.PROFILES))
-        p.add_argument("--router-layers", dest="router_layers", type=int)
-        p.add_argument("--zero-jitter", dest="zero_jitter", action="store_true")
-        p.add_argument("--jobs", type=int)
         p.add_argument("--out", default="reports", help="output directory")
-        if shots:
-            p.add_argument("--shots", type=int)
+        for field in overrides:
+            p.add_argument("--" + field.replace("_", "-"), dest=field, **_OVERRIDE_FLAGS[field])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("latency", help="run a timed decoding-feedback campaign")
-    common(p)
-    p.add_argument("--syndrome-source", dest="syndrome_source",
-                   choices=("auto", "worst_case", "sampled"))
-    p.set_defaults(func=cmd_latency)
-
-    p = sub.add_parser("ler", help="Monte-Carlo logical error rate sweep")
-    common(p)
+    command("latency", cmd_latency, "run a timed decoding-feedback campaign", _OVERRIDE_FLAGS)
+    p = command("ler", cmd_ler, "Monte-Carlo logical error rate sweep",
+                ("seed", "rounds", "error_rate", "shots", "jobs"))
     p.add_argument("--distances", default="3,5", help="e.g. '3,5,7' or '3..9'")
-    p.set_defaults(func=cmd_ler)
-
-    p = sub.add_parser("capacity", help="qubit capacity table per distance")
-    common(p, shots=False)
+    p = command("capacity", cmd_capacity, "qubit capacity table per distance", ("profile",))
     p.add_argument("--distances", default="3..21")
-    p.set_defaults(func=cmd_capacity)
-
-    p = sub.add_parser("extrapolate", help="predicted latency scaling table")
-    common(p, shots=False)
+    p = command("extrapolate", cmd_extrapolate, "predicted latency scaling table", ("profile",))
     p.add_argument("--distances", default="3..21")
-    p.set_defaults(func=cmd_extrapolate)
-
-    p = sub.add_parser("throughput", help="network/decoder throughput ledger")
-    common(p, shots=False)
-    p.set_defaults(func=cmd_throughput)
+    command("throughput", cmd_throughput, "network/decoder throughput ledger",
+            ("distance", "profile"))
 
     p = sub.add_parser("selftest", help="quick internal consistency checks")
     p.set_defaults(func=cmd_selftest)

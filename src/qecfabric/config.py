@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from . import capacity_model
 from .capacity_model import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig
 from .fabric_sim import TopologyConfig
-from .link_layer import LinkModel
+from .link_layer import DEFAULT_LINE_RATE_BPS, LinkModel
 
 TOOL_VERSION = "0.1.0"
 
@@ -60,8 +60,8 @@ class ExperimentConfig:
     drift_ppm: int = 0
     sync_at_start: bool = True
     stage_latency: StageLatencyConfig = field(default_factory=StageLatencyConfig)
-    uplink: LinkModel = LinkModel(10_000_000_000)
-    downlink: LinkModel = LinkModel(10_000_000_000)
+    uplink: LinkModel = LinkModel(DEFAULT_LINE_RATE_BPS)
+    downlink: LinkModel = LinkModel(DEFAULT_LINE_RATE_BPS)
     sync_uplink: LinkModel = TopologyConfig.sync_uplink
     sync_downlink: LinkModel = TopologyConfig.sync_downlink
 
@@ -92,13 +92,24 @@ class ExperimentConfig:
             raise ConfigError(
                 f"syndrome_source must be one of {_SYNDROME_SOURCES}, got {self.syndrome_source!r}"
             )
-        if self.syndrome_source == "worst_case" and self.distance != 3:
-            raise ConfigError("the worst_case syndrome source is defined for distance 3 only")
+        rounds = self.rounds or self.distance
+        if self.effective_syndrome_source == "worst_case" and (self.distance, rounds) != (3, 3):
+            raise ConfigError(
+                f"the worst_case syndrome source is pinned for distance 3 with 3 rounds, "
+                f"not {self.distance} with {rounds}; use syndrome_source sampled"
+            )
         try:
             capacity_model.get_profile(self.profile)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
+
+    @property
+    def effective_syndrome_source(self) -> str:
+        """``auto`` resolves to the worst case at d=3 (the paper's method), else sampled."""
+        if self.syndrome_source == "auto":
+            return "worst_case" if self.distance == 3 else "sampled"
+        return self.syndrome_source
 
     def to_dict(self) -> dict:
         def link_dict(name):
@@ -317,7 +328,8 @@ DEFAULT_PROVENANCE = [
     _latency_row("leaf_dist", _STAGES.leaf_dist, "measured leaf-side error distribution"),
     _latency_row("router_proc", _STAGES.router_proc, "router on-board processing add-on per layer"),
     _latency_row("router_net", _STAGES.router_net, "router round-trip network add-on per layer"),
-    ("links.uplink/downlink", "10 Gb/s x 1 lane", "rate only; latency is stage_latency.uplink/downlink"),
+    ("links.uplink/downlink", f"{DEFAULT_LINE_RATE_BPS // 10**9} Gb/s x 1 lane",
+     "rate only; latency is stage_latency.uplink/downlink"),
     ("links.sync_*", "156 ns symmetric", "timer-alignment frames on the raw link"),
     ("error_rate", "0.001", "physical error rate typical of current superconducting qubits"),
     ("cycle_time_ps", str(capacity_model.DEFAULT_CYCLE_TIME_PS), "typical 1 us measurement cycle"),

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .code_model import rng_stream
-from .link_layer import LinkEndpoint, LinkModel
+from .link_layer import DEFAULT_LINE_RATE_BPS, LinkEndpoint, LinkModel
 
 ROLE_LEAF = "LEAF"
 ROLE_ROUTER = "ROUTER"
@@ -148,8 +148,8 @@ class TopologyConfig:
     root_ports: int = 4
     router_children: int = 29
     router_layers: int = 0
-    sync_uplink: LinkModel = LinkModel(10_000_000_000, 1, 156_000, 0)
-    sync_downlink: LinkModel = LinkModel(10_000_000_000, 1, 156_000, 0)
+    sync_uplink: LinkModel = LinkModel(DEFAULT_LINE_RATE_BPS, 1, 156_000, 0)
+    sync_downlink: LinkModel = LinkModel(DEFAULT_LINE_RATE_BPS, 1, 156_000, 0)
     clock_offset_bound_ps: int = 0
     drift_ppm: int = 0
 
@@ -244,14 +244,6 @@ class Fabric:
     @property
     def depth(self) -> int:
         return 1 + self.config.router_layers
-
-    def path_to_root(self, node_id: int):
-        out = []
-        n = node_id
-        while self.nodes[n].parent is not None:
-            out.append((self.nodes[n].parent, n))
-            n = self.nodes[n].parent
-        return out
 
 
 def ptp_sync(sim: Simulator, fabric: Fabric, parent_id: int, child_id: int, rng=None) -> int:

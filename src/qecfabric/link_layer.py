@@ -17,6 +17,9 @@ PAYLOAD_BITS_PER_FRAME = 64
 WIRE_BITS_PER_FRAME = 66
 PS_PER_SECOND = 10**12
 
+#: Line rate of one transceiver lane, the default for every link (bits/s).
+DEFAULT_LINE_RATE_BPS = 10_000_000_000
+
 
 @dataclass(frozen=True)
 class LinkModel:

@@ -3,7 +3,9 @@
 One shot walks the full loop: leaf-side syndrome aggregation, uplink
 transport, root-side aggregation, decoding, error distribution, downlink
 transport and leaf-side application, all inside one discrete-event
-simulation with timestamps read off the synchronized node timers.  Stage
+simulation with timestamps read off the synchronized node timers.
+``boundary_chain`` is the one statement of which boundaries delimit which
+stage; every stage interval of a shot is read off that one list.  Stage
 durations come from ``capacity_model.StageLatencyConfig``'s measured means
 and min-max jitter spreads; decoder correctness is real (the union-find
 decoder runs on the actual syndrome) while decoder duration is table-driven.
@@ -29,6 +31,7 @@ import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +53,15 @@ from .code_model import (
     syndrome_of,
 )
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
-from .fabric_sim import ROLE_ROOT, Fabric, Simulator, TopologyConfig, global_sync
+from .fabric_sim import ROLE_LEAF, ROLE_ROOT, Clock, Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay
 from .uf_decoder import decode, is_valid
 
 #: Simulator event kinds; kind k is handled by ``Pipeline._on_<k>``.
 _EVENT_KINDS = (
     "leaf_agg_done",
-    "router_up",
+    "up",
     "router_up_fwd",
-    "root_up",
     "root_agg_done",
     "decode_done",
     "dist_ready",
@@ -137,7 +139,8 @@ class CorrectionMessage:
 
 @dataclass
 class ShotReport:
-    """Stage interval durations and decode outcome of one full shot."""
+    """Stage interval durations and decode outcome of one full shot; the intervals
+    are the gaps of one boundary chain, so they sum to ``end_to_end_ps``."""
 
     shot: int
     intervals: dict
@@ -146,13 +149,6 @@ class ShotReport:
     logical_failure: bool
     syndrome_bits_received: int
     correction_bits_sent: int
-
-    def __post_init__(self):
-        total = sum(self.intervals.values())
-        if total != self.end_to_end_ps:
-            raise AssertionError(
-                f"stage intervals sum to {total} but end-to-end is {self.end_to_end_ps}"
-            )
 
 
 def wilson_interval(failures: int, shots: int, z: float = Z95):
@@ -195,6 +191,41 @@ def worst_case_d3_syndrome() -> SyndromeRounds:
     return _worst_case_d3()[0]
 
 
+def boundary_chain(router_layers: int) -> tuple:
+    """A shot's stage boundaries in time order, each with the stage that ends at it.
+
+    Data climbs from the leaves through ``router_layers`` router levels
+    (deepest first) to the root and comes back down; each level adds a
+    processing and a network stage each way.  A stage's interval is the sum
+    of the gaps before the boundaries that carry its name.
+    """
+    levels = range(router_layers, 0, -1)
+    chain = [("start", None), ("leaf_agg", "leaf_agg")]
+    net = "uplink"  # whatever a leaf's data reaches first, it gets there over the uplink
+    for level in levels:
+        chain += [(f"up_arrive_{level}", net), (f"up_forward_{level}", "router_proc")]
+        net = "router_net"
+    chain += [("root_arrive", net), ("root_agg_done", "root_agg"),
+              ("decode_done", "decode"), ("dist_ready", "root_dist")]
+    for level in reversed(levels):
+        chain += [(f"down_arrive_{level}", "router_net"), (f"down_forward_{level}", "router_proc")]
+    chain += [("leaf_arrive", "downlink"), ("end", "leaf_dist")]
+    return tuple(chain)
+
+
+class _Hop(NamedTuple):
+    """A node's parent, child count, clock and chain slots.  It marks slot
+    ``up`` when its up-bound data is in hand (a leaf at the cycle start, a
+    router or the root when its last child reports) and ``up + 1`` when it
+    passes the data on; ``down`` and ``down + 1`` likewise for corrections."""
+
+    parent: int | None
+    children: int
+    clock: Clock
+    up: int
+    down: int
+
+
 class Pipeline:
     """One instantiated fabric ready to run timed decoding-feedback shots.
 
@@ -202,10 +233,15 @@ class Pipeline:
     once per pipeline, and the decode memo (see the module docstring)
     serves a syndrome seen before.  The memo is exact, since decoding is a
     pure function of (graph, syndrome).
+
+    ``chain`` (see ``boundary_chain``) is the one statement of which
+    boundaries delimit which stage.  Each node marks its own slots of it on
+    its local clock, a boundary reached by several nodes takes the latest
+    mark, and every stage interval is read off the marked chain.
     """
 
     def __init__(self, config, seed=None, trace=False):
-        self.config = config
+        self.config = config.validate()
         self.seed = config.seed if seed is None else seed
         self.distance = config.distance
         self.rounds = config.rounds if config.rounds else config.distance
@@ -246,11 +282,21 @@ class Pipeline:
             for n, node in self.fabric.nodes.items()
         }
 
-        self._level = {}
+        self.chain = boundary_chain(config.router_layers)
+        slot = {name: i for i, (name, _) in enumerate(self.chain)}
+        level = {self.fabric.root_id: 0}  # top routers are level 1
+        for parent, child in self.fabric.edges_top_down():
+            level[child] = level[parent] + 1
+        self._hops = {}
         for node_id, node in self.fabric.nodes.items():
-            depth = len(self.fabric.path_to_root(node_id))
-            self._level[node_id] = depth  # root=0, top routers=1, ...
-        self._router_layers = config.router_layers
+            if node.role == ROLE_LEAF:
+                up, down = "start", "leaf_arrive"
+            elif node.role == ROLE_ROOT:
+                up, down = "root_arrive", "decode_done"
+            else:
+                up, down = f"up_arrive_{level[node_id]}", f"down_arrive_{level[node_id]}"
+            self._hops[node_id] = _Hop(node.parent, len(node.children), node.clock,
+                                       slot[up], slot[down])
         self._leaf_index = {n: i for i, n in enumerate(self.fabric.leaf_ids)}
         self._leaf_columns = [
             np.array(leaf_ancilla_columns(self.layout, self.leaf_map, leaf), dtype=np.intp)
@@ -259,14 +305,7 @@ class Pipeline:
         # packed received syndrome -> (corrections, valid, messages, bits sent)
         self._decoded = {}
 
-        # syndrome source: the worst-case d=3 pattern mirrors the latency
-        # measurement methodology; other distances sample at error_rate
-        source = config.syndrome_source
-        if source == "auto":
-            source = "worst_case" if self.distance == 3 else "sampled"
-        if source == "worst_case" and self.distance != 3:
-            raise ValueError("the cached worst-case syndrome is distance-3 only")
-        self.syndrome_source = source
+        self.syndrome_source = config.effective_syndrome_source
 
         self._ctx = None
         # The simulator's handler table reaches the pipeline only through a
@@ -313,65 +352,51 @@ class Pipeline:
 
     # ---- event handlers --------------------------------------------------
 
-    def _mark(self, key, value):
-        b = self._ctx["boundaries"]
-        if key not in b or value > b[key]:
-            b[key] = value
-
-    def _local(self, node_id):
-        return self.fabric.nodes[node_id].clock.local(self.sim.now)
+    def _mark(self, slot, hop):
+        """Set chain boundary ``slot`` to the node's local time if that is later."""
+        value = hop.clock.local(self.sim.now)
+        marks = self._ctx["marks"]
+        if marks[slot] is None or value > marks[slot]:
+            marks[slot] = value
 
     def _on_leaf_agg_done(self, ev):
         ctx = self._ctx
+        hop = self._hops[ev.node]
+        self._mark(hop.up + 1, hop)
         leaf_idx = self._leaf_index[ev.node]
-        now = self.sim.now
-        self._mark("leaf_agg", self._local(ev.node))
         bits = ctx["syndrome"].bits[self.rounds - 1, self._leaf_columns[leaf_idx]]
         msg = SyndromeMessage(leaf=leaf_idx, bits=bits)
-        parent = self.fabric.nodes[ev.node].parent
         delay = ctx["dur"]["uplink"] + excess_serialization_delay(len(bits), self.config.uplink)
-        kind = "root_up" if self.fabric.nodes[parent].role == ROLE_ROOT else "router_up"
-        self.sim.schedule(now + delay, parent, kind, [msg])
+        self.sim.schedule(self.sim.now + delay, hop.parent, "up", [msg])
 
-    def _expected_children(self, node_id):
-        return len(self.fabric.nodes[node_id].children)
-
-    def _on_router_up(self, ev):
+    def _on_up(self, ev):
+        """Join at a router or the root: once every child has reported, pass it all on."""
         ctx = self._ctx
-        level = self._level[ev.node]
-        pending = ctx["router_up"].setdefault(ev.node, [])
-        pending.extend(ev.payload)
-        ctx["router_up_count"][ev.node] = ctx["router_up_count"].get(ev.node, 0) + 1
-        if ctx["router_up_count"][ev.node] == self._expected_children(ev.node):
-            self._mark(("router_up_arrive", level), self._local(ev.node))
+        hop = self._hops[ev.node]
+        gathered = ctx["gathered"].setdefault(ev.node, [])
+        gathered.extend(ev.payload)
+        reported = ctx["reported"]
+        reported[ev.node] = reported.get(ev.node, 0) + 1
+        if reported[ev.node] < hop.children:
+            return
+        self._mark(hop.up, hop)
+        if hop.parent is None:
+            ctx["bits_received"] += sum(len(msg.bits) for msg in gathered)
+            self.sim.schedule(self.sim.now + ctx["dur"]["root_agg"], ev.node, "root_agg_done")
+        else:
             proc_up = ctx["dur"]["router_proc"] // 2
-            self.sim.schedule(self.sim.now + proc_up, ev.node, "router_up_fwd", None)
+            self.sim.schedule(self.sim.now + proc_up, ev.node, "router_up_fwd")
 
     def _on_router_up_fwd(self, ev):
         ctx = self._ctx
-        level = self._level[ev.node]
-        self._mark(("router_up_fwd", level), self._local(ev.node))
-        parent = self.fabric.nodes[ev.node].parent
+        hop = self._hops[ev.node]
+        self._mark(hop.up + 1, hop)
         net_up = ctx["dur"]["router_net"] // 2
-        kind = "root_up" if self.fabric.nodes[parent].role == ROLE_ROOT else "router_up"
-        self.sim.schedule(self.sim.now + net_up, parent, kind, ctx["router_up"][ev.node])
-
-    def _on_root_up(self, ev):
-        ctx = self._ctx
-        root = self.fabric.root_id
-        for msg in ev.payload:
-            ctx["root_msgs"].append(msg)
-            ctx["bits_received"] += len(msg.bits)
-        ctx["root_up_count"] += 1
-        if ctx["root_up_count"] == self._expected_children(root):
-            self._mark("root_arrive", self._local(root))
-            self.sim.schedule(
-                self.sim.now + ctx["dur"]["root_agg"], root, "root_agg_done", None
-            )
+        self.sim.schedule(self.sim.now + net_up, hop.parent, "up", ctx["gathered"][ev.node])
 
     def _assemble_final_round(self, ctx):
         """Rebuild the final syndrome row from the received leaf messages."""
-        msgs = ctx["root_msgs"]
+        msgs = ctx["gathered"][self.fabric.root_id]
         row = np.zeros(self.layout.syndrome_bits_per_round, dtype=np.uint8)
         row[np.concatenate([self._leaf_columns[m.leaf] for m in msgs])] = np.concatenate(
             [m.bits for m in msgs]
@@ -380,7 +405,8 @@ class Pipeline:
 
     def _on_root_agg_done(self, ev):
         ctx = self._ctx
-        self._mark("root_agg_done", self._local(ev.node))
+        hop = self._hops[ev.node]
+        self._mark(hop.up + 1, hop)
         received = np.array(ctx["syndrome"].bits)
         received[self.rounds - 1, :] = self._assemble_final_round(ctx)
         syndrome = SyndromeRounds(received, ctx["syndrome"].split)
@@ -408,16 +434,19 @@ class Pipeline:
         )
         ctx["corrections"] = corrections
         ctx["valid"] = valid
-        self.sim.schedule(self.sim.now + ctx["dur"]["decode"], ev.node, "decode_done", None)
+        self.sim.schedule(self.sim.now + ctx["dur"]["decode"], ev.node, "decode_done")
 
     def _on_decode_done(self, ev):
-        ctx = self._ctx
-        self._mark("decode_done", self._local(ev.node))
-        self.sim.schedule(self.sim.now + ctx["dur"]["root_dist"], ev.node, "dist_ready", None)
+        hop = self._hops[ev.node]
+        self._mark(hop.down, hop)
+        self.sim.schedule(self.sim.now + self._ctx["dur"]["root_dist"], ev.node, "dist_ready")
 
-    def _net_error_bits(self, corrections):
-        """(sector, qubit) entries whose per-qubit correction parity is odd."""
-        entries = []
+    def _correction_messages(self, corrections):
+        """Each leaf's correction message and the number of entries sent in all.
+
+        An entry is a (sector, data qubit) pair of odd per-qubit correction parity.
+        """
+        per_leaf = {leaf: [] for leaf in range(self.leaf_map.n_leaves)}
         for sector in SECTORS:
             edges = self.graphs[sector].edges
             parity = {}
@@ -425,23 +454,15 @@ class Pipeline:
                 qubit = edges[e_id].qubit
                 if qubit is not None:  # timelike edges touch no data qubit
                     parity[qubit] = parity.get(qubit, 0) ^ 1
-            entries.extend((sector, q) for q, v in sorted(parity.items()) if v)
-        return entries
-
-    def _correction_messages(self, corrections):
-        """Each leaf's correction message and the number of entries sent in all."""
-        entries = self._net_error_bits(corrections)
-        per_leaf = {leaf: [] for leaf in range(self.leaf_map.n_leaves)}
-        for sector, qubit in entries:
-            per_leaf[self.leaf_map.leaf_of(qubit)].append((sector, qubit))
-        messages = {
-            leaf: CorrectionMessage(leaf=leaf, error_bits=tuple(owned))
-            for leaf, owned in per_leaf.items()
-        }
-        return messages, len(entries)
+            for qubit, odd in sorted(parity.items()):
+                if odd:
+                    per_leaf[self.leaf_map.leaf_of(qubit)].append((sector, qubit))
+        messages = {leaf: CorrectionMessage(leaf, tuple(owned)) for leaf, owned in per_leaf.items()}
+        return messages, sum(len(owned) for owned in per_leaf.values())
 
     def _on_dist_ready(self, ev):
-        self._mark("dist_ready", self._local(ev.node))
+        hop = self._hops[ev.node]
+        self._mark(hop.down + 1, hop)
         self._send_down(ev.node)
 
     def _send_down(self, node_id):
@@ -457,21 +478,23 @@ class Pipeline:
                 self.sim.schedule(now + delay, child, "leaf_down", msg)
             else:
                 net_down = ctx["dur"]["router_net"] - ctx["dur"]["router_net"] // 2
-                self.sim.schedule(now + net_down, child, "router_down", None)
+                self.sim.schedule(now + net_down, child, "router_down")
 
     def _on_router_down(self, ev):
-        ctx = self._ctx
-        level = self._level[ev.node]
-        self._mark(("router_down_arrive", level), self._local(ev.node))
-        proc_down = ctx["dur"]["router_proc"] - ctx["dur"]["router_proc"] // 2
-        self.sim.schedule(self.sim.now + proc_down, ev.node, "router_down_fwd", None)
+        hop = self._hops[ev.node]
+        self._mark(hop.down, hop)
+        dur = self._ctx["dur"]
+        proc_down = dur["router_proc"] - dur["router_proc"] // 2
+        self.sim.schedule(self.sim.now + proc_down, ev.node, "router_down_fwd")
 
     def _on_router_down_fwd(self, ev):
-        self._mark(("router_down_fwd", self._level[ev.node]), self._local(ev.node))
+        hop = self._hops[ev.node]
+        self._mark(hop.down + 1, hop)
         self._send_down(ev.node)
 
     def _on_leaf_down(self, ev):
-        self._mark("leaf_arrive", self._local(ev.node))
+        hop = self._hops[ev.node]
+        self._mark(hop.down, hop)
         self.sim.schedule(
             self.sim.now + self._ctx["dur"]["leaf_dist"], ev.node, "leaf_apply_done", ev.payload
         )
@@ -480,43 +503,18 @@ class Pipeline:
         ctx = self._ctx
         msg = ev.payload
         ctx["applied"][msg.leaf] = msg.error_bits
-        self._mark("end", self._local(ev.node))
+        hop = self._hops[ev.node]
+        self._mark(hop.down + 1, hop)
         if len(ctx["applied"]) == self.leaf_map.n_leaves:
             ctx["done"] = True
 
     # ---- shot driver -----------------------------------------------------
 
-    def _intervals(self, ctx):
-        b = ctx["boundaries"]
-        layers = self._router_layers
+    def _intervals(self, marks):
+        """Each stage's duration: the sum of the chain gaps that end at its boundaries."""
         out = {}
-        out["leaf_agg"] = b["leaf_agg"] - b["start"]
-        if layers == 0:
-            out["uplink"] = b["root_arrive"] - b["leaf_agg"]
-        else:
-            out["uplink"] = b[("router_up_arrive", layers)] - b["leaf_agg"]
-            proc = net = 0
-            for level in range(layers, 0, -1):
-                proc += b[("router_up_fwd", level)] - b[("router_up_arrive", level)]
-                up_target = (
-                    b["root_arrive"] if level == 1 else b[("router_up_arrive", level - 1)]
-                )
-                net += up_target - b[("router_up_fwd", level)]
-            net += b[("router_down_arrive", 1)] - b["dist_ready"]
-            for level in range(1, layers + 1):
-                proc += b[("router_down_fwd", level)] - b[("router_down_arrive", level)]
-                if level < layers:
-                    net += b[("router_down_arrive", level + 1)] - b[("router_down_fwd", level)]
-            out["router_proc"] = proc
-            out["router_net"] = net
-        out["root_agg"] = b["root_agg_done"] - b["root_arrive"]
-        out["decode"] = b["decode_done"] - b["root_agg_done"]
-        out["root_dist"] = b["dist_ready"] - b["decode_done"]
-        if layers == 0:
-            out["downlink"] = b["leaf_arrive"] - b["dist_ready"]
-        else:
-            out["downlink"] = b["leaf_arrive"] - b[("router_down_fwd", layers)]
-        out["leaf_dist"] = b["end"] - b["leaf_arrive"]
+        for (_, stage), lo, hi in zip(self.chain[1:], marks, marks[1:]):
+            out[stage] = out.get(stage, 0) + hi - lo
         return out
 
     def run_shot(self, shot: int = 0) -> ShotReport:
@@ -530,11 +528,9 @@ class Pipeline:
             "dur": self._stage_durations(shot),
             "syndrome": syndrome,
             "patterns": patterns,
-            "boundaries": {},
-            "router_up": {},
-            "router_up_count": {},
-            "root_msgs": [],
-            "root_up_count": 0,
+            "marks": [None] * len(self.chain),
+            "gathered": {},  # node -> syndrome messages received from below
+            "reported": {},  # node -> children that have reported
             # earlier rounds stream up during the cycle; only the final
             # round is timed, so their bits are on the books at t0
             "bits_received": (self.rounds - 1) * self.layout.syndrome_bits_per_round,
@@ -543,18 +539,17 @@ class Pipeline:
         }
         self._ctx = ctx
         for leaf in self.fabric.leaf_ids:
-            self._mark("start", self.fabric.nodes[leaf].clock.local(t0))
-        for leaf in self.fabric.leaf_ids:
-            sim.schedule(t0 + ctx["dur"]["leaf_agg"], leaf, "leaf_agg_done", None)
+            self._mark(self._hops[leaf].up, self._hops[leaf])
+            sim.schedule(t0 + ctx["dur"]["leaf_agg"], leaf, "leaf_agg_done")
         sim.run_all()
         if not ctx["done"]:
             raise AssertionError("shot did not complete")
 
-        intervals = self._intervals(ctx)
+        marks = ctx["marks"]
         report = ShotReport(
             shot=shot,
-            intervals=intervals,
-            end_to_end_ps=ctx["boundaries"]["end"] - ctx["boundaries"]["start"],
+            intervals=self._intervals(marks),
+            end_to_end_ps=marks[-1] - marks[0],
             valid=ctx["valid"],
             logical_failure=ctx["failure"],
             syndrome_bits_received=ctx["bits_received"],

@@ -181,6 +181,46 @@ def test_latency_router_windows_scale_with_layers(tmp_path):
     assert {name: s["within_bounds"] for name, s in stages.items()} == dict.fromkeys(stages, True)
 
 
+def test_capacity_and_throughput_read_the_uplink_rate(tmp_path):
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps({"links": {"uplink": {"line_rate_bps": 100_000_000}}}))
+    out = tmp_path / "c"
+    assert main(["capacity", "--distances", "21", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "capacity_summary.json").read_text())["rows"]
+    # 4 root ports x 100 Mb/s x 64/66 cannot carry the 440 Mb/s d=21 stream
+    assert round(row["throughput_available_bps"] / 1e6, 2) == 387.88
+    assert row["feasible"] is False
+    assert main(["throughput", "--config", str(cfg), "--distance", "21",
+                 "--out", str(tmp_path / "t")]) == 0
+    ledger = json.loads((tmp_path / "t" / "throughput_summary.json").read_text())
+    assert ledger["available_bps"] == row["throughput_available_bps"]
+    assert round(ledger["margin_ratio"], 2) == 0.88
+
+
+def test_rounds_other_than_3_need_a_sampled_source_at_d3(tmp_path):
+    # the d=3 worst-case syndrome is pinned with 3 rounds; `ler` always samples
+    argv = ["latency", "--rounds", "5", "--shots", "2"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    assert main(argv + ["--syndrome-source", "sampled", "--out", str(tmp_path / "b")]) == 0
+    assert main(["ler", "--rounds", "5", "--shots", "100", "--distances", "3",
+                 "--out", str(tmp_path / "c")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    "ler --distance 7", "ler --router-layers 3", "ler --zero-jitter", "ler --profile vcu129",
+    "capacity --seed 1", "capacity --distance 5", "capacity --shots 5",
+    "extrapolate --rounds 5", "extrapolate --jobs 2", "extrapolate --router-layers 1",
+    "throughput --seed 5", "throughput --rounds 9", "throughput --error-rate 0.3",
+    "throughput --jobs 4", "throughput --zero-jitter", "throughput --distances 21",
+    "latency --shot 5",
+])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "r").exists()
+
+
 def test_capacity_error_exit_code(tmp_path):
     rc = main(["latency", "--distance", "17", "--shots", "1",
                "--syndrome-source", "sampled", "--out", str(tmp_path / "r")])

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from qecfabric import qec_pipeline as qp
 from qecfabric.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from qecfabric.link_layer import LinkModel
 
@@ -62,6 +63,19 @@ def test_semantic_validation():
         ExperimentConfig(syndrome_source="worst_case", distance=5).validate()
     with pytest.raises(ConfigError, match="stage_latency.uplink"):
         ExperimentConfig(uplink=LinkModel(10_000_000_000, 1, 157_000)).validate()
+
+
+def test_worst_case_source_needs_its_pinned_rounds():
+    # the pinned worst-case syndrome has 3 rounds, and `auto` picks it at d=3
+    for kwargs in ({"rounds": 5}, {"rounds": 5, "syndrome_source": "worst_case"}):
+        with pytest.raises(ConfigError, match="3 rounds"):
+            ExperimentConfig(**kwargs).validate()
+        with pytest.raises(ConfigError, match="3 rounds"):
+            qp.Pipeline(ExperimentConfig(**kwargs))
+    ExperimentConfig(rounds=3).validate()
+    ExperimentConfig(rounds=5, syndrome_source="sampled").validate()
+    assert ExperimentConfig().effective_syndrome_source == "worst_case"
+    assert ExperimentConfig(distance=5).effective_syndrome_source == "sampled"
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 from qecfabric import code_model as cm
 from qecfabric import qec_pipeline as qp
 from qecfabric import uf_decoder as uf
+from qecfabric.capacity_model import StageLatency, StageLatencyConfig
 from qecfabric.config import ExperimentConfig
 
 PAPER_STAGE_MEANS = {
@@ -278,8 +279,9 @@ def campaign_digest(result):
 
 
 # Per-shot campaign digests pinned before the pipeline memoized decodes by
-# syndrome: (config overrides, shots) -> campaign_digest.  The golden reports
-# hash only summary statistics; these pin every shot.
+# syndrome (the two router-layer ones before the boundary chain replaced the
+# per-layer interval rebuild): (config overrides, shots) -> campaign_digest.
+# The golden reports hash only summary statistics; these pin every shot.
 PINNED_CAMPAIGN_DIGESTS = [
     ({"seed": 7}, 500, "98cb61ee07671a769f5eca55fbb056f2509461f3d35b1147064fcd6e2de9ef06"),
     (
@@ -291,6 +293,23 @@ PINNED_CAMPAIGN_DIGESTS = [
         {"distance": 5, "syndrome_source": "sampled", "error_rate": 0.02},
         200,
         "1a5ffe816f4164a45ab5e917a665042654a92dd21c4566655d2246172d4c1427",
+    ),
+    # two router layers pin the per-level order of the up and down boundaries:
+    # jittered router stages, then per-node clocks that drift apart from ideal time
+    (
+        {
+            "router_layers": 2,
+            "stage_latency": StageLatencyConfig(
+                router_proc=StageLatency(45_000, 6_000), router_net=StageLatency(312_000, 20_000)
+            ),
+        },
+        300,
+        "1b36eed0b25960e73930683f42c788d719e9e69840ea35eae465315d174f498e",
+    ),
+    (
+        {"router_layers": 2, "drift_ppm": 40},
+        300,
+        "f268c6fa758c06df4ce11b890dca92121c8022e570a036273aebd895c77f50de",
     ),
 ]
 
@@ -316,6 +335,23 @@ def test_router_layer_adds_exactly_the_configured_overhead():
     assert report.intervals["router_proc"] == 45_000
     assert report.intervals["router_net"] == 312_000
     assert report.end_to_end_ps == 451_000 + 357_000
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
+def test_boundary_chain_yields_every_interval(layers):
+    # each router level adds a processing and a network stage on the way up
+    # and again on the way down, so at zero jitter a router stage reads its
+    # per-layer mean once per layer
+    config = ExperimentConfig(router_layers=layers, zero_jitter=True).validate()
+    pipeline = qp.Pipeline(config)
+    report = pipeline.run_shot(0)
+    assert len(pipeline.chain) == 8 + 4 * layers
+    assert None not in pipeline.last_context["marks"]
+    expected = dict(PAPER_STAGE_MEANS)
+    if layers:
+        expected.update(router_proc=45_000 * layers, router_net=312_000 * layers)
+    assert report.intervals == expected
+    assert report.end_to_end_ps == 451_000 + 357_000 * layers
 
 
 def test_capacity_error_directs_to_router_layer():
