@@ -6,12 +6,13 @@ Library layout:
   phenomenological noise sampling and syndrome extraction.
 - ``uf_decoder``: union-find decoder plus a brute-force minimum-weight
   oracle and logical-failure checks.
-- ``fabric_sim``: deterministic discrete-event engine, tree topologies,
-  per-node clocks and the timer-alignment procedure.
+- ``fabric_sim``: tree topologies, per-node clocks, and the timer-alignment
+  procedure, which runs on a deterministic discrete-event engine.
 - ``link_layer``: 64B/66B framed link model (throughput, serialization,
   latency, jitter).
-- ``qec_pipeline``: the timed end-to-end decoding-feedback loop, campaign
-  statistics and Monte-Carlo logical-error-rate estimation.
+- ``qec_pipeline``: the timed end-to-end decoding-feedback loop (one walk up
+  and down the tree per shot), campaign statistics and Monte-Carlo
+  logical-error-rate estimation.
 - ``capacity_model``: the stage latency table, which owns every latency
   term, and closed-form capacity, latency and throughput-margin math on it.
 - ``config`` / ``cli``: experiment configuration and the command-line tool.

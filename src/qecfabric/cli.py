@@ -258,9 +258,11 @@ def cmd_extrapolate(args) -> int:
 
 def cmd_throughput(args) -> int:
     config = _resolve_config(args)
-    # the headline ledger is quoted at d=21 unless a distance is pinned
-    explicit = args.distance is not None or args.config
-    d = config.distance if explicit else 21
+    # the headline ledger is quoted at d=21 unless the flag or the file pins a distance
+    pinned = args.distance is not None or (
+        args.config and "distance" in json.loads(Path(args.config).read_text())
+    )
+    d = config.distance if pinned else 21
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     profile = capacity_model.get_profile(config.profile)
@@ -332,6 +334,9 @@ def cmd_selftest(args) -> int:
     check("determinism: repeated runs identical",
           (r1.end_to_end_ps == r2.end_to_end_ps).all()
           and all((r1.samples[n] == r2.samples[n]).all() for n in r1.stage_names))
+    routed = qec_pipeline.run_shot(ExperimentConfig(zero_jitter=True, router_layers=1))
+    check("routing: one router layer, zero-jitter end-to-end 808000 ps",
+          routed.end_to_end_ps == 808_000)
 
     sim = Simulator()
     fabric = Fabric(TopologyConfig(n_leaves=4, clock_offset_bound_ps=1_000_000), seed=5)

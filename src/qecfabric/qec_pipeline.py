@@ -2,8 +2,10 @@
 
 One shot walks the full loop: leaf-side syndrome aggregation, uplink
 transport, root-side aggregation, decoding, error distribution, downlink
-transport and leaf-side application, all inside one discrete-event
-simulation with timestamps read off the synchronized node timers.
+transport and leaf-side application.  The tree is fixed and each stage's
+duration is drawn once per shot, so a shot is one pass up the tree (a
+router or the root starts when its last child's data arrives) and one pass
+down it, with timestamps read off the synchronized node timers.
 ``boundary_chain`` is the one statement of which boundaries delimit which
 stage; every stage interval of a shot is read off that one list.  Stage
 durations come from ``capacity_model.StageLatencyConfig``'s measured means
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,20 +57,6 @@ from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error caller
 from .fabric_sim import ROLE_LEAF, ROLE_ROOT, Clock, Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay
 from .uf_decoder import decode, is_valid
-
-#: Simulator event kinds; kind k is handled by ``Pipeline._on_<k>``.
-_EVENT_KINDS = (
-    "leaf_agg_done",
-    "up",
-    "router_up_fwd",
-    "root_agg_done",
-    "decode_done",
-    "dist_ready",
-    "router_down",
-    "router_down_fwd",
-    "leaf_down",
-    "leaf_apply_done",
-)
 
 # RNG stream tags under the campaign master seed
 _STREAM_SHOT = 7  # per-shot stage jitter
@@ -123,18 +110,6 @@ def leaf_ancilla_columns(layout: CodeLayout, leaf_map: LeafMap, leaf: int):
     """
     n_data = layout.data_qubit_count
     return [q - n_data for q in leaf_map.owned(leaf) if q >= n_data]
-
-
-@dataclass
-class SyndromeMessage:
-    leaf: int
-    bits: np.ndarray  # the leaf's final-round bits, in leaf_ancilla_columns order
-
-
-@dataclass(frozen=True)
-class CorrectionMessage:
-    leaf: int
-    error_bits: tuple  # (sector, data qubit) entries with a net correction
 
 
 @dataclass
@@ -214,16 +189,16 @@ def boundary_chain(router_layers: int) -> tuple:
 
 
 class _Hop(NamedTuple):
-    """A node's parent, child count, clock and chain slots.  It marks slot
-    ``up`` when its up-bound data is in hand (a leaf at the cycle start, a
-    router or the root when its last child reports) and ``up + 1`` when it
-    passes the data on; ``down`` and ``down + 1`` likewise for corrections."""
+    """A node's parent, clock, chain slots and leaf index (None off the leaves).
+    It holds the up-bound data from boundary ``up`` (a leaf at the cycle start,
+    a router or the root when its last child's data arrives) to ``up + 1``,
+    when it passes the data on, and the corrections from ``down`` to ``down + 1``."""
 
     parent: int | None
-    children: int
     clock: Clock
     up: int
     down: int
+    leaf: int | None
 
 
 class Pipeline:
@@ -234,13 +209,17 @@ class Pipeline:
     serves a syndrome seen before.  The memo is exact, since decoding is a
     pure function of (graph, syndrome).
 
-    ``chain`` (see ``boundary_chain``) is the one statement of which
-    boundaries delimit which stage.  Each node marks its own slots of it on
-    its local clock, a boundary reached by several nodes takes the latest
-    mark, and every stage interval is read off the marked chain.
+    ``run_shot`` walks the tree in ideal time: up from the leaves through
+    the routers, deepest first, to the root, then down along
+    ``Fabric.edges_top_down``.  ``chain`` (see ``boundary_chain``) is the
+    one statement of which boundaries delimit which stage.  Each node marks
+    its own slots of it on its local clock, a boundary reached by several
+    nodes takes the latest mark, and every stage interval is read off the
+    marked chain.  ``now`` is the ideal time the last shot ended; the next
+    shot starts at the cycle boundary after it.
     """
 
-    def __init__(self, config, seed=None, trace=False):
+    def __init__(self, config, seed=None):
         self.config = config.validate()
         self.seed = config.seed if seed is None else seed
         self.distance = config.distance
@@ -273,20 +252,24 @@ class Pipeline:
         # before the decoding graphs are built
         self.fabric = Fabric(topo, seed=self.seed)
         self.graphs = {s: build_decoding_graph(self.layout, s, self.rounds) for s in SECTORS}
-        self.sim = Simulator(trace=trace)
+        self.now = 0
         if config.sync_at_start:
-            global_sync(self.sim, self.fabric, rng_stream(self.seed, _STREAM_SYNC))
+            sim = Simulator()
+            global_sync(sim, self.fabric, rng_stream(self.seed, _STREAM_SYNC))
+            self.now = sim.now
+        root_clock = self.fabric.nodes[self.fabric.root_id].clock
         self.sync_residuals = {
-            n: node.clock.local(self.sim.now)
-            - self.fabric.nodes[self.fabric.root_id].clock.local(self.sim.now)
+            n: node.clock.local(self.now) - root_clock.local(self.now)
             for n, node in self.fabric.nodes.items()
         }
 
         self.chain = boundary_chain(config.router_layers)
         slot = {name: i for i, (name, _) in enumerate(self.chain)}
+        self._edges_down = self.fabric.edges_top_down()
         level = {self.fabric.root_id: 0}  # top routers are level 1
-        for parent, child in self.fabric.edges_top_down():
+        for parent, child in self._edges_down:
             level[child] = level[parent] + 1
+        leaf_index = {n: i for i, n in enumerate(self.fabric.leaf_ids)}
         self._hops = {}
         for node_id, node in self.fabric.nodes.items():
             if node.role == ROLE_LEAF:
@@ -295,27 +278,26 @@ class Pipeline:
                 up, down = "root_arrive", "decode_done"
             else:
                 up, down = f"up_arrive_{level[node_id]}", f"down_arrive_{level[node_id]}"
-            self._hops[node_id] = _Hop(node.parent, len(node.children), node.clock,
-                                       slot[up], slot[down])
-        self._leaf_index = {n: i for i, n in enumerate(self.fabric.leaf_ids)}
+            self._hops[node_id] = _Hop(node.parent, node.clock, slot[up], slot[down],
+                                       leaf_index.get(node_id))
+        # reversed top-down order puts every router after all of its children
+        self._routers_up = [
+            child for _, child in reversed(self._edges_down) if self._hops[child].leaf is None
+        ]
         self._leaf_columns = [
             np.array(leaf_ancilla_columns(self.layout, self.leaf_map, leaf), dtype=np.intp)
             for leaf in range(self.leaf_map.n_leaves)
         ]
-        # packed received syndrome -> (corrections, valid, messages, bits sent)
+        self._received_columns = np.concatenate(self._leaf_columns)
+        # earlier rounds stream up during the cycle; only the final round is
+        # timed, so their bits are on the books at the cycle start
+        self._bits_received = (
+            (self.rounds - 1) * self.layout.syndrome_bits_per_round + len(self._received_columns)
+        )
+        # packed received syndrome -> (corrections, valid, per-leaf entries, bits sent)
         self._decoded = {}
 
         self.syndrome_source = config.effective_syndrome_source
-
-        self._ctx = None
-        # The simulator's handler table reaches the pipeline only through a
-        # weak reference.  Without that cycle a dropped pipeline, with its
-        # graphs and fabric, is freed at once instead of at the next full
-        # garbage collection.
-        ref = weakref.ref(self)
-        for kind in _EVENT_KINDS:
-            method = getattr(type(self), "_on_" + kind)
-            self.sim.on(kind, lambda ev, method=method: method(ref(), ev))
 
     # ---- per-shot inputs -------------------------------------------------
 
@@ -350,103 +332,26 @@ class Pipeline:
             durations[name] = max(0, mean)
         return durations
 
-    # ---- event handlers --------------------------------------------------
+    # ---- decoding --------------------------------------------------------
 
-    def _mark(self, slot, hop):
-        """Set chain boundary ``slot`` to the node's local time if that is later."""
-        value = hop.clock.local(self.sim.now)
-        marks = self._ctx["marks"]
-        if marks[slot] is None or value > marks[slot]:
-            marks[slot] = value
-
-    def _on_leaf_agg_done(self, ev):
-        ctx = self._ctx
-        hop = self._hops[ev.node]
-        self._mark(hop.up + 1, hop)
-        leaf_idx = self._leaf_index[ev.node]
-        bits = ctx["syndrome"].bits[self.rounds - 1, self._leaf_columns[leaf_idx]]
-        msg = SyndromeMessage(leaf=leaf_idx, bits=bits)
-        delay = ctx["dur"]["uplink"] + excess_serialization_delay(len(bits), self.config.uplink)
-        self.sim.schedule(self.sim.now + delay, hop.parent, "up", [msg])
-
-    def _on_up(self, ev):
-        """Join at a router or the root: once every child has reported, pass it all on."""
-        ctx = self._ctx
-        hop = self._hops[ev.node]
-        gathered = ctx["gathered"].setdefault(ev.node, [])
-        gathered.extend(ev.payload)
-        reported = ctx["reported"]
-        reported[ev.node] = reported.get(ev.node, 0) + 1
-        if reported[ev.node] < hop.children:
-            return
-        self._mark(hop.up, hop)
-        if hop.parent is None:
-            ctx["bits_received"] += sum(len(msg.bits) for msg in gathered)
-            self.sim.schedule(self.sim.now + ctx["dur"]["root_agg"], ev.node, "root_agg_done")
-        else:
-            proc_up = ctx["dur"]["router_proc"] // 2
-            self.sim.schedule(self.sim.now + proc_up, ev.node, "router_up_fwd")
-
-    def _on_router_up_fwd(self, ev):
-        ctx = self._ctx
-        hop = self._hops[ev.node]
-        self._mark(hop.up + 1, hop)
-        net_up = ctx["dur"]["router_net"] // 2
-        self.sim.schedule(self.sim.now + net_up, hop.parent, "up", ctx["gathered"][ev.node])
-
-    def _assemble_final_round(self, ctx):
-        """Rebuild the final syndrome row from the received leaf messages."""
-        msgs = ctx["gathered"][self.fabric.root_id]
-        row = np.zeros(self.layout.syndrome_bits_per_round, dtype=np.uint8)
-        row[np.concatenate([self._leaf_columns[m.leaf] for m in msgs])] = np.concatenate(
-            [m.bits for m in msgs]
-        )
-        return row
-
-    def _on_root_agg_done(self, ev):
-        ctx = self._ctx
-        hop = self._hops[ev.node]
-        self._mark(hop.up + 1, hop)
-        received = np.array(ctx["syndrome"].bits)
-        received[self.rounds - 1, :] = self._assemble_final_round(ctx)
-        syndrome = SyndromeRounds(received, ctx["syndrome"].split)
-        ctx["received_syndrome"] = syndrome
-
-        key = np.packbits(received).tobytes()
+    def _decode(self, syndrome: SyndromeRounds):
+        """``(corrections, valid, per-leaf entries, entries sent)``, memoized by syndrome."""
+        key = np.packbits(syndrome.bits).tobytes()
         decoded = self._decoded.get(key)
         if decoded is None:
             if len(self._decoded) >= _DECODE_MEMO_ENTRIES:
                 self._decoded.clear()
             corrections = {s: decode(self.graphs[s], syndrome) for s in SECTORS}
             valid = all(is_valid(corrections[s], syndrome, self.graphs[s]) for s in SECTORS)
-            messages, n_bits = self._correction_messages(corrections)
-            decoded = self._decoded[key] = (corrections, valid, messages, n_bits)
-        corrections, valid, ctx["sent_messages"], ctx["correction_bits"] = decoded
+            entries = self._correction_entries(corrections)
+            decoded = self._decoded[key] = (
+                corrections, valid, entries, sum(len(e) for e in entries)
+            )
+        return decoded
 
-        # The logical check stays per shot: the memo is keyed by the received
-        # syndrome, and the sampled faults behind it differ from shot to shot.
-        patterns = ctx["patterns"]
-        if patterns and not (valid and np.array_equal(received, ctx["syndrome"].bits)):
-            raise ValueError("correction does not annihilate the pattern's syndrome")
-        ctx["failure"] = any(
-            len((pattern.fault_ids ^ corrections[s].fault_ids) & self.graphs[s].crossing_ids) % 2
-            for s, pattern in patterns.items()
-        )
-        ctx["corrections"] = corrections
-        ctx["valid"] = valid
-        self.sim.schedule(self.sim.now + ctx["dur"]["decode"], ev.node, "decode_done")
-
-    def _on_decode_done(self, ev):
-        hop = self._hops[ev.node]
-        self._mark(hop.down, hop)
-        self.sim.schedule(self.sim.now + self._ctx["dur"]["root_dist"], ev.node, "dist_ready")
-
-    def _correction_messages(self, corrections):
-        """Each leaf's correction message and the number of entries sent in all.
-
-        An entry is a (sector, data qubit) pair of odd per-qubit correction parity.
-        """
-        per_leaf = {leaf: [] for leaf in range(self.leaf_map.n_leaves)}
+    def _correction_entries(self, corrections):
+        """Per leaf, the (sector, data qubit) pairs of odd per-qubit correction parity."""
+        per_leaf = [[] for _ in range(self.leaf_map.n_leaves)]
         for sector in SECTORS:
             edges = self.graphs[sector].edges
             parity = {}
@@ -457,58 +362,9 @@ class Pipeline:
             for qubit, odd in sorted(parity.items()):
                 if odd:
                     per_leaf[self.leaf_map.leaf_of(qubit)].append((sector, qubit))
-        messages = {leaf: CorrectionMessage(leaf, tuple(owned)) for leaf, owned in per_leaf.items()}
-        return messages, sum(len(owned) for owned in per_leaf.values())
+        return [tuple(owned) for owned in per_leaf]
 
-    def _on_dist_ready(self, ev):
-        hop = self._hops[ev.node]
-        self._mark(hop.down + 1, hop)
-        self._send_down(ev.node)
-
-    def _send_down(self, node_id):
-        """Forward the corrections from a root or router to each of its children."""
-        ctx = self._ctx
-        now = self.sim.now
-        for child in self.fabric.nodes[node_id].children:
-            if child in self._leaf_index:
-                msg = ctx["sent_messages"][self._leaf_index[child]]
-                delay = ctx["dur"]["downlink"] + excess_serialization_delay(
-                    len(msg.error_bits), self.config.downlink
-                )
-                self.sim.schedule(now + delay, child, "leaf_down", msg)
-            else:
-                net_down = ctx["dur"]["router_net"] - ctx["dur"]["router_net"] // 2
-                self.sim.schedule(now + net_down, child, "router_down")
-
-    def _on_router_down(self, ev):
-        hop = self._hops[ev.node]
-        self._mark(hop.down, hop)
-        dur = self._ctx["dur"]
-        proc_down = dur["router_proc"] - dur["router_proc"] // 2
-        self.sim.schedule(self.sim.now + proc_down, ev.node, "router_down_fwd")
-
-    def _on_router_down_fwd(self, ev):
-        hop = self._hops[ev.node]
-        self._mark(hop.down + 1, hop)
-        self._send_down(ev.node)
-
-    def _on_leaf_down(self, ev):
-        hop = self._hops[ev.node]
-        self._mark(hop.down, hop)
-        self.sim.schedule(
-            self.sim.now + self._ctx["dur"]["leaf_dist"], ev.node, "leaf_apply_done", ev.payload
-        )
-
-    def _on_leaf_apply_done(self, ev):
-        ctx = self._ctx
-        msg = ev.payload
-        ctx["applied"][msg.leaf] = msg.error_bits
-        hop = self._hops[ev.node]
-        self._mark(hop.down + 1, hop)
-        if len(ctx["applied"]) == self.leaf_map.n_leaves:
-            ctx["done"] = True
-
-    # ---- shot driver -----------------------------------------------------
+    # ---- shot walk -------------------------------------------------------
 
     def _intervals(self, marks):
         """Each stage's duration: the sum of the chain gaps that end at its boundaries."""
@@ -519,44 +375,83 @@ class Pipeline:
 
     def run_shot(self, shot: int = 0) -> ShotReport:
         """Run one full decoding-feedback shot at the next cycle boundary."""
-        sim = self.sim
-        t0 = -(-sim.now // self.cycle_ps) * self.cycle_ps
-        sim.run_until(t0)
-
+        t0 = -(-self.now // self.cycle_ps) * self.cycle_ps
         syndrome, patterns = self._syndrome_for_shot(shot)
-        ctx = {
-            "dur": self._stage_durations(shot),
-            "syndrome": syndrome,
-            "patterns": patterns,
-            "marks": [None] * len(self.chain),
-            "gathered": {},  # node -> syndrome messages received from below
-            "reported": {},  # node -> children that have reported
-            # earlier rounds stream up during the cycle; only the final
-            # round is timed, so their bits are on the books at t0
-            "bits_received": (self.rounds - 1) * self.layout.syndrome_bits_per_round,
-            "applied": {},
-            "done": False,
-        }
-        self._ctx = ctx
-        for leaf in self.fabric.leaf_ids:
-            self._mark(self._hops[leaf].up, self._hops[leaf])
-            sim.schedule(t0 + ctx["dur"]["leaf_agg"], leaf, "leaf_agg_done")
-        sim.run_all()
-        if not ctx["done"]:
-            raise AssertionError("shot did not complete")
+        dur = self._stage_durations(shot)
+        marks = [None] * len(self.chain)
 
-        marks = ctx["marks"]
-        report = ShotReport(
+        def hold(hop, slot, t, stage):
+            """The node holds the data for ``stage`` from ideal time ``t``: mark chain
+            boundaries ``slot`` and ``slot + 1`` on its clock if that is later."""
+            for s, at in ((slot, t), (slot + 1, t + stage)):
+                value = hop.clock.local(at)
+                if marks[s] is None or value > marks[s]:
+                    marks[s] = value
+            return t + stage
+
+        # Up pass: a router or the root starts when its last child's data arrives.
+        arrive = {}
+        final = syndrome.bits[self.rounds - 1]
+        sent = []
+        for leaf_id, columns in zip(self.fabric.leaf_ids, self._leaf_columns):
+            hop = self._hops[leaf_id]
+            sent.append(final[columns])
+            t = hold(hop, hop.up, t0, dur["leaf_agg"]) + dur["uplink"]
+            t += excess_serialization_delay(len(columns), self.config.uplink)
+            arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
+        for router in self._routers_up:
+            hop = self._hops[router]
+            t = hold(hop, hop.up, arrive[router], dur["router_proc"] // 2) + dur["router_net"] // 2
+            arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
+
+        # The root rebuilds the final round from the leaf messages and decodes.
+        root = self._hops[self.fabric.root_id]
+        t = hold(root, root.up, arrive[self.fabric.root_id], dur["root_agg"])
+        received = np.array(syndrome.bits)
+        received[self.rounds - 1] = 0
+        received[self.rounds - 1, self._received_columns] = np.concatenate(sent)
+        received_syndrome = SyndromeRounds(received, syndrome.split)
+        corrections, valid, entries, correction_bits = self._decode(received_syndrome)
+        # The logical check stays per shot: the memo is keyed by the received
+        # syndrome, and the sampled faults behind it differ from shot to shot.
+        if patterns and not (valid and np.array_equal(received, syndrome.bits)):
+            raise ValueError("correction does not annihilate the pattern's syndrome")
+        failure = any(
+            len((pattern.fault_ids ^ corrections[s].fault_ids) & self.graphs[s].crossing_ids) % 2
+            for s, pattern in patterns.items()
+        )
+
+        # Down pass: routers forward the corrections, leaves apply their own.
+        forward = {self.fabric.root_id: hold(root, root.down, t + dur["decode"], dur["root_dist"])}
+        net_down = dur["router_net"] - dur["router_net"] // 2
+        proc_down = dur["router_proc"] - dur["router_proc"] // 2
+        applied = {}
+        for parent, child in self._edges_down:
+            hop = self._hops[child]
+            if hop.leaf is None:
+                forward[child] = hold(hop, hop.down, forward[parent] + net_down, proc_down)
+                continue
+            applied[hop.leaf] = owned = entries[hop.leaf]
+            t = forward[parent] + dur["downlink"]
+            t += excess_serialization_delay(len(owned), self.config.downlink)
+            self.now = max(self.now, hold(hop, hop.down, t, dur["leaf_dist"]))
+
+        self.last_context = {
+            "syndrome": syndrome,
+            "received_syndrome": received_syndrome,
+            "corrections": corrections,
+            "applied": applied,
+            "marks": marks,
+        }
+        return ShotReport(
             shot=shot,
             intervals=self._intervals(marks),
             end_to_end_ps=marks[-1] - marks[0],
-            valid=ctx["valid"],
-            logical_failure=ctx["failure"],
-            syndrome_bits_received=ctx["bits_received"],
-            correction_bits_sent=ctx["correction_bits"],
+            valid=valid,
+            logical_failure=failure,
+            syndrome_bits_received=self._bits_received,
+            correction_bits_sent=correction_bits,
         )
-        self.last_context = ctx
-        return report
 
 
 def run_shot(config, seed=None, shot: int = 0) -> ShotReport:

@@ -197,6 +197,23 @@ def test_capacity_and_throughput_read_the_uplink_rate(tmp_path):
     assert round(ledger["margin_ratio"], 2) == 0.88
 
 
+def test_throughput_distance_comes_from_the_flag_or_a_file_that_sets_it(tmp_path):
+    def ledger_distance(config, *flags):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "t"
+        assert main(["throughput", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        summary = json.loads((out / "throughput_summary.json").read_text())
+        rows = (out / "throughput.csv").read_text()
+        assert f"required_d{summary['distance']}_mbps" in rows
+        return summary["distance"]
+
+    # a file key unrelated to distance leaves the headline d=21 ledger alone
+    assert ledger_distance({"links": {"uplink": {"lanes": 2}}}) == 21
+    assert ledger_distance({"distance": 5}) == 5
+    assert ledger_distance({"distance": 5}, "--distance", "7") == 7
+
+
 def test_rounds_other_than_3_need_a_sampled_source_at_d3(tmp_path):
     # the d=3 worst-case syndrome is pinned with 3 rounds; `ler` always samples
     argv = ["latency", "--rounds", "5", "--shots", "2"]

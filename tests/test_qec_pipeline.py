@@ -12,6 +12,7 @@ from qecfabric import qec_pipeline as qp
 from qecfabric import uf_decoder as uf
 from qecfabric.capacity_model import StageLatency, StageLatencyConfig
 from qecfabric.config import ExperimentConfig
+from qecfabric.link_layer import LinkModel
 
 PAPER_STAGE_MEANS = {
     "leaf_agg": 29_000,
@@ -310,6 +311,34 @@ PINNED_CAMPAIGN_DIGESTS = [
         {"router_layers": 2, "drift_ppm": 40},
         300,
         "f268c6fa758c06df4ce11b890dca92121c8022e570a036273aebd895c77f50de",
+    ),
+    # the only pins whose leaf messages spill past one 64-bit frame, so the
+    # leaves differ in serialization time: slow data links under unaligned,
+    # drifting clocks, then three sampled-syndrome router layers
+    (
+        {
+            "distance": 13,
+            "qubits_per_leaf": 100,
+            "uplink": LinkModel(100_000_000),
+            "downlink": LinkModel(100_000_000),
+            "sync_at_start": False,
+            "drift_ppm": -25,
+            "error_rate": 0.01,
+        },
+        200,
+        "32cfa4930f17d3d7cc11efa25bd4ff0961aeae70b6059cf834eb31a8bfced60c",
+    ),
+    (
+        {
+            "router_layers": 3,
+            "syndrome_source": "sampled",
+            "error_rate": 0.01,
+            "stage_latency": StageLatencyConfig(
+                router_proc=StageLatency(45_000, 6_000), router_net=StageLatency(312_000, 20_000)
+            ),
+        },
+        200,
+        "df69459c849529b211e0af3558ef32c05b9dc716217550149de18dbd665c27fe",
     ),
 ]
 
