@@ -346,6 +346,8 @@ def cmd_selftest(args) -> int:
 
     est = qec_pipeline.ler_campaign(3, 0.02, 2000, seed=11)
     check("decoder: d=3 sampled shots decode validly (LER sane)", 0 <= est.rate < 0.5)
+    check("ler: d=3 p=0.02 3000 shots seed 7 gives the pinned 245 failures",
+          qec_pipeline.ler_campaign(3, 0.02, 3000, seed=7).failures == 245)
     check("decoder: worst-case d=3 syndrome is nonzero",
           qec_pipeline.worst_case_d3_syndrome().total_weight > 0)
 

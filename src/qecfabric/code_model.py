@@ -15,6 +15,7 @@ given (seed, stream) always reproduces the same pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -254,6 +255,37 @@ class DecodingGraph:
             mat.flags.writeable = False
             self._incidence = mat
         return self._incidence
+
+    @cached_property
+    def _edge_arrays(self):
+        """Each edge's ``u``, ``v`` and crossing flag as numpy arrays, built on first use."""
+        u = np.array([e.u for e in self.edges], dtype=np.intp)
+        v = np.array([e.v for e in self.edges], dtype=np.intp)
+        crossing = np.zeros(self.n_edges, dtype=bool)
+        crossing[list(self.crossing_ids)] = True
+        return u, v, crossing
+
+    def fault_parity(self, faults: np.ndarray):
+        """Detector and logical-crossing parities of each row of a fault matrix.
+
+        ``faults`` is a (shots, n_edges) bool matrix.  Returns ``(defects,
+        crossings)``: the (shots, n_vertices) uint8 0/1 syndrome of each row
+        (the boundary absorbs parity silently) and the (shots,) bool parity
+        of its overlap with ``crossing_ids``.  Only the faulty edges'
+        endpoints are counted, so the cost is O(faults + shots x vertices),
+        with no edge-by-vertex product.
+        """
+        edge_u, edge_v, crossing = self._edge_arrays
+        n, n_vertices = len(faults), self.n_vertices
+        rows, edges = np.nonzero(faults)
+        v = edge_v[edges]
+        inner = v != BOUNDARY
+        ends = np.concatenate(
+            (rows * n_vertices + edge_u[edges], rows[inner] * n_vertices + v[inner])
+        )
+        defects = (np.bincount(ends, minlength=n * n_vertices) & 1).astype(np.uint8)
+        crossings = (np.bincount(rows[crossing[edges]], minlength=n) & 1).astype(bool)
+        return defects.reshape(n, n_vertices), crossings
 
     def to_records(self):
         """Graph as one structured text record per line (debug export)."""

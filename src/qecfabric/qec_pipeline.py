@@ -20,14 +20,17 @@ The logical-failure check runs on every shot, against its own faults.
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
 path for accuracy studies that skips the (transport-independent) timing
-machinery.  It decodes each distinct syndrome once per sector and call
-(a memo cleared whenever it holds ``batch`` entries), checks every defect
-shot's residual for an empty syndrome with numpy, and shards by (sector,
-batch range) over ``jobs`` worker processes with identical results.
+machinery.  It draws each batch in fixed-size row chunks, so memory does
+not grow with ``batch``, takes parities from the faulty edges' endpoints,
+decodes each distinct syndrome once per sector and call (a memo cleared
+whenever it holds ``batch`` entries), checks every defect shot's residual
+for an empty syndrome with numpy, and shards by (sector, batch range) over
+``jobs`` worker processes with identical results.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -68,6 +71,9 @@ Z95 = 1.959963984540054
 
 #: A pipeline clears its decode memo once it holds this many syndromes.
 _DECODE_MEMO_ENTRIES = 1024
+
+#: Bytes of raw uint64 draws per ``ler_campaign`` chunk (757 shots on the d=5, 5-round graph).
+_LER_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -288,6 +294,11 @@ class Pipeline:
             np.array(leaf_ancilla_columns(self.layout, self.leaf_map, leaf), dtype=np.intp)
             for leaf in range(self.leaf_map.n_leaves)
         ]
+        # a leaf's final-round message and the uplink are fixed per pipeline
+        self._uplink_excess_ps = [
+            excess_serialization_delay(len(columns), self.config.uplink)
+            for columns in self._leaf_columns
+        ]
         self._received_columns = np.concatenate(self._leaf_columns)
         # earlier rounds stream up during the cycle; only the final round is
         # timed, so their bits are on the books at the cycle start
@@ -393,11 +404,12 @@ class Pipeline:
         arrive = {}
         final = syndrome.bits[self.rounds - 1]
         sent = []
-        for leaf_id, columns in zip(self.fabric.leaf_ids, self._leaf_columns):
+        for leaf_id, columns, excess in zip(
+            self.fabric.leaf_ids, self._leaf_columns, self._uplink_excess_ps
+        ):
             hop = self._hops[leaf_id]
             sent.append(final[columns])
-            t = hold(hop, hop.up, t0, dur["leaf_agg"]) + dur["uplink"]
-            t += excess_serialization_delay(len(columns), self.config.uplink)
+            t = hold(hop, hop.up, t0, dur["leaf_agg"]) + dur["uplink"] + excess
             arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
         for router in self._routers_up:
             hop = self._hops[router]
@@ -584,6 +596,58 @@ class LerEstimate:
         return wilson_interval(self.failures, self.shots)
 
 
+def _draw_faults(bit_generator, shape, error_rate: float) -> np.ndarray:
+    """``Generator.random(shape) < error_rate`` on the same stream, from raw draws.
+
+    ``random()`` is ``(raw >> 11) * 2**-53``, which is below p exactly when
+    ``raw >> 11 < ceil(p * 2**53)``, so the integer compare gives the same
+    booleans with no float array.  Successive calls continue the stream, so
+    drawing in row chunks gives the same bits as one draw.
+    """
+    raw = bit_generator.random_raw(shape)
+    raw >>= np.uint64(11)
+    return raw < np.uint64(math.ceil(error_rate * 2.0**53))
+
+
+def _ler_chunk_failures(graph, faults: np.ndarray, memo: dict, memo_entries: int) -> np.ndarray:
+    """Failure flag of each row (one shot) of a (shots, n_edges) bool fault matrix.
+
+    A row fails when its faults, XOR the correction of its syndrome, cross
+    the logical chain oddly.  Only rows with a fault are looked at; a row
+    with defects is decoded through ``memo`` (packed defect row -> fault ids
+    of its correction, cleared when it holds ``memo_entries``: the decoder
+    is a pure function of (graph, syndrome)), and its residual must have an
+    empty syndrome (ValueError otherwise).
+    """
+    failed = np.zeros(len(faults), dtype=bool)
+    hit = np.flatnonzero(faults.any(axis=1))
+    defects, crossings = graph.fault_parity(faults[hit])
+    failed[hit] = crossings  # final for rows without defects; decoded rows are set below
+    has_defect = defects.any(axis=1)
+    rows, defects = hit[has_defect], defects[has_defect]
+    if not len(rows):
+        return failed
+    packed = np.packbits(defects, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    corrections = []
+    for defect_row, key in zip(defects, keys):
+        corr = memo.get(key)
+        if corr is None:
+            if len(memo) >= memo_entries:
+                memo.clear()
+            syn = syndrome_from_defects(graph, np.flatnonzero(defect_row).tolist())
+            corr = memo[key] = np.fromiter(decode(graph, syn).fault_ids, dtype=np.intp)
+        corrections.append(corr)
+    residual = faults[rows]
+    weights = [len(corr) for corr in corrections]
+    residual[np.repeat(np.arange(len(rows)), weights), np.concatenate(corrections)] ^= True
+    residual_defects, residual_crossings = graph.fault_parity(residual)
+    if residual_defects.any():
+        raise ValueError("correction does not annihilate the pattern's syndrome")
+    failed[rows] = residual_crossings
+    return failed
+
+
 def _ler_sector_failures(
     layout: CodeLayout,
     k: int,
@@ -596,49 +660,22 @@ def _ler_sector_failures(
 ) -> np.ndarray:
     """Failure flags of sector ``SECTORS[k]`` for the shots of a contiguous batch range.
 
-    Entry i is shot ``batches.start * batch + i``.  A shot fails when its
-    faults, XOR the correction of its syndrome (memoized: the decoder is a
-    pure function of (graph, syndrome)), cross the logical chain oddly.
+    Entry i is shot ``batches.start * batch + i``.  Each batch's Philox
+    stream is drawn ``_LER_CHUNK_BYTES`` of raw draws at a time, and each
+    chunk is checked and decoded before the next is drawn, so the arrays
+    are O(chunk x (edges + vertices)) for any ``batch``.
     """
     graph = build_decoding_graph(layout, SECTORS[k], rounds)
-    incidence = graph.incidence_matrix().astype(np.float32)
-    chain_mask = np.zeros(graph.n_edges, dtype=np.float32)
-    chain_mask[list(graph.crossing_ids)] = 1.0
+    chunk = max(1, _LER_CHUNK_BYTES // (8 * graph.n_edges))
     first = batches.start * batch
     failed = np.zeros(min(batches.stop * batch, shots) - first, dtype=bool)
-    memo = {}  # packed defect row -> edge-indicator row of its correction
+    memo = {}
     for b in batches:
-        lo = b * batch - first
-        n = min(batch, len(failed) - lo)
-        rng = rng_stream(seed, _STREAM_LER, layout.distance, k, b)
-        bits = rng.random((n, graph.n_edges)) < error_rate
-        f32 = bits.astype(np.float32)
-        # float32 sums of 0/1 entries are exact integers far below 2**24
-        defects = (f32 @ incidence).astype(np.int32) & 1
-        crossings = (f32 @ chain_mask).astype(np.int32) & 1
-        has_defect = defects.any(axis=1)
-        quiet = np.flatnonzero(~has_defect)
-        failed[lo + quiet] = crossings[quiet] == 1
-        rows = np.flatnonzero(has_defect)
-        if not len(rows):
-            continue
-        packed = np.packbits(defects[rows], axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        corrections = []
-        for row, key in zip(rows, keys):
-            corr = memo.get(key)
-            if corr is None:
-                if len(memo) >= batch:
-                    memo.clear()
-                syn = syndrome_from_defects(graph, np.flatnonzero(defects[row]).tolist())
-                corr = np.zeros(graph.n_edges, dtype=bool)
-                corr[list(decode(graph, syn).fault_ids)] = True
-                memo[key] = corr
-            corrections.append(corr)
-        residual = (bits[rows] ^ np.array(corrections)).astype(np.float32)
-        if ((residual @ incidence).astype(np.int32) & 1).any():
-            raise ValueError("correction does not annihilate the pattern's syndrome")
-        failed[lo + rows] = ((residual @ chain_mask).astype(np.int32) & 1) == 1
+        source = rng_stream(seed, _STREAM_LER, layout.distance, k, b).bit_generator
+        stop = min((b + 1) * batch, shots) - first
+        for lo in range(b * batch - first, stop, chunk):
+            faults = _draw_faults(source, (min(chunk, stop - lo), graph.n_edges), error_rate)
+            failed[lo : lo + len(faults)] = _ler_chunk_failures(graph, faults, memo, batch)
     return failed
 
 
@@ -655,15 +692,18 @@ def ler_campaign(
 
     Transport is lossless and order-preserving, so the logical error rate
     depends only on the sampled faults and the decoder; this path samples
-    whole batches at once and decodes only the shots that show defects.
+    many shots per numpy call and decodes only the shots that show defects.
     Shot i of a given (seed, distance) is reproducible independent of the
     batch size schedule only if ``batch`` is kept fixed.
 
-    Each distinct syndrome is decoded once per sector and call: a memo built
-    fresh for every sector (and every shard) maps the packed defect row to
-    its correction, and is cleared when it holds ``batch`` entries, so
-    memory stays O(batch x edges).  Every defect shot's residual is still
-    checked to have an empty syndrome (ValueError otherwise).
+    A batch is drawn, checked and decoded in row chunks of
+    ``_LER_CHUNK_BYTES`` of raw draws, so its arrays are O(chunk x (edges
+    + vertices)) for any ``batch``.  Each distinct syndrome is decoded once
+    per sector and call: a memo built fresh for every sector (and every
+    shard) maps the packed defect row to the fault ids of its correction,
+    and is cleared when it holds ``batch`` entries.  Every defect shot's
+    residual is still checked to have an empty syndrome (ValueError
+    otherwise).
 
     ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are

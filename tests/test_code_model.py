@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecfabric import code_model as cm
 
@@ -176,6 +180,36 @@ def test_syndrome_linearity():
         b = cm.sample_errors(graph, 0.08, seed=5, stream=(shot, 1))
         combined = cm.syndrome_of(a ^ b, graph)
         assert combined == cm.syndrome_of(a, graph) ^ cm.syndrome_of(b, graph)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_graph(d, rounds, sector):
+    return cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
+
+
+@st.composite
+def fault_matrices(draw):
+    d = draw(st.sampled_from([3, 5]))
+    graph = cached_graph(d, draw(st.integers(1, d + 1)), draw(st.sampled_from(cm.SECTORS)))
+    shots = draw(st.integers(0, 40))
+    p = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # one row per single edge as well, so every boundary edge, and with
+    # rounds >= 2 every timelike edge, is checked on its own
+    faults = np.vstack([rng.random((shots, graph.n_edges)) < p, np.eye(graph.n_edges, dtype=bool)])
+    return graph, faults
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(fault_matrices())
+def test_fault_parity_matches_incidence_and_crossing_ids(instance):
+    graph, faults = instance
+    defects, crossings = graph.fault_parity(faults)
+    counts = faults.astype(np.int64)
+    assert defects.dtype == np.uint8
+    assert np.array_equal(defects, (counts @ graph.incidence_matrix()) % 2)
+    crossing = sorted(graph.crossing_ids)
+    assert np.array_equal(crossings, counts[:, crossing].sum(axis=1) % 2 == 1)
 
 
 def test_total_bits_transported():

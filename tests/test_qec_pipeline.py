@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import tracemalloc
 import weakref
 from concurrent.futures import Future
 
@@ -141,6 +142,25 @@ def test_pipeline_checks_every_correction(monkeypatch):
     ).validate()
     with pytest.raises(ValueError, match="correction does not annihilate"):
         qp.Pipeline(config).run_shot(0)
+
+
+def test_shot_prices_only_the_downlink_serialization(monkeypatch):
+    # a leaf's uplink payload and the uplink are fixed per pipeline, so only
+    # the per-shot downlink payload is priced during a shot
+    links = []
+
+    def recording(payload_bits, link):
+        links.append(link)
+        return excess(payload_bits, link)
+
+    excess = qp.excess_serialization_delay
+    monkeypatch.setattr(qp, "excess_serialization_delay", recording)
+    pipeline = qp.Pipeline(ExperimentConfig(distance=5, router_layers=1).validate())
+    n_leaves = pipeline.leaf_map.n_leaves
+    assert links == [pipeline.config.uplink] * n_leaves
+    links.clear()
+    pipeline.run_shot(0)
+    assert links == [pipeline.config.downlink] * n_leaves
 
 
 def expected_leaf_corrections(pipeline, corrections):
@@ -563,6 +583,29 @@ def test_ler_campaign_checks_every_residual(monkeypatch):
     monkeypatch.setattr(qp, "decode", dropping_one_edge(qp.decode))
     with pytest.raises(ValueError, match="does not annihilate"):
         qp.ler_campaign(3, 0.02, 500, seed=7)
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-3, 0.5, 1 - 2**-53, 1.0])
+def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
+    shape = (8 * 1024, 9)
+    floats = cm.rng_stream(3, qp._STREAM_LER, 5, 1, 0).random(shape) < p
+    source = cm.rng_stream(3, qp._STREAM_LER, 5, 1, 0).bit_generator
+    chunks = [qp._draw_faults(source, (1024, shape[1]), p) for _ in range(8)]
+    assert np.array_equal(np.vstack(chunks), floats)
+    one = qp._draw_faults(cm.rng_stream(3, qp._STREAM_LER, 5, 1, 0).bit_generator, shape, p)
+    assert np.array_equal(one, floats)
+
+
+def test_ler_sector_memory_does_not_grow_with_batch():
+    layout = cm.build_layout(5)
+    tracemalloc.start()
+    try:
+        failed = qp._ler_sector_failures(layout, 0, 5, 1e-3, 1, 65_536, range(1), 65_536)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(failed) == 65_536
+    assert peak < 4 * 2**20
 
 
 def test_ler_decreases_with_distance_at_moderate_rate():
