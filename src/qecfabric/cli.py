@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import capacity_model, link_layer, qec_pipeline
-from .code_model import build_layout
+from .code_model import batched_streams_agree, build_layout
 from .config import (
     DEFAULT_PROVENANCE,
     TOOL_VERSION,
@@ -66,7 +66,10 @@ _OVERRIDE_FLAGS = {
     "rounds": {"type": int},
     "error_rate": {"type": float},
     "shots": {"type": int},
-    "jobs": {"type": int},
+    "jobs": {
+        "type": int,
+        "help": "worker processes; at most min(jobs, tasks, cpu_count) are started",
+    },
     "profile": {"choices": sorted(capacity_model.PROFILES)},
     "router_layers": {"type": int},
     "zero_jitter": {"action": "store_true", "default": None},
@@ -337,6 +340,9 @@ def cmd_selftest(args) -> int:
     routed = qec_pipeline.run_shot(ExperimentConfig(zero_jitter=True, router_layers=1))
     check("routing: one router layer, zero-jitter end-to-end 808000 ps",
           routed.end_to_end_ps == 808_000)
+
+    check("rng: batched Philox keys and blocks agree with numpy (else every stream is built)",
+          batched_streams_agree())
 
     sim = Simulator()
     fabric = Fabric(TopologyConfig(n_leaves=4, clock_offset_bound_ps=1_000_000), seed=5)

@@ -40,6 +40,155 @@ def rng_stream(seed, *stream):
     return Generator(Philox(SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
 
 
+# SeedSequence's entropy-pool hash (numpy.random.bit_generator), in uint32 words
+_POOL_WORDS = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_S16, _S32 = np.uint32(16), np.uint64(32)
+
+#: Whether the batched streams matched numpy on their first use in this process.
+_BATCHED_STREAMS_OK = None
+
+
+def _hash_rows(values: np.ndarray, hash_const: int, mult: int):
+    """SeedSequence's hash step on each row of a uint32 matrix, one constant per row.
+
+    Each row is xored with the running constant, which then advances by
+    ``mult``, multiplied by the advanced constant and folded (``x ^ x >> 16``).
+    Returns the hashed rows and the constant after the last row.
+    """
+    xors, mults = [], []
+    for _ in range(len(values)):
+        xors.append(hash_const)
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        mults.append(hash_const)
+    values = (values ^ np.array(xors, np.uint32)[:, None]) * np.array(mults, np.uint32)[:, None]
+    return values ^ (values >> _S16), hash_const
+
+
+def _philox_keys(words: np.ndarray) -> np.ndarray:
+    """Philox keys of ``SeedSequence(row)`` for each row of a (n, m) uint32 word matrix.
+
+    The pool hash and ``generate_state(2, uint64)`` of numpy's SeedSequence,
+    on whole columns at once.  The hash constants do not depend on the data,
+    so every row runs the same steps, and the updates of different pool
+    words from one source word run as one array operation.
+    """
+    n, m = words.shape
+    hash_const = _HASH_INIT_A
+
+    def hashmix(values):
+        nonlocal hash_const
+        values, hash_const = _hash_rows(values, hash_const, _HASH_MULT_A)
+        return values
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _S16)
+
+    pool = np.zeros((_POOL_WORDS, n), dtype=np.uint32)
+    pool[: min(m, _POOL_WORDS)] = words[:, :_POOL_WORDS].T
+    pool = hashmix(pool)
+    for src in range(_POOL_WORDS):
+        dst = [i for i in range(_POOL_WORDS) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(np.broadcast_to(pool[src], (len(dst), n))))
+    for src in range(_POOL_WORDS, m):
+        pool = mix(pool, hashmix(np.broadcast_to(words[:, src], (_POOL_WORDS, n))))
+    # generate_state(2, uint64) reads the pool once, in order, as little-endian pairs
+    state, _ = _hash_rows(pool, _HASH_INIT_B, _HASH_MULT_B)
+    state = state.astype(np.uint64)
+    return np.stack((state[0] | state[1] << _S32, state[2] | state[3] << _S32), axis=1)
+
+
+def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """Philox4x64-10 output blocks at counters 1 to ``blocks`` under each row's key.
+
+    Counter words (c0, c2) go through the multipliers and (c1, c3) are
+    carried, so a round is one operation on each pair.  The 64 x 64-bit
+    products are schoolbook on 32-bit halves (Warren, "Hacker's Delight",
+    ``mulhu``), every partial sum within 64 bits.  Constants are full-size
+    arrays: numpy broadcasts a scalar or a column more slowly.
+    """
+    n = len(keys)
+    shape = (2, blocks * n)
+
+    def full(pair):
+        return np.broadcast_to(np.array(pair, dtype=np.uint64)[:, None], shape).copy()
+
+    low, s32 = full((0xFFFFFFFF,) * 2), full((32, 32))
+    mult, bump = full(_PHILOX_M), full(_PHILOX_W)
+    m_lo, m_hi = mult & low, mult >> s32
+    key = np.tile(keys.T, blocks)  # k0 and k1 of every row, block after block
+    even = np.zeros(shape, dtype=np.uint64)  # (c0, c2)
+    even[0] = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), n)
+    odd = np.zeros(shape, dtype=np.uint64)  # (c1, c3)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += bump
+        e_lo, e_hi = even & low, even >> s32
+        mid = e_hi * m_lo + (e_lo * m_lo >> s32)
+        hi = e_hi * m_hi + (mid >> s32) + ((mid & low) + e_lo * m_hi >> s32)
+        even, odd = hi[::-1] ^ odd ^ key, (even * mult)[::-1]
+    # output words c0, c1, c2, c3 of each block, blocks side by side per row
+    out = np.stack((even[0], odd[0], even[1], odd[1]))  # (4, blocks * n)
+    return out.reshape(4, blocks, n).transpose(2, 1, 0).reshape(n, 4 * blocks)
+
+
+def _stream_blocks(words: np.ndarray, blocks: int):
+    keys = _philox_keys(words)
+    return keys, _philox_blocks(keys, blocks)
+
+
+def batched_streams_agree() -> bool:
+    """Whether the batched keys and blocks equal numpy's own on a few streams.
+
+    Checked once per process, on 2- to 5-word entropy tuples with zero and
+    all-ones words, two blocks each.
+    """
+    global _BATCHED_STREAMS_OK
+    if _BATCHED_STREAMS_OK is None:
+        rows = ((0, 7), (1, 7, 0), (2**32 - 1, 11, 68_174, 1), (9, 13, 5, 1, 2**32 - 1))
+        _BATCHED_STREAMS_OK = True
+        for row in rows:
+            keys, raw = _stream_blocks(np.array([row], dtype=np.uint32), 2)
+            bit_generator = rng_stream(*row).bit_generator
+            _BATCHED_STREAMS_OK &= bool(
+                np.array_equal(keys[0], bit_generator.state["state"]["key"])
+                and np.array_equal(raw[0], bit_generator.random_raw(8))
+            )
+    return _BATCHED_STREAMS_OK
+
+
+def stream_blocks(seed: int, streams: np.ndarray, blocks: int = 1):
+    """Keys and first output blocks of many ``rng_stream(seed, *row)`` streams at once.
+
+    ``streams`` is a (n, m) integer matrix, one stream tuple per row.
+    Returns ``(keys, raw, exact)``: the (n, 2) uint64 Philox keys, the
+    (n, 4 * blocks) uint64 draws ``rng_stream(seed, *row).bit_generator
+    .random_raw(4 * blocks)`` (counters 1 to ``blocks``), and an (n,) bool
+    mask.  Where ``exact`` is False, keys and draws are meaningless and the
+    row must go through ``rng_stream``: a seed or entry outside [0, 2**32)
+    hashes a different number of words, and the whole batch is inexact if
+    ``batched_streams_agree`` fails, so a numpy that changed its streams
+    cannot move a result.
+    """
+    streams = np.asarray(streams, dtype=np.int64)
+    seed = int(seed)
+    exact = ((streams >= 0) & (streams < 2**32)).all(axis=1)
+    if not (0 <= seed < 2**32 and batched_streams_agree()):
+        exact[:] = False
+    words = np.empty((len(streams), 1 + streams.shape[1]), dtype=np.uint32)
+    words[:, 0] = seed & 0xFFFFFFFF
+    words[:, 1:] = streams & 0xFFFFFFFF
+    keys, raw = _stream_blocks(words, blocks)
+    return keys, raw, exact
+
+
 @dataclass(frozen=True)
 class CodeLayout:
     """Static geometry of one rotated surface code patch.

@@ -3,14 +3,20 @@
 One shot walks the full loop: leaf-side syndrome aggregation, uplink
 transport, root-side aggregation, decoding, error distribution, downlink
 transport and leaf-side application.  The tree is fixed and each stage's
-duration is drawn once per shot, so a shot is one pass up the tree (a
-router or the root starts when its last child's data arrives) and one pass
-down it, with timestamps read off the synchronized node timers.
-``boundary_chain`` is the one statement of which boundaries delimit which
-stage; every stage interval of a shot is read off that one list.  Stage
-durations come from ``capacity_model.StageLatencyConfig``'s measured means
-and min-max jitter spreads; decoder correctness is real (the union-find
-decoder runs on the actual syndrome) while decoder duration is table-driven.
+duration is drawn once per shot, so a shot's timing is one pass up the
+tree (a router or the root starts when its last child's data arrives) and
+one pass down it, with timestamps read off the synchronized node timers.
+That pass only adds durations, so a range of shots runs as a table: int64
+numpy arrays with one row per shot for the stage durations, each node's
+hold times, the start times (a cumulative sum of whole cycles) and the
+marks of every stage boundary.  ``boundary_chain`` is the one statement of
+which boundaries delimit which stage; every stage interval is a sum of gaps
+between the marks of that one list.  Stage durations come from
+``capacity_model.StageLatencyConfig``'s measured means and min-max jitter
+spreads, drawn from per-shot Philox streams whose keys and first blocks are
+computed for a whole chunk at once (``code_model.stream_blocks``); decoder
+correctness is real (the union-find decoder runs on the actual syndrome)
+while decoder duration is table-driven.
 
 A ``Pipeline`` decodes each distinct received syndrome once: a memo maps
 the packed syndrome to its corrections, their validity and the per-leaf
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import Philox
 
 from . import capacity_model
 from .capacity_model import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig  # noqa: F401
@@ -52,13 +59,13 @@ from .code_model import (
     empty_syndrome,
     pattern_from_fault_ids,
     rng_stream,
-    sample_errors,
+    stream_blocks,
     syndrome_from_defects,
     syndrome_of,
 )
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
 from .fabric_sim import ROLE_LEAF, ROLE_ROOT, Clock, Fabric, Simulator, TopologyConfig, global_sync
-from .link_layer import excess_serialization_delay
+from .link_layer import excess_serialization_delay, serialization_delay
 from .uf_decoder import decode, is_valid
 
 # RNG stream tags under the campaign master seed
@@ -71,6 +78,16 @@ Z95 = 1.959963984540054
 
 #: A pipeline clears its decode memo once it holds this many syndromes.
 _DECODE_MEMO_ENTRIES = 1024
+
+#: Bytes of table and syndrome arrays per ``Pipeline.run_range`` chunk.
+_TABLE_CHUNK_BYTES = 1 << 20
+
+#: Fewest shots whose streams are keyed in one batch: below it, building
+#: each stream costs less than the batch's fixed numpy overhead.
+_BATCHED_MIN_SHOTS = 8
+
+#: A Philox counter or buffer with nothing drawn yet.
+_ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
 
 #: Bytes of raw uint64 draws per ``ler_campaign`` chunk (757 shots on the d=5, 5-round graph).
 _LER_CHUNK_BYTES = 1 << 20
@@ -210,19 +227,26 @@ class _Hop(NamedTuple):
 class Pipeline:
     """One instantiated fabric ready to run timed decoding-feedback shots.
 
-    A shot does only per-shot work: each leaf's ancilla columns are indexed
-    once per pipeline, and the decode memo (see the module docstring)
-    serves a syndrome seen before.  The memo is exact, since decoding is a
-    pure function of (graph, syndrome).
+    ``run_range`` runs a range of shots as a table, a chunk of shots at a
+    time, in two passes.  A per-shot Python pass takes each shot's syndrome
+    (``_syndrome_for_shot``, once per shot), decodes it through the memo
+    (see the module docstring; exact, since decoding is a pure function of
+    (graph, syndrome)) and checks it for a logical failure.  A vectorized
+    pass then builds int64 arrays with one row per shot: the stage
+    durations, each node's hold times relative to the shot start, the start
+    times, and the marks of ``chain`` (see ``boundary_chain``), the one
+    statement of which boundaries delimit which stage.
 
-    ``run_shot`` walks the tree in ideal time: up from the leaves through
-    the routers, deepest first, to the root, then down along
-    ``Fabric.edges_top_down``.  ``chain`` (see ``boundary_chain``) is the
-    one statement of which boundaries delimit which stage.  Each node marks
-    its own slots of it on its local clock, a boundary reached by several
-    nodes takes the latest mark, and every stage interval is read off the
-    marked chain.  ``now`` is the ideal time the last shot ended; the next
-    shot starts at the cycle boundary after it.
+    A node holds the up-bound data from the start of its up slot (a leaf at
+    the cycle start, a router or the root when its last child's data
+    arrives) until it passes it on, and the corrections likewise on the way
+    down; the tree is walked up from the leaves through the routers,
+    deepest first, to the root, then down along ``Fabric.edges_top_down``.
+    A boundary's mark is the latest local-clock reading of the nodes that
+    hold it, and every stage interval is read off the marked chain.  ``now``
+    is the ideal time the last shot ended; the next shot starts at the
+    cycle boundary after it, so the start times are a cumulative sum.
+    ``run_shot`` is a one-shot range.
     """
 
     def __init__(self, config, seed=None):
@@ -270,10 +294,14 @@ class Pipeline:
         }
 
         self.chain = boundary_chain(config.router_layers)
+        # each stage's chain gaps, in chain order: gap i ends at boundary i + 1
+        self._stage_gaps = {}
+        for i, (_, stage) in enumerate(self.chain[1:]):
+            self._stage_gaps.setdefault(stage, []).append(i)
         slot = {name: i for i, (name, _) in enumerate(self.chain)}
-        self._edges_down = self.fabric.edges_top_down()
+        edges_down = self.fabric.edges_top_down()
         level = {self.fabric.root_id: 0}  # top routers are level 1
-        for parent, child in self._edges_down:
+        for parent, child in edges_down:
             level[child] = level[parent] + 1
         leaf_index = {n: i for i, n in enumerate(self.fabric.leaf_ids)}
         self._hops = {}
@@ -288,27 +316,66 @@ class Pipeline:
                                        leaf_index.get(node_id))
         # reversed top-down order puts every router after all of its children
         self._routers_up = [
-            child for _, child in reversed(self._edges_down) if self._hops[child].leaf is None
+            child for _, child in reversed(edges_down) if self._hops[child].leaf is None
         ]
+        self._routers_down = [
+            (parent, child) for parent, child in edges_down if self._hops[child].leaf is None
+        ]
+        leaf_parents = [self._hops[leaf].parent for leaf in self.fabric.leaf_ids]
+        self._leaf_groups = [
+            (parent, np.flatnonzero(np.array(leaf_parents) == parent))
+            for parent in dict.fromkeys(leaf_parents)
+        ]
+        # Hold table columns, one per (node, boundary it holds): the leaves' up
+        # start, up end, down start and down end, a block each, then every
+        # other node's four.  Sorted by boundary, each boundary's columns are
+        # one run for the per-boundary max.
+        n_leaves = self.leaf_map.n_leaves
+        leaves = [self._hops[leaf] for leaf in self.fabric.leaf_ids]
+        holds = [(hop, hop.up + k if k < 2 else hop.down + k - 2) for k in range(4) for hop in leaves]
+        self._hold_column = {}
+        for node_id, hop in self._hops.items():
+            if hop.leaf is None:
+                self._hold_column[node_id] = len(holds)
+                holds += [(hop, hop.up), (hop, hop.up + 1), (hop, hop.down), (hop, hop.down + 1)]
+        self._hold_order = np.array(sorted(range(len(holds)), key=lambda c: holds[c][1]))
+        self._hold_clocks = [holds[c][0].clock for c in self._hold_order]
+        self._slot_starts = np.searchsorted(
+            [holds[c][1] for c in self._hold_order], np.arange(len(self.chain))
+        )
+
         self._leaf_columns = [
             np.array(leaf_ancilla_columns(self.layout, self.leaf_map, leaf), dtype=np.intp)
-            for leaf in range(self.leaf_map.n_leaves)
+            for leaf in range(n_leaves)
         ]
         # a leaf's final-round message and the uplink are fixed per pipeline
-        self._uplink_excess_ps = [
+        self._uplink_excess_ps = np.array([
             excess_serialization_delay(len(columns), self.config.uplink)
             for columns in self._leaf_columns
-        ]
+        ], dtype=np.int64)
+        # a leaf sends at most one correction entry per owned data qubit and sector
+        downlink = self.config.downlink
+        self._downlink_excess_bound_ps = (
+            serialization_delay(2 * self.leaf_map.qubits_per_leaf, downlink)
+            if downlink.aggregate_rate_bps else 0
+        )
         self._received_columns = np.concatenate(self._leaf_columns)
         # earlier rounds stream up during the cycle; only the final round is
         # timed, so their bits are on the books at the cycle start
         self._bits_received = (
             (self.rounds - 1) * self.layout.syndrome_bits_per_round + len(self._received_columns)
         )
-        # packed received syndrome -> (corrections, valid, per-leaf entries, bits sent)
+        # table and syndrome bytes one shot adds to a chunk
+        columns = len(holds) + len(self.chain) + n_leaves + len(self._stage_windows)
+        self._shot_bytes = 8 * columns + 2 * self.rounds * self.layout.syndrome_bits_per_round
+        # packed received syndrome -> (corrections, valid, per-leaf entries,
+        # per-leaf downlink serialization)
         self._decoded = {}
 
         self.syndrome_source = config.effective_syndrome_source
+        # the current chunk's sampling keys: (first shot, keys, exact); see _sample_source
+        self._sample_keys = (0, None, np.zeros((0, len(SECTORS)), bool))
+        self._philox = Philox(0)
 
     # ---- per-shot inputs -------------------------------------------------
 
@@ -319,12 +386,33 @@ class Pipeline:
         syndrome = empty_syndrome(self.layout, self.rounds)
         for k, sector in enumerate(SECTORS):
             graph = self.graphs[sector]
-            pattern = sample_errors(
-                graph, self.error_rate, self.seed, stream=(_STREAM_SAMPLE, shot, k)
-            )
+            faults = _draw_faults(self._sample_source(shot, k), graph.n_edges, self.error_rate)
+            pattern = pattern_from_fault_ids(graph, np.flatnonzero(faults).tolist())
             patterns[sector] = pattern
             syndrome = syndrome ^ syndrome_of(pattern, graph)
         return syndrome, patterns
+
+    def _sample_source(self, shot: int, k: int):
+        """The bit generator of ``rng_stream(seed, _STREAM_SAMPLE, shot, k)``.
+
+        Within the current chunk, if it was keyed in one batch (see
+        ``_BATCHED_MIN_SHOTS``), it is one reused Philox given the batched
+        key by state assignment, which is much cheaper than building a
+        stream; ``sample_errors`` draws the same pattern from a new stream.
+        """
+        first, keys, exact = self._sample_keys
+        i = shot - first
+        if not (0 <= i < len(exact) and exact[i, k]):
+            return rng_stream(self.seed, _STREAM_SAMPLE, shot, k).bit_generator
+        self._philox.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_BLOCK, "key": keys[i, k]},
+            "buffer": _ZERO_BLOCK,
+            "buffer_pos": 4,  # buffer spent: the first draw computes block 1
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._philox
 
     def _stage_durations(self, shot: int):
         """One shared duration draw per stage per shot.
@@ -343,21 +431,54 @@ class Pipeline:
             durations[name] = max(0, mean)
         return durations
 
+    def _stage_table(self, shots: np.ndarray) -> np.ndarray:
+        """(shots x stages) int64 durations, row by row equal to ``_stage_durations``.
+
+        ``Generator.integers(-hw, hw + 1)`` over a span below 2**32 - 1 is
+        Lemire's method on the stream's 32-bit outputs, the low then the high
+        half of each raw word, so a shot's draws are read off the first
+        blocks of its stream.  A shot whose draw would be rejected and drawn
+        again, and every shot when a span is wider or the range holds fewer
+        than ``_BATCHED_MIN_SHOTS``, go through ``_stage_durations``.
+        """
+        n = len(shots)
+        means = [[mean for _, mean, _ in self._stage_windows]]
+        table = np.repeat(np.array(means, dtype=np.int64), n, axis=0)
+        jittered = [(i, hw) for i, (_, _, hw) in enumerate(self._stage_windows) if hw > 0]
+        if not jittered:
+            return np.maximum(table, 0, out=table)
+        exact = np.zeros(n, dtype=bool)
+        if n >= _BATCHED_MIN_SHOTS and all(2 * hw < 2**32 - 1 for _, hw in jittered):
+            rows = np.column_stack((np.full(n, _STREAM_SHOT), shots))
+            _, raw, exact = stream_blocks(self.seed, rows, -(-len(jittered) // 8))
+            draws = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=2).reshape(n, -1)
+            for j, (i, hw) in enumerate(jittered):
+                span = 2 * hw + 1
+                scaled = draws[:, j] * np.uint64(span)
+                exact &= (scaled & 0xFFFFFFFF) >= 2**32 % span
+                table[:, i] += (scaled >> 32).astype(np.int64) - hw
+        for row in np.flatnonzero(~exact):
+            table[row] = list(self._stage_durations(int(shots[row])).values())
+        return np.maximum(table, 0, out=table)
+
     # ---- decoding --------------------------------------------------------
 
-    def _decode(self, syndrome: SyndromeRounds):
-        """``(corrections, valid, per-leaf entries, entries sent)``, memoized by syndrome."""
-        key = np.packbits(syndrome.bits).tobytes()
+    def _decode(self, key: bytes, bits: np.ndarray):
+        """``(corrections, valid, per-leaf entries, per-leaf downlink serialization)``
+        of a received syndrome, memoized by its packed bits ``key``."""
         decoded = self._decoded.get(key)
         if decoded is None:
             if len(self._decoded) >= _DECODE_MEMO_ENTRIES:
                 self._decoded.clear()
+            syndrome = SyndromeRounds(bits, self.layout.stabilizer_count_per_sector)
             corrections = {s: decode(self.graphs[s], syndrome) for s in SECTORS}
             valid = all(is_valid(corrections[s], syndrome, self.graphs[s]) for s in SECTORS)
             entries = self._correction_entries(corrections)
-            decoded = self._decoded[key] = (
-                corrections, valid, entries, sum(len(e) for e in entries)
+            downlink = np.array(
+                [excess_serialization_delay(len(owned), self.config.downlink) for owned in entries],
+                dtype=np.int64,
             )
+            decoded = self._decoded[key] = (corrections, valid, entries, downlink)
         return decoded
 
     def _correction_entries(self, corrections):
@@ -375,94 +496,156 @@ class Pipeline:
                     per_leaf[self.leaf_map.leaf_of(qubit)].append((sector, qubit))
         return [tuple(owned) for owned in per_leaf]
 
-    # ---- shot walk -------------------------------------------------------
+    # ---- shot table ------------------------------------------------------
 
-    def _intervals(self, marks):
-        """Each stage's duration: the sum of the chain gaps that end at its boundaries."""
-        out = {}
-        for (_, stage), lo, hi in zip(self.chain[1:], marks, marks[1:]):
-            out[stage] = out.get(stage, 0) + hi - lo
-        return out
+    def _check_table_fits(self, shots: int):
+        """ValueError unless ``shots`` more shots keep every table entry within int64.
+
+        Where Python ints would grow, the table would wrap silently, so the
+        worst case is bounded first: every stage at its maximum, the largest
+        serialization, one extra cycle of alignment per shot, then the
+        clocks' offsets and drift.
+        """
+        layers = self.config.router_layers
+        walk = sum(
+            (mean + hw) * (layers if name in ROUTER_STAGE_NAMES else 1)
+            for name, mean, hw in self._stage_windows
+        )
+        walk += int(self._uplink_excess_ps.max()) + self._downlink_excess_bound_ps
+        end = -(-self.now // self.cycle_ps) * self.cycle_ps + shots * (walk + self.cycle_ps)
+        clocks = [hop.clock for hop in self._hops.values()]
+        drift = max(abs(clock.drift_ppm) for clock in clocks)
+        offset = max(abs(clock.offset_ps) for clock in clocks)
+        if max(end * max(drift, 1), end + offset + end * drift // 1_000_000) >= 2**63:
+            raise ValueError(
+                f"{shots} shots could run to {end} ps, beyond the int64 range of the shot table"
+            )
+
+    def run_range(self, start: int, stop: int) -> CampaignResult:
+        """Run shots ``start`` to ``stop - 1`` back to back, from the cycle boundary after ``now``.
+
+        The range runs in chunks of about ``_TABLE_CHUNK_BYTES`` of table and
+        syndrome arrays; ``last_context`` describes its last shot.
+        """
+        if stop <= start:
+            raise ValueError(f"empty shot range [{start}, {stop})")
+        self._check_table_fits(stop - start)
+        chunk = max(1, _TABLE_CHUNK_BYTES // self._shot_bytes)
+        return CampaignResult.merge(
+            [self._run_chunk(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
+        )
+
+    def _run_chunk(self, start: int, stop: int) -> CampaignResult:
+        shots = np.arange(start, stop, dtype=np.int64)
+        n, n_leaves = len(shots), self.leaf_map.n_leaves
+        if self.syndrome_source == "sampled" and n >= _BATCHED_MIN_SHOTS:
+            rows = np.column_stack((np.full(n * len(SECTORS), _STREAM_SAMPLE),
+                                    np.repeat(shots, len(SECTORS)),
+                                    np.tile(np.arange(len(SECTORS)), n)))
+            keys, _, exact = stream_blocks(self.seed, rows, 0)
+            self._sample_keys = (start, keys.reshape(n, len(SECTORS), 2),
+                                 exact.reshape(n, len(SECTORS)))
+
+        # Per-shot pass: inputs, the root's rebuild of the final round from the
+        # leaf messages, decoding and the logical check.
+        inputs = [self._syndrome_for_shot(shot) for shot in range(start, stop)]
+        bits = np.stack([syndrome.bits for syndrome, _ in inputs])
+        received = bits.copy()
+        received[:, -1] = 0
+        received[:, -1, self._received_columns] = bits[:, -1, self._received_columns]
+        intact = (received == bits).reshape(n, -1).all(axis=1)
+        packed = np.packbits(received.reshape(n, -1), axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        valid = np.zeros(n, dtype=bool)
+        failures = np.zeros(n, dtype=bool)
+        downlink = np.zeros((n, n_leaves), dtype=np.int64)
+        for i, ((_, patterns), key) in enumerate(zip(inputs, keys)):
+            corrections, valid[i], entries, downlink[i] = self._decode(key, received[i])
+            # The logical check stays per shot: the memo is keyed by the received
+            # syndrome, and the sampled faults behind it differ from shot to shot.
+            if patterns and not (valid[i] and intact[i]):
+                raise ValueError("correction does not annihilate the pattern's syndrome")
+            failures[i] = any(
+                len((p.fault_ids ^ corrections[s].fault_ids) & self.graphs[s].crossing_ids) % 2
+                for s, p in patterns.items()
+            )
+
+        # Vectorized pass: hold times relative to the shot start, up the tree ...
+        dur = dict(zip((name for name, _, _ in self._stage_windows), self._stage_table(shots).T))
+        rel = np.empty((n, len(self._hold_order)), dtype=np.int64)
+        rel[:, :n_leaves] = 0
+        rel[:, n_leaves : 2 * n_leaves] = dur["leaf_agg"][:, None]
+        sent = (dur["leaf_agg"] + dur["uplink"])[:, None] + self._uplink_excess_ps
+        arrive = {parent: sent[:, leaves].max(axis=1) for parent, leaves in self._leaf_groups}
+        proc_up, net_up = dur["router_proc"] // 2, dur["router_net"] // 2
+        for router in self._routers_up:
+            c, parent = self._hold_column[router], self._hops[router].parent
+            rel[:, c] = arrive[router]
+            rel[:, c + 1] = arrive[router] + proc_up
+            t = rel[:, c + 1] + net_up
+            arrive[parent] = np.maximum(arrive[parent], t) if parent in arrive else t
+        root = self.fabric.root_id
+        c = self._hold_column[root]
+        rel[:, c] = arrive[root]
+        rel[:, c + 1] = arrive[root] + dur["root_agg"]
+        rel[:, c + 2] = rel[:, c + 1] + dur["decode"]
+        rel[:, c + 3] = rel[:, c + 2] + dur["root_dist"]
+        # ... and down it: routers forward the corrections, leaves apply their own
+        forward = {root: rel[:, c + 3]}
+        net_down, proc_down = dur["router_net"] - net_up, dur["router_proc"] - proc_up
+        for parent, router in self._routers_down:
+            c = self._hold_column[router]
+            rel[:, c + 2] = forward[parent] + net_down
+            rel[:, c + 3] = forward[router] = rel[:, c + 2] + proc_down
+        down = rel[:, 2 * n_leaves : 3 * n_leaves]
+        for parent, leaves in self._leaf_groups:
+            down[:, leaves] = (forward[parent] + dur["downlink"])[:, None] + downlink[:, leaves]
+        rel[:, 3 * n_leaves : 4 * n_leaves] = down + dur["leaf_dist"][:, None]
+        length = rel[:, 3 * n_leaves : 4 * n_leaves].max(axis=1)
+
+        # Shot k starts at the cycle boundary after shot k - 1 ended.
+        t0 = np.empty(n, dtype=np.int64)
+        t0[0] = -(-self.now // self.cycle_ps) * self.cycle_ps
+        np.cumsum(-(-length[:-1] // self.cycle_ps) * self.cycle_ps, out=t0[1:])
+        t0[1:] += t0[0]
+        self.now = int(t0[-1] + length[-1])
+        # Each boundary takes the latest local-clock mark of the nodes holding it.
+        t = rel[:, self._hold_order] + t0[:, None]
+        offset = np.array([clock.offset_ps for clock in self._hold_clocks], dtype=np.int64)
+        drift = np.array([clock.drift_ppm for clock in self._hold_clocks], dtype=np.int64)
+        marks = np.maximum.reduceat(t + offset + drift * t // 1_000_000, self._slot_starts, axis=1)
+        gaps = np.diff(marks, axis=1)
+
+        syndrome, patterns = inputs[-1]
+        self.last_context = {
+            "syndrome": syndrome,
+            "received_syndrome": SyndromeRounds(received[-1].copy(), syndrome.split),
+            "corrections": corrections,
+            "applied": dict(enumerate(entries)),
+            "marks": marks[-1].tolist(),
+        }
+        names = STAGE_NAMES + (ROUTER_STAGE_NAMES if self.config.router_layers else ())
+        return CampaignResult(
+            n_shots=n,
+            stage_names=names,
+            samples={name: gaps[:, self._stage_gaps[name]].sum(axis=1) for name in names},
+            end_to_end_ps=marks[:, -1] - marks[:, 0],
+            valid=valid,
+            failures=failures,
+        )
 
     def run_shot(self, shot: int = 0) -> ShotReport:
         """Run one full decoding-feedback shot at the next cycle boundary."""
-        t0 = -(-self.now // self.cycle_ps) * self.cycle_ps
-        syndrome, patterns = self._syndrome_for_shot(shot)
-        dur = self._stage_durations(shot)
-        marks = [None] * len(self.chain)
-
-        def hold(hop, slot, t, stage):
-            """The node holds the data for ``stage`` from ideal time ``t``: mark chain
-            boundaries ``slot`` and ``slot + 1`` on its clock if that is later."""
-            for s, at in ((slot, t), (slot + 1, t + stage)):
-                value = hop.clock.local(at)
-                if marks[s] is None or value > marks[s]:
-                    marks[s] = value
-            return t + stage
-
-        # Up pass: a router or the root starts when its last child's data arrives.
-        arrive = {}
-        final = syndrome.bits[self.rounds - 1]
-        sent = []
-        for leaf_id, columns, excess in zip(
-            self.fabric.leaf_ids, self._leaf_columns, self._uplink_excess_ps
-        ):
-            hop = self._hops[leaf_id]
-            sent.append(final[columns])
-            t = hold(hop, hop.up, t0, dur["leaf_agg"]) + dur["uplink"] + excess
-            arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
-        for router in self._routers_up:
-            hop = self._hops[router]
-            t = hold(hop, hop.up, arrive[router], dur["router_proc"] // 2) + dur["router_net"] // 2
-            arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
-
-        # The root rebuilds the final round from the leaf messages and decodes.
-        root = self._hops[self.fabric.root_id]
-        t = hold(root, root.up, arrive[self.fabric.root_id], dur["root_agg"])
-        received = np.array(syndrome.bits)
-        received[self.rounds - 1] = 0
-        received[self.rounds - 1, self._received_columns] = np.concatenate(sent)
-        received_syndrome = SyndromeRounds(received, syndrome.split)
-        corrections, valid, entries, correction_bits = self._decode(received_syndrome)
-        # The logical check stays per shot: the memo is keyed by the received
-        # syndrome, and the sampled faults behind it differ from shot to shot.
-        if patterns and not (valid and np.array_equal(received, syndrome.bits)):
-            raise ValueError("correction does not annihilate the pattern's syndrome")
-        failure = any(
-            len((pattern.fault_ids ^ corrections[s].fault_ids) & self.graphs[s].crossing_ids) % 2
-            for s, pattern in patterns.items()
-        )
-
-        # Down pass: routers forward the corrections, leaves apply their own.
-        forward = {self.fabric.root_id: hold(root, root.down, t + dur["decode"], dur["root_dist"])}
-        net_down = dur["router_net"] - dur["router_net"] // 2
-        proc_down = dur["router_proc"] - dur["router_proc"] // 2
-        applied = {}
-        for parent, child in self._edges_down:
-            hop = self._hops[child]
-            if hop.leaf is None:
-                forward[child] = hold(hop, hop.down, forward[parent] + net_down, proc_down)
-                continue
-            applied[hop.leaf] = owned = entries[hop.leaf]
-            t = forward[parent] + dur["downlink"]
-            t += excess_serialization_delay(len(owned), self.config.downlink)
-            self.now = max(self.now, hold(hop, hop.down, t, dur["leaf_dist"]))
-
-        self.last_context = {
-            "syndrome": syndrome,
-            "received_syndrome": received_syndrome,
-            "corrections": corrections,
-            "applied": applied,
-            "marks": marks,
-        }
+        result = self.run_range(shot, shot + 1)
+        applied = self.last_context["applied"]
         return ShotReport(
             shot=shot,
-            intervals=self._intervals(marks),
-            end_to_end_ps=marks[-1] - marks[0],
-            valid=valid,
-            logical_failure=failure,
+            intervals={name: int(result.samples[name][0]) for name in self._stage_gaps},
+            end_to_end_ps=int(result.end_to_end_ps[0]),
+            valid=bool(result.valid[0]),
+            logical_failure=bool(result.failures[0]),
             syndrome_bits_received=self._bits_received,
-            correction_bits_sent=correction_bits,
+            correction_bits_sent=sum(len(owned) for owned in applied.values()),
         )
 
 
@@ -527,21 +710,7 @@ class CampaignResult:
 
 
 def _campaign_range(config, seed, start, stop) -> CampaignResult:
-    pipeline = Pipeline(config, seed=seed)
-    names = STAGE_NAMES + (ROUTER_STAGE_NAMES if config.router_layers else ())
-    n = stop - start
-    samples = {name: np.zeros(n, dtype=np.int64) for name in names}
-    end_to_end = np.zeros(n, dtype=np.int64)
-    valid = np.zeros(n, dtype=bool)
-    failures = np.zeros(n, dtype=bool)
-    for i, shot in enumerate(range(start, stop)):
-        report = pipeline.run_shot(shot)
-        for name in names:
-            samples[name][i] = report.intervals[name]
-        end_to_end[i] = report.end_to_end_ps
-        valid[i] = report.valid
-        failures[i] = report.logical_failure
-    return CampaignResult(n, names, samples, end_to_end, valid, failures)
+    return Pipeline(config, seed=seed).run_range(start, stop)
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -562,9 +731,13 @@ def _run_tasks(fn, tasks, workers: int) -> list:
 def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     """Run many shots and aggregate stage statistics plus an LER estimate.
 
-    Shots are pure functions of (config, seed, shot index), so splitting a
-    campaign into contiguous shot ranges, one per worker process (at most
-    ``min(jobs, shots, os.cpu_count())``), changes nothing but wall time.
+    Each worker builds a ``Pipeline`` and runs its contiguous shot range
+    through ``Pipeline.run_range``, a table of int64 columns built in chunks
+    of bounded byte size.  Shots are pure functions of (config, seed, shot
+    index), so splitting a campaign into ranges, one per worker process (at
+    most ``min(jobs, shots, os.cpu_count())``), changes nothing but wall
+    time.  A range whose worst-case end time would not fit in int64 is
+    refused with ValueError before any shot runs.
     """
     shots = config.shots if shots is None else shots
     seed = config.seed if seed is None else seed

@@ -13,7 +13,7 @@ from qecfabric import qec_pipeline as qp
 from qecfabric import uf_decoder as uf
 from qecfabric.capacity_model import StageLatency, StageLatencyConfig
 from qecfabric.config import ExperimentConfig
-from qecfabric.link_layer import LinkModel
+from qecfabric.link_layer import LinkModel, excess_serialization_delay
 
 PAPER_STAGE_MEANS = {
     "leaf_agg": 29_000,
@@ -625,3 +625,140 @@ def test_stage_latency_config_validation():
     zeroed = cfg.zero_jitter()
     assert zeroed.uplink.jitter_ps == 0
     assert zeroed.uplink.mean_ps == cfg.uplink.mean_ps
+
+
+def reference_walk(pipeline, shot):
+    """One shot as the per-shot walk over the tree, in Python ints.
+
+    The scalar reference for ``Pipeline.run_range``: stage draws from
+    ``_stage_durations``, faults from ``sample_errors``, an unmemoized
+    decode, and marks read off each node's clock.  Advances
+    ``pipeline.now``; returns (intervals, end to end, valid, failure).
+    """
+    config, fabric, hops = pipeline.config, pipeline.fabric, pipeline._hops
+    t0 = -(-pipeline.now // pipeline.cycle_ps) * pipeline.cycle_ps
+    if pipeline.syndrome_source == "worst_case":
+        syndrome, patterns = qp._worst_case_d3()
+    else:
+        syndrome, patterns = cm.empty_syndrome(pipeline.layout, pipeline.rounds), {}
+        for k, sector in enumerate(cm.SECTORS):
+            graph = pipeline.graphs[sector]
+            patterns[sector] = cm.sample_errors(
+                graph, config.error_rate, pipeline.seed, stream=(qp._STREAM_SAMPLE, shot, k)
+            )
+            syndrome = syndrome ^ cm.syndrome_of(patterns[sector], graph)
+    corrections = {s: uf.decode(pipeline.graphs[s], syndrome) for s in cm.SECTORS}
+    valid = all(uf.is_valid(corrections[s], syndrome, pipeline.graphs[s]) for s in cm.SECTORS)
+    failure = any(uf.is_logical_failure(patterns[s], corrections[s]) for s in patterns)
+    entries = expected_leaf_corrections(pipeline, corrections)
+    dur = pipeline._stage_durations(shot)
+    marks = [None] * len(pipeline.chain)
+
+    def hold(hop, slot, t, stage):
+        for s, at in ((slot, t), (slot + 1, t + stage)):
+            value = hop.clock.local(at)
+            if marks[s] is None or value > marks[s]:
+                marks[s] = value
+        return t + stage
+
+    arrive = {}
+    for leaf, leaf_id in enumerate(fabric.leaf_ids):
+        hop = hops[leaf_id]
+        columns = qp.leaf_ancilla_columns(pipeline.layout, pipeline.leaf_map, leaf)
+        t = hold(hop, hop.up, t0, dur["leaf_agg"]) + dur["uplink"]
+        t += excess_serialization_delay(len(columns), config.uplink)
+        arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
+    for router in pipeline._routers_up:
+        hop = hops[router]
+        t = hold(hop, hop.up, arrive[router], dur["router_proc"] // 2) + dur["router_net"] // 2
+        arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
+    root = hops[fabric.root_id]
+    t = hold(root, root.up, arrive[fabric.root_id], dur["root_agg"])
+    forward = {fabric.root_id: hold(root, root.down, t + dur["decode"], dur["root_dist"])}
+    for parent, child in fabric.edges_top_down():
+        hop = hops[child]
+        if hop.leaf is None:
+            net = dur["router_net"] - dur["router_net"] // 2
+            proc = dur["router_proc"] - dur["router_proc"] // 2
+            forward[child] = hold(hop, hop.down, forward[parent] + net, proc)
+            continue
+        t = forward[parent] + dur["downlink"]
+        t += excess_serialization_delay(len(entries[hop.leaf]), config.downlink)
+        pipeline.now = max(pipeline.now, hold(hop, hop.down, t, dur["leaf_dist"]))
+    intervals = {}
+    for (_, stage), lo, hi in zip(pipeline.chain[1:], marks, marks[1:]):
+        intervals[stage] = intervals.get(stage, 0) + hi - lo
+    return intervals, marks[-1] - marks[0], valid, failure
+
+
+def assert_table_matches_walk(config, start, stop):
+    """``run_range(start, stop)`` equals the reference walk, shot by shot and in ``now``."""
+    pipeline, reference = qp.Pipeline(config), qp.Pipeline(config)
+    table = pipeline.run_range(start, stop)
+    assert table.n_shots == stop - start
+    for i, shot in enumerate(range(start, stop)):
+        intervals, end_to_end, valid, failure = reference_walk(reference, shot)
+        assert {name: table.samples[name][i] for name in table.stage_names} == intervals
+        assert table.end_to_end_ps[i] == end_to_end
+        assert (table.valid[i], table.failures[i]) == (valid, failure)
+    assert pipeline.now == reference.now
+    return pipeline
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("overrides, shots, digest", PINNED_CAMPAIGN_DIGESTS)
+def test_table_matches_scalar_walk(overrides, shots, digest, chunked, monkeypatch):
+    config = ExperimentConfig(**overrides).validate()
+    if chunked:
+        # nine-shot chunks (batched: see _BATCHED_MIN_SHOTS), from a range
+        # start that is not a chunk multiple, with a short last chunk
+        shot_bytes = qp.Pipeline(config)._shot_bytes
+        monkeypatch.setattr(qp, "_TABLE_CHUNK_BYTES", 9 * shot_bytes)
+        assert_table_matches_walk(config, 3, 3 + min(shots, 60))
+    else:
+        assert_table_matches_walk(config, 0, shots)
+
+
+@pytest.mark.parametrize("seed, shot", [(1, 68_174), (7, 70_300)])
+def test_table_redraws_after_a_lemire_rejection(seed, shot):
+    config = ExperimentConfig(seed=seed).validate()
+    windows = qp.Pipeline(config)._stage_windows
+    # numpy's own stream rejects one of this shot's stage draws and draws again
+    raw = cm.rng_stream(seed, qp._STREAM_SHOT, shot).bit_generator.random_raw(4)
+    halves = [int(word) >> s & 0xFFFFFFFF for word in raw for s in (0, 32)]
+    spans = [2 * hw + 1 for _, _, hw in windows if hw > 0]
+    assert any(u * span % 2**32 < 2**32 % span for u, span in zip(halves, spans))
+    assert_table_matches_walk(config, shot - 5, shot + 5)
+
+
+def test_table_draws_nine_jittered_stages():
+    # nine 32-bit draws need the second Philox block of each shot's stream
+    stages = StageLatencyConfig(
+        router_proc=StageLatency(45_000, 6_000),
+        router_net=StageLatency(312_000, 20_000),
+        decode_jitter_ps=4_000,
+    )
+    config = ExperimentConfig(router_layers=1, stage_latency=stages, seed=3).validate()
+    pipeline = assert_table_matches_walk(config, 0, 300)
+    assert sum(hw > 0 for _, _, hw in pipeline._stage_windows) == 9
+
+
+def test_table_without_batched_streams_reproduces_pins(monkeypatch):
+    # a numpy whose streams moved switches the batched keys off; every shot
+    # then builds its streams and the pins still hold
+    monkeypatch.setattr(cm, "_BATCHED_STREAMS_OK", False)
+    for overrides, shots, digest in (PINNED_CAMPAIGN_DIGESTS[0], PINNED_CAMPAIGN_DIGESTS[2]):
+        config = ExperimentConfig(**overrides).validate()
+        assert campaign_digest(qp.run_campaign(config, shots=shots, jobs=1)) == digest
+
+
+def test_table_refuses_ranges_beyond_int64(monkeypatch):
+    def no_shot(self, shot):
+        raise AssertionError("ran a shot before refusing the range")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qp.Pipeline, "_syndrome_for_shot", no_shot)
+        with pytest.raises(ValueError, match="int64"):
+            qp.run_campaign(ExperimentConfig(cycle_time_ps=2**62).validate(), shots=4, jobs=1)
+    # a range near the limit still runs exactly
+    assert_table_matches_walk(ExperimentConfig(cycle_time_ps=2**60, drift_ppm=1).validate(), 0, 4)
