@@ -7,14 +7,16 @@ Library layout:
   streams of many (seed, stream) tuples keyed in one numpy pass.
 - ``uf_decoder``: union-find decoder plus a brute-force minimum-weight
   oracle and logical-failure checks.
-- ``fabric_sim``: tree topologies, per-node clocks, and the timer-alignment
-  procedure, which runs on a deterministic discrete-event engine.
+- ``fabric_sim``: tree topologies as lists of node levels, per-node clocks,
+  and the timer-alignment procedure, which runs on a deterministic
+  discrete-event engine.
 - ``link_layer``: 64B/66B framed link model (throughput, serialization,
   latency, jitter).
 - ``qec_pipeline``: the timed end-to-end decoding-feedback loop, run as a
-  table (one row per shot: stage durations, node hold times and the marks of
-  every stage boundary, in int64 numpy columns), campaign statistics and
-  Monte-Carlo logical-error-rate estimation.
+  table (one row per shot: stage durations, per tree level the times its
+  nodes mark their boundaries, and the marks of every stage boundary, in
+  int64 numpy arrays), campaign statistics and Monte-Carlo
+  logical-error-rate estimation.
 - ``capacity_model``: the stage latency table, which owns every latency
   term, and closed-form capacity, latency and throughput-margin math on it.
 - ``config`` / ``cli``: experiment configuration and the command-line tool.

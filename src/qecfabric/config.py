@@ -84,6 +84,14 @@ class ExperimentConfig:
             raise ConfigError("cycle_time_ps must be >= 1")
         if self.clock_offset_bound_ps < 0:
             raise ConfigError("clock.offset_bound_ps must be >= 0")
+        if self.drift_ppm <= -1_000_000:
+            raise ConfigError(
+                f"clock.drift_ppm must be > -1000000 (slower clocks stand still or run "
+                f"backwards), got {self.drift_ppm}"
+            )
+        for name in _LINKS:
+            if getattr(self, name).line_rate_bps < 1:
+                raise ConfigError(f"links.{name}.line_rate_bps must be >= 1")
         for name in _DATA_LINKS:
             link = getattr(self, name)
             if link != LinkModel(link.line_rate_bps, link.lanes):

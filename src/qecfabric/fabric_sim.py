@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 from .code_model import rng_stream
@@ -155,7 +154,11 @@ class TopologyConfig:
 
 
 class Fabric:
-    """Instantiated node tree with per-edge link endpoints."""
+    """Instantiated node tree with per-edge link endpoints.
+
+    ``levels`` holds the node ids level by level, root first and leaves last;
+    each level is its parents' children in order, one contiguous run per parent.
+    """
 
     def __init__(self, config: TopologyConfig, seed: int = 0):
         if config.n_leaves < 1:
@@ -166,36 +169,26 @@ class Fabric:
 
         # Group leaves under routers level by level until the root's fan-out
         # fits its port budget; exactly router_layers levels are built.
-        levels = [config.n_leaves]
+        counts = [config.n_leaves]
         for _ in range(config.router_layers):
-            levels.append(-(-levels[-1] // config.router_children))
-        if levels[-1] > config.root_ports:
+            counts.append(-(-counts[-1] // config.router_children))
+        if counts[-1] > config.root_ports:
             raise CapacityError(
-                f"{config.n_leaves} leaf boards need {levels[-1]} top-level nodes with "
+                f"{config.n_leaves} leaf boards need {counts[-1]} top-level nodes with "
                 f"router_layers={config.router_layers}, more than the root's "
                 f"{config.root_ports} ports. Add a router layer to extend capacity."
             )
 
-        next_id = 0
-        self.nodes[next_id] = NodeState(next_id, ROLE_ROOT)
-        next_id += 1
-        parent_row = [self.root_id]
-        for depth in range(config.router_layers, 0, -1):
-            count = levels[depth]
-            row = []
-            for _ in range(count):
-                self.nodes[next_id] = NodeState(next_id, ROLE_ROUTER)
-                row.append(next_id)
-                next_id += 1
-            self._attach(parent_row, row)
-            parent_row = row
-        leaf_row = []
-        for _ in range(config.n_leaves):
-            self.nodes[next_id] = NodeState(next_id, ROLE_LEAF)
-            leaf_row.append(next_id)
-            next_id += 1
-        self._attach(parent_row, leaf_row)
-        self.leaf_ids = tuple(leaf_row)
+        roles = [ROLE_ROOT] + [ROLE_ROUTER] * config.router_layers + [ROLE_LEAF]
+        self.levels = []
+        for role, count in zip(roles, [1] + counts[::-1]):
+            row = tuple(range(len(self.nodes), len(self.nodes) + count))
+            for node_id in row:
+                self.nodes[node_id] = NodeState(node_id, role)
+            if self.levels:
+                self._attach(self.levels[-1], row)
+            self.levels.append(row)
+        self.leaf_ids = self.levels[-1]
 
         self._init_clocks(seed)
         self._endpoints = {}
@@ -227,15 +220,9 @@ class Fabric:
         return self._endpoints[(parent, child)][key]
 
     def edges_top_down(self):
-        """(parent, child) pairs in BFS order from the root."""
-        out = []
-        queue = deque([self.root_id])
-        while queue:
-            n = queue.popleft()
-            for child in self.nodes[n].children:
-                out.append((n, child))
-                queue.append(child)
-        return out
+        """(parent, child) pairs level by level from the root: BFS order, since
+        each level is its parents' child runs in order."""
+        return [(n, child) for row in self.levels for n in row for child in self.nodes[n].children]
 
     @property
     def node_count(self) -> int:

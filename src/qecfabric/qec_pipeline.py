@@ -4,14 +4,16 @@ One shot walks the full loop: leaf-side syndrome aggregation, uplink
 transport, root-side aggregation, decoding, error distribution, downlink
 transport and leaf-side application.  The tree is fixed and each stage's
 duration is drawn once per shot, so a shot's timing is one pass up the
-tree (a router or the root starts when its last child's data arrives) and
-one pass down it, with timestamps read off the synchronized node timers.
-That pass only adds durations, so a range of shots runs as a table: int64
-numpy arrays with one row per shot for the stage durations, each node's
-hold times, the start times (a cumulative sum of whole cycles) and the
-marks of every stage boundary.  ``boundary_chain`` is the one statement of
-which boundaries delimit which stage; every stage interval is a sum of gaps
-between the marks of that one list.  Stage durations come from
+tree, a level at a time (a router or the root starts when its last child's
+data arrives), and one pass down it, with timestamps read off the
+synchronized node timers.  That pass only adds durations, so a range of
+shots runs as a table: int64 numpy arrays with one row per shot for the
+stage durations, per tree level the times its nodes mark its four
+boundaries, the start times (a cumulative sum of whole cycles) and the
+marks of every stage boundary.  ``level_boundaries`` is the one statement
+of which level marks which boundary and which stage ends there;
+``boundary_chain`` puts them in time order, and every stage interval is a
+sum of gaps between the marks of that one list.  Stage durations come from
 ``capacity_model.StageLatencyConfig``'s measured means and min-max jitter
 spreads, drawn from per-shot Philox streams whose keys and first blocks are
 computed for a whole chunk at once (``code_model.stream_blocks``); decoder
@@ -41,7 +43,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Philox
@@ -64,7 +65,7 @@ from .code_model import (
     syndrome_of,
 )
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
-from .fabric_sim import ROLE_LEAF, ROLE_ROOT, Clock, Fabric, Simulator, TopologyConfig, global_sync
+from .fabric_sim import Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay, serialization_delay
 from .uf_decoder import decode, is_valid
 
@@ -189,39 +190,40 @@ def worst_case_d3_syndrome() -> SyndromeRounds:
     return _worst_case_d3()[0]
 
 
+def level_boundaries(router_layers: int) -> tuple:
+    """Per tree level, root first, the four boundaries its nodes mark, each with
+    the stage that ends at it.
+
+    A level's nodes hold the up-bound data from its first boundary (a leaf at
+    the cycle start, a router or the root when its last child's data
+    arrives) to its second, when they pass it on, and the corrections from
+    its third to its fourth.  Router level 1 is the top one; each router
+    level adds a processing and a network stage each way.
+    """
+    net = "uplink"  # whatever a leaf's data reaches first, it gets there over the uplink
+    levels = [(("start", None), ("leaf_agg", "leaf_agg"),
+               ("leaf_arrive", "downlink"), ("end", "leaf_dist"))]
+    for level in range(router_layers, 0, -1):
+        levels.append(((f"up_arrive_{level}", net), (f"up_forward_{level}", "router_proc"),
+                       (f"down_arrive_{level}", "router_net"), (f"down_forward_{level}", "router_proc")))
+        net = "router_net"
+    levels.append((("root_arrive", net), ("root_agg_done", "root_agg"),
+                   ("decode_done", "decode"), ("dist_ready", "root_dist")))
+    return tuple(levels[::-1])
+
+
 def boundary_chain(router_layers: int) -> tuple:
     """A shot's stage boundaries in time order, each with the stage that ends at it.
 
-    Data climbs from the leaves through ``router_layers`` router levels
-    (deepest first) to the root and comes back down; each level adds a
-    processing and a network stage each way.  A stage's interval is the sum
-    of the gaps before the boundaries that carry its name.
+    Data climbs from the leaves through the router levels (deepest first) to
+    the root and comes back down: the up halves of ``level_boundaries`` from
+    the leaves, then the down halves from the root.  A stage's interval is
+    the sum of the gaps before the boundaries that carry its name.
     """
-    levels = range(router_layers, 0, -1)
-    chain = [("start", None), ("leaf_agg", "leaf_agg")]
-    net = "uplink"  # whatever a leaf's data reaches first, it gets there over the uplink
-    for level in levels:
-        chain += [(f"up_arrive_{level}", net), (f"up_forward_{level}", "router_proc")]
-        net = "router_net"
-    chain += [("root_arrive", net), ("root_agg_done", "root_agg"),
-              ("decode_done", "decode"), ("dist_ready", "root_dist")]
-    for level in reversed(levels):
-        chain += [(f"down_arrive_{level}", "router_net"), (f"down_forward_{level}", "router_proc")]
-    chain += [("leaf_arrive", "downlink"), ("end", "leaf_dist")]
-    return tuple(chain)
-
-
-class _Hop(NamedTuple):
-    """A node's parent, clock, chain slots and leaf index (None off the leaves).
-    It holds the up-bound data from boundary ``up`` (a leaf at the cycle start,
-    a router or the root when its last child's data arrives) to ``up + 1``,
-    when it passes the data on, and the corrections from ``down`` to ``down + 1``."""
-
-    parent: int | None
-    clock: Clock
-    up: int
-    down: int
-    leaf: int | None
+    levels = level_boundaries(router_layers)
+    return tuple(b for level in levels[::-1] for b in level[:2]) + tuple(
+        b for level in levels for b in level[2:]
+    )
 
 
 class Pipeline:
@@ -233,20 +235,23 @@ class Pipeline:
     (see the module docstring; exact, since decoding is a pure function of
     (graph, syndrome)) and checks it for a logical failure.  A vectorized
     pass then builds int64 arrays with one row per shot: the stage
-    durations, each node's hold times relative to the shot start, the start
-    times, and the marks of ``chain`` (see ``boundary_chain``), the one
-    statement of which boundaries delimit which stage.
+    durations, the start times, and the marks of ``chain`` (see
+    ``boundary_chain``), the one list of which boundaries delimit which
+    stage.
 
-    A node holds the up-bound data from the start of its up slot (a leaf at
-    the cycle start, a router or the root when its last child's data
-    arrives) until it passes it on, and the corrections likewise on the way
-    down; the tree is walked up from the leaves through the routers,
-    deepest first, to the root, then down along ``Fabric.edges_top_down``.
-    A boundary's mark is the latest local-clock reading of the nodes that
-    hold it, and every stage interval is read off the marked chain.  ``now``
-    is the ideal time the last shot ended; the next shot starts at the
-    cycle boundary after it, so the start times are a cumulative sum.
-    ``run_shot`` is a one-shot range.
+    The tree is a list of levels (``Fabric.levels``), and each level's nodes
+    mark four boundaries of the chain (``level_boundaries``); per level, a
+    (shots x 4 x nodes) array holds those times relative to the shot
+    start.  Up the tree, from the leaves, a
+    level's nodes start when their last child's data arrives: a
+    ``np.maximum.reduceat`` over their children's contiguous runs of the
+    level below.  Down it, a level's nodes all get the corrections at once,
+    so each router level adds the same two stages to one value per shot;
+    the leaves then add their own downlink serialization.  A boundary's mark
+    is the latest local-clock reading of its level's nodes, and every stage
+    interval is read off the marked chain.  ``now`` is the ideal time the
+    last shot ended; the next shot starts at the cycle boundary after it, so
+    the start times are a cumulative sum.  ``run_shot`` is a one-shot range.
     """
 
     def __init__(self, config, seed=None):
@@ -299,54 +304,21 @@ class Pipeline:
         for i, (_, stage) in enumerate(self.chain[1:]):
             self._stage_gaps.setdefault(stage, []).append(i)
         slot = {name: i for i, (name, _) in enumerate(self.chain)}
-        edges_down = self.fabric.edges_top_down()
-        level = {self.fabric.root_id: 0}  # top routers are level 1
-        for parent, child in edges_down:
-            level[child] = level[parent] + 1
-        leaf_index = {n: i for i, n in enumerate(self.fabric.leaf_ids)}
-        self._hops = {}
-        for node_id, node in self.fabric.nodes.items():
-            if node.role == ROLE_LEAF:
-                up, down = "start", "leaf_arrive"
-            elif node.role == ROLE_ROOT:
-                up, down = "root_arrive", "decode_done"
-            else:
-                up, down = f"up_arrive_{level[node_id]}", f"down_arrive_{level[node_id]}"
-            self._hops[node_id] = _Hop(node.parent, node.clock, slot[up], slot[down],
-                                       leaf_index.get(node_id))
-        # reversed top-down order puts every router after all of its children
-        self._routers_up = [
-            child for _, child in reversed(edges_down) if self._hops[child].leaf is None
-        ]
-        self._routers_down = [
-            (parent, child) for parent, child in edges_down if self._hops[child].leaf is None
-        ]
-        leaf_parents = [self._hops[leaf].parent for leaf in self.fabric.leaf_ids]
-        self._leaf_groups = [
-            (parent, np.flatnonzero(np.array(leaf_parents) == parent))
-            for parent in dict.fromkeys(leaf_parents)
-        ]
-        # Hold table columns, one per (node, boundary it holds): the leaves' up
-        # start, up end, down start and down end, a block each, then every
-        # other node's four.  Sorted by boundary, each boundary's columns are
-        # one run for the per-boundary max.
-        n_leaves = self.leaf_map.n_leaves
-        leaves = [self._hops[leaf] for leaf in self.fabric.leaf_ids]
-        holds = [(hop, hop.up + k if k < 2 else hop.down + k - 2) for k in range(4) for hop in leaves]
-        self._hold_column = {}
-        for node_id, hop in self._hops.items():
-            if hop.leaf is None:
-                self._hold_column[node_id] = len(holds)
-                holds += [(hop, hop.up), (hop, hop.up + 1), (hop, hop.down), (hop, hop.down + 1)]
-        self._hold_order = np.array(sorted(range(len(holds)), key=lambda c: holds[c][1]))
-        self._hold_clocks = [holds[c][0].clock for c in self._hold_order]
-        self._slot_starts = np.searchsorted(
-            [holds[c][1] for c in self._hold_order], np.arange(len(self.chain))
-        )
-
+        # Per tree level, root first: the chain slots of its four boundaries,
+        # its clocks' offsets and drifts, and where each of its nodes' run of
+        # children starts in the level below.
+        self._levels = []
+        for row, bounds in zip(self.fabric.levels, level_boundaries(config.router_layers)):
+            nodes = [self.fabric.nodes[n] for n in row]
+            self._levels.append((
+                [slot[name] for name, _ in bounds],
+                np.array([node.clock.offset_ps for node in nodes], dtype=np.int64),
+                np.array([node.clock.drift_ppm for node in nodes], dtype=np.int64),
+                np.cumsum([0] + [len(node.children) for node in nodes[:-1]]),
+            ))
         self._leaf_columns = [
             np.array(leaf_ancilla_columns(self.layout, self.leaf_map, leaf), dtype=np.intp)
-            for leaf in range(n_leaves)
+            for leaf in range(self.leaf_map.n_leaves)
         ]
         # a leaf's final-round message and the uplink are fixed per pipeline
         self._uplink_excess_ps = np.array([
@@ -354,10 +326,8 @@ class Pipeline:
             for columns in self._leaf_columns
         ], dtype=np.int64)
         # a leaf sends at most one correction entry per owned data qubit and sector
-        downlink = self.config.downlink
-        self._downlink_excess_bound_ps = (
-            serialization_delay(2 * self.leaf_map.qubits_per_leaf, downlink)
-            if downlink.aggregate_rate_bps else 0
+        self._downlink_excess_bound_ps = serialization_delay(
+            2 * self.leaf_map.qubits_per_leaf, self.config.downlink
         )
         self._received_columns = np.concatenate(self._leaf_columns)
         # earlier rounds stream up during the cycle; only the final round is
@@ -366,7 +336,10 @@ class Pipeline:
             (self.rounds - 1) * self.layout.syndrome_bits_per_round + len(self._received_columns)
         )
         # table and syndrome bytes one shot adds to a chunk
-        columns = len(holds) + len(self.chain) + n_leaves + len(self._stage_windows)
+        # (four hold times per node, the marks, the leaves' downlink
+        # serializations and the stage draws)
+        columns = (4 * self.fabric.node_count + len(self.chain) + self.leaf_map.n_leaves
+                   + len(self._stage_windows))
         self._shot_bytes = 8 * columns + 2 * self.rounds * self.layout.syndrome_bits_per_round
         # packed received syndrome -> (corrections, valid, per-leaf entries,
         # per-leaf downlink serialization)
@@ -513,7 +486,7 @@ class Pipeline:
         )
         walk += int(self._uplink_excess_ps.max()) + self._downlink_excess_bound_ps
         end = -(-self.now // self.cycle_ps) * self.cycle_ps + shots * (walk + self.cycle_ps)
-        clocks = [hop.clock for hop in self._hops.values()]
+        clocks = [node.clock for node in self.fabric.nodes.values()]
         drift = max(abs(clock.drift_ppm) for clock in clocks)
         offset = max(abs(clock.offset_ps) for clock in clocks)
         if max(end * max(drift, 1), end + offset + end * drift // 1_000_000) >= 2**63:
@@ -570,38 +543,33 @@ class Pipeline:
                 for s, p in patterns.items()
             )
 
-        # Vectorized pass: hold times relative to the shot start, up the tree ...
+        # Vectorized pass: per tree level, a (shots x 4 x nodes) array of the
+        # times its nodes mark their four boundaries, relative to the shot
+        # start.  Up the tree, a node starts when its last child's data arrives ...
         dur = dict(zip((name for name, _, _ in self._stage_windows), self._stage_table(shots).T))
-        rel = np.empty((n, len(self._hold_order)), dtype=np.int64)
-        rel[:, :n_leaves] = 0
-        rel[:, n_leaves : 2 * n_leaves] = dur["leaf_agg"][:, None]
-        sent = (dur["leaf_agg"] + dur["uplink"])[:, None] + self._uplink_excess_ps
-        arrive = {parent: sent[:, leaves].max(axis=1) for parent, leaves in self._leaf_groups}
+        holds = [np.empty((n, 4, len(row)), dtype=np.int64) for row in self.fabric.levels]
+        root, leaves = holds[0], holds[-1]
+        leaves[:, 0] = 0
+        leaves[:, 1] = dur["leaf_agg"][:, None]
+        sent = leaves[:, 1] + dur["uplink"][:, None] + self._uplink_excess_ps
         proc_up, net_up = dur["router_proc"] // 2, dur["router_net"] // 2
-        for router in self._routers_up:
-            c, parent = self._hold_column[router], self._hops[router].parent
-            rel[:, c] = arrive[router]
-            rel[:, c + 1] = arrive[router] + proc_up
-            t = rel[:, c + 1] + net_up
-            arrive[parent] = np.maximum(arrive[parent], t) if parent in arrive else t
-        root = self.fabric.root_id
-        c = self._hold_column[root]
-        rel[:, c] = arrive[root]
-        rel[:, c + 1] = arrive[root] + dur["root_agg"]
-        rel[:, c + 2] = rel[:, c + 1] + dur["decode"]
-        rel[:, c + 3] = rel[:, c + 2] + dur["root_dist"]
-        # ... and down it: routers forward the corrections, leaves apply their own
-        forward = {root: rel[:, c + 3]}
+        for hold, (_, _, _, runs) in zip(holds[-2:0:-1], self._levels[-2:0:-1]):
+            hold[:, 0] = np.maximum.reduceat(sent, runs, axis=1)
+            hold[:, 1] = hold[:, 0] + proc_up[:, None]
+            sent = hold[:, 1] + net_up[:, None]
+        root[:, 0, 0] = sent.max(axis=1)
+        root[:, 1, 0] = root[:, 0, 0] + dur["root_agg"]
+        root[:, 2, 0] = root[:, 1, 0] + dur["decode"]
+        root[:, 3, 0] = forward = root[:, 2, 0] + dur["root_dist"]
+        # ... and down it, where a level's nodes all get the corrections at once
         net_down, proc_down = dur["router_net"] - net_up, dur["router_proc"] - proc_up
-        for parent, router in self._routers_down:
-            c = self._hold_column[router]
-            rel[:, c + 2] = forward[parent] + net_down
-            rel[:, c + 3] = forward[router] = rel[:, c + 2] + proc_down
-        down = rel[:, 2 * n_leaves : 3 * n_leaves]
-        for parent, leaves in self._leaf_groups:
-            down[:, leaves] = (forward[parent] + dur["downlink"])[:, None] + downlink[:, leaves]
-        rel[:, 3 * n_leaves : 4 * n_leaves] = down + dur["leaf_dist"][:, None]
-        length = rel[:, 3 * n_leaves : 4 * n_leaves].max(axis=1)
+        for hold in holds[1:-1]:
+            arrive = forward + net_down
+            forward = arrive + proc_down
+            hold[:, 2], hold[:, 3] = arrive[:, None], forward[:, None]
+        leaves[:, 2] = (forward + dur["downlink"])[:, None] + downlink
+        leaves[:, 3] = leaves[:, 2] + dur["leaf_dist"][:, None]
+        length = leaves[:, 3].max(axis=1)
 
         # Shot k starts at the cycle boundary after shot k - 1 ended.
         t0 = np.empty(n, dtype=np.int64)
@@ -609,11 +577,11 @@ class Pipeline:
         np.cumsum(-(-length[:-1] // self.cycle_ps) * self.cycle_ps, out=t0[1:])
         t0[1:] += t0[0]
         self.now = int(t0[-1] + length[-1])
-        # Each boundary takes the latest local-clock mark of the nodes holding it.
-        t = rel[:, self._hold_order] + t0[:, None]
-        offset = np.array([clock.offset_ps for clock in self._hold_clocks], dtype=np.int64)
-        drift = np.array([clock.drift_ppm for clock in self._hold_clocks], dtype=np.int64)
-        marks = np.maximum.reduceat(t + offset + drift * t // 1_000_000, self._slot_starts, axis=1)
+        # Each boundary takes the latest local-clock mark of its level's nodes.
+        marks = np.empty((n, len(self.chain)), dtype=np.int64)
+        for t, (slots, offset, drift, _) in zip(holds, self._levels):
+            t += t0[:, None, None]
+            marks[:, slots] = (t + offset + drift * t // 1_000_000).max(axis=2)
         gaps = np.diff(marks, axis=1)
 
         syndrome, patterns = inputs[-1]

@@ -88,6 +88,9 @@ def test_worst_case_source_needs_its_pinned_rounds():
         ({"stage_latency": {"decode_table": {"3": -1}}}, "decode table latency"),
         ({"stage_latency": {"decode_jitter_ps": -3}}, "decode_jitter_ps"),
         ({"clock": {"offset_bound_ps": -5}}, "clock.offset_bound_ps"),
+        ({"clock": {"drift_ppm": -1_000_000}}, "clock.drift_ppm"),
+        ({"links": {"uplink": {"line_rate_bps": 0}}}, "links.uplink.line_rate_bps"),
+        ({"links": {"sync_uplink": {"line_rate_bps": 0}}}, "links.sync_uplink.line_rate_bps"),
     ],
 )
 def test_bad_values_rejected(data, message):

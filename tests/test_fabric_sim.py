@@ -61,6 +61,34 @@ def test_tree_shape_with_router_layer():
         assert fabric.nodes[fabric.nodes[leaf].parent].role == fs.ROLE_ROUTER
 
 
+@pytest.mark.parametrize("router_layers", [0, 1, 2, 3])
+@pytest.mark.parametrize("router_children", [2, 3, 29])
+def test_levels_are_contiguous_child_runs(router_layers, router_children):
+    roles = [fs.ROLE_ROOT] + [fs.ROLE_ROUTER] * router_layers + [fs.ROLE_LEAF]
+    for n_leaves in range(1, 121):
+        config = fs.TopologyConfig(n_leaves=n_leaves, root_ports=120,
+                                   router_children=router_children, router_layers=router_layers)
+        try:
+            fabric = fs.Fabric(config, seed=0)
+        except fs.CapacityError:
+            continue
+        levels = fabric.levels
+        # the levels partition the nodes, one role per level
+        assert sorted(n for row in levels for n in row) == sorted(fabric.nodes)
+        assert [{fabric.nodes[n].role for n in row} for row in levels] == [{r} for r in roles]
+        assert levels[0] == (fabric.root_id,) and levels[-1] == fabric.leaf_ids
+        # every non-leaf node's children: a non-empty run of the next level, in order
+        for row, below in zip(levels, levels[1:]):
+            runs = [fabric.nodes[n].children for n in row]
+            assert all(runs) and [c for run in runs for c in run] == list(below)
+        bfs, queue = [], [fabric.root_id]
+        for n in queue:
+            for child in fabric.nodes[n].children:
+                bfs.append((n, child))
+                queue.append(child)
+        assert fabric.edges_top_down() == bfs
+
+
 def test_tree_rejects_port_violation():
     with pytest.raises(ValueError):
         fs.Fabric(fs.TopologyConfig(n_leaves=5, root_ports=4), seed=0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qecfabric import code_model as cm
+from qecfabric import fabric_sim as fs
 from qecfabric import qec_pipeline as qp
 from qecfabric import uf_decoder as uf
 from qecfabric.capacity_model import StageLatency, StageLatencyConfig
@@ -632,10 +633,12 @@ def reference_walk(pipeline, shot):
 
     The scalar reference for ``Pipeline.run_range``: stage draws from
     ``_stage_durations``, faults from ``sample_errors``, an unmemoized
-    decode, and marks read off each node's clock.  Advances
-    ``pipeline.now``; returns (intervals, end to end, valid, failure).
+    decode, and marks read off each node's clock.  It finds the tree's
+    order and depths by its own walk over ``Fabric.nodes``, and each node's
+    chain slots by boundary name.  Advances ``pipeline.now``; returns
+    (intervals, end to end, valid, failure).
     """
-    config, fabric, hops = pipeline.config, pipeline.fabric, pipeline._hops
+    config, fabric, nodes = pipeline.config, pipeline.fabric, pipeline.fabric.nodes
     t0 = -(-pipeline.now // pipeline.cycle_ps) * pipeline.cycle_ps
     if pipeline.syndrome_source == "worst_case":
         syndrome, patterns = qp._worst_case_d3()
@@ -654,37 +657,61 @@ def reference_walk(pipeline, shot):
     dur = pipeline._stage_durations(shot)
     marks = [None] * len(pipeline.chain)
 
-    def hold(hop, slot, t, stage):
-        for s, at in ((slot, t), (slot + 1, t + stage)):
-            value = hop.clock.local(at)
+    # breadth first from the root: every node after its parent; top routers are depth 1
+    order, depth = [fabric.root_id], {fabric.root_id: 0}
+    for node_id in order:
+        for child in nodes[node_id].children:
+            depth[child] = depth[node_id] + 1
+            order.append(child)
+    slot = {name: i for i, (name, _) in enumerate(pipeline.chain)}
+
+    def slots(node_id):
+        """The chain slots where the node starts holding data (up) and corrections (down)."""
+        role = nodes[node_id].role
+        if role == fs.ROLE_LEAF:
+            return slot["start"], slot["leaf_arrive"]
+        if role == fs.ROLE_ROOT:
+            return slot["root_arrive"], slot["decode_done"]
+        return slot[f"up_arrive_{depth[node_id]}"], slot[f"down_arrive_{depth[node_id]}"]
+
+    def hold(node_id, first, t, stage):
+        for s, at in ((first, t), (first + 1, t + stage)):
+            value = nodes[node_id].clock.local(at)
             if marks[s] is None or value > marks[s]:
                 marks[s] = value
         return t + stage
 
+    leaf_index = {}
+    for n in order:
+        if nodes[n].role == fs.ROLE_LEAF:
+            leaf_index[n] = len(leaf_index)
     arrive = {}
-    for leaf, leaf_id in enumerate(fabric.leaf_ids):
-        hop = hops[leaf_id]
+    for leaf_id, leaf in leaf_index.items():
         columns = qp.leaf_ancilla_columns(pipeline.layout, pipeline.leaf_map, leaf)
-        t = hold(hop, hop.up, t0, dur["leaf_agg"]) + dur["uplink"]
+        t = hold(leaf_id, slots(leaf_id)[0], t0, dur["leaf_agg"]) + dur["uplink"]
         t += excess_serialization_delay(len(columns), config.uplink)
-        arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
-    for router in pipeline._routers_up:
-        hop = hops[router]
-        t = hold(hop, hop.up, arrive[router], dur["router_proc"] // 2) + dur["router_net"] // 2
-        arrive[hop.parent] = max(arrive.get(hop.parent, t), t)
-    root = hops[fabric.root_id]
-    t = hold(root, root.up, arrive[fabric.root_id], dur["root_agg"])
-    forward = {fabric.root_id: hold(root, root.down, t + dur["decode"], dur["root_dist"])}
-    for parent, child in fabric.edges_top_down():
-        hop = hops[child]
-        if hop.leaf is None:
+        parent = nodes[leaf_id].parent
+        arrive[parent] = max(arrive.get(parent, t), t)
+    for router in reversed(order):
+        if nodes[router].role == fs.ROLE_ROUTER:
+            t = hold(router, slots(router)[0], arrive[router], dur["router_proc"] // 2)
+            t += dur["router_net"] // 2
+            parent = nodes[router].parent
+            arrive[parent] = max(arrive.get(parent, t), t)
+    root = fabric.root_id
+    up, down = slots(root)
+    t = hold(root, up, arrive[root], dur["root_agg"])
+    forward = {root: hold(root, down, t + dur["decode"], dur["root_dist"])}
+    for child in order[1:]:
+        parent = nodes[child].parent
+        if nodes[child].role == fs.ROLE_ROUTER:
             net = dur["router_net"] - dur["router_net"] // 2
             proc = dur["router_proc"] - dur["router_proc"] // 2
-            forward[child] = hold(hop, hop.down, forward[parent] + net, proc)
+            forward[child] = hold(child, slots(child)[1], forward[parent] + net, proc)
             continue
         t = forward[parent] + dur["downlink"]
-        t += excess_serialization_delay(len(entries[hop.leaf]), config.downlink)
-        pipeline.now = max(pipeline.now, hold(hop, hop.down, t, dur["leaf_dist"]))
+        t += excess_serialization_delay(len(entries[leaf_index[child]]), config.downlink)
+        pipeline.now = max(pipeline.now, hold(child, slots(child)[1], t, dur["leaf_dist"]))
     intervals = {}
     for (_, stage), lo, hi in zip(pipeline.chain[1:], marks, marks[1:]):
         intervals[stage] = intervals.get(stage, 0) + hi - lo
@@ -717,6 +744,17 @@ def test_table_matches_scalar_walk(overrides, shots, digest, chunked, monkeypatc
         assert_table_matches_walk(config, 3, 3 + min(shots, 60))
     else:
         assert_table_matches_walk(config, 0, shots)
+
+
+def test_table_matches_walk_when_a_routers_children_arrive_apart():
+    # one leaf's message spills into a second frame on a slow uplink, so the
+    # router's children arrive at different times and only the latest counts
+    config = ExperimentConfig(
+        distance=13, qubits_per_leaf=100, router_layers=2, uplink=LinkModel(100_000_000),
+        syndrome_source="sampled",
+    ).validate()
+    pipeline = assert_table_matches_walk(config, 0, 20)
+    assert len(set(pipeline._uplink_excess_ps.tolist())) > 1
 
 
 @pytest.mark.parametrize("seed, shot", [(1, 68_174), (7, 70_300)])
