@@ -341,6 +341,11 @@ def cmd_selftest(args) -> int:
     check("routing: one router layer, zero-jitter end-to-end 808000 ps",
           routed.end_to_end_ps == 808_000)
 
+    sampled = qec_pipeline.run_campaign(ExperimentConfig(
+        distance=5, syndrome_source="sampled", error_rate=0.02), shots=200, seed=1, jobs=1)
+    check("pipeline: d=5 p=0.02 200 sampled shots seed 1 give 19 failures, all corrections valid",
+          sampled.failures.sum() == 19 and sampled.valid.all())
+
     check("rng: batched Philox keys and blocks agree with numpy (else every stream is built)",
           batched_streams_agree())
 

@@ -432,7 +432,8 @@ class DecodingGraph:
         ends = np.concatenate(
             (rows * n_vertices + edge_u[edges], rows[inner] * n_vertices + v[inner])
         )
-        defects = (np.bincount(ends, minlength=n * n_vertices) & 1).astype(np.uint8)
+        defects = np.bincount(ends, minlength=n * n_vertices).astype(np.uint8)
+        defects &= 1
         crossings = (np.bincount(rows[crossing[edges]], minlength=n) & 1).astype(bool)
         return defects.reshape(n, n_vertices), crossings
 

@@ -20,10 +20,11 @@ computed for a whole chunk at once (``code_model.stream_blocks``); decoder
 correctness is real (the union-find decoder runs on the actual syndrome)
 while decoder duration is table-driven.
 
-A ``Pipeline`` decodes each distinct received syndrome once: a memo maps
-the packed syndrome to its corrections, their validity and the per-leaf
+A chunk's faults are one (shots x edges) bool matrix per sector, whose
+parities are its syndromes.  A ``Pipeline`` decodes each distinct syndrome
+once: a memo maps it to its corrections, their fault ids and the per-leaf
 correction messages, and is cleared at ``_DECODE_MEMO_ENTRIES`` entries.
-The logical-failure check runs on every shot, against its own faults.
+Each shot's residual (``_residual_crossings``) gives its logical check.
 
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
@@ -32,7 +33,7 @@ machinery.  It draws each batch in fixed-size row chunks, so memory does
 not grow with ``batch``, takes parities from the faulty edges' endpoints,
 decodes each distinct syndrome once per sector and call (a memo cleared
 whenever it holds ``batch`` entries), checks every defect shot's residual
-for an empty syndrome with numpy, and shards by (sector, batch range) over
+with the same helper, and shards by (sector, batch range) over
 ``jobs`` worker processes with identical results.
 """
 
@@ -67,7 +68,7 @@ from .code_model import (
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
 from .fabric_sim import Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay, serialization_delay
-from .uf_decoder import decode, is_valid
+from .uf_decoder import decode
 
 # RNG stream tags under the campaign master seed
 _STREAM_SHOT = 7  # per-shot stage jitter
@@ -80,7 +81,7 @@ Z95 = 1.959963984540054
 #: A pipeline clears its decode memo once it holds this many syndromes.
 _DECODE_MEMO_ENTRIES = 1024
 
-#: Bytes of table and syndrome arrays per ``Pipeline.run_range`` chunk.
+#: Bytes of table, fault and syndrome arrays per ``Pipeline.run_range`` chunk.
 _TABLE_CHUNK_BYTES = 1 << 20
 
 #: Fewest shots whose streams are keyed in one batch: below it, building
@@ -167,22 +168,17 @@ def wilson_interval(failures: int, shots: int, z: float = Z95):
 #: ids).  The exhaustive search lives in the tests, which check this pin.
 _WORST_D3_FAULT_IDS = {SECTOR_X: (0,), SECTOR_Z: (0,)}
 
-_WORST_D3_CACHE = None
-
 
 def _worst_case_d3():
     """The pinned d=3, 3-round worst-case syndrome and its per-sector patterns."""
-    global _WORST_D3_CACHE
-    if _WORST_D3_CACHE is None:
-        layout = build_layout(3)
-        patterns = {}
-        syndrome = empty_syndrome(layout, 3)
-        for sector, ids in _WORST_D3_FAULT_IDS.items():
-            graph = build_decoding_graph(layout, sector, 3)
-            patterns[sector] = pattern_from_fault_ids(graph, ids)
-            syndrome = syndrome ^ syndrome_of(patterns[sector], graph)
-        _WORST_D3_CACHE = (syndrome, patterns)
-    return _WORST_D3_CACHE
+    layout = build_layout(3)
+    patterns = {}
+    syndrome = empty_syndrome(layout, 3)
+    for sector, ids in _WORST_D3_FAULT_IDS.items():
+        graph = build_decoding_graph(layout, sector, 3)
+        patterns[sector] = pattern_from_fault_ids(graph, ids)
+        syndrome = syndrome ^ syndrome_of(patterns[sector], graph)
+    return syndrome, patterns
 
 
 def worst_case_d3_syndrome() -> SyndromeRounds:
@@ -230,14 +226,15 @@ class Pipeline:
     """One instantiated fabric ready to run timed decoding-feedback shots.
 
     ``run_range`` runs a range of shots as a table, a chunk of shots at a
-    time, in two passes.  A per-shot Python pass takes each shot's syndrome
-    (``_syndrome_for_shot``, once per shot), decodes it through the memo
-    (see the module docstring; exact, since decoding is a pure function of
-    (graph, syndrome)) and checks it for a logical failure.  A vectorized
-    pass then builds int64 arrays with one row per shot: the stage
-    durations, the start times, and the marks of ``chain`` (see
-    ``boundary_chain``), the one list of which boundaries delimit which
-    stage.
+    time, in two passes.  The first draws the chunk's faults
+    (``_chunk_faults``), takes every syndrome from them in one parity pass
+    per sector, decodes each shot's syndrome through the memo (see the
+    module docstring; exact, since decoding is a pure function of (graph,
+    syndrome)) and checks every residual in one more parity pass per
+    sector.  A vectorized pass then builds int64 arrays with one row per
+    shot: the stage durations, the start times, and the marks of ``chain``
+    (see ``boundary_chain``), the one list of which boundaries delimit
+    which stage.
 
     The tree is a list of levels (``Fabric.levels``), and each level's nodes
     mark four boundaries of the chain (``level_boundaries``); per level, a
@@ -316,70 +313,68 @@ class Pipeline:
                 np.array([node.clock.drift_ppm for node in nodes], dtype=np.int64),
                 np.cumsum([0] + [len(node.children) for node in nodes[:-1]]),
             ))
-        self._leaf_columns = [
-            np.array(leaf_ancilla_columns(self.layout, self.leaf_map, leaf), dtype=np.intp)
-            for leaf in range(self.leaf_map.n_leaves)
-        ]
         # a leaf's final-round message and the uplink are fixed per pipeline
         self._uplink_excess_ps = np.array([
-            excess_serialization_delay(len(columns), self.config.uplink)
-            for columns in self._leaf_columns
+            excess_serialization_delay(len(leaf_ancilla_columns(self.layout, self.leaf_map, leaf)),
+                                       self.config.uplink)
+            for leaf in range(self.leaf_map.n_leaves)
         ], dtype=np.int64)
         # a leaf sends at most one correction entry per owned data qubit and sector
         self._downlink_excess_bound_ps = serialization_delay(
             2 * self.leaf_map.qubits_per_leaf, self.config.downlink
         )
-        self._received_columns = np.concatenate(self._leaf_columns)
-        # earlier rounds stream up during the cycle; only the final round is
-        # timed, so their bits are on the books at the cycle start
-        self._bits_received = (
-            (self.rounds - 1) * self.layout.syndrome_bits_per_round + len(self._received_columns)
-        )
-        # table and syndrome bytes one shot adds to a chunk
-        # (four hold times per node, the marks, the leaves' downlink
-        # serializations and the stage draws)
+        # the leaves' ancillas cover every syndrome column, so every round's
+        # bits reach the root
+        self._bits_received = self.rounds * self.layout.syndrome_bits_per_round
+        # bytes one shot adds to a chunk: 8 per int64 column (four hold times
+        # per node, the marks, the leaves' downlink serializations, the stage
+        # draws and one sector's fault_parity vertex counts), 1 per edge of
+        # each sector's fault row, 2 per syndrome bit (defect and joined rows)
         columns = (4 * self.fabric.node_count + len(self.chain) + self.leaf_map.n_leaves
-                   + len(self._stage_windows))
-        self._shot_bytes = 8 * columns + 2 * self.rounds * self.layout.syndrome_bits_per_round
-        # packed received syndrome -> (corrections, valid, per-leaf entries,
-        # per-leaf downlink serialization)
+                   + len(self._stage_windows) + self.graphs[SECTOR_X].n_vertices)
+        self._shot_bytes = (8 * columns + sum(g.n_edges for g in self.graphs.values())
+                            + 2 * self._bits_received)
+        # packed syndrome -> (corrections, their fault ids per sector as intp
+        # arrays, per-leaf entries, per-leaf downlink serialization)
         self._decoded = {}
 
         self.syndrome_source = config.effective_syndrome_source
-        # the current chunk's sampling keys: (first shot, keys, exact); see _sample_source
-        self._sample_keys = (0, None, np.zeros((0, len(SECTORS)), bool))
         self._philox = Philox(0)
 
     # ---- per-shot inputs -------------------------------------------------
 
-    def _syndrome_for_shot(self, shot: int):
-        if self.syndrome_source == "worst_case":
-            return _worst_case_d3()
-        patterns = {}
-        syndrome = empty_syndrome(self.layout, self.rounds)
-        for k, sector in enumerate(SECTORS):
-            graph = self.graphs[sector]
-            faults = _draw_faults(self._sample_source(shot, k), graph.n_edges, self.error_rate)
-            pattern = pattern_from_fault_ids(graph, np.flatnonzero(faults).tolist())
-            patterns[sector] = pattern
-            syndrome = syndrome ^ syndrome_of(pattern, graph)
-        return syndrome, patterns
+    def _chunk_faults(self, shots: np.ndarray) -> list:
+        """Per sector, the (shots x edges) bool fault matrix of a chunk.
 
-    def _sample_source(self, shot: int, k: int):
-        """The bit generator of ``rng_stream(seed, _STREAM_SAMPLE, shot, k)``.
-
-        Within the current chunk, if it was keyed in one batch (see
-        ``_BATCHED_MIN_SHOTS``), it is one reused Philox given the batched
-        key by state assignment, which is much cheaper than building a
-        stream; ``sample_errors`` draws the same pattern from a new stream.
+        A worst-case row holds ``_WORST_D3_FAULT_IDS``; a sampled row is
+        ``_draw_faults`` on the shot's ``_sample_source`` stream, keyed in
+        one batch in a chunk of at least ``_BATCHED_MIN_SHOTS`` shots.
         """
-        first, keys, exact = self._sample_keys
-        i = shot - first
-        if not (0 <= i < len(exact) and exact[i, k]):
+        faults = [np.zeros((len(shots), g.n_edges), dtype=bool) for g in self.graphs.values()]
+        if self.syndrome_source == "worst_case":
+            for rows, sector in zip(faults, SECTORS):
+                rows[:, _WORST_D3_FAULT_IDS[sector]] = True
+            return faults
+        keys = [None] * (len(shots) * len(SECTORS))
+        if len(shots) >= _BATCHED_MIN_SHOTS:
+            streams = [(_STREAM_SAMPLE, s, k) for s in shots.tolist() for k in range(len(SECTORS))]
+            batched, _, exact = stream_blocks(self.seed, streams, 0)
+            keys = [key if ok else None for key, ok in zip(batched, exact.tolist())]
+        for j, key in enumerate(keys):
+            i, k = divmod(j, len(SECTORS))
+            source = self._sample_source(int(shots[i]), k, key)
+            faults[k][i] = _draw_faults(source, faults[k].shape[1], self.error_rate)
+        return faults
+
+    def _sample_source(self, shot: int, k: int, key=None):
+        """The bit generator of ``rng_stream(seed, _STREAM_SAMPLE, shot, k)``; given the
+        stream's batched Philox ``key``, one reused Philox set to that key, which is
+        much cheaper than building the stream and draws the same."""
+        if key is None:
             return rng_stream(self.seed, _STREAM_SAMPLE, shot, k).bit_generator
         self._philox.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZERO_BLOCK, "key": keys[i, k]},
+            "state": {"counter": _ZERO_BLOCK, "key": key},
             "buffer": _ZERO_BLOCK,
             "buffer_pos": 4,  # buffer spent: the first draw computes block 1
             "has_uint32": 0,
@@ -437,21 +432,21 @@ class Pipeline:
     # ---- decoding --------------------------------------------------------
 
     def _decode(self, key: bytes, bits: np.ndarray):
-        """``(corrections, valid, per-leaf entries, per-leaf downlink serialization)``
-        of a received syndrome, memoized by its packed bits ``key``."""
+        """``(corrections, their fault ids per sector as intp arrays, per-leaf entries,
+        per-leaf downlink serialization)`` of a syndrome, memoized by its packed bits ``key``."""
         decoded = self._decoded.get(key)
         if decoded is None:
             if len(self._decoded) >= _DECODE_MEMO_ENTRIES:
                 self._decoded.clear()
             syndrome = SyndromeRounds(bits, self.layout.stabilizer_count_per_sector)
             corrections = {s: decode(self.graphs[s], syndrome) for s in SECTORS}
-            valid = all(is_valid(corrections[s], syndrome, self.graphs[s]) for s in SECTORS)
+            ids = tuple(np.fromiter(corrections[s].fault_ids, dtype=np.intp) for s in SECTORS)
             entries = self._correction_entries(corrections)
             downlink = np.array(
                 [excess_serialization_delay(len(owned), self.config.downlink) for owned in entries],
                 dtype=np.int64,
             )
-            decoded = self._decoded[key] = (corrections, valid, entries, downlink)
+            decoded = self._decoded[key] = (corrections, ids, entries, downlink)
         return decoded
 
     def _correction_entries(self, corrections):
@@ -497,51 +492,38 @@ class Pipeline:
     def run_range(self, start: int, stop: int) -> CampaignResult:
         """Run shots ``start`` to ``stop - 1`` back to back, from the cycle boundary after ``now``.
 
-        The range runs in chunks of about ``_TABLE_CHUNK_BYTES`` of table and
-        syndrome arrays; ``last_context`` describes its last shot.
+        The range runs in chunks of about ``_TABLE_CHUNK_BYTES`` of table,
+        fault and syndrome arrays, and of at least ``_BATCHED_MIN_SHOTS``
+        shots; ``last_context`` describes its last shot.
         """
         if stop <= start:
             raise ValueError(f"empty shot range [{start}, {stop})")
         self._check_table_fits(stop - start)
-        chunk = max(1, _TABLE_CHUNK_BYTES // self._shot_bytes)
+        chunk = max(_BATCHED_MIN_SHOTS, _TABLE_CHUNK_BYTES // self._shot_bytes)
         return CampaignResult.merge(
             [self._run_chunk(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
         )
 
     def _run_chunk(self, start: int, stop: int) -> CampaignResult:
         shots = np.arange(start, stop, dtype=np.int64)
-        n, n_leaves = len(shots), self.leaf_map.n_leaves
-        if self.syndrome_source == "sampled" and n >= _BATCHED_MIN_SHOTS:
-            rows = np.column_stack((np.full(n * len(SECTORS), _STREAM_SAMPLE),
-                                    np.repeat(shots, len(SECTORS)),
-                                    np.tile(np.arange(len(SECTORS)), n)))
-            keys, _, exact = stream_blocks(self.seed, rows, 0)
-            self._sample_keys = (start, keys.reshape(n, len(SECTORS), 2),
-                                 exact.reshape(n, len(SECTORS)))
+        n = len(shots)
 
-        # Per-shot pass: inputs, the root's rebuild of the final round from the
-        # leaf messages, decoding and the logical check.
-        inputs = [self._syndrome_for_shot(shot) for shot in range(start, stop)]
-        bits = np.stack([syndrome.bits for syndrome, _ in inputs])
-        received = bits.copy()
-        received[:, -1] = 0
-        received[:, -1, self._received_columns] = bits[:, -1, self._received_columns]
-        intact = (received == bits).reshape(n, -1).all(axis=1)
-        packed = np.packbits(received.reshape(n, -1), axis=1)
+        # First pass: each sector's syndrome bits from the chunk's faults,
+        # joined X then Z, and a memoized decode of every shot's syndrome.
+        faults = self._chunk_faults(shots)
+        bits = np.concatenate([
+            graph.fault_parity(rows)[0].reshape(n, self.rounds, graph.n_stabilizers)
+            for graph, rows in zip(self.graphs.values(), faults)
+        ], axis=2)
+        packed = np.packbits(bits.reshape(n, -1), axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        valid = np.zeros(n, dtype=bool)
+        decoded = [self._decode(key, row) for key, row in zip(keys, bits)]
+        # The logical check stays per shot: the memo is keyed by the syndrome,
+        # and the faults behind it differ from shot to shot.
         failures = np.zeros(n, dtype=bool)
-        downlink = np.zeros((n, n_leaves), dtype=np.int64)
-        for i, ((_, patterns), key) in enumerate(zip(inputs, keys)):
-            corrections, valid[i], entries, downlink[i] = self._decode(key, received[i])
-            # The logical check stays per shot: the memo is keyed by the received
-            # syndrome, and the sampled faults behind it differ from shot to shot.
-            if patterns and not (valid[i] and intact[i]):
-                raise ValueError("correction does not annihilate the pattern's syndrome")
-            failures[i] = any(
-                len((p.fault_ids ^ corrections[s].fault_ids) & self.graphs[s].crossing_ids) % 2
-                for s, p in patterns.items()
-            )
+        for k, (graph, rows) in enumerate(zip(self.graphs.values(), faults)):
+            failures |= _residual_crossings(graph, rows, [ids[k] for _, ids, _, _ in decoded])
+        downlink = np.array([downlink for _, _, _, downlink in decoded])
 
         # Vectorized pass: per tree level, a (shots x 4 x nodes) array of the
         # times its nodes mark their four boundaries, relative to the shot
@@ -584,10 +566,9 @@ class Pipeline:
             marks[:, slots] = (t + offset + drift * t // 1_000_000).max(axis=2)
         gaps = np.diff(marks, axis=1)
 
-        syndrome, patterns = inputs[-1]
+        corrections, _, entries, _ = decoded[-1]
         self.last_context = {
-            "syndrome": syndrome,
-            "received_syndrome": SyndromeRounds(received[-1].copy(), syndrome.split),
+            "syndrome": SyndromeRounds(bits[-1].copy(), self.layout.stabilizer_count_per_sector),
             "corrections": corrections,
             "applied": dict(enumerate(entries)),
             "marks": marks[-1].tolist(),
@@ -598,7 +579,7 @@ class Pipeline:
             stage_names=names,
             samples={name: gaps[:, self._stage_gaps[name]].sum(axis=1) for name in names},
             end_to_end_ps=marks[:, -1] - marks[:, 0],
-            valid=valid,
+            valid=np.ones(n, dtype=bool),  # a residual with a defect raised above
             failures=failures,
         )
 
@@ -750,6 +731,21 @@ def _draw_faults(bit_generator, shape, error_rate: float) -> np.ndarray:
     return raw < np.uint64(math.ceil(error_rate * 2.0**53))
 
 
+def _residual_crossings(graph, faults: np.ndarray, corrections) -> np.ndarray:
+    """Logical-crossing parity of each residual: a shot's faults XOR its correction.
+
+    ``faults`` is a (shots, n_edges) bool matrix whose rows become the
+    residuals in place; ``corrections[i]`` holds the fault ids of row i's
+    correction.  Raises ValueError if any residual has a defect.
+    """
+    weights = [len(corr) for corr in corrections]
+    faults[np.repeat(np.arange(len(faults)), weights), np.concatenate(corrections)] ^= True
+    defects, crossings = graph.fault_parity(faults)
+    if defects.any():
+        raise ValueError("correction does not annihilate the pattern's syndrome")
+    return crossings
+
+
 def _ler_chunk_failures(graph, faults: np.ndarray, memo: dict, memo_entries: int) -> np.ndarray:
     """Failure flag of each row (one shot) of a (shots, n_edges) bool fault matrix.
 
@@ -758,7 +754,7 @@ def _ler_chunk_failures(graph, faults: np.ndarray, memo: dict, memo_entries: int
     with defects is decoded through ``memo`` (packed defect row -> fault ids
     of its correction, cleared when it holds ``memo_entries``: the decoder
     is a pure function of (graph, syndrome)), and its residual must have an
-    empty syndrome (ValueError otherwise).
+    empty syndrome (``_residual_crossings``).
     """
     failed = np.zeros(len(faults), dtype=bool)
     hit = np.flatnonzero(faults.any(axis=1))
@@ -779,13 +775,7 @@ def _ler_chunk_failures(graph, faults: np.ndarray, memo: dict, memo_entries: int
             syn = syndrome_from_defects(graph, np.flatnonzero(defect_row).tolist())
             corr = memo[key] = np.fromiter(decode(graph, syn).fault_ids, dtype=np.intp)
         corrections.append(corr)
-    residual = faults[rows]
-    weights = [len(corr) for corr in corrections]
-    residual[np.repeat(np.arange(len(rows)), weights), np.concatenate(corrections)] ^= True
-    residual_defects, residual_crossings = graph.fault_parity(residual)
-    if residual_defects.any():
-        raise ValueError("correction does not annihilate the pattern's syndrome")
-    failed[rows] = residual_crossings
+    failed[rows] = _residual_crossings(graph, faults[rows], corrections)
     return failed
 
 

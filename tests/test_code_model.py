@@ -211,6 +211,11 @@ def test_fault_parity_matches_incidence_and_crossing_ids(instance):
     assert np.array_equal(defects, (counts @ graph.incidence_matrix()) % 2)
     crossing = sorted(graph.crossing_ids)
     assert np.array_equal(crossings, counts[:, crossing].sum(axis=1) % 2 == 1)
+    # a defect row is the sector's syndrome bits, round by round
+    for row, defect_row in zip(faults, defects):
+        pattern = cm.pattern_from_fault_ids(graph, np.flatnonzero(row).tolist())
+        expected = cm.syndrome_of(pattern, graph).sector_bits(graph.sector)
+        assert np.array_equal(defect_row.reshape(graph.rounds, graph.n_stabilizers), expected)
 
 
 def test_total_bits_transported():
