@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import capacity_model, link_layer, qec_pipeline
-from .code_model import batched_streams_agree, build_layout
+from .code_model import batched_streams_agree, build_layout, stream_blocks
 from .config import (
     DEFAULT_PROVENANCE,
     TOOL_VERSION,
@@ -348,6 +348,8 @@ def cmd_selftest(args) -> int:
 
     check("rng: batched Philox keys and blocks agree with numpy (else every stream is built)",
           batched_streams_agree())
+    check("rng: a seed of 2**32 or more keys its streams in the batch too",
+          stream_blocks(12_345_000_001, [[7, 0]])[2].all())
 
     sim = Simulator()
     fabric = Fabric(TopologyConfig(n_leaves=4, clock_offset_bound_ps=1_000_000), seed=5)

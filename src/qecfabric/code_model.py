@@ -139,7 +139,12 @@ def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
     return out.reshape(4, blocks, n).transpose(2, 1, 0).reshape(n, 4 * blocks)
 
 
-def _stream_blocks(words: np.ndarray, blocks: int):
+def _stream_blocks(seed: int, streams: np.ndarray, blocks: int):
+    # SeedSequence's entropy: the seed's uint32 words, low first, then the row's
+    prefix = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = np.empty((len(streams), len(prefix) + streams.shape[1]), dtype=np.uint32)
+    words[:, : len(prefix)] = prefix
+    words[:, len(prefix) :] = streams & 0xFFFFFFFF
     keys = _philox_keys(words)
     return keys, _philox_blocks(keys, blocks)
 
@@ -148,15 +153,18 @@ def batched_streams_agree() -> bool:
     """Whether the batched keys and blocks equal numpy's own on a few streams.
 
     Checked once per process, on 2- to 5-word entropy tuples with zero and
-    all-ones words, two blocks each.
+    all-ones words and on seeds of two and three words, two blocks each.
     """
     global _BATCHED_STREAMS_OK
     if _BATCHED_STREAMS_OK is None:
-        rows = ((0, 7), (1, 7, 0), (2**32 - 1, 11, 68_174, 1), (9, 13, 5, 1, 2**32 - 1))
+        rows = (
+            (0, 7), (1, 7, 0), (2**32 - 1, 11, 68_174, 1), (9, 13, 5, 1, 2**32 - 1),
+            (2**32, 7), (12_345_000_001, 11, 5, 1), (2**64 + 3, 13, 0),
+        )
         _BATCHED_STREAMS_OK = True
-        for row in rows:
-            keys, raw = _stream_blocks(np.array([row], dtype=np.uint32), 2)
-            bit_generator = rng_stream(*row).bit_generator
+        for seed, *row in rows:
+            keys, raw = _stream_blocks(seed, np.array([row], dtype=np.int64), 2)
+            bit_generator = rng_stream(seed, *row).bit_generator
             _BATCHED_STREAMS_OK &= bool(
                 np.array_equal(keys[0], bit_generator.state["state"]["key"])
                 and np.array_equal(raw[0], bit_generator.random_raw(8))
@@ -171,21 +179,20 @@ def stream_blocks(seed: int, streams: np.ndarray, blocks: int = 1):
     Returns ``(keys, raw, exact)``: the (n, 2) uint64 Philox keys, the
     (n, 4 * blocks) uint64 draws ``rng_stream(seed, *row).bit_generator
     .random_raw(4 * blocks)`` (counters 1 to ``blocks``), and an (n,) bool
-    mask.  Where ``exact`` is False, keys and draws are meaningless and the
-    row must go through ``rng_stream``: a seed or entry outside [0, 2**32)
-    hashes a different number of words, and the whole batch is inexact if
-    ``batched_streams_agree`` fails, so a numpy that changed its streams
-    cannot move a result.
+    mask.  Any non-negative seed is batched: SeedSequence hashes its uint32
+    words, low word first, in front of the row's.  Where ``exact`` is False,
+    keys and draws are meaningless and the row must go through
+    ``rng_stream``: a negative entry, or one of 2**32 or more (it would
+    hash a different number of words per row), makes its row inexact, and
+    a negative seed or a failed ``batched_streams_agree`` the whole batch,
+    so a numpy that changed its streams cannot move a result.
     """
     streams = np.asarray(streams, dtype=np.int64)
     seed = int(seed)
     exact = ((streams >= 0) & (streams < 2**32)).all(axis=1)
-    if not (0 <= seed < 2**32 and batched_streams_agree()):
+    if not (seed >= 0 and batched_streams_agree()):
         exact[:] = False
-    words = np.empty((len(streams), 1 + streams.shape[1]), dtype=np.uint32)
-    words[:, 0] = seed & 0xFFFFFFFF
-    words[:, 1:] = streams & 0xFFFFFFFF
-    keys, raw = _stream_blocks(words, blocks)
+    keys, raw = _stream_blocks(seed, streams, blocks)
     return keys, raw, exact
 
 
@@ -425,8 +432,10 @@ class DecodingGraph:
         with no edge-by-vertex product.
         """
         edge_u, edge_v, crossing = self._edge_arrays
-        n, n_vertices = len(faults), self.n_vertices
-        rows, edges = np.nonzero(faults)
+        (n, n_edges), n_vertices = faults.shape, self.n_vertices
+        idx = np.flatnonzero(faults)  # row-major, as 2-D nonzero, at a tenth of the cost
+        rows = idx // n_edges
+        edges = idx - rows * n_edges
         v = edge_v[edges]
         inner = v != BOUNDARY
         ends = np.concatenate(

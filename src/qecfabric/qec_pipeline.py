@@ -568,7 +568,6 @@ class Pipeline:
 
         corrections, _, entries, _ = decoded[-1]
         self.last_context = {
-            "syndrome": SyndromeRounds(bits[-1].copy(), self.layout.stabilizer_count_per_sector),
             "corrections": corrections,
             "applied": dict(enumerate(entries)),
             "marks": marks[-1].tolist(),

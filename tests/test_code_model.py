@@ -238,24 +238,28 @@ def test_records_export():
 
 # entries near the one-word limit of SeedSequence's entropy coercion
 STREAM_WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32]), st.integers(0, 2**33))
+# seeds of one to three words: SeedSequence hashes every word of the seed
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 12_345_000_001, 2**64]), st.integers(0, 2**70)
+)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(
-    STREAM_WORDS,
+    SEEDS,
     st.integers(0, 4).flatmap(
         lambda m: st.lists(st.lists(STREAM_WORDS, min_size=m, max_size=m), min_size=1, max_size=6)
     ),
     st.integers(1, 2),
 )
 def test_stream_blocks_match_numpy_philox(seed, rows, blocks):
-    # (seed, *row) holds 1 to 5 words; 5 is the shape of the ler streams
+    # (seed, *row) holds 1 to 7 words; 5 is the shape of the ler streams
     streams = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
     keys, raw, exact = cm.stream_blocks(seed, streams, blocks)
     assert raw.shape == (len(rows), 4 * blocks)
     for row, key, draws, ok in zip(rows, keys, raw, exact):
-        # a word of 2**32 or more makes SeedSequence hash more words: not batched
-        assert ok == all(w < 2**32 for w in (seed, *row))
+        # an entry of 2**32 or more makes SeedSequence hash more words: not batched
+        assert ok == all(w < 2**32 for w in row)
         if ok:
             bit_generator = Philox(SeedSequence((seed, *row)))
             assert np.array_equal(key, bit_generator.state["state"]["key"])
@@ -269,3 +273,8 @@ def test_stream_blocks_fall_back_when_numpy_disagrees(monkeypatch):
     monkeypatch.setattr(cm, "_BATCHED_STREAMS_OK", False)
     assert not cm.batched_streams_agree()
     assert not cm.stream_blocks(1, streams)[2].any()
+
+
+def test_stream_blocks_leave_a_negative_seed_to_numpy():
+    # SeedSequence refuses a negative seed; the batch must not key one
+    assert not cm.stream_blocks(-1, np.array([[7, 0], [11, 3]]))[2].any()

@@ -367,6 +367,18 @@ PINNED_CAMPAIGN_DIGESTS = [
         200,
         "df69459c849529b211e0af3558ef32c05b9dc716217550149de18dbd665c27fe",
     ),
+    # a seed of 2**32 or more: SeedSequence hashes its two words, pinned when
+    # every stream of such a seed was built one by one
+    (
+        {"seed": 12_345_000_001},
+        500,
+        "b12e8ebce3eef9cdb2e472c360b923cacb50ecd2ea8e9c2724793cc7ff2f2624",
+    ),
+    (
+        {"seed": 12_345_000_001, "distance": 5, "syndrome_source": "sampled", "error_rate": 0.02},
+        200,
+        "15b16a7445bb007e4eb6cf50aad8adbec3c74978de3f70d47099c6207c1e38d3",
+    ),
 ]
 
 
@@ -374,6 +386,25 @@ PINNED_CAMPAIGN_DIGESTS = [
 def test_campaign_reproduces_pinned_digest(overrides, shots, digest):
     config = ExperimentConfig(**overrides).validate()
     assert campaign_digest(qp.run_campaign(config, shots=shots, jobs=1)) == digest
+
+
+@pytest.mark.parametrize(
+    "overrides, shots",
+    [(overrides, shots) for overrides, shots, _ in PINNED_CAMPAIGN_DIGESTS[-2:]]
+    + [({"seed": 1_000_001}, 500)],
+)
+def test_campaign_builds_only_the_sync_stream(overrides, shots, monkeypatch):
+    # every shot's streams come from the batched keys, whatever the seed's width
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return cm.rng_stream(*args)
+
+    monkeypatch.setattr(qp, "rng_stream", counting)
+    config = ExperimentConfig(**overrides).validate()
+    qp.run_campaign(config, shots=shots, jobs=1)
+    assert built == [(config.seed, qp._STREAM_SYNC)]
 
 
 def test_campaign_repeatable():
