@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import capacity_model, link_layer, qec_pipeline
-from .code_model import batched_streams_agree, build_layout, stream_blocks
+from .code_model import (
+    BOUNDARY,
+    SECTORS,
+    batched_streams_agree,
+    build_decoding_graph,
+    build_layout,
+    stream_blocks,
+)
 from .config import (
     DEFAULT_PROVENANCE,
     TOOL_VERSION,
@@ -367,6 +374,17 @@ def cmd_selftest(args) -> int:
     layout = build_layout(3)
     check("layout: d=3 has 17 qubits / 8 syndrome bits",
           layout.total_qubits == 17 and layout.syndrome_bits_per_round == 8)
+
+    incident_ok = True
+    for sector in SECTORS:
+        graph = build_decoding_graph(build_layout(13), sector, 13)
+        expected = [[] for _ in range(graph.n_vertices)]
+        for e_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
+            expected[u].append(e_id)
+            if v != BOUNDARY:
+                expected[v].append(e_id)
+        incident_ok &= list(graph.incident_edges) == expected
+    check("graph: d=13 incident lists match every edge's endpoints", incident_ok)
 
     print("selftest:", "all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return EXIT_OK if failures == 0 else 1

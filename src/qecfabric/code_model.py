@@ -324,16 +324,23 @@ class Edge:
 
 
 class DecodingGraph:
-    """Space-time decoding graph of one error sector.
+    """Space-time decoding graph of one error sector, held as flat edge arrays.
 
     Vertices are (stabilizer, round) pairs with id = round * n_stabilizers +
-    stabilizer.  The edge list order is fixed (per-round spacelike edges in
-    data-qubit order, then timelike edges), and the position of an edge in
-    the list is its fault id.
+    stabilizer.  The edge order is fixed: each round's spacelike edges in
+    data-qubit order, then the timelike edges round by round in stabilizer
+    order.  The position of an edge in that order is its fault id, so
+    ``fault_id_of`` is arithmetic on it.
 
+    Edge ``e`` joins ``u[e]`` (always a real vertex) and ``v[e]`` (a vertex
+    or BOUNDARY), both intp arrays; ``edge_u``, ``edge_v`` and
+    ``edge_qubit`` (the data qubit, None on a timelike edge) are the same
+    as plain lists, which Python loops index faster.  ``incident_edges[w]``
+    lists the ids of the edges at vertex ``w`` in ascending order.
     ``crossing_ids`` are the spacelike edges on the sector's logical
     crossing chain: a residual error is a logical failure iff it holds an
-    odd number of them.
+    odd number of them.  ``edges`` is the same graph as ``Edge`` objects, a
+    view built on first read for inspection and export.
     """
 
     def __init__(self, layout: CodeLayout, sector: str, rounds: int):
@@ -344,43 +351,47 @@ class DecodingGraph:
         self.layout = layout
         self.sector = sector
         self.rounds = rounds
-        self.n_stabilizers = layout.stabilizer_count_per_sector
+        n_stab = self.n_stabilizers = layout.stabilizer_count_per_sector
 
+        # One round's spacelike edges; a qubit's slot is its edge's place
+        # among them.  A qubit touching no stabilizer of this sector (d=1
+        # only) has no edge, so its slot is -1.
         adj = layout.sector_adjacency(sector)
-        edges = []
-        for t in range(rounds):
-            base = t * self.n_stabilizers
-            for q in range(layout.data_qubit_count):
-                stabs = adj[q]
-                if len(stabs) == 2:
-                    edges.append(Edge(SPACELIKE, base + stabs[0], base + stabs[1], q, None, t))
-                elif len(stabs) == 1:
-                    edges.append(Edge(SPACELIKE, base + stabs[0], BOUNDARY, q, None, t))
-                # a qubit touching no stabilizer of this sector (d=1 only)
-                # contributes no edge
-        for t in range(rounds - 1):
-            for s in range(self.n_stabilizers):
-                edges.append(
-                    Edge(TIMELIKE, t * self.n_stabilizers + s, (t + 1) * self.n_stabilizers + s, None, s, t)
-                )
-        self.edges = tuple(edges)
+        qubits = [q for q, stabs in enumerate(adj) if stabs]
+        self._slot = [-1] * len(adj)
+        for i, q in enumerate(qubits):
+            self._slot[q] = i
+        first = np.array([adj[q][0] for q in qubits], dtype=np.intp)
+        second = np.array([adj[q][1] if len(adj[q]) == 2 else BOUNDARY for q in qubits],
+                          dtype=np.intp)
+        self._per_round = len(qubits)
+        self._n_spacelike = rounds * len(qubits)
+        base = np.arange(rounds, dtype=np.intp)[:, None] * n_stab
+        timelike = np.arange((rounds - 1) * n_stab, dtype=np.intp)
+        self.u = np.concatenate(((first + base).ravel(), timelike))
+        self.v = np.concatenate((
+            np.where(second == BOUNDARY, BOUNDARY, second + base).ravel(), timelike + n_stab
+        ))
+        self.edge_u = self.u.tolist()
+        self.edge_v = self.v.tolist()
+        self.edge_qubit = qubits * rounds + [None] * len(timelike)
 
-        self._spacelike_ids = {}
-        self._timelike_ids = {}
-        incident = [[] for _ in range(self.n_vertices)]
-        for e_id, e in enumerate(self.edges):
-            incident[e.u].append(e_id)
-            if e.v != BOUNDARY:
-                incident[e.v].append(e_id)
-            if e.kind == SPACELIKE:
-                self._spacelike_ids[(e.qubit, e.round)] = e_id
-            else:
-                self._timelike_ids[(e.stab, e.round)] = e_id
-        self.incident_edges = tuple(tuple(ids) for ids in incident)
+        # CSR incidence: both ends of every edge in edge-id order, boundary
+        # ends dropped, stably sorted by vertex
+        ends = np.stack((self.u, self.v), axis=1).ravel()
+        inner = ends != BOUNDARY
+        ends = ends[inner]
+        ids = np.repeat(np.arange(self.n_edges, dtype=np.intp), 2)[inner]
+        order = np.argsort(ends, kind="stable")
+        stops = np.cumsum(np.bincount(ends, minlength=self.n_vertices)).tolist()
+        flat = ids[order].tolist()
+        self.incident_edges = tuple(flat[a:b] for a, b in zip([0] + stops, stops))
+
         chain = layout.crossing_chain[sector]
-        self.crossing_ids = frozenset(
-            e_id for e_id, e in enumerate(self.edges) if e.kind == SPACELIKE and e.qubit in chain
-        )
+        self._crossing = np.zeros(self.n_edges, dtype=bool)
+        rows = self._crossing[: self._n_spacelike].reshape(rounds, len(qubits))
+        rows[:] = [q in chain for q in qubits]  # a view: sets every round's spacelike edges
+        self.crossing_ids = frozenset(np.flatnonzero(self._crossing).tolist())
 
         self._incidence = None
 
@@ -390,36 +401,42 @@ class DecodingGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.u)
 
     def fault_id_of(self, entry, kind) -> int:
         """Fault id for a (qubit, round) data fault or (stab, round) measurement fault."""
-        table = self._spacelike_ids if kind == SPACELIKE else self._timelike_ids
-        try:
-            return table[entry]
-        except KeyError:
-            raise ValueError(f"unknown {kind} fault {entry!r} for this graph") from None
+        index, t = entry
+        if kind == SPACELIKE:
+            slot = self._slot[index] if 0 <= index < len(self._slot) else -1
+            if slot >= 0 and 0 <= t < self.rounds:
+                return t * self._per_round + slot
+        elif 0 <= index < self.n_stabilizers and 0 <= t < self.rounds - 1:
+            return self._n_spacelike + t * self.n_stabilizers + index
+        raise ValueError(f"unknown {kind} fault {entry!r} for this graph")
+
+    @cached_property
+    def edges(self):
+        """The edges as ``Edge`` objects in fault-id order, built on first read."""
+        n_space, per_round = self._n_spacelike, self._per_round
+        out = []
+        for e_id, (u, v, q) in enumerate(zip(self.edge_u, self.edge_v, self.edge_qubit)):
+            if q is not None:
+                out.append(Edge(SPACELIKE, u, v, q, None, e_id // per_round))
+            else:
+                t, s = divmod(e_id - n_space, self.n_stabilizers)
+                out.append(Edge(TIMELIKE, u, v, None, s, t))
+        return tuple(out)
 
     def incidence_matrix(self) -> np.ndarray:
         """Edge-by-vertex 0/1 incidence (boundary column omitted), cached."""
         if self._incidence is None:
             mat = np.zeros((self.n_edges, self.n_vertices), dtype=np.uint8)
-            for e_id, e in enumerate(self.edges):
-                mat[e_id, e.u] = 1
-                if e.v != BOUNDARY:
-                    mat[e_id, e.v] = 1
+            inner = np.flatnonzero(self.v != BOUNDARY)
+            mat[np.concatenate((np.arange(self.n_edges), inner)),
+                np.concatenate((self.u, self.v[inner]))] = 1
             mat.flags.writeable = False
             self._incidence = mat
         return self._incidence
-
-    @cached_property
-    def _edge_arrays(self):
-        """Each edge's ``u``, ``v`` and crossing flag as numpy arrays, built on first use."""
-        u = np.array([e.u for e in self.edges], dtype=np.intp)
-        v = np.array([e.v for e in self.edges], dtype=np.intp)
-        crossing = np.zeros(self.n_edges, dtype=bool)
-        crossing[list(self.crossing_ids)] = True
-        return u, v, crossing
 
     def fault_parity(self, faults: np.ndarray):
         """Detector and logical-crossing parities of each row of a fault matrix.
@@ -431,19 +448,18 @@ class DecodingGraph:
         endpoints are counted, so the cost is O(faults + shots x vertices),
         with no edge-by-vertex product.
         """
-        edge_u, edge_v, crossing = self._edge_arrays
         (n, n_edges), n_vertices = faults.shape, self.n_vertices
         idx = np.flatnonzero(faults)  # row-major, as 2-D nonzero, at a tenth of the cost
         rows = idx // n_edges
         edges = idx - rows * n_edges
-        v = edge_v[edges]
+        v = self.v[edges]
         inner = v != BOUNDARY
         ends = np.concatenate(
-            (rows * n_vertices + edge_u[edges], rows[inner] * n_vertices + v[inner])
+            (rows * n_vertices + self.u[edges], rows[inner] * n_vertices + v[inner])
         )
         defects = np.bincount(ends, minlength=n * n_vertices).astype(np.uint8)
         defects &= 1
-        crossings = (np.bincount(rows[crossing[edges]], minlength=n) & 1).astype(bool)
+        crossings = (np.bincount(rows[self._crossing[edges]], minlength=n) & 1).astype(bool)
         return defects.reshape(n, n_vertices), crossings
 
     def to_records(self):
@@ -598,10 +614,7 @@ def syndrome_of(pattern: ErrorPattern, graph: DecodingGraph) -> SyndromeRounds:
     sector columns are populated; combine sectors with XOR.
     """
     _check_same_graph(pattern.graph, graph)
-    flipped = np.zeros(graph.n_vertices, dtype=np.uint8)
-    for e_id in pattern.fault_ids:
-        e = graph.edges[e_id]
-        flipped[e.u] ^= 1
-        if e.v != BOUNDARY:
-            flipped[e.v] ^= 1
-    return syndrome_from_defects(graph, np.nonzero(flipped)[0].tolist())
+    ids = np.fromiter(pattern.fault_ids, dtype=np.intp, count=len(pattern.fault_ids))
+    ends = np.concatenate((graph.u[ids], graph.v[ids]))
+    flipped = np.bincount(ends[ends != BOUNDARY], minlength=graph.n_vertices) & 1
+    return syndrome_from_defects(graph, np.flatnonzero(flipped).tolist())

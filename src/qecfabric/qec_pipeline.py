@@ -452,16 +452,18 @@ class Pipeline:
     def _correction_entries(self, corrections):
         """Per leaf, the (sector, data qubit) pairs of odd per-qubit correction parity."""
         per_leaf = [[] for _ in range(self.leaf_map.n_leaves)]
+        qubits_per_leaf = self.leaf_map.qubits_per_leaf
         for sector in SECTORS:
-            edges = self.graphs[sector].edges
+            edge_qubit = self.graphs[sector].edge_qubit
             parity = {}
             for e_id in corrections[sector].fault_ids:
-                qubit = edges[e_id].qubit
+                qubit = edge_qubit[e_id]
                 if qubit is not None:  # timelike edges touch no data qubit
                     parity[qubit] = parity.get(qubit, 0) ^ 1
+            # a data qubit's id is below total_qubits, so no bounds check
             for qubit, odd in sorted(parity.items()):
                 if odd:
-                    per_leaf[self.leaf_map.leaf_of(qubit)].append((sector, qubit))
+                    per_leaf[qubit // qubits_per_leaf].append((sector, qubit))
         return [tuple(owned) for owned in per_leaf]
 
     # ---- shot table ------------------------------------------------------

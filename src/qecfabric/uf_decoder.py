@@ -15,11 +15,13 @@ those edges, their endpoints and the defects.  The cluster state lives in
 dicts keyed by the vertices and edges a decode touches, so the one
 graph-sized cost is the numpy scan of the sector's syndrome bits for its
 defects.  ``is_valid`` likewise costs that scan plus O(correction weight +
-defects) in Python.
+defects) in Python.  Every pass reads the graph as flat lists indexed by
+id: an edge's endpoints from ``edge_u``/``edge_v`` and a vertex's edges
+from ``incident_edges``; none builds the graph's ``Edge`` objects.
 
 ``oracle_decode`` is an independent reference: exhaustive minimum-weight
 search on small graphs, shortest-path defect pairing on small syndromes.
-It shares no code with the cluster decoder beyond the graph structures.
+It shares no code with the cluster decoder beyond the graph's edge lists.
 """
 
 from __future__ import annotations
@@ -152,30 +154,32 @@ class ClusterState:
                 else:
                     keep.append(e_id)
             lst[:] = keep
+        edge_u, edge_v = self.graph.edge_u, self.graph.edge_v
         for e_id in sorted(fused):
             stats.fusions += 1
             self.full_edges.append(e_id)
-            e = self.graph.edges[e_id]
-            if e.v == BOUNDARY:
-                self.touches_boundary.add(self.find(e.u))
+            v = edge_v[e_id]
+            if v == BOUNDARY:
+                self.touches_boundary.add(self.find(edge_u[e_id]))
             else:
-                self.union(e.u, e.v)
+                self.union(edge_u[e_id], v)
         return True
 
 
 def _peel_cluster(graph, verts, defect, interior_full, boundary_full, touches_boundary):
     """Leaf-first peeling of one frozen cluster; returns selected edge ids."""
+    edge_u, edge_v = graph.edge_u, graph.edge_v
     adjacency = defaultdict(list)
     for e_id in interior_full:
-        e = graph.edges[e_id]
-        adjacency[e.u].append((e_id, e.v))
-        adjacency[e.v].append((e_id, e.u))
+        u, v = edge_u[e_id], edge_v[e_id]
+        adjacency[u].append((e_id, v))
+        adjacency[v].append((e_id, u))
     for v in adjacency:
         adjacency[v].sort()
 
     if touches_boundary:
         root_edge = min(boundary_full)
-        tree_root = graph.edges[root_edge].u
+        tree_root = edge_u[root_edge]
     else:
         root_edge = None
         tree_root = min(verts)
@@ -222,18 +226,19 @@ def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
         pass
 
     find = state.find
+    edge_u, edge_v = graph.edge_u, graph.edge_v
     touched = set(defects)
     interior_full = defaultdict(list)
     boundary_full = defaultdict(list)
     for e_id in sorted(state.full_edges):
-        e = graph.edges[e_id]
-        root = find(e.u)
-        if e.v == BOUNDARY:
+        u, v = edge_u[e_id], edge_v[e_id]
+        root = find(u)
+        if v == BOUNDARY:
             boundary_full[root].append(e_id)
         else:
             interior_full[root].append(e_id)
-            touched.add(e.u)
-            touched.add(e.v)
+            touched.add(u)
+            touched.add(v)
     members = defaultdict(list)
     for v in sorted(touched):
         members[find(v)].append(v)
@@ -261,23 +266,18 @@ def decode(graph: DecodingGraph, syndrome: SyndromeRounds) -> ErrorPattern:
 
 
 def _edge_masks(graph: DecodingGraph):
-    masks = []
-    for e in graph.edges:
-        m = 1 << e.u
-        if e.v != BOUNDARY:
-            m ^= 1 << e.v
-        masks.append(m)
-    return masks
+    return [1 << u if v == BOUNDARY else (1 << u) ^ (1 << v)
+            for u, v in zip(graph.edge_u, graph.edge_v)]
 
 
 def _pairing_decode(graph: DecodingGraph, defects):
     """Minimum shortest-path pairing of defects (boundary allowed)."""
     n_b = graph.n_vertices  # pseudo-vertex standing in for the boundary
     adjacency = defaultdict(list)
-    for e_id, e in enumerate(graph.edges):
-        v = n_b if e.v == BOUNDARY else e.v
-        adjacency[e.u].append((v, e_id))
-        adjacency[v].append((e.u, e_id))
+    for e_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
+        v = n_b if v == BOUNDARY else v
+        adjacency[u].append((v, e_id))
+        adjacency[v].append((u, e_id))
 
     def bfs(src):
         dist = {src: 0}
@@ -396,10 +396,11 @@ def is_valid(correction: ErrorPattern, syndrome: SyndromeRounds, graph: Decoding
     O(correction weight + defects).
     """
     defects = set(syndrome.defect_vertices(graph))
+    edge_u, edge_v = graph.edge_u, graph.edge_v
     flipped = set()
     for e_id in correction.fault_ids:
-        e = graph.edges[e_id]
-        flipped.symmetric_difference_update((e.u,) if e.v == BOUNDARY else (e.u, e.v))
+        u, v = edge_u[e_id], edge_v[e_id]
+        flipped.symmetric_difference_update((u,) if v == BOUNDARY else (u, v))
     return flipped == defects
 
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,85 @@ def test_graph_edge_structure(d, rounds):
             else:
                 assert graph.fault_id_of((e.stab, e.round), cm.TIMELIKE) == e_id
                 assert e.v == e.u + graph.n_stabilizers
+
+
+def reference_graph(layout, sector, rounds):
+    """Edges, per-vertex incident ids and crossing ids, built edge by edge as ``Edge`` objects."""
+    n_stab = layout.stabilizer_count_per_sector
+    adj = layout.sector_adjacency(sector)
+    edges = []
+    for t in range(rounds):
+        base = t * n_stab
+        for q in range(layout.data_qubit_count):
+            stabs = adj[q]
+            if len(stabs) == 2:
+                edges.append(cm.Edge(cm.SPACELIKE, base + stabs[0], base + stabs[1], q, None, t))
+            elif len(stabs) == 1:
+                edges.append(cm.Edge(cm.SPACELIKE, base + stabs[0], cm.BOUNDARY, q, None, t))
+            # a qubit touching no stabilizer of this sector (d=1 only) has no edge
+    for t in range(rounds - 1):
+        for s in range(n_stab):
+            edges.append(cm.Edge(cm.TIMELIKE, t * n_stab + s, (t + 1) * n_stab + s, None, s, t))
+    incident = [[] for _ in range(n_stab * rounds)]
+    for e_id, e in enumerate(edges):
+        incident[e.u].append(e_id)
+        if e.v != cm.BOUNDARY:
+            incident[e.v].append(e_id)
+    chain = layout.crossing_chain[sector]
+    crossing = {i for i, e in enumerate(edges) if e.kind == cm.SPACELIKE and e.qubit in chain}
+    return edges, incident, crossing
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 13])
+@pytest.mark.parametrize("rounds", [1, 2, 3, "d"])
+@pytest.mark.parametrize("sector", cm.SECTORS)
+def test_graph_matches_reference_walk(d, rounds, sector):
+    layout = cm.build_layout(d)
+    rounds = d if rounds == "d" else rounds
+    graph = cm.build_decoding_graph(layout, sector, rounds)
+    edges, incident, crossing = reference_graph(layout, sector, rounds)
+    assert graph.n_edges == len(edges)
+    for e, ref in zip(graph.edges, edges):
+        for name in ("kind", "u", "v", "qubit", "stab", "round"):
+            assert getattr(e, name) == getattr(ref, name)
+            assert type(getattr(e, name)) is type(getattr(ref, name))
+    assert graph.edge_u == [e.u for e in edges] == graph.u.tolist()
+    assert graph.edge_v == [e.v for e in edges] == graph.v.tolist()
+    assert graph.edge_qubit == [e.qubit for e in edges]
+    assert list(graph.incident_edges) == incident
+    assert graph.crossing_ids == crossing
+    for e_id, e in enumerate(edges):
+        if e.kind == cm.SPACELIKE:
+            assert graph.fault_id_of((e.qubit, e.round), cm.SPACELIKE) == e_id
+        else:
+            assert graph.fault_id_of((e.stab, e.round), cm.TIMELIKE) == e_id
+
+
+@pytest.mark.parametrize("d, rounds", [(1, 1), (1, 3), (3, 1), (3, 3), (5, 2)])
+def test_fault_id_of_rejects_entries_that_name_no_edge(d, rounds):
+    layout = cm.build_layout(d)
+    for sector in cm.SECTORS:
+        graph = cm.build_decoding_graph(layout, sector, rounds)
+        spacelike = [(-1, 0), (0, -1), (layout.data_qubit_count, 0), (0, rounds)]
+        timelike = [(-1, 0), (0, -1), (graph.n_stabilizers, 0), (0, rounds - 1)]
+        if d == 1:
+            spacelike.append((0, 0))  # the one data qubit touches no stabilizer
+        for kind, entries in ((cm.SPACELIKE, spacelike), (cm.TIMELIKE, timelike)):
+            for entry in entries:
+                with pytest.raises(ValueError):
+                    graph.fault_id_of(entry, kind)
+
+
+def test_graph_holds_at_most_240_bytes_per_edge():
+    layout = cm.build_layout(21)
+    tracemalloc.start()
+    try:
+        graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 21)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.n_edges == 13_661
+    assert held <= 240 * graph.n_edges
 
 
 def test_graph_rejects_bad_arguments():

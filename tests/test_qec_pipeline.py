@@ -634,6 +634,28 @@ def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
     assert np.array_equal(one, floats)
 
 
+def test_campaign_paths_never_build_the_edge_view(monkeypatch):
+    # the decoder, the memo's correction entries and the parity passes read
+    # the graph's flat edge lists; the lazy ``edges`` tuple is for export only
+    decodes = []
+    real = qp.decode
+    monkeypatch.setattr(qp, "decode", lambda graph, syn: decodes.append(1) or real(graph, syn))
+    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01).validate()
+    pipeline = qp.Pipeline(config)
+    pipeline.run_range(0, 40)
+    assert decodes  # memo misses, whose corrections name data qubits
+    assert any(any(entries) for _, _, entries, _ in pipeline._decoded.values())
+    assert all("edges" not in graph.__dict__ for graph in pipeline.graphs.values())
+
+    built = []
+    build = qp.build_decoding_graph
+    monkeypatch.setattr(qp, "build_decoding_graph", lambda *args: built.append(build(*args)) or built[-1])
+    decodes.clear()
+    qp._ler_sector_failures(cm.build_layout(5), 0, 5, 0.01, 1, 256, range(1), 256)
+    assert decodes and len(built) == 1
+    assert "edges" not in built[0].__dict__
+
+
 def test_ler_sector_memory_does_not_grow_with_batch():
     layout = cm.build_layout(5)
     tracemalloc.start()
