@@ -23,7 +23,9 @@ from .code_model import (
     batched_streams_agree,
     build_decoding_graph,
     build_layout,
+    sample_errors,
     stream_blocks,
+    syndrome_of,
 )
 from .config import (
     DEFAULT_PROVENANCE,
@@ -33,6 +35,7 @@ from .config import (
     load_config,
 )
 from .fabric_sim import CapacityError, Fabric, Simulator, TopologyConfig, global_sync
+from .uf_decoder import decode_defects, decode_with_stats
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -375,8 +378,8 @@ def cmd_selftest(args) -> int:
     check("layout: d=3 has 17 qubits / 8 syndrome bits",
           layout.total_qubits == 17 and layout.syndrome_bits_per_round == 8)
 
-    incident_ok = True
-    for sector in SECTORS:
+    incident_ok = agree = True
+    for k, sector in enumerate(SECTORS):
         graph = build_decoding_graph(build_layout(13), sector, 13)
         expected = [[] for _ in range(graph.n_vertices)]
         for e_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
@@ -384,7 +387,21 @@ def cmd_selftest(args) -> int:
             if v != BOUNDARY:
                 expected[v].append(e_id)
         incident_ok &= list(graph.incident_edges) == expected
+        syndrome = syndrome_of(sample_errors(graph, 3e-3, seed=13, stream=(k,)), graph)
+        defects = syndrome.defect_vertices(graph)
+        ids, stats = decode_defects(graph, defects)
+        correction, wrapped = decode_with_stats(graph, syndrome)
+        agree &= bool(defects) and set(ids) == correction.fault_ids and stats == wrapped
     check("graph: d=13 incident lists match every edge's endpoints", incident_ok)
+    check("decoder: decode_defects and decode_with_stats agree on a d=13 syndrome per sector",
+          agree)
+    pipeline = qec_pipeline.Pipeline(ExperimentConfig(
+        distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3))
+    pipeline.run_shot(0)
+    (_, _, entries, downlink), = pipeline._decoded.values()
+    price = link_layer.excess_serialization_delay
+    check("pipeline: a d=13/L1 memo entry prices each leaf's downlink by its entry count",
+          downlink.tolist() == [price(len(owned), pipeline.config.downlink) for owned in entries])
 
     print("selftest:", "all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return EXIT_OK if failures == 0 else 1

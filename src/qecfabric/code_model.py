@@ -333,9 +333,10 @@ class DecodingGraph:
     ``fault_id_of`` is arithmetic on it.
 
     Edge ``e`` joins ``u[e]`` (always a real vertex) and ``v[e]`` (a vertex
-    or BOUNDARY), both intp arrays; ``edge_u``, ``edge_v`` and
-    ``edge_qubit`` (the data qubit, None on a timelike edge) are the same
-    as plain lists, which Python loops index faster.  ``incident_edges[w]``
+    or BOUNDARY) and lies on data qubit ``qubit[e]`` (-1 on a timelike
+    edge), all intp arrays; ``edge_u``, ``edge_v`` and ``edge_qubit`` (None
+    on a timelike edge) are the same as plain lists, which Python loops
+    index faster.  ``incident_edges[w]``
     lists the ids of the edges at vertex ``w`` in ascending order.
     ``crossing_ids`` are the spacelike edges on the sector's logical
     crossing chain: a residual error is a logical failure iff it holds an
@@ -374,6 +375,8 @@ class DecodingGraph:
         ))
         self.edge_u = self.u.tolist()
         self.edge_v = self.v.tolist()
+        self.qubit = np.concatenate((np.tile(np.array(qubits, dtype=np.intp), rounds),
+                                     np.full(len(timelike), -1, dtype=np.intp)))
         self.edge_qubit = qubits * rounds + [None] * len(timelike)
 
         # CSR incidence: both ends of every edge in edge-id order, boundary
@@ -570,8 +573,7 @@ class SyndromeRounds:
                 f"syndrome shape {sb.shape} does not match graph "
                 f"({graph.rounds}, {graph.n_stabilizers})"
             )
-        ts, ss = np.nonzero(sb)
-        return [int(t) * graph.n_stabilizers + int(s) for t, s in zip(ts, ss)]
+        return np.flatnonzero(sb).tolist()  # row-major (round, stabilizer) is the vertex id
 
     @property
     def total_weight(self) -> int:
@@ -597,14 +599,19 @@ def empty_syndrome(layout: CodeLayout, rounds: int) -> SyndromeRounds:
 
 
 def syndrome_from_defects(graph: DecodingGraph, defect_vertices) -> SyndromeRounds:
-    """Syndrome with the given vertices of one sector flipped."""
-    syn = empty_syndrome(graph.layout, graph.rounds)
-    bits = np.array(syn.bits)
-    offset = 0 if graph.sector == SECTOR_X else syn.split
-    for v in defect_vertices:
-        t, s = divmod(v, graph.n_stabilizers)
-        bits[t, offset + s] ^= 1
-    return SyndromeRounds(bits, syn.split)
+    """Syndrome with the given vertices of one sector flipped; a vertex listed twice cancels.
+
+    Raises ValueError for a vertex id outside [0, n_vertices).
+    """
+    ids = np.fromiter(defect_vertices, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= graph.n_vertices):
+        raise ValueError(f"defect ids outside [0, {graph.n_vertices}) for this graph")
+    flipped = np.bincount(ids, minlength=graph.n_vertices) & 1
+    split = graph.layout.stabilizer_count_per_sector
+    bits = np.zeros((graph.rounds, graph.layout.syndrome_bits_per_round), dtype=np.uint8)
+    cols = slice(0, split) if graph.sector == SECTOR_X else slice(split, None)
+    bits[:, cols] = flipped.reshape(graph.rounds, graph.n_stabilizers)
+    return SyndromeRounds(bits, split)
 
 
 def syndrome_of(pattern: ErrorPattern, graph: DecodingGraph) -> SyndromeRounds:
@@ -617,4 +624,4 @@ def syndrome_of(pattern: ErrorPattern, graph: DecodingGraph) -> SyndromeRounds:
     ids = np.fromiter(pattern.fault_ids, dtype=np.intp, count=len(pattern.fault_ids))
     ends = np.concatenate((graph.u[ids], graph.v[ids]))
     flipped = np.bincount(ends[ends != BOUNDARY], minlength=graph.n_vertices) & 1
-    return syndrome_from_defects(graph, np.flatnonzero(flipped).tolist())
+    return syndrome_from_defects(graph, np.flatnonzero(flipped))

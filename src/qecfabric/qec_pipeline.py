@@ -21,10 +21,18 @@ correctness is real (the union-find decoder runs on the actual syndrome)
 while decoder duration is table-driven.
 
 A chunk's faults are one (shots x edges) bool matrix per sector, whose
-parities are its syndromes.  A ``Pipeline`` decodes each distinct syndrome
-once: a memo maps it to its corrections, their fault ids and the per-leaf
-correction messages, and is cleared at ``_DECODE_MEMO_ENTRIES`` entries.
-Each shot's residual (``_residual_crossings``) gives its logical check.
+parities are its defect rows.  A ``Pipeline`` decodes each distinct
+syndrome once: a memo maps it to its corrections, their fault ids, the
+per-leaf correction messages and each leaf's downlink serialization, and
+holds at most ``_DECODE_MEMO_ENTRIES`` entries.  A chunk first looks its
+syndromes up in the memo; the distinct missing rows are then decoded
+together.  One ``np.nonzero`` per sector gives their defect ids, which go
+straight to ``uf_decoder.decode_defects``; one ``np.bincount`` of the
+corrected data qubits gives each leaf's entries, the qubits it owns of odd
+correction parity.  A leaf's downlink price is read from a table of
+``excess_serialization_delay`` by entry count, built with the pipeline,
+which also prices each leaf's fixed uplink message once.  Each shot's
+residual (``_residual_crossings``) gives its logical check.
 
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
@@ -39,6 +47,7 @@ with the same helper, and shards by (sector, batch range) over
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -62,13 +71,12 @@ from .code_model import (
     pattern_from_fault_ids,
     rng_stream,
     stream_blocks,
-    syndrome_from_defects,
     syndrome_of,
 )
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
 from .fabric_sim import Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay, serialization_delay
-from .uf_decoder import decode
+from .uf_decoder import decode_defects
 
 # RNG stream tags under the campaign master seed
 _STREAM_SHOT = 7  # per-shot stage jitter
@@ -78,7 +86,8 @@ _STREAM_LER = 13  # batched Monte-Carlo sampling
 
 Z95 = 1.959963984540054
 
-#: A pipeline clears its decode memo once it holds this many syndromes.
+#: Most syndromes a pipeline's decode memo holds; a chunk whose misses would
+#: pass it clears the memo first.
 _DECODE_MEMO_ENTRIES = 1024
 
 #: Bytes of table, fault and syndrome arrays per ``Pipeline.run_range`` chunk.
@@ -230,7 +239,7 @@ class Pipeline:
     (``_chunk_faults``), takes every syndrome from them in one parity pass
     per sector, decodes each shot's syndrome through the memo (see the
     module docstring; exact, since decoding is a pure function of (graph,
-    syndrome)) and checks every residual in one more parity pass per
+    defects)) and checks every residual in one more parity pass per
     sector.  A vectorized pass then builds int64 arrays with one row per
     shot: the stage durations, the start times, and the marks of ``chain``
     (see ``boundary_chain``), the one list of which boundaries delimit
@@ -319,10 +328,14 @@ class Pipeline:
                                        self.config.uplink)
             for leaf in range(self.leaf_map.n_leaves)
         ], dtype=np.int64)
-        # a leaf sends at most one correction entry per owned data qubit and sector
-        self._downlink_excess_bound_ps = serialization_delay(
-            2 * self.leaf_map.qubits_per_leaf, self.config.downlink
+        # a leaf sends at most one correction entry per owned data qubit and
+        # sector; entry k prices a downlink message of k entries
+        most = 2 * self.leaf_map.qubits_per_leaf
+        self._downlink_excess_ps = np.array(
+            [excess_serialization_delay(k, self.config.downlink) for k in range(most + 1)],
+            dtype=np.int64,
         )
+        self._downlink_excess_bound_ps = serialization_delay(most, self.config.downlink)
         # the leaves' ancillas cover every syndrome column, so every round's
         # bits reach the root
         self._bits_received = self.rounds * self.layout.syndrome_bits_per_round
@@ -334,8 +347,8 @@ class Pipeline:
                    + len(self._stage_windows) + self.graphs[SECTOR_X].n_vertices)
         self._shot_bytes = (8 * columns + sum(g.n_edges for g in self.graphs.values())
                             + 2 * self._bits_received)
-        # packed syndrome -> (corrections, their fault ids per sector as intp
-        # arrays, per-leaf entries, per-leaf downlink serialization)
+        # packed defect rows -> (corrections, their fault ids per sector as
+        # intp arrays, per-leaf entries, per-leaf downlink serialization)
         self._decoded = {}
 
         self.syndrome_source = config.effective_syndrome_source
@@ -431,40 +444,62 @@ class Pipeline:
 
     # ---- decoding --------------------------------------------------------
 
-    def _decode(self, key: bytes, bits: np.ndarray):
-        """``(corrections, their fault ids per sector as intp arrays, per-leaf entries,
-        per-leaf downlink serialization)`` of a syndrome, memoized by its packed bits ``key``."""
-        decoded = self._decoded.get(key)
-        if decoded is None:
-            if len(self._decoded) >= _DECODE_MEMO_ENTRIES:
-                self._decoded.clear()
-            syndrome = SyndromeRounds(bits, self.layout.stabilizer_count_per_sector)
-            corrections = {s: decode(self.graphs[s], syndrome) for s in SECTORS}
-            ids = tuple(np.fromiter(corrections[s].fault_ids, dtype=np.intp) for s in SECTORS)
-            entries = self._correction_entries(corrections)
-            downlink = np.array(
-                [excess_serialization_delay(len(owned), self.config.downlink) for owned in entries],
-                dtype=np.int64,
-            )
-            decoded = self._decoded[key] = (corrections, ids, entries, downlink)
+    def _decode(self, keys: list, defects: list) -> list:
+        """The memo entry of each chunk row, keyed by its packed defect rows ``keys``.
+
+        ``defects`` holds each sector's (shots x vertices) defect rows.  Rows
+        missing from the memo are decoded once per distinct key
+        (``_decode_rows``) and then stored, clearing the memo first if they
+        would take it past ``_DECODE_MEMO_ENTRIES``.
+        """
+        memo = self._decoded
+        first = {}
+        for i, key in enumerate(keys):
+            if key not in memo:
+                first.setdefault(key, i)
+        if not first:
+            return [memo[key] for key in keys]
+        fresh = dict(zip(first, self._decode_rows(defects, list(first.values()))))
+        decoded = [fresh[key] if key in fresh else memo[key] for key in keys]
+        if len(memo) + len(fresh) > _DECODE_MEMO_ENTRIES:
+            memo.clear()
+        memo.update(itertools.islice(fresh.items(), _DECODE_MEMO_ENTRIES))
         return decoded
 
-    def _correction_entries(self, corrections):
-        """Per leaf, the (sector, data qubit) pairs of odd per-qubit correction parity."""
-        per_leaf = [[] for _ in range(self.leaf_map.n_leaves)]
-        qubits_per_leaf = self.leaf_map.qubits_per_leaf
-        for sector in SECTORS:
-            edge_qubit = self.graphs[sector].edge_qubit
-            parity = {}
-            for e_id in corrections[sector].fault_ids:
-                qubit = edge_qubit[e_id]
-                if qubit is not None:  # timelike edges touch no data qubit
-                    parity[qubit] = parity.get(qubit, 0) ^ 1
-            # a data qubit's id is below total_qubits, so no bounds check
-            for qubit, odd in sorted(parity.items()):
-                if odd:
-                    per_leaf[qubit // qubits_per_leaf].append((sector, qubit))
-        return [tuple(owned) for owned in per_leaf]
+    def _decode_rows(self, defects: list, rows: list) -> list:
+        """Memo entries ``(corrections, fault ids, leaf entries, downlink)`` of some chunk rows.
+
+        Each sector's defect ids come from one ``np.nonzero`` over the rows.
+        The corrected data qubits of every row and sector go into one
+        ``np.bincount``; its odd counts, in (sector, row, qubit) order, are
+        the leaf entries, and a leaf's entry count indexes its downlink price.
+        """
+        m, n_data, n_leaves = len(rows), self.layout.data_qubit_count, self.leaf_map.n_leaves
+        corrections, ids, codes = [], [], []
+        for k, (graph, sector_defects) in enumerate(zip(self.graphs.values(), defects)):
+            hit, vertices = np.nonzero(sector_defects[rows])
+            stops = np.cumsum(np.bincount(hit, minlength=m)).tolist()
+            vertices = vertices.tolist()
+            fixes = [decode_defects(graph, vertices[a:b])[0] for a, b in zip([0] + stops, stops)]
+            corrections.append([pattern_from_fault_ids(graph, fix) for fix in fixes])
+            ids.append([np.array(fix, dtype=np.intp) for fix in fixes])
+            # code (k * m + row) * n_data + qubit names a corrected data qubit
+            qubit = graph.qubit[np.concatenate(ids[k])]
+            row = np.repeat(np.arange(k * m, (k + 1) * m), [len(fix) for fix in fixes])
+            data = qubit >= 0
+            codes.append(row[data] * n_data + qubit[data])
+        odd = np.flatnonzero(np.bincount(np.concatenate(codes), minlength=2 * m * n_data) & 1)
+        block, qubit = np.divmod(odd, n_data)
+        sector, row = np.divmod(block, m)
+        leaf = qubit // self.leaf_map.qubits_per_leaf
+        counts = np.bincount(row * n_leaves + leaf, minlength=m * n_leaves)
+        downlink = self._downlink_excess_ps[counts.reshape(m, n_leaves)]
+        entries = [[()] * n_leaves for _ in range(m)]
+        for k, i, q, j in zip(sector.tolist(), row.tolist(), qubit.tolist(), leaf.tolist()):
+            entries[i][j] += ((SECTORS[k], q),)
+        return [(dict(zip(SECTORS, row_corrections)), row_ids, row_entries, row_downlink)
+                for row_corrections, row_ids, row_entries, row_downlink
+                in zip(zip(*corrections), zip(*ids), entries, downlink)]
 
     # ---- shot table ------------------------------------------------------
 
@@ -510,16 +545,13 @@ class Pipeline:
         shots = np.arange(start, stop, dtype=np.int64)
         n = len(shots)
 
-        # First pass: each sector's syndrome bits from the chunk's faults,
-        # joined X then Z, and a memoized decode of every shot's syndrome.
+        # First pass: each sector's defect rows from the chunk's faults, and
+        # a memoized decode of every shot's syndrome, keyed by both rows.
         faults = self._chunk_faults(shots)
-        bits = np.concatenate([
-            graph.fault_parity(rows)[0].reshape(n, self.rounds, graph.n_stabilizers)
-            for graph, rows in zip(self.graphs.values(), faults)
-        ], axis=2)
-        packed = np.packbits(bits.reshape(n, -1), axis=1)
+        defects = [graph.fault_parity(rows)[0] for graph, rows in zip(self.graphs.values(), faults)]
+        packed = np.packbits(np.concatenate(defects, axis=1), axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        decoded = [self._decode(key, row) for key, row in zip(keys, bits)]
+        decoded = self._decode(keys, defects)
         # The logical check stays per shot: the memo is keyed by the syndrome,
         # and the faults behind it differ from shot to shot.
         failures = np.zeros(n, dtype=bool)
@@ -752,10 +784,10 @@ def _ler_chunk_failures(graph, faults: np.ndarray, memo: dict, memo_entries: int
 
     A row fails when its faults, XOR the correction of its syndrome, cross
     the logical chain oddly.  Only rows with a fault are looked at; a row
-    with defects is decoded through ``memo`` (packed defect row -> fault ids
-    of its correction, cleared when it holds ``memo_entries``: the decoder
-    is a pure function of (graph, syndrome)), and its residual must have an
-    empty syndrome (``_residual_crossings``).
+    with defects is decoded from its defect ids through ``memo`` (packed
+    defect row -> fault ids of its correction, cleared when it holds
+    ``memo_entries``: the decoder is a pure function of (graph, defects)),
+    and its residual must have an empty syndrome (``_residual_crossings``).
     """
     failed = np.zeros(len(faults), dtype=bool)
     hit = np.flatnonzero(faults.any(axis=1))
@@ -773,8 +805,8 @@ def _ler_chunk_failures(graph, faults: np.ndarray, memo: dict, memo_entries: int
         if corr is None:
             if len(memo) >= memo_entries:
                 memo.clear()
-            syn = syndrome_from_defects(graph, np.flatnonzero(defect_row).tolist())
-            corr = memo[key] = np.fromiter(decode(graph, syn).fault_ids, dtype=np.intp)
+            ids, _ = decode_defects(graph, np.flatnonzero(defect_row).tolist())
+            corr = memo[key] = np.array(ids, dtype=np.intp)
         corrections.append(corr)
     failed[rows] = _residual_crossings(graph, faults[rows], corrections)
     return failed

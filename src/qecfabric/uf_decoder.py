@@ -1,23 +1,25 @@
 """Union-find decoding of space-time syndromes, plus a minimum-weight oracle.
 
-The decoder follows the standard union-find scheme: clusters seeded on
-defect vertices grow by half edges, merge through a disjoint-set forest,
-freeze once their parity is even or they touch the open boundary, and are
-then peeled leaf-first along a spanning forest to extract the correction,
-an ``ErrorPattern`` on the same graph: a shot's residual is the XOR of the
-sampled pattern and the correction.
-All tie-breaks (growth order, fusion order, peeling order) use fixed
-vertex/edge-id order, so decoding is a pure function of (graph, syndrome).
+``decode_defects(graph, defects)`` is the one union-find decoder.  It takes
+a sector's sorted defect vertex ids and grows clusters by one synchronous
+rule (Delfosse and Nickerson, arXiv:1709.06218): in each iteration, every
+edge below full growth gains one half for each endpoint that lies in an
+active cluster (odd parity, not touching the open boundary), capped at
+full, and the newly full edges then fuse in edge-id order, joining their
+endpoints' clusters or marking the cluster as touching the boundary.
+Growth stops when no cluster is active.  Each cluster is then peeled
+leaf-first along a breadth-first spanning tree of its full interior edges
+to give the correction's fault ids; a shot's residual is the XOR of the
+sampled faults and the correction.  All tie-breaks (fusion order, tree
+roots, peeling order) use fixed vertex/edge-id order, so decoding is a pure
+function of (graph, defects).
 
-Work after growth is O(defects + fully grown edges): growth records the
-edges it brings to full growth, and cluster assembly and peeling touch only
-those edges, their endpoints and the defects.  The cluster state lives in
-dicts keyed by the vertices and edges a decode touches, so the one
-graph-sized cost is the numpy scan of the sector's syndrome bits for its
-defects.  ``is_valid`` likewise costs that scan plus O(correction weight +
-defects) in Python.  Every pass reads the graph as flat lists indexed by
-id: an edge's endpoints from ``edge_u``/``edge_v`` and a vertex's edges
-from ``incident_edges``; none builds the graph's ``Edge`` objects.
+Every table is keyed by the vertices and edges a decode touches, so a
+decode costs O(defects + grown edges), with no graph-sized pass; it reads
+the graph as flat lists indexed by id: an edge's endpoints from
+``edge_u``/``edge_v`` and a vertex's edges from ``incident_edges``.
+``decode_with_stats(graph, syndrome)`` and ``decode`` wrap it for
+``SyndromeRounds`` inputs.
 
 ``oracle_decode`` is an independent reference: exhaustive minimum-weight
 search on small graphs, shortest-path defect pairing on small syndromes.
@@ -55,33 +57,28 @@ class DecodeStats:
 
 
 class ClusterState:
-    """Disjoint-set forest over graph vertices with cluster growth state.
+    """The clusters of one decode under the synchronous growth rule.
 
-    Tracks per-cluster defect parity, the roots whose cluster touches the
-    boundary, per-edge growth meters (0 / half / full), the list of
-    candidate growth edges and the ids of the edges grown to full, in the
-    order they fused.  A cluster is frozen (stops growing) once its parity
-    is even or it touches the boundary.
-
-    Every table holds only the vertices and edges the decode touches, so
-    setting up costs O(defects), not O(V + E): a vertex absent from
-    ``parent`` is a root, and absent entries of ``rank``, ``parity`` and
-    ``growth`` read as 0.
+    A disjoint-set forest with path compression (``find``, ``union``) holds
+    the clusters; ``parity`` maps a root to its cluster's defect parity,
+    ``growth`` an edge to its half-edge count, ``active`` is the set of
+    active roots and ``full_edges`` lists the fused edges in fusion order.
+    A root's frontier lists each of its cluster's edges below full once per
+    endpoint in the cluster, so one pass over the active frontiers applies
+    the rule.  A vertex absent from ``parent`` is a root, and a vertex no
+    decode touched has no entry in any table.
     """
 
     def __init__(self, graph: DecodingGraph, defects):
         self.graph = graph
         self.parent = {}
-        self.rank = {}
-        self.parity = defaultdict(int)
-        self.touches_boundary = set()
+        self.parity = defaultdict(int, dict.fromkeys(defects, 1))
         self.growth = {}
-        self.defect = frozenset(defects)
+        self.active = set(self.parity)
+        self.touches_boundary = set()
         self.full_edges = []
-        self._edge_lists = {}
-        for v in defects:
-            self.parity[v] = 1
-            self._edge_lists[v] = list(graph.incident_edges[v])
+        incident = graph.incident_edges
+        self._frontier = {v: incident[v] for v in self.active}  # never mutated in place
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -92,134 +89,73 @@ class ClusterState:
             parent[v], v = root, parent[v]
         return root
 
-    def _edges_of(self, root: int):
-        lst = self._edge_lists.get(root)
-        if lst is None:
-            lst = list(self.graph.incident_edges[root])
-            self._edge_lists[root] = lst
-        return lst
-
     def union(self, a: int, b: int) -> int:
         """Merge the clusters of a and b; never splits. Returns the new root."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
-        rank_a, rank_b = self.rank.get(ra, 0), self.rank.get(rb, 0)
-        if rank_a < rank_b:
-            ra, rb = rb, ra
-        elif rank_a == rank_b:
-            self.rank[ra] = rank_a + 1
         self.parent[rb] = ra
-        self.parity[ra] ^= self.parity[rb]
-        if rb in self.touches_boundary:
-            self.touches_boundary.add(ra)
-        self._edges_of(ra).extend(self._edges_of(rb))
-        self._edge_lists.pop(rb, None)
+        frontier, incident = self._frontier, self.graph.incident_edges
+        frontier[ra] = frontier.get(ra, incident[ra]) + frontier.pop(rb, incident[rb])
+        odd = self.parity[ra] = self.parity[ra] ^ self.parity.pop(rb, 0)
+        boundary = self.touches_boundary
+        if rb in boundary:
+            boundary.add(ra)
+        self.active.discard(rb)
+        if odd and ra not in boundary:
+            self.active.add(ra)
+        else:
+            self.active.discard(ra)
         return ra
 
-    def active_roots(self):
-        """Roots of odd-parity clusters not touching the boundary, id order."""
-        roots = set()
-        for v, pr in self._edge_lists.items():
-            r = self.find(v)
-            if self.parity[r] == 1 and r not in self.touches_boundary:
-                roots.add(r)
-        return sorted(roots)
-
     def grow(self, stats: DecodeStats):
-        """One parallel growth step of every active cluster.
-
-        Every candidate edge of every active cluster gains half an edge of
-        growth; edges reaching full growth trigger fusions (in edge-id
-        order).  Returns True while any cluster is still active.
-        """
-        active = self.active_roots()
-        if not active:
+        """One iteration of the growth rule; returns True while a cluster was active."""
+        if not self.active:
             return False
         stats.growth_iterations += 1
-        fused = set()
-        growth = self.growth
-        growth_of = growth.get
-        for root in active:
-            lst = self._edge_lists[root]
+        growth, frontier = self.growth, self._frontier
+        fused = []
+        for root in self.active:
             keep = []
-            for e_id in lst:
-                g = growth_of(e_id, 0)
-                if g >= FULL:
-                    continue
-                g += HALF
-                growth[e_id] = g
-                if g >= FULL:
-                    fused.add(e_id)
-                else:
+            for e_id in frontier[root]:
+                g = growth.get(e_id, 0)
+                if g == HALF:
+                    growth[e_id] = FULL
+                    fused.append(e_id)
+                elif g < HALF:
+                    growth[e_id] = HALF
                     keep.append(e_id)
-            lst[:] = keep
+            frontier[root] = keep
+        fused.sort()
+        stats.fusions += len(fused)
+        self.full_edges += fused
         edge_u, edge_v = self.graph.edge_u, self.graph.edge_v
-        for e_id in sorted(fused):
-            stats.fusions += 1
-            self.full_edges.append(e_id)
+        for e_id in fused:
             v = edge_v[e_id]
             if v == BOUNDARY:
-                self.touches_boundary.add(self.find(edge_u[e_id]))
+                root = self.find(edge_u[e_id])
+                self.touches_boundary.add(root)
+                self.active.discard(root)
             else:
                 self.union(edge_u[e_id], v)
         return True
 
 
-def _peel_cluster(graph, verts, defect, interior_full, boundary_full, touches_boundary):
-    """Leaf-first peeling of one frozen cluster; returns selected edge ids."""
-    edge_u, edge_v = graph.edge_u, graph.edge_v
-    adjacency = defaultdict(list)
-    for e_id in interior_full:
-        u, v = edge_u[e_id], edge_v[e_id]
-        adjacency[u].append((e_id, v))
-        adjacency[v].append((e_id, u))
-    for v in adjacency:
-        adjacency[v].sort()
+def decode_defects(graph: DecodingGraph, defects):
+    """Union-find decode of one sector's sorted defect vertex ids.
 
-    if touches_boundary:
-        root_edge = min(boundary_full)
-        tree_root = edge_u[root_edge]
-    else:
-        root_edge = None
-        tree_root = min(verts)
-
-    order = [tree_root]
-    parent_of = {tree_root: (None, None)}
-    queue = deque([tree_root])
-    while queue:
-        v = queue.popleft()
-        for e_id, w in adjacency[v]:
-            if w not in parent_of:
-                parent_of[w] = (v, e_id)
-                order.append(w)
-                queue.append(w)
-
-    selected = []
-    live = {v: v in defect for v in order}
-    for v in reversed(order[1:]):
-        if live[v]:
-            pv, pe = parent_of[v]
-            selected.append(pe)
-            live[pv] = not live[pv]
-    if live[tree_root]:
-        if root_edge is None:
-            raise AssertionError("even-parity cluster left an unpaired defect")
-        selected.append(root_edge)
-    return selected
-
-
-def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
-    """Union-find decode returning the correction and growth statistics.
-
-    After growth the work is O(defects + fully grown edges): every vertex
-    outside a defect's cluster is a defect-free singleton, and a cluster's
-    vertices are its defects plus the endpoints of its full interior edges.
+    Returns ``(fault ids of the correction, DecodeStats)``; the correction
+    always annihilates the defects.  Raises ValueError for an id outside
+    ``[0, n_vertices)``.  After growth, each cluster is peeled from its tree
+    root (the lowest endpoint of its lowest boundary edge if it touches the
+    boundary, else its lowest vertex) over its full interior edges, visited
+    in edge-id order.
     """
-    defects = syndrome.defect_vertices(graph)
     stats = DecodeStats()
-    if not defects:
-        return pattern_from_fault_ids(graph, ()), stats
+    if not len(defects):
+        return [], stats
+    if min(defects) < 0 or max(defects) >= graph.n_vertices:
+        raise ValueError(f"defect ids outside [0, {graph.n_vertices}) for this graph")
 
     state = ClusterState(graph, defects)
     while state.grow(stats):
@@ -227,36 +163,50 @@ def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
 
     find = state.find
     edge_u, edge_v = graph.edge_u, graph.edge_v
-    touched = set(defects)
-    interior_full = defaultdict(list)
-    boundary_full = defaultdict(list)
+    adjacency = {v: [] for v in defects}
+    root_edge = {}  # boundary cluster root -> its lowest full boundary edge
     for e_id in sorted(state.full_edges):
         u, v = edge_u[e_id], edge_v[e_id]
-        root = find(u)
         if v == BOUNDARY:
-            boundary_full[root].append(e_id)
+            root_edge.setdefault(find(u), e_id)
         else:
-            interior_full[root].append(e_id)
-            touched.add(u)
-            touched.add(v)
-    members = defaultdict(list)
-    for v in sorted(touched):
-        members[find(v)].append(v)
+            adjacency.setdefault(u, []).append((e_id, v))
+            adjacency.setdefault(v, []).append((e_id, u))
+    tree_root = {}
+    for v in sorted(adjacency):
+        tree_root.setdefault(find(v), v)
+    stats.clusters = len(tree_root)
+    for root, e_id in root_edge.items():
+        tree_root[root] = edge_u[e_id]
 
+    # One breadth-first pass from every tree root: the clusters are disjoint,
+    # so each one's tree is the one a pass from its root alone would build.
+    order = list(tree_root.values())
+    link = dict.fromkeys(order)
+    for v in order:
+        for e_id, w in adjacency[v]:
+            if w not in link:
+                link[w] = (v, e_id)
+                order.append(w)
+    odd = set(defects)
     selected = []
-    for root in sorted(members):
-        stats.clusters += 1
-        selected.extend(
-            _peel_cluster(
-                graph,
-                members[root],
-                state.defect,
-                interior_full[root],
-                boundary_full[root],
-                root in state.touches_boundary,
-            )
-        )
-    return pattern_from_fault_ids(graph, selected), stats
+    for v in reversed(order):
+        if v in odd and link[v] is not None:
+            pv, e_id = link[v]
+            selected.append(e_id)
+            odd.symmetric_difference_update((pv,))
+    for root, v in tree_root.items():
+        if v in odd:
+            if root not in root_edge:
+                raise AssertionError("even-parity cluster left an unpaired defect")
+            selected.append(root_edge[root])
+    return selected, stats
+
+
+def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):
+    """``decode_defects`` on a syndrome: the correction pattern and the growth statistics."""
+    ids, stats = decode_defects(graph, syndrome.defect_vertices(graph))
+    return pattern_from_fault_ids(graph, ids), stats
 
 
 def decode(graph: DecodingGraph, syndrome: SyndromeRounds) -> ErrorPattern:

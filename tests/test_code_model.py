@@ -150,6 +150,15 @@ def test_graph_matches_reference_walk(d, rounds, sector):
             assert graph.fault_id_of((e.stab, e.round), cm.TIMELIKE) == e_id
 
 
+@pytest.mark.parametrize("d, rounds", [(1, 1), (3, 3), (5, 2), (13, 13)])
+def test_qubit_array_names_each_edges_data_qubit(d, rounds):
+    layout = cm.build_layout(d)
+    for sector in cm.SECTORS:
+        graph = cm.build_decoding_graph(layout, sector, rounds)
+        assert graph.qubit.dtype == np.intp
+        assert graph.qubit.tolist() == [-1 if q is None else q for q in graph.edge_qubit]
+
+
 @pytest.mark.parametrize("d, rounds", [(1, 1), (1, 3), (3, 1), (3, 3), (5, 2)])
 def test_fault_id_of_rejects_entries_that_name_no_edge(d, rounds):
     layout = cm.build_layout(d)
@@ -252,6 +261,19 @@ def test_syndrome_rejects_foreign_fault():
     wrong_sector = cm.pattern_from_fault_ids(z_graph, [0])
     with pytest.raises(ValueError):
         cm.syndrome_of(wrong_sector, graph)
+
+
+def test_defect_ids_round_trip_through_a_syndrome():
+    layout = cm.build_layout(5)
+    for sector in cm.SECTORS:
+        graph = cm.build_decoding_graph(layout, sector, 4)
+        syn = cm.syndrome_from_defects(graph, [7, 0, graph.n_vertices - 1, 7, 3, 7])
+        assert syn.defect_vertices(graph) == [0, 3, 7, graph.n_vertices - 1]  # duplicates cancel
+        assert syn.total_weight == 4  # and none in the other sector
+        assert cm.syndrome_from_defects(graph, [2, 2]).total_weight == 0
+        for bad in ([-1], [graph.n_vertices]):
+            with pytest.raises(ValueError, match="outside"):
+                cm.syndrome_from_defects(graph, bad)
 
 
 def test_syndrome_linearity():

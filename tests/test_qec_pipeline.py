@@ -122,14 +122,12 @@ def test_bit_conservation_and_feedback():
     assert report.correction_bits_sent == len(expected)
 
 
-def dropping_one_edge(decode):
-    """``decode`` with the lowest fault id removed from every non-empty correction."""
+def dropping_one_edge(decode_defects):
+    """``decode_defects`` with the lowest fault id removed from every non-empty correction."""
 
-    def decode_dropping(graph, syndrome):
-        corr = decode(graph, syndrome)
-        if not corr.fault_ids:
-            return corr
-        return cm.pattern_from_fault_ids(graph, sorted(corr.fault_ids)[1:])
+    def decode_dropping(graph, defects):
+        ids, stats = decode_defects(graph, defects)
+        return sorted(ids)[1:], stats
 
     return decode_dropping
 
@@ -137,7 +135,7 @@ def dropping_one_edge(decode):
 def test_pipeline_checks_every_correction(monkeypatch):
     # a correction that leaves defects behind must stop the shot, not read
     # as a silent valid=False logical failure
-    monkeypatch.setattr(qp, "decode", dropping_one_edge(qp.decode))
+    monkeypatch.setattr(qp, "decode_defects", dropping_one_edge(qp.decode_defects))
     config = ExperimentConfig(
         distance=5, shots=1, syndrome_source="sampled", error_rate=0.05, seed=6
     ).validate()
@@ -146,22 +144,26 @@ def test_pipeline_checks_every_correction(monkeypatch):
 
 
 def test_shot_prices_only_the_downlink_serialization(monkeypatch):
-    # a leaf's uplink payload and the uplink are fixed per pipeline, so only
-    # the per-shot downlink payload is priced during a shot
-    links = []
+    # a leaf's uplink payload and the uplink are fixed per pipeline, and a
+    # downlink message holds 0 to 2 * qubits_per_leaf entries, so both links
+    # are priced while the pipeline is built and a shot only reads the prices
+    calls = []
 
     def recording(payload_bits, link):
-        links.append(link)
+        calls.append((payload_bits, link))
         return excess(payload_bits, link)
 
     excess = qp.excess_serialization_delay
     monkeypatch.setattr(qp, "excess_serialization_delay", recording)
     pipeline = qp.Pipeline(ExperimentConfig(distance=5, router_layers=1).validate())
-    n_leaves = pipeline.leaf_map.n_leaves
-    assert links == [pipeline.config.uplink] * n_leaves
-    links.clear()
+    config, n_leaves = pipeline.config, pipeline.leaf_map.n_leaves
+    sizes = list(range(2 * pipeline.leaf_map.qubits_per_leaf + 1))
+    uplinks, downlinks = [config.uplink] * n_leaves, [config.downlink] * len(sizes)
+    assert [link for _, link in calls] == uplinks + downlinks
+    assert [bits for bits, _ in calls[n_leaves:]] == sizes
+    calls.clear()
     pipeline.run_shot(0)
-    assert links == [pipeline.config.downlink] * n_leaves
+    assert calls == []
 
 
 def expected_leaf_corrections(pipeline, corrections):
@@ -184,8 +186,9 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
     bound = 4
     monkeypatch.setattr(qp, "_DECODE_MEMO_ENTRIES", bound)
     decodes = []
-    real = qp.decode
-    monkeypatch.setattr(qp, "decode", lambda graph, syn: decodes.append(1) or real(graph, syn))
+    real = qp.decode_defects
+    monkeypatch.setattr(qp, "decode_defects",
+                        lambda graph, defects: decodes.append(1) or real(graph, defects))
     config = ExperimentConfig(
         distance=5, syndrome_source="sampled", error_rate=0.004, seed=3
     ).validate()
@@ -215,6 +218,25 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
         failures += failure
     assert failures > 0
     assert len(decodes) < 2 * shots  # some shots were served by the memo
+
+
+def test_memo_entries_at_d13_match_their_corrections():
+    # the reference loop above runs at d=5; this checks the array-built memo
+    # entries on the 25 leaves of d=13 behind one router layer
+    config = ExperimentConfig(
+        distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3, seed=1
+    ).validate()
+    pipeline = qp.Pipeline(config)
+    pipeline.run_range(0, 60)
+    assert len(pipeline._decoded) == 60
+    for corrections, ids, entries, downlink in pipeline._decoded.values():
+        for sector, sector_ids in zip(cm.SECTORS, ids):
+            assert set(sector_ids.tolist()) == corrections[sector].fault_ids
+        assert dict(enumerate(entries)) == expected_leaf_corrections(pipeline, corrections)
+        assert downlink.tolist() == [
+            excess_serialization_delay(len(owned), config.downlink) for owned in entries
+        ]
+    assert any(len(owned) > 1 for entry in pipeline._decoded.values() for owned in entry[2])
 
 
 def test_memo_hit_keeps_the_per_shot_logical_check(monkeypatch):
@@ -618,7 +640,7 @@ def test_ler_campaign_jobs_match_serial():
 
 
 def test_ler_campaign_checks_every_residual(monkeypatch):
-    monkeypatch.setattr(qp, "decode", dropping_one_edge(qp.decode))
+    monkeypatch.setattr(qp, "decode_defects", dropping_one_edge(qp.decode_defects))
     with pytest.raises(ValueError, match="does not annihilate"):
         qp.ler_campaign(3, 0.02, 500, seed=7)
 
@@ -638,8 +660,9 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     # the decoder, the memo's correction entries and the parity passes read
     # the graph's flat edge lists; the lazy ``edges`` tuple is for export only
     decodes = []
-    real = qp.decode
-    monkeypatch.setattr(qp, "decode", lambda graph, syn: decodes.append(1) or real(graph, syn))
+    real = qp.decode_defects
+    monkeypatch.setattr(qp, "decode_defects",
+                        lambda graph, defects: decodes.append(1) or real(graph, defects))
     config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01).validate()
     pipeline = qp.Pipeline(config)
     pipeline.run_range(0, 40)

@@ -88,6 +88,22 @@ def test_growth_is_monotone():
         previous = dict(state.growth)
 
 
+def test_decode_defects_rejects_vertex_ids_outside_the_graph():
+    layout, graph = graph_for(3)
+    for defects in ([-1], [graph.n_vertices], [0, graph.n_vertices + 5]):
+        with pytest.raises(ValueError, match="outside"):
+            uf.decode_defects(graph, defects)
+
+
+def test_decode_defects_agrees_with_the_syndrome_wrapper():
+    layout, graph = graph_for(5)
+    for seed in range(20):
+        syn = cm.syndrome_of(cm.sample_errors(graph, 0.03, seed=seed), graph)
+        ids, stats = uf.decode_defects(graph, syn.defect_vertices(graph))
+        corr, wrapped = uf.decode_with_stats(graph, syn)
+        assert len(ids) == len(set(ids)) and set(ids) == corr.fault_ids and stats == wrapped
+
+
 def test_worst_case_style_pattern_valid():
     # a far-separated defect pair forces multiple growth iterations
     layout, graph = graph_for(3)
@@ -138,6 +154,31 @@ def test_decoder_reproduces_pinned_corpus():
     assert digest.hexdigest() == CORPUS_DIGEST
 
 
+# sha256 over the corpus below, recorded as for CORPUS_DIGEST, pinned from the
+# decoder that still ranked its unions and sorted its active roots each step
+CAMPAIGN_CORPUS_DIGEST = "ac68e0fc8d5feced1953465f048b52a7affe55bdcd4b345057f6166a1256778c"
+
+
+def campaign_corpus():
+    """200 sampled shots per sector at d=13 and d=21, p=1e-3: the campaign sizes."""
+    for d in (13, 21):
+        layout = cm.build_layout(d)
+        graphs = [cm.build_decoding_graph(layout, s, d) for s in cm.SECTORS]
+        for shot in range(200):
+            for k, graph in enumerate(graphs):
+                pattern = cm.sample_errors(graph, 1e-3, seed=d, stream=(shot, k))
+                yield graph, cm.syndrome_of(pattern, graph)
+
+
+def test_decoder_reproduces_pinned_campaign_corpus():
+    digest = hashlib.sha256()
+    for graph, syn in campaign_corpus():
+        corr, stats = uf.decode_with_stats(graph, syn)
+        record = (sorted(corr.fault_ids), stats.growth_iterations, stats.fusions, stats.clusters)
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == CAMPAIGN_CORPUS_DIGEST
+
+
 @functools.lru_cache(maxsize=None)
 def cached_graph(d, rounds, sector):
     return cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
@@ -171,6 +212,49 @@ def test_decoder_properties(instance):
     if graph.n_edges <= 40 and corr.weight <= ORACLE_MAX_WEIGHT:
         oracle = uf.oracle_decode(graph, syn, max_weight=corr.weight)
         assert oracle.weight <= corr.weight
+
+
+@st.composite
+def growth_instances(draw):
+    d = draw(st.sampled_from([3, 5, 7]))
+    rounds = draw(st.integers(1, d))
+    sector = draw(st.sampled_from(cm.SECTORS))
+    p = draw(st.floats(0.0, 0.2, exclude_min=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, rounds, sector, p, seed
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(growth_instances())
+def test_grow_adds_one_half_per_active_endpoint(instance):
+    # the rule, checked against clusters recomputed from scratch each step: a
+    # cluster is active when it holds an odd number of defects and no full
+    # boundary edge; every edge gains one half per endpoint in an active
+    # cluster, capped at full, and full interior edges join their endpoints
+    d, rounds, sector, p, seed = instance
+    graph = cached_graph(d, rounds, sector)
+    defects = cm.syndrome_of(cm.sample_errors(graph, p, seed), graph).defect_vertices(graph)
+    state = uf.ClusterState(graph, defects)
+    stats = uf.DecodeStats()
+    ends = list(zip(graph.edge_u, graph.edge_v))
+    while True:
+        root = [state.find(v) for v in range(graph.n_vertices)]
+        odd = {}
+        for v in defects:
+            odd[root[v]] = odd.get(root[v], 0) ^ 1
+        grounded = {root[u] for e_id, (u, v) in enumerate(ends)
+                    if v == cm.BOUNDARY and state.growth.get(e_id, 0) == uf.FULL}
+        active = [odd.get(r, 0) == 1 and r not in grounded for r in root]
+        before = dict(state.growth)
+        if not state.grow(stats):
+            assert not any(active)
+            break
+        for e_id, (u, v) in enumerate(ends):
+            halves = active[u] + (v != cm.BOUNDARY and active[v])
+            assert state.growth.get(e_id, 0) == min(uf.FULL, before.get(e_id, 0) + halves * uf.HALF)
+            if v != cm.BOUNDARY and state.growth.get(e_id, 0) == uf.FULL:
+                assert state.find(u) == state.find(v)
+    assert stats.growth_iterations <= graph.n_edges
 
 
 # ---- oracle ---------------------------------------------------------------
