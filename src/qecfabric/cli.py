@@ -398,10 +398,14 @@ def cmd_selftest(args) -> int:
     pipeline = qec_pipeline.Pipeline(ExperimentConfig(
         distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3))
     pipeline.run_shot(0)
-    (_, _, entries, downlink), = pipeline._decoded.values()
-    price = link_layer.excess_serialization_delay
-    check("pipeline: a d=13/L1 memo entry prices each leaf's downlink by its entry count",
-          downlink.tolist() == [price(len(owned), pipeline.config.downlink) for owned in entries])
+    context, odd = pipeline.last_context, []
+    for sector, correction in context["corrections"].items():
+        qubits = [pipeline.graphs[sector].edge_qubit[e] for e in correction.fault_ids]
+        odd += [(sector, q) for q in set(qubits) - {None} if qubits.count(q) % 2]
+    applied = [(leaf, entry) for leaf, entries in context["applied"].items() for entry in entries]
+    owners = [(pipeline.leaf_map.leaf_of(q), (sector, q)) for sector, q in odd]
+    check("pipeline: a d=13/L1 shot applies each odd-parity corrected data qubit at its owning leaf",
+          bool(odd) and sorted(applied) == sorted(owners))
 
     print("selftest:", "all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return EXIT_OK if failures == 0 else 1

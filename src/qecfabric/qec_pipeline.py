@@ -20,34 +20,33 @@ computed for a whole chunk at once (``code_model.stream_blocks``); decoder
 correctness is real (the union-find decoder runs on the actual syndrome)
 while decoder duration is table-driven.
 
-A chunk's faults are one (shots x edges) bool matrix per sector, whose
-parities are its defect rows.  A ``Pipeline`` decodes each distinct
-syndrome once: a memo maps it to its corrections, their fault ids, the
-per-leaf correction messages and each leaf's downlink serialization, and
-holds at most ``_DECODE_MEMO_ENTRIES`` entries.  A chunk first looks its
-syndromes up in the memo; the distinct missing rows are then decoded
-together.  One ``np.nonzero`` per sector gives their defect ids, which go
-straight to ``uf_decoder.decode_defects``; one ``np.bincount`` of the
-corrected data qubits gives each leaf's entries, the qubits it owns of odd
-correction parity.  A leaf's downlink price is read from a table of
-``excess_serialization_delay`` by entry count, built with the pipeline,
-which also prices each leaf's fixed uplink message once.  Each shot's
-residual (``_residual_crossings``) gives its logical check.
+A chunk's faults are one (shots x edges) bool matrix per sector, and both
+campaign paths judge it with ``_chunk_failures``.  Only rows with a fault
+are looked at; their parities are the defect rows.  Each distinct defect
+row is looked up once in a per-sector memo that maps it to the fault ids
+of its correction (exact, since decoding is a pure function of (graph,
+defects)); a miss goes to ``uf_decoder.decode_defects`` with the defect
+ids the packed row holds.  Every residual (``_residual_crossings``) gives
+the row's logical check, and the corrections come back as (row, fault id)
+pairs.  A ``Pipeline`` keeps one memo per sector, cleared when it holds
+``_DECODE_MEMO_ENTRIES``.  From a chunk's pairs, one ``np.bincount`` of
+the corrected data qubits gives every leaf's entries, the qubits it owns
+of odd correction parity, and a leaf's downlink price is read from a table
+of ``excess_serialization_delay`` by entry count, built with the pipeline,
+which also prices each leaf's fixed uplink message once.
 
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
 path for accuracy studies that skips the (transport-independent) timing
 machinery.  It draws each batch in fixed-size row chunks, so memory does
-not grow with ``batch``, takes parities from the faulty edges' endpoints,
-decodes each distinct syndrome once per sector and call (a memo cleared
-whenever it holds ``batch`` entries), checks every defect shot's residual
-with the same helper, and shards by (sector, batch range) over
-``jobs`` worker processes with identical results.
+not grow with ``batch``, and judges each chunk with the same
+``_chunk_failures``, through a memo per sector and call that is cleared
+whenever it holds ``batch`` entries.  It shards by (sector, batch range)
+over ``jobs`` worker processes with identical results.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
@@ -86,8 +85,8 @@ _STREAM_LER = 13  # batched Monte-Carlo sampling
 
 Z95 = 1.959963984540054
 
-#: Most syndromes a pipeline's decode memo holds; a chunk whose misses would
-#: pass it clears the memo first.
+#: Most defect rows each of a pipeline's per-sector decode memos holds; a
+#: miss that finds its memo full clears it first.
 _DECODE_MEMO_ENTRIES = 1024
 
 #: Bytes of table, fault and syndrome arrays per ``Pipeline.run_range`` chunk.
@@ -236,14 +235,14 @@ class Pipeline:
 
     ``run_range`` runs a range of shots as a table, a chunk of shots at a
     time, in two passes.  The first draws the chunk's faults
-    (``_chunk_faults``), takes every syndrome from them in one parity pass
-    per sector, decodes each shot's syndrome through the memo (see the
-    module docstring; exact, since decoding is a pure function of (graph,
-    defects)) and checks every residual in one more parity pass per
-    sector.  A vectorized pass then builds int64 arrays with one row per
-    shot: the stage durations, the start times, and the marks of ``chain``
-    (see ``boundary_chain``), the one list of which boundaries delimit
-    which stage.
+    (``_chunk_faults``) and judges each sector's fault matrix with
+    ``_chunk_failures`` through that sector's memo (see the module
+    docstring), which gives every shot's logical check and corrections;
+    one pass over all the corrections then counts and prices each leaf's
+    downlink entries.  A vectorized pass then builds int64 arrays with one
+    row per shot: the stage durations, the start times, and the marks of
+    ``chain`` (see ``boundary_chain``), the one list of which boundaries
+    delimit which stage.
 
     The tree is a list of levels (``Fabric.levels``), and each level's nodes
     mark four boundaries of the chain (``level_boundaries``); per level, a
@@ -347,9 +346,8 @@ class Pipeline:
                    + len(self._stage_windows) + self.graphs[SECTOR_X].n_vertices)
         self._shot_bytes = (8 * columns + sum(g.n_edges for g in self.graphs.values())
                             + 2 * self._bits_received)
-        # packed defect rows -> (corrections, their fault ids per sector as
-        # intp arrays, per-leaf entries, per-leaf downlink serialization)
-        self._decoded = {}
+        # per sector: packed defect row -> intp fault ids of its correction
+        self._memos = {sector: {} for sector in SECTORS}
 
         self.syndrome_source = config.effective_syndrome_source
         self._philox = Philox(0)
@@ -442,65 +440,6 @@ class Pipeline:
             table[row] = list(self._stage_durations(int(shots[row])).values())
         return np.maximum(table, 0, out=table)
 
-    # ---- decoding --------------------------------------------------------
-
-    def _decode(self, keys: list, defects: list) -> list:
-        """The memo entry of each chunk row, keyed by its packed defect rows ``keys``.
-
-        ``defects`` holds each sector's (shots x vertices) defect rows.  Rows
-        missing from the memo are decoded once per distinct key
-        (``_decode_rows``) and then stored, clearing the memo first if they
-        would take it past ``_DECODE_MEMO_ENTRIES``.
-        """
-        memo = self._decoded
-        first = {}
-        for i, key in enumerate(keys):
-            if key not in memo:
-                first.setdefault(key, i)
-        if not first:
-            return [memo[key] for key in keys]
-        fresh = dict(zip(first, self._decode_rows(defects, list(first.values()))))
-        decoded = [fresh[key] if key in fresh else memo[key] for key in keys]
-        if len(memo) + len(fresh) > _DECODE_MEMO_ENTRIES:
-            memo.clear()
-        memo.update(itertools.islice(fresh.items(), _DECODE_MEMO_ENTRIES))
-        return decoded
-
-    def _decode_rows(self, defects: list, rows: list) -> list:
-        """Memo entries ``(corrections, fault ids, leaf entries, downlink)`` of some chunk rows.
-
-        Each sector's defect ids come from one ``np.nonzero`` over the rows.
-        The corrected data qubits of every row and sector go into one
-        ``np.bincount``; its odd counts, in (sector, row, qubit) order, are
-        the leaf entries, and a leaf's entry count indexes its downlink price.
-        """
-        m, n_data, n_leaves = len(rows), self.layout.data_qubit_count, self.leaf_map.n_leaves
-        corrections, ids, codes = [], [], []
-        for k, (graph, sector_defects) in enumerate(zip(self.graphs.values(), defects)):
-            hit, vertices = np.nonzero(sector_defects[rows])
-            stops = np.cumsum(np.bincount(hit, minlength=m)).tolist()
-            vertices = vertices.tolist()
-            fixes = [decode_defects(graph, vertices[a:b])[0] for a, b in zip([0] + stops, stops)]
-            corrections.append([pattern_from_fault_ids(graph, fix) for fix in fixes])
-            ids.append([np.array(fix, dtype=np.intp) for fix in fixes])
-            # code (k * m + row) * n_data + qubit names a corrected data qubit
-            qubit = graph.qubit[np.concatenate(ids[k])]
-            row = np.repeat(np.arange(k * m, (k + 1) * m), [len(fix) for fix in fixes])
-            data = qubit >= 0
-            codes.append(row[data] * n_data + qubit[data])
-        odd = np.flatnonzero(np.bincount(np.concatenate(codes), minlength=2 * m * n_data) & 1)
-        block, qubit = np.divmod(odd, n_data)
-        sector, row = np.divmod(block, m)
-        leaf = qubit // self.leaf_map.qubits_per_leaf
-        counts = np.bincount(row * n_leaves + leaf, minlength=m * n_leaves)
-        downlink = self._downlink_excess_ps[counts.reshape(m, n_leaves)]
-        entries = [[()] * n_leaves for _ in range(m)]
-        for k, i, q, j in zip(sector.tolist(), row.tolist(), qubit.tolist(), leaf.tolist()):
-            entries[i][j] += ((SECTORS[k], q),)
-        return [(dict(zip(SECTORS, row_corrections)), row_ids, row_entries, row_downlink)
-                for row_corrections, row_ids, row_entries, row_downlink
-                in zip(zip(*corrections), zip(*ids), entries, downlink)]
-
     # ---- shot table ------------------------------------------------------
 
     def _check_table_fits(self, shots: int):
@@ -545,19 +484,28 @@ class Pipeline:
         shots = np.arange(start, stop, dtype=np.int64)
         n = len(shots)
 
-        # First pass: each sector's defect rows from the chunk's faults, and
-        # a memoized decode of every shot's syndrome, keyed by both rows.
+        # First pass: each sector's failures and corrections through its memo,
+        # then every shot's leaf entries from all the corrected data qubits.
         faults = self._chunk_faults(shots)
-        defects = [graph.fault_parity(rows)[0] for graph, rows in zip(self.graphs.values(), faults)]
-        packed = np.packbits(np.concatenate(defects, axis=1), axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        decoded = self._decode(keys, defects)
-        # The logical check stays per shot: the memo is keyed by the syndrome,
-        # and the faults behind it differ from shot to shot.
+        n_data, n_leaves = self.layout.data_qubit_count, self.leaf_map.n_leaves
         failures = np.zeros(n, dtype=bool)
-        for k, (graph, rows) in enumerate(zip(self.graphs.values(), faults)):
-            failures |= _residual_crossings(graph, rows, [ids[k] for _, ids, _, _ in decoded])
-        downlink = np.array([downlink for _, _, _, downlink in decoded])
+        corrected, codes = [], []
+        for k, (graph, sector_faults) in enumerate(zip(self.graphs.values(), faults)):
+            failed, pair_rows, pair_ids = _chunk_failures(
+                graph, sector_faults, self._memos[graph.sector], _DECODE_MEMO_ENTRIES
+            )
+            failures |= failed
+            corrected.append(pair_ids[pair_rows == n - 1])
+            # code (k * n + row) * n_data + qubit names a corrected data qubit
+            qubit = graph.qubit[pair_ids]
+            data = qubit >= 0
+            codes.append((k * n + pair_rows[data]) * n_data + qubit[data])
+        odd = np.flatnonzero(np.bincount(np.concatenate(codes), minlength=2 * n * n_data) & 1)
+        block, qubit = np.divmod(odd, n_data)
+        sector, row = np.divmod(block, n)
+        leaf = qubit // self.leaf_map.qubits_per_leaf
+        counts = np.bincount(row * n_leaves + leaf, minlength=n * n_leaves)
+        downlink = self._downlink_excess_ps[counts.reshape(n, n_leaves)]
 
         # Vectorized pass: per tree level, a (shots x 4 x nodes) array of the
         # times its nodes mark their four boundaries, relative to the shot
@@ -600,10 +548,14 @@ class Pipeline:
             marks[:, slots] = (t + offset + drift * t // 1_000_000).max(axis=2)
         gaps = np.diff(marks, axis=1)
 
-        corrections, _, entries, _ = decoded[-1]
+        applied = dict.fromkeys(range(n_leaves), ())
+        last = row == n - 1
+        for k, q, j in zip(sector[last].tolist(), qubit[last].tolist(), leaf[last].tolist()):
+            applied[j] += ((SECTORS[k], q),)
         self.last_context = {
-            "corrections": corrections,
-            "applied": dict(enumerate(entries)),
+            "corrections": {graph.sector: pattern_from_fault_ids(graph, ids)
+                            for graph, ids in zip(self.graphs.values(), corrected)},
+            "applied": applied,
             "marks": marks[-1].tolist(),
         }
         names = STAGE_NAMES + (ROUTER_STAGE_NAMES if self.config.router_layers else ())
@@ -764,52 +716,67 @@ def _draw_faults(bit_generator, shape, error_rate: float) -> np.ndarray:
     return raw < np.uint64(math.ceil(error_rate * 2.0**53))
 
 
-def _residual_crossings(graph, faults: np.ndarray, corrections) -> np.ndarray:
+def _residual_crossings(graph, faults: np.ndarray, rows: np.ndarray,
+                        ids: np.ndarray) -> np.ndarray:
     """Logical-crossing parity of each residual: a shot's faults XOR its correction.
 
     ``faults`` is a (shots, n_edges) bool matrix whose rows become the
-    residuals in place; ``corrections[i]`` holds the fault ids of row i's
-    correction.  Raises ValueError if any residual has a defect.
+    residuals in place; the correction of row ``rows[j]`` holds fault
+    ``ids[j]``.  Raises ValueError if any residual has a defect.
     """
-    weights = [len(corr) for corr in corrections]
-    faults[np.repeat(np.arange(len(faults)), weights), np.concatenate(corrections)] ^= True
+    faults[rows, ids] ^= True
     defects, crossings = graph.fault_parity(faults)
     if defects.any():
         raise ValueError("correction does not annihilate the pattern's syndrome")
     return crossings
 
 
-def _ler_chunk_failures(graph, faults: np.ndarray, memo: dict, memo_entries: int) -> np.ndarray:
-    """Failure flag of each row (one shot) of a (shots, n_edges) bool fault matrix.
+def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
+    """Failure flag and correction of each row (one shot) of a (shots, n_edges) bool fault matrix.
 
     A row fails when its faults, XOR the correction of its syndrome, cross
-    the logical chain oddly.  Only rows with a fault are looked at; a row
-    with defects is decoded from its defect ids through ``memo`` (packed
-    defect row -> fault ids of its correction, cleared when it holds
-    ``memo_entries``: the decoder is a pure function of (graph, defects)),
-    and its residual must have an empty syndrome (``_residual_crossings``).
+    the logical chain oddly.  Only rows with a fault are looked at.  Each
+    distinct defect row is looked up once in ``memo`` (packed defect row ->
+    intp fault ids of its correction; the decoder is a pure function of
+    (graph, defects)); a miss is decoded from its defect ids, after
+    clearing the memo if it holds ``bound`` entries.  Every corrected
+    row's residual must have an empty syndrome (``_residual_crossings``).
+
+    Returns ``(failed, rows, ids)``: the (shots,) bool failure flags, and
+    the corrections as (row, fault id) pairs, rows ascending and each row's
+    ids in decoder order.
     """
     failed = np.zeros(len(faults), dtype=bool)
     hit = np.flatnonzero(faults.any(axis=1))
     defects, crossings = graph.fault_parity(faults[hit])
     failed[hit] = crossings  # final for rows without defects; decoded rows are set below
     has_defect = defects.any(axis=1)
-    rows, defects = hit[has_defect], defects[has_defect]
+    rows = hit[has_defect]
     if not len(rows):
-        return failed
+        return failed, rows, rows  # no corrections
+    defects = defects[has_defect]
     packed = np.packbits(defects, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-    corrections = []
-    for defect_row, key in zip(defects, keys):
-        corr = memo.get(key)
-        if corr is None:
-            if len(memo) >= memo_entries:
+    keys, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                   return_index=True, return_inverse=True)
+    fixes = []
+    for key, row in zip(keys.tolist(), first.tolist()):
+        ids = memo.get(key)
+        if ids is None:
+            if len(memo) >= bound:
                 memo.clear()
-            ids, _ = decode_defects(graph, np.flatnonzero(defect_row).tolist())
-            corr = memo[key] = np.array(ids, dtype=np.intp)
-        corrections.append(corr)
-    failed[rows] = _residual_crossings(graph, faults[rows], corrections)
-    return failed
+            ids, _ = decode_defects(graph, np.flatnonzero(defects[row]).tolist())
+            ids = memo[key] = np.array(ids, dtype=np.intp)
+        fixes.append(ids)
+    # Row i's weights[i] pairs end at pair stops[i], and its fix which[i]
+    # ends at entry ends[which[i]] of the joined fixes.
+    sizes = np.fromiter(map(len, fixes), np.intp, len(fixes))
+    ends = sizes.cumsum()
+    weights = sizes[which]
+    local = np.arange(len(rows)).repeat(weights)
+    stops = weights.cumsum()
+    ids = np.concatenate(fixes)[np.arange(stops[-1]) + (ends[which] - stops)[local]]
+    failed[rows] = _residual_crossings(graph, faults[rows], local, ids)
+    return failed, rows[local], ids
 
 
 def _ler_sector_failures(
@@ -839,7 +806,7 @@ def _ler_sector_failures(
         stop = min((b + 1) * batch, shots) - first
         for lo in range(b * batch - first, stop, chunk):
             faults = _draw_faults(source, (min(chunk, stop - lo), graph.n_edges), error_rate)
-            failed[lo : lo + len(faults)] = _ler_chunk_failures(graph, faults, memo, batch)
+            failed[lo : lo + len(faults)] = _chunk_failures(graph, faults, memo, batch)[0]
     return failed
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -7,6 +8,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecfabric import code_model as cm
 from qecfabric import fabric_sim as fs
@@ -198,7 +201,7 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
     failures = 0
     for shot in range(shots):
         report = pipeline.run_shot(shot)
-        assert len(pipeline._decoded) <= bound
+        assert all(len(memo) <= bound for memo in pipeline._memos.values())
         graphs = reference.graphs
         syndrome, patterns = cm.empty_syndrome(reference.layout, reference.rounds), {}
         for k, sector in enumerate(cm.SECTORS):
@@ -221,26 +224,44 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
 
 
 def test_memo_entries_at_d13_match_their_corrections():
-    # the reference loop above runs at d=5; this checks the array-built memo
-    # entries on the 25 leaves of d=13 behind one router layer
+    # the reference loop above runs at d=5; this checks the chunk-wide leaf
+    # entry counts on the 25 leaves of d=13 behind one router layer.  At 14
+    # qubits per leaf every real price is 0, so a strictly increasing table
+    # stands in, and with zero jitter and aligned clocks a shot's downlink
+    # interval is the stage mean plus its largest leaf's price.
     config = ExperimentConfig(
-        distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3, seed=1
+        distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3, seed=1,
+        zero_jitter=True, clock_offset_bound_ps=0,
     ).validate()
     pipeline = qp.Pipeline(config)
-    pipeline.run_range(0, 60)
-    assert len(pipeline._decoded) == 60
-    for corrections, ids, entries, downlink in pipeline._decoded.values():
-        for sector, sector_ids in zip(cm.SECTORS, ids):
-            assert set(sector_ids.tolist()) == corrections[sector].fault_ids
-        assert dict(enumerate(entries)) == expected_leaf_corrections(pipeline, corrections)
-        assert downlink.tolist() == [
-            excess_serialization_delay(len(owned), config.downlink) for owned in entries
-        ]
-    assert any(len(owned) > 1 for entry in pipeline._decoded.values() for owned in entry[2])
+    reference = qp.Pipeline(config)
+    pipeline._downlink_excess_ps = 1000 * np.arange(len(pipeline._downlink_excess_ps))
+    shots = 60
+    result = pipeline.run_range(0, shots)
+    mean = config.stage_latency.downlink.mean_ps
+    largest = []
+    for shot in range(shots):
+        syndrome, patterns = cm.empty_syndrome(reference.layout, reference.rounds), {}
+        for k, sector in enumerate(cm.SECTORS):
+            graph = reference.graphs[sector]
+            patterns[sector] = cm.sample_errors(
+                graph, config.error_rate, reference.seed, stream=(qp._STREAM_SAMPLE, shot, k)
+            )
+            syndrome = syndrome ^ cm.syndrome_of(patterns[sector], graph)
+        corrections = {s: uf.decode(reference.graphs[s], syndrome) for s in cm.SECTORS}
+        entries = expected_leaf_corrections(reference, corrections)
+        largest.append(max(len(owned) for owned in entries.values()))
+    assert result.samples["downlink"].tolist() == [mean + 1000 * k for k in largest]
+    assert max(largest) > 1
 
 
 def test_memo_hit_keeps_the_per_shot_logical_check(monkeypatch):
-    # two shots with one syndrome: faults-free, then a logical operator
+    # two shots with one non-empty syndrome: one fault e, then e plus a
+    # logical operator; the second is a memo hit whose residual still fails
+    decodes = []
+    real = qp.decode_defects
+    monkeypatch.setattr(qp, "decode_defects",
+                        lambda graph, defects: decodes.append(defects) or real(graph, defects))
     config = ExperimentConfig(distance=3, syndrome_source="sampled").validate()
     pipeline = qp.Pipeline(config)
     graph = pipeline.graphs[cm.SECTOR_X]
@@ -250,14 +271,16 @@ def test_memo_hit_keeps_the_per_shot_logical_check(monkeypatch):
     )
     assert cm.syndrome_of(logical, graph).total_weight == 0
     assert len(logical.fault_ids & graph.crossing_ids) == 1
+    fault = graph.fault_id_of((0, 1), cm.SPACELIKE)
+    assert cm.syndrome_of(cm.pattern_from_fault_ids(graph, [fault]), graph).total_weight > 0
     rows = {}
-    for shot, x_faults in ((0, []), (1, sorted(logical.fault_ids))):
+    for shot, x_faults in ((0, [fault]), (1, [fault, *sorted(logical.fault_ids)])):
         rows[shot] = [np.zeros((1, pipeline.graphs[s].n_edges), dtype=bool) for s in cm.SECTORS]
         rows[shot][0][0, x_faults] = True
     monkeypatch.setattr(pipeline, "_chunk_faults", lambda shots: rows[int(shots[0])])
     assert not pipeline.run_shot(0).logical_failure
     assert pipeline.run_shot(1).logical_failure
-    assert len(pipeline._decoded) == 1
+    assert len(decodes) == 1
 
 
 def test_campaign_reports_match_single_shots():
@@ -639,6 +662,57 @@ def test_ler_campaign_jobs_match_serial():
     assert serial.failures == 237
 
 
+@functools.lru_cache(maxsize=None)
+def cached_graph(d, rounds, sector):
+    return cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
+
+
+class BoundedMemo(dict):
+    """A decode memo that fails the moment it holds more than ``bound`` entries."""
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound = bound
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        assert len(self) <= self.bound
+
+
+@st.composite
+def repeating_chunks(draw):
+    """A fault matrix whose rows repeat a few distinct rows, split into two chunks."""
+    d = draw(st.sampled_from([3, 5, 7]))
+    graph = cached_graph(d, draw(st.integers(1, 3)), draw(st.sampled_from(cm.SECTORS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1]))
+    distinct = rng.random((draw(st.integers(1, 5)), graph.n_edges)) < p
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=24))
+    cut = draw(st.integers(1, len(picks) - 1))
+    return graph, distinct[picks], cut, draw(st.sampled_from([1, 2, 3]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(repeating_chunks())
+def test_chunk_failures_match_a_per_row_decode(instance):
+    graph, faults, cut, bound = instance
+    memo = BoundedMemo(bound)
+    pairs, failed = [], []
+    for lo, chunk in ((0, faults[:cut]), (cut, faults[cut:])):
+        chunk_failed, rows, ids = qp._chunk_failures(graph, chunk.copy(), memo, bound)
+        pairs += list(zip((rows + lo).tolist(), ids.tolist()))
+        failed += chunk_failed.tolist()
+    expected_pairs, expected_failed = [], []
+    for i, row in enumerate(faults):
+        pattern = cm.pattern_from_fault_ids(graph, np.flatnonzero(row).tolist())
+        ids, _ = uf.decode_defects(graph, cm.syndrome_of(pattern, graph).defect_vertices(graph))
+        expected_pairs += [(i, e) for e in ids]
+        correction = cm.pattern_from_fault_ids(graph, ids)
+        expected_failed.append(uf.is_logical_failure(pattern, correction))
+    assert pairs == expected_pairs
+    assert failed == expected_failed
+
+
 def test_ler_campaign_checks_every_residual(monkeypatch):
     monkeypatch.setattr(qp, "decode_defects", dropping_one_edge(qp.decode_defects))
     with pytest.raises(ValueError, match="does not annihilate"):
@@ -667,7 +741,7 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     pipeline = qp.Pipeline(config)
     pipeline.run_range(0, 40)
     assert decodes  # memo misses, whose corrections name data qubits
-    assert any(any(entries) for _, _, entries, _ in pipeline._decoded.values())
+    assert any(pipeline.last_context["applied"].values())
     assert all("edges" not in graph.__dict__ for graph in pipeline.graphs.values())
 
     built = []
