@@ -63,8 +63,8 @@ def _parse_distances(text: str):
             distances = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--distances {text!r} is not like '3,5,7' or '3..21'") from None
-    if any(d < 1 or d % 2 == 0 for d in distances):
-        raise ConfigError(f"--distances {text!r}: every distance must be an odd integer >= 1")
+    if any(d < 3 or d % 2 == 0 for d in distances):
+        raise ConfigError(f"--distances {text!r}: every distance must be an odd integer >= 3")
     return distances
 
 
@@ -118,6 +118,11 @@ def cmd_latency(args) -> int:
     stage_stats = result.stage_stats()
     stages = config.stage_latency.zero_jitter() if config.zero_jitter else config.stage_latency
     windows = stages.at_distance(config.distance)
+    # beyond one frame, a leaf's messages add serialization to its link stages
+    layout = build_layout(config.distance)
+    leaf_map = qec_pipeline.assign_qubits_to_leaves(layout, config.qubits_per_leaf)
+    uplink, downlink = qec_pipeline.link_excess_ps(layout, leaf_map, config)
+    excess = {"uplink": int(uplink.max()), "downlink": int(downlink[-1])}
     stage_rows = []
     stages_json = {}
     for name in result.stage_names:
@@ -125,7 +130,8 @@ def cmd_latency(args) -> int:
         # a router-stage sample is summed over every layer of the tree
         scale = config.router_layers if name in capacity_model.ROUTER_STAGE_NAMES else 1
         mean, jitter = scale * windows[name].mean_ps, scale * windows[name].jitter_ps
-        within = mean - jitter <= stats["min_ps"] and stats["max_ps"] <= mean + jitter
+        high = mean + jitter + excess.get(name, 0)
+        within = mean - jitter <= stats["min_ps"] and stats["max_ps"] <= high
         stage_rows.append(
             [name, f"{stats['mean_ps']:.3f}", stats["min_ps"], stats["max_ps"],
              f"{stats['p50_ps']:.1f}", f"{stats['p90_ps']:.1f}", f"{stats['p99_ps']:.1f}",

@@ -66,8 +66,8 @@ class ExperimentConfig:
     sync_downlink: LinkModel = TopologyConfig.sync_downlink
 
     def validate(self) -> "ExperimentConfig":
-        if self.distance < 1 or self.distance % 2 == 0:
-            raise ConfigError(f"distance must be an odd integer >= 1, got {self.distance}")
+        if self.distance < 3 or self.distance % 2 == 0:
+            raise ConfigError(f"distance must be an odd integer >= 3, got {self.distance}")
         if self.rounds is not None and self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if not 0.0 <= self.error_rate <= 1.0:

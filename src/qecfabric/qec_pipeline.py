@@ -26,12 +26,12 @@ are looked at; their parities are the defect rows.  Each distinct defect
 row is looked up once in a per-sector memo that maps it to the fault ids
 of its correction (exact, since decoding is a pure function of (graph,
 defects)); a miss goes to ``uf_decoder.decode_defects`` with the defect
-ids the packed row holds.  Every residual (``_residual_crossings``) gives
-the row's logical check, and the corrections come back as (row, fault id)
-pairs.  A ``Pipeline`` keeps one memo per sector, cleared when it holds
-``_DECODE_MEMO_ENTRIES``.  From a chunk's pairs, one ``np.bincount`` of
-the corrected data qubits gives every leaf's entries, the qubits it owns
-of odd correction parity, and a leaf's downlink price is read from a table
+ids the packed row holds.  One ``fault_parity`` over the distinct
+corrections checks that each gives back its row's defects and, by
+linearity, flips its rows' logical checks.  A ``Pipeline`` keeps one memo
+per sector, cleared when it holds ``_DECODE_MEMO_ENTRIES``.  It counts
+each distinct correction's leaf entries, the qubits a leaf owns of odd
+correction parity, once, and reads a leaf's downlink price from a table
 of ``excess_serialization_delay`` by entry count, built with the pipeline,
 which also prices each leaf's fixed uplink message once.
 
@@ -145,6 +145,17 @@ def leaf_ancilla_columns(layout: CodeLayout, leaf_map: LeafMap, leaf: int):
     return [q - n_data for q in leaf_map.owned(leaf) if q >= n_data]
 
 
+def link_excess_ps(layout: CodeLayout, leaf_map: LeafMap, config) -> tuple:
+    """Serialization beyond one frame, as int64 arrays: of each leaf's fixed
+    final-round uplink message (a bit per ancilla column it measures), and of
+    a downlink message of k entries, for k up to one per owned data qubit
+    and sector."""
+    bits = [len(leaf_ancilla_columns(layout, leaf_map, j)) for j in range(leaf_map.n_leaves)]
+    entries = range(2 * leaf_map.qubits_per_leaf + 1)
+    return (np.array([excess_serialization_delay(b, config.uplink) for b in bits], np.int64),
+            np.array([excess_serialization_delay(k, config.downlink) for k in entries], np.int64))
+
+
 @dataclass
 class ShotReport:
     """Stage interval durations and decode outcome of one full shot; the intervals
@@ -237,10 +248,10 @@ class Pipeline:
     time, in two passes.  The first draws the chunk's faults
     (``_chunk_faults``) and judges each sector's fault matrix with
     ``_chunk_failures`` through that sector's memo (see the module
-    docstring), which gives every shot's logical check and corrections;
-    one pass over all the corrections then counts and prices each leaf's
-    downlink entries.  A vectorized pass then builds int64 arrays with one
-    row per shot: the stage durations, the start times, and the marks of
+    docstring), which gives every shot's logical check and its distinct
+    corrections, whose leaf entries price each leaf's downlink.  A
+    vectorized pass then builds int64 arrays with one row per shot: the
+    stage durations, the start times, and the marks of
     ``chain`` (see ``boundary_chain``), the one list of which boundaries
     delimit which stage.
 
@@ -321,27 +332,20 @@ class Pipeline:
                 np.array([node.clock.drift_ppm for node in nodes], dtype=np.int64),
                 np.cumsum([0] + [len(node.children) for node in nodes[:-1]]),
             ))
-        # a leaf's final-round message and the uplink are fixed per pipeline
-        self._uplink_excess_ps = np.array([
-            excess_serialization_delay(len(leaf_ancilla_columns(self.layout, self.leaf_map, leaf)),
-                                       self.config.uplink)
-            for leaf in range(self.leaf_map.n_leaves)
-        ], dtype=np.int64)
-        # a leaf sends at most one correction entry per owned data qubit and
-        # sector; entry k prices a downlink message of k entries
-        most = 2 * self.leaf_map.qubits_per_leaf
-        self._downlink_excess_ps = np.array(
-            [excess_serialization_delay(k, self.config.downlink) for k in range(most + 1)],
-            dtype=np.int64,
+        # per leaf, the price of its uplink message; per k, of a downlink message of k entries
+        self._uplink_excess_ps, self._downlink_excess_ps = link_excess_ps(
+            self.layout, self.leaf_map, self.config
         )
-        self._downlink_excess_bound_ps = serialization_delay(most, self.config.downlink)
+        self._downlink_excess_bound_ps = serialization_delay(
+            2 * self.leaf_map.qubits_per_leaf, self.config.downlink
+        )
         # the leaves' ancillas cover every syndrome column, so every round's
         # bits reach the root
         self._bits_received = self.rounds * self.layout.syndrome_bits_per_round
         # bytes one shot adds to a chunk: 8 per int64 column (four hold times
         # per node, the marks, the leaves' downlink serializations, the stage
         # draws and one sector's fault_parity vertex counts), 1 per edge of
-        # each sector's fault row, 2 per syndrome bit (defect and joined rows)
+        # each sector's fault row, 2 per syndrome bit (defect rows and keys)
         columns = (4 * self.fabric.node_count + len(self.chain) + self.leaf_map.n_leaves
                    + len(self._stage_windows) + self.graphs[SECTOR_X].n_vertices)
         self._shot_bytes = (8 * columns + sum(g.n_edges for g in self.graphs.values())
@@ -484,28 +488,36 @@ class Pipeline:
         shots = np.arange(start, stop, dtype=np.int64)
         n = len(shots)
 
-        # First pass: each sector's failures and corrections through its memo,
-        # then every shot's leaf entries from all the corrected data qubits.
+        # First pass: each sector's failures and distinct corrections through
+        # its memo; each correction's leaf entries are counted once and
+        # gathered into the rows of the shots it serves.
         faults = self._chunk_faults(shots)
-        n_data, n_leaves = self.layout.data_qubit_count, self.leaf_map.n_leaves
+        n_data, per_leaf = self.layout.data_qubit_count, self.leaf_map.qubits_per_leaf
         failures = np.zeros(n, dtype=bool)
-        corrected, codes = [], []
-        for k, (graph, sector_faults) in enumerate(zip(self.graphs.values(), faults)):
-            failed, pair_rows, pair_ids = _chunk_failures(
+        counts = np.zeros((n, self.leaf_map.n_leaves), dtype=np.intp)
+        corrections, applied = {}, dict.fromkeys(range(self.leaf_map.n_leaves), ())
+        for graph, sector_faults in zip(self.graphs.values(), faults):
+            failed, rows, which, fixes = _chunk_failures(
                 graph, sector_faults, self._memos[graph.sector], _DECODE_MEMO_ENTRIES
             )
             failures |= failed
-            corrected.append(pair_ids[pair_rows == n - 1])
-            # code (k * n + row) * n_data + qubit names a corrected data qubit
-            qubit = graph.qubit[pair_ids]
+            last = which[-1] if len(rows) and rows[-1] == n - 1 else None
+            ids = () if last is None else fixes[last]
+            corrections[graph.sector] = pattern_from_fault_ids(graph, ids)
+            if not fixes:
+                continue
+            # row j of odd marks the data qubits that correction j flips oddly
+            fix = np.arange(len(fixes)).repeat(list(map(len, fixes)))
+            qubit = graph.qubit[np.concatenate(fixes)]
             data = qubit >= 0
-            codes.append((k * n + pair_rows[data]) * n_data + qubit[data])
-        odd = np.flatnonzero(np.bincount(np.concatenate(codes), minlength=2 * n * n_data) & 1)
-        block, qubit = np.divmod(odd, n_data)
-        sector, row = np.divmod(block, n)
-        leaf = qubit // self.leaf_map.qubits_per_leaf
-        counts = np.bincount(row * n_leaves + leaf, minlength=n * n_leaves)
-        downlink = self._downlink_excess_ps[counts.reshape(n, n_leaves)]
+            odd = np.bincount(fix[data] * n_data + qubit[data], minlength=len(fixes) * n_data) & 1
+            odd = odd.reshape(-1, n_data)
+            per_fix = np.add.reduceat(odd, np.arange(0, n_data, per_leaf), axis=1)
+            counts[rows, :per_fix.shape[1]] += per_fix[which]
+            if last is not None:
+                for q in np.flatnonzero(odd[last]).tolist():
+                    applied[q // per_leaf] += ((graph.sector, q),)
+        downlink = self._downlink_excess_ps[counts]
 
         # Vectorized pass: per tree level, a (shots x 4 x nodes) array of the
         # times its nodes mark their four boundaries, relative to the shot
@@ -548,13 +560,8 @@ class Pipeline:
             marks[:, slots] = (t + offset + drift * t // 1_000_000).max(axis=2)
         gaps = np.diff(marks, axis=1)
 
-        applied = dict.fromkeys(range(n_leaves), ())
-        last = row == n - 1
-        for k, q, j in zip(sector[last].tolist(), qubit[last].tolist(), leaf[last].tolist()):
-            applied[j] += ((SECTORS[k], q),)
         self.last_context = {
-            "corrections": {graph.sector: pattern_from_fault_ids(graph, ids)
-                            for graph, ids in zip(self.graphs.values(), corrected)},
+            "corrections": corrections,
             "applied": applied,
             "marks": marks[-1].tolist(),
         }
@@ -716,44 +723,30 @@ def _draw_faults(bit_generator, shape, error_rate: float) -> np.ndarray:
     return raw < np.uint64(math.ceil(error_rate * 2.0**53))
 
 
-def _residual_crossings(graph, faults: np.ndarray, rows: np.ndarray,
-                        ids: np.ndarray) -> np.ndarray:
-    """Logical-crossing parity of each residual: a shot's faults XOR its correction.
-
-    ``faults`` is a (shots, n_edges) bool matrix whose rows become the
-    residuals in place; the correction of row ``rows[j]`` holds fault
-    ``ids[j]``.  Raises ValueError if any residual has a defect.
-    """
-    faults[rows, ids] ^= True
-    defects, crossings = graph.fault_parity(faults)
-    if defects.any():
-        raise ValueError("correction does not annihilate the pattern's syndrome")
-    return crossings
-
-
 def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
-    """Failure flag and correction of each row (one shot) of a (shots, n_edges) bool fault matrix.
+    """Failure flags and corrections of the rows (shots) of a (shots, n_edges) bool fault matrix.
 
     A row fails when its faults, XOR the correction of its syndrome, cross
     the logical chain oddly.  Only rows with a fault are looked at.  Each
     distinct defect row is looked up once in ``memo`` (packed defect row ->
     intp fault ids of its correction; the decoder is a pure function of
     (graph, defects)); a miss is decoded from its defect ids, after
-    clearing the memo if it holds ``bound`` entries.  Every corrected
-    row's residual must have an empty syndrome (``_residual_crossings``).
+    clearing the memo if it holds ``bound`` entries.  Each correction, hit
+    or miss, must have its key's defects as syndrome (ValueError otherwise);
+    by linearity, its crossing parity then flips its rows' failure flags.
 
-    Returns ``(failed, rows, ids)``: the (shots,) bool failure flags, and
-    the corrections as (row, fault id) pairs, rows ascending and each row's
-    ids in decoder order.
+    Returns ``(failed, rows, which, fixes)``: the (shots,) bool failure
+    flags, the ascending rows with a defect, each one's index into
+    ``fixes``, and the intp fault ids of each distinct correction.
     """
     failed = np.zeros(len(faults), dtype=bool)
     hit = np.flatnonzero(faults.any(axis=1))
     defects, crossings = graph.fault_parity(faults[hit])
-    failed[hit] = crossings  # final for rows without defects; decoded rows are set below
+    failed[hit] = crossings
     has_defect = defects.any(axis=1)
     rows = hit[has_defect]
     if not len(rows):
-        return failed, rows, rows  # no corrections
+        return failed, rows, rows, []  # no corrections
     defects = defects[has_defect]
     packed = np.packbits(defects, axis=1)
     keys, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
@@ -767,16 +760,13 @@ def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
             ids, _ = decode_defects(graph, np.flatnonzero(defects[row]).tolist())
             ids = memo[key] = np.array(ids, dtype=np.intp)
         fixes.append(ids)
-    # Row i's weights[i] pairs end at pair stops[i], and its fix which[i]
-    # ends at entry ends[which[i]] of the joined fixes.
-    sizes = np.fromiter(map(len, fixes), np.intp, len(fixes))
-    ends = sizes.cumsum()
-    weights = sizes[which]
-    local = np.arange(len(rows)).repeat(weights)
-    stops = weights.cumsum()
-    ids = np.concatenate(fixes)[np.arange(stops[-1]) + (ends[which] - stops)[local]]
-    failed[rows] = _residual_crossings(graph, faults[rows], local, ids)
-    return failed, rows[local], ids
+    fixed = np.zeros((len(fixes), graph.n_edges), dtype=bool)
+    fixed[np.arange(len(fixes)).repeat(list(map(len, fixes))), np.concatenate(fixes)] = True
+    syndromes, flips = graph.fault_parity(fixed)
+    if not np.array_equal(syndromes, defects[first]):
+        raise ValueError("correction does not annihilate the pattern's syndrome")
+    failed[rows] ^= flips[which]
+    return failed, rows, which, fixes
 
 
 def _ler_sector_failures(
@@ -840,6 +830,8 @@ def ler_campaign(
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are
     independent Philox streams, so every job count gives the same result.
     """
+    if distance < 3 or distance % 2 == 0:
+        raise ValueError(f"distance must be an odd integer >= 3, got {distance}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if batch < 1:

@@ -128,9 +128,27 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text(json.dumps({"stage_latency": {"uplink": {"mean_ps": -1}}}))
     rc = main(["latency", "--config", str(bad), "--out", str(tmp_path / "r")])
     assert rc == 2
-    for command, distances in (("ler", "4"), ("capacity", "4"), ("ler", "3..x")):
+    for command, distances in (("ler", "4"), ("capacity", "4"), ("ler", "3..x"), ("ler", "1"),
+                               ("ler", "1..5"), ("capacity", "1"), ("extrapolate", "1,3")):
         rc = main([command, "--distances", distances, "--out", str(tmp_path / "r")])
         assert rc == 2, (command, distances)
+    for command in ("latency", "throughput"):  # a d=1 patch has no stabilizer
+        assert main([command, "--distance", "1", "--out", str(tmp_path / "r")]) == 2, command
+
+
+def test_latency_bounds_include_the_serialization_of_long_messages(tmp_path):
+    # a 150-qubit leaf's messages spill past one frame, and the pipeline adds
+    # that serialization to the uplink and downlink stages
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(
+        {"distance": 9, "qubits_per_leaf": 150, "profile": "vcu129", "shots": 200}
+    ))
+    out = tmp_path / "r"
+    assert main(["latency", "--config", str(cfg), "--out", str(out)]) == 0
+    stages = json.loads((out / "latency_summary.json").read_text())["stages"]
+    uplink = stages["uplink"]
+    assert uplink["max_ps"] > uplink["configured_mean_ps"] + uplink["configured_jitter_ps"]
+    assert {name: s["within_bounds"] for name, s in stages.items()} == dict.fromkeys(stages, True)
 
 
 @pytest.mark.parametrize(

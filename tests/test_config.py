@@ -55,6 +55,8 @@ def test_type_errors_rejected():
 def test_semantic_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(distance=4).validate()
+    with pytest.raises(ConfigError):  # a d=1 patch has no stabilizer
+        ExperimentConfig(distance=1).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(error_rate=1.5).validate()
     with pytest.raises(ConfigError):

@@ -636,6 +636,8 @@ def test_ler_campaign_matches_reference_loop_when_memo_clears():
 @pytest.mark.parametrize(
     "kwargs",
     [
+        {"distance": 1},
+        {"distance": 4},
         {"shots": 0},
         {"batch": 0},
         {"error_rate": 1.5},
@@ -699,8 +701,9 @@ def test_chunk_failures_match_a_per_row_decode(instance):
     memo = BoundedMemo(bound)
     pairs, failed = [], []
     for lo, chunk in ((0, faults[:cut]), (cut, faults[cut:])):
-        chunk_failed, rows, ids = qp._chunk_failures(graph, chunk.copy(), memo, bound)
-        pairs += list(zip((rows + lo).tolist(), ids.tolist()))
+        chunk_failed, rows, which, fixes = qp._chunk_failures(graph, chunk.copy(), memo, bound)
+        pairs += [(row + lo, e) for row, j in zip(rows.tolist(), which.tolist())
+                  for e in fixes[j].tolist()]
         failed += chunk_failed.tolist()
     expected_pairs, expected_failed = [], []
     for i, row in enumerate(faults):
@@ -711,6 +714,41 @@ def test_chunk_failures_match_a_per_row_decode(instance):
         expected_failed.append(uf.is_logical_failure(pattern, correction))
     assert pairs == expected_pairs
     assert failed == expected_failed
+
+
+def poison(memo):
+    """Replace every memo entry with its correction minus its first fault id."""
+    for key, ids in memo.items():
+        memo[key] = ids[1:]
+
+
+def no_decoding(graph, defects):
+    raise AssertionError("decoded a row the memo holds")
+
+
+def test_a_poisoned_memo_entry_raises_on_a_hit(monkeypatch):
+    # a memo hit is judged like a miss, so a wrong stored correction cannot
+    # pass as a silent logical failure
+    graph = cached_graph(5, 5, cm.SECTOR_X)
+    faults = np.random.default_rng(2).random((64, graph.n_edges)) < 0.01
+    memo = {}
+    qp._chunk_failures(graph, faults.copy(), memo, 1024)
+    assert memo
+    poison(memo)
+    monkeypatch.setattr(qp, "decode_defects", no_decoding)
+    with pytest.raises(ValueError, match="does not annihilate"):
+        qp._chunk_failures(graph, faults.copy(), memo, 1024)
+
+
+def test_a_poisoned_pipeline_memo_raises_on_a_hit(monkeypatch):
+    pipeline = qp.Pipeline(ExperimentConfig(syndrome_source="worst_case"))
+    pipeline.run_range(0, 16)
+    for memo in pipeline._memos.values():
+        assert memo
+        poison(memo)
+    monkeypatch.setattr(qp, "decode_defects", no_decoding)
+    with pytest.raises(ValueError, match="does not annihilate"):
+        pipeline.run_range(16, 32)
 
 
 def test_ler_campaign_checks_every_residual(monkeypatch):
@@ -751,6 +789,22 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     qp._ler_sector_failures(cm.build_layout(5), 0, 5, 0.01, 1, 256, range(1), 256)
     assert decodes and len(built) == 1
     assert "edges" not in built[0].__dict__
+
+
+def test_last_context_is_the_last_shot_of_a_range():
+    # a 40-shot chunk holds many distinct corrections; the context takes the
+    # last shot's, as a range of that one shot does
+    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01).validate()
+    pipeline, single = qp.Pipeline(config), qp.Pipeline(config)
+    pipeline.run_range(0, 40)
+    single.run_range(39, 40)
+    ctx, alone = pipeline.last_context, single.last_context
+    assert {s: p.fault_ids for s, p in ctx["corrections"].items()} == {
+        s: p.fault_ids for s, p in alone["corrections"].items()
+    }
+    assert ctx["applied"] == alone["applied"]
+    assert ctx["applied"] == expected_leaf_corrections(pipeline, ctx["corrections"])
+    assert any(ctx["applied"].values())
 
 
 def test_ler_sector_memory_does_not_grow_with_batch():
