@@ -137,8 +137,17 @@ def max_qubits(profile: PlatformProfile, router_layers: int) -> int:
 
 
 def router_layers_needed(profile: PlatformProfile, distance: int) -> int:
-    """Smallest router depth whose capacity covers the code."""
+    """Smallest router depth whose capacity covers the code.
+
+    ValueError when no depth can: routers with one child add no capacity.
+    """
     need = required_qubits(distance)
+    if profile.router_children == 1 and max_qubits(profile, 0) < need:
+        raise ValueError(
+            f"profile {profile.name!r} cannot hold distance {distance} ({need} qubits) at "
+            f"any router depth: its root holds {max_qubits(profile, 0)} and its routers "
+            f"have one child each"
+        )
     layers = 0
     while max_qubits(profile, layers) < need:
         layers += 1

@@ -28,6 +28,7 @@ from .code_model import (
     syndrome_of,
 )
 from .config import (
+    _SYNDROME_SOURCES,
     DEFAULT_PROVENANCE,
     TOOL_VERSION,
     ConfigError,
@@ -83,7 +84,7 @@ _OVERRIDE_FLAGS = {
     "profile": {"choices": sorted(capacity_model.PROFILES)},
     "router_layers": {"type": int},
     "zero_jitter": {"action": "store_true", "default": None},
-    "syndrome_source": {"choices": ("auto", "worst_case", "sampled")},
+    "syndrome_source": {"choices": _SYNDROME_SOURCES},
 }
 
 

@@ -1,16 +1,19 @@
 """Experiment configuration: defaults, JSON loading, validation and hashing.
 
-A config file is a single JSON document; every omitted field takes the
-documented default (the reference prototype's measured values).  The
-canonical JSON form of the fully resolved config is hashed into every
-report so reruns are attributable.
+A config file is a single JSON document in the shape of
+``ExperimentConfig.to_dict()``, which is the file's only schema: a file may
+set any subset of the keys that the defaults' dict has, each with its
+default's type, and every omitted key keeps its documented default (the
+reference prototype's measured values).  The canonical JSON form of the
+fully resolved config is hashed into every report so reruns are
+attributable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from . import capacity_model
 from .capacity_model import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig
@@ -165,138 +168,85 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def _take(data: dict, key, kind, path, default):
-    if key not in data:
-        return default
-    value = data.pop(key)
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}{key}: expected a boolean, got {value!r}")
-        return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}{key}: expected an integer, got {value!r}")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}{key}: expected a string, got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}{key}: expected an object, got {value!r}")
-        return value
-    raise AssertionError(kind)
+def _typed(value, kind: type, path: str):
+    """``value`` if it has type ``kind`` (an int may stand for a float, a bool
+    only for a bool), else ConfigError naming ``path``."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        expected = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+        raise ConfigError(f"{path}: expected {expected.get(kind, 'an object')}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _reject_unknown(data: dict, path: str):
-    if data:
-        raise ConfigError(f"unknown config key(s) {sorted(data)} at {path or 'top level'}")
-
-
-def _link_from_dict(data: dict, name: str, default: LinkModel) -> LinkModel:
-    data = dict(data)
-    path = f"links.{name}."
-    keys = ("line_rate_bps", "lanes")
-    if name in _DATA_LINKS:
-        for key in _LATENCY_KEYS:
-            if key in data:
-                raise _data_link_latency_error(name, key)
-    else:
-        keys += _LATENCY_KEYS
-    kwargs = {key: _take(data, key, int, path, getattr(default, key)) for key in keys}
-    _reject_unknown(data, path)
-    try:
-        return replace(default, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path[:-1]}: {exc}") from None
-
-
-def _stage_from_dict(data: dict) -> StageLatencyConfig:
-    data = dict(data)
-    defaults = StageLatencyConfig()
-    kwargs = {}
-    for name in STAGE_NAMES + ROUTER_STAGE_NAMES:
-        if name == "decode" or name not in data:
-            continue
-        entry = dict(_take(data, name, dict, "stage_latency.", None))
-        base = defaults.stage(name)
-        mean = _take(entry, "mean_ps", int, f"stage_latency.{name}.", base.mean_ps)
-        jitter = _take(entry, "jitter_ps", int, f"stage_latency.{name}.", base.jitter_ps)
-        _reject_unknown(entry, f"stage_latency.{name}")
+def _decode_table(table) -> dict:
+    for key, value in _typed(table, dict, "stage_latency.decode_table").items():
         try:
-            kwargs[name] = StageLatency(mean_ps=mean, jitter_ps=jitter)
-        except ValueError as exc:
-            raise ConfigError(f"stage_latency.{name}: {exc}") from None
-    if "decode_table" in data:
-        table = _take(data, "decode_table", dict, "stage_latency.", None)
-        parsed = {}
-        for key, value in table.items():
-            try:
-                d = int(key)
-            except (TypeError, ValueError):
-                raise ConfigError(f"stage_latency.decode_table: bad distance key {key!r}") from None
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"stage_latency.decode_table[{key}]: expected integer ps")
-            parsed[d] = value
-        kwargs["decode_table"] = parsed
-    if "decode_jitter_ps" in data:
-        kwargs["decode_jitter_ps"] = _take(data, "decode_jitter_ps", int, "stage_latency.", 0)
-    _reject_unknown(data, "stage_latency")
+            int(key)
+        except (TypeError, ValueError):
+            raise ConfigError(f"stage_latency.decode_table: bad distance key {key!r}") from None
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"stage_latency.decode_table[{key}]: expected integer ps")
+    return table
+
+
+def _merge(defaults: dict, data, path: str = "") -> dict:
+    """``data`` laid over ``defaults``, a level of ``to_dict``'s canonical form.
+
+    Only the defaults' keys are accepted, each with its default's type;
+    objects merge key by key, and ``decode_table`` is replaced whole.
+    """
+    data = _typed(data, dict, path)
+    link = path.removeprefix("links.")
+    for key in _LATENCY_KEYS:
+        if link in _DATA_LINKS and key in data:
+            raise _data_link_latency_error(link, key)
+    unknown = sorted(data.keys() - defaults.keys())
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown} at {path or 'top level'}")
+    merged = dict(defaults)
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key == "rounds":
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"rounds: expected an integer or null, got {value!r}")
+            merged[key] = value
+        elif key == "decode_table":
+            merged[key] = _decode_table(value)
+        elif isinstance(defaults[key], dict):
+            merged[key] = _merge(defaults[key], value, where)
+        else:
+            merged[key] = _typed(value, type(defaults[key]), where)
+    return merged
+
+
+def _build(path: str, cls, **kwargs):
     try:
-        return replace(defaults, **kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"stage_latency: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config; unknown keys anywhere are rejected."""
+    """Build a validated config from ``data`` laid over the defaults' ``to_dict``;
+    unknown keys anywhere are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    data = dict(data)
-    base = ExperimentConfig()
-    rounds = data.pop("rounds", base.rounds)
-    if rounds is not None and (isinstance(rounds, bool) or not isinstance(rounds, int)):
-        raise ConfigError(f"rounds: expected an integer or null, got {rounds!r}")
-
-    clock = dict(_take(data, "clock", dict, "", {}))
-    offset_bound = _take(clock, "offset_bound_ps", int, "clock.", base.clock_offset_bound_ps)
-    drift = _take(clock, "drift_ppm", int, "clock.", base.drift_ppm)
-    sync_at_start = _take(clock, "sync_at_start", bool, "clock.", base.sync_at_start)
-    _reject_unknown(clock, "clock")
-
-    links = dict(_take(data, "links", dict, "", {}))
-    parsed_links = {
-        name: _link_from_dict(_take(links, name, dict, "links.", {}), name, getattr(base, name))
-        for name in _LINKS
+    fields = _merge(ExperimentConfig().to_dict(), data)
+    clock, links, stages = fields.pop("clock"), fields.pop("links"), fields.pop("stage_latency")
+    table = {int(d): ps for d, ps in stages.pop("decode_table").items()}
+    stages = {
+        name: _build(f"stage_latency.{name}", StageLatency, **entry)
+        if isinstance(entry, dict) else entry
+        for name, entry in stages.items()
     }
-    _reject_unknown(links, "links")
-
-    stage = _stage_from_dict(dict(_take(data, "stage_latency", dict, "", {})))
-
     config = ExperimentConfig(
-        distance=_take(data, "distance", int, "", base.distance),
-        rounds=rounds,
-        error_rate=_take(data, "error_rate", float, "", base.error_rate),
-        shots=_take(data, "shots", int, "", base.shots),
-        seed=_take(data, "seed", int, "", base.seed),
-        jobs=_take(data, "jobs", int, "", base.jobs),
-        profile=_take(data, "profile", str, "", base.profile),
-        qubits_per_leaf=_take(data, "qubits_per_leaf", int, "", base.qubits_per_leaf),
-        router_layers=_take(data, "router_layers", int, "", base.router_layers),
-        syndrome_source=_take(data, "syndrome_source", str, "", base.syndrome_source),
-        zero_jitter=_take(data, "zero_jitter", bool, "", base.zero_jitter),
-        cycle_time_ps=_take(data, "cycle_time_ps", int, "", base.cycle_time_ps),
-        clock_offset_bound_ps=offset_bound,
-        drift_ppm=drift,
-        sync_at_start=sync_at_start,
-        stage_latency=stage,
-        **parsed_links,
+        **fields,
+        clock_offset_bound_ps=clock["offset_bound_ps"],
+        drift_ppm=clock["drift_ppm"],
+        sync_at_start=clock["sync_at_start"],
+        stage_latency=_build("stage_latency", StageLatencyConfig, decode_table=table, **stages),
+        **{name: _build(f"links.{name}", LinkModel, **entry) for name, entry in links.items()},
     )
-    _reject_unknown(data, "")
     return config.validate()
 
 

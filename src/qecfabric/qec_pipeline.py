@@ -74,7 +74,7 @@ from .code_model import (
 )
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
 from .fabric_sim import Fabric, Simulator, TopologyConfig, global_sync
-from .link_layer import excess_serialization_delay, serialization_delay
+from .link_layer import excess_serialization_delay
 from .uf_decoder import decode_defects
 
 # RNG stream tags under the campaign master seed
@@ -89,7 +89,9 @@ Z95 = 1.959963984540054
 #: miss that finds its memo full clears it first.
 _DECODE_MEMO_ENTRIES = 1024
 
-#: Bytes of table, fault and syndrome arrays per ``Pipeline.run_range`` chunk.
+#: Bytes of arrays per chunk of a campaign: of table, fault and syndrome
+#: arrays per ``Pipeline.run_range`` chunk, and of raw uint64 draws per
+#: ``ler_campaign`` chunk (757 shots on the d=5, 5-round graph).
 _TABLE_CHUNK_BYTES = 1 << 20
 
 #: Fewest shots whose streams are keyed in one batch: below it, building
@@ -98,9 +100,6 @@ _BATCHED_MIN_SHOTS = 8
 
 #: A Philox counter or buffer with nothing drawn yet.
 _ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
-
-#: Bytes of raw uint64 draws per ``ler_campaign`` chunk (757 shots on the d=5, 5-round graph).
-_LER_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -336,9 +335,6 @@ class Pipeline:
         self._uplink_excess_ps, self._downlink_excess_ps = link_excess_ps(
             self.layout, self.leaf_map, self.config
         )
-        self._downlink_excess_bound_ps = serialization_delay(
-            2 * self.leaf_map.qubits_per_leaf, self.config.downlink
-        )
         # the leaves' ancillas cover every syndrome column, so every round's
         # bits reach the root
         self._bits_received = self.rounds * self.layout.syndrome_bits_per_round
@@ -451,15 +447,16 @@ class Pipeline:
 
         Where Python ints would grow, the table would wrap silently, so the
         worst case is bounded first: every stage at its maximum, the largest
-        serialization, one extra cycle of alignment per shot, then the
-        clocks' offsets and drift.
+        serialization prices (the downlink's is its last, the table being
+        monotone in entry count), one extra cycle of alignment per shot,
+        then the clocks' offsets and drift.
         """
         layers = self.config.router_layers
         walk = sum(
             (mean + hw) * (layers if name in ROUTER_STAGE_NAMES else 1)
             for name, mean, hw in self._stage_windows
         )
-        walk += int(self._uplink_excess_ps.max()) + self._downlink_excess_bound_ps
+        walk += int(self._uplink_excess_ps.max()) + int(self._downlink_excess_ps[-1])
         end = -(-self.now // self.cycle_ps) * self.cycle_ps + shots * (walk + self.cycle_ps)
         clocks = [node.clock for node in self.fabric.nodes.values()]
         drift = max(abs(clock.drift_ppm) for clock in clocks)
@@ -782,12 +779,12 @@ def _ler_sector_failures(
     """Failure flags of sector ``SECTORS[k]`` for the shots of a contiguous batch range.
 
     Entry i is shot ``batches.start * batch + i``.  Each batch's Philox
-    stream is drawn ``_LER_CHUNK_BYTES`` of raw draws at a time, and each
+    stream is drawn ``_TABLE_CHUNK_BYTES`` of raw draws at a time, and each
     chunk is checked and decoded before the next is drawn, so the arrays
     are O(chunk x (edges + vertices)) for any ``batch``.
     """
     graph = build_decoding_graph(layout, SECTORS[k], rounds)
-    chunk = max(1, _LER_CHUNK_BYTES // (8 * graph.n_edges))
+    chunk = max(1, _TABLE_CHUNK_BYTES // (8 * graph.n_edges))
     first = batches.start * batch
     failed = np.zeros(min(batches.stop * batch, shots) - first, dtype=bool)
     memo = {}
@@ -818,7 +815,7 @@ def ler_campaign(
     batch size schedule only if ``batch`` is kept fixed.
 
     A batch is drawn, checked and decoded in row chunks of
-    ``_LER_CHUNK_BYTES`` of raw draws, so its arrays are O(chunk x (edges
+    ``_TABLE_CHUNK_BYTES`` of raw draws, so its arrays are O(chunk x (edges
     + vertices)) for any ``batch``.  Each distinct syndrome is decoded once
     per sector and call: a memo built fresh for every sector (and every
     shard) maps the packed defect row to the fault ids of its correction,

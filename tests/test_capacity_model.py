@@ -191,3 +191,22 @@ def test_closed_form_equals_zero_jitter_simulation(tmp_path, router_net_ps):
     assert (row["router_layers"], row["predicted_latency_ps"]) == (
         (1, 997_000) if router_net_ps is None else (1, 785_000)
     )
+
+
+def test_router_layers_needed_refuses_routers_that_add_no_capacity(monkeypatch):
+    # with one child per router every depth holds what the root holds, so a
+    # search over depths would never end; the counter turns a hang into a failure
+    max_qubits, calls = cap.max_qubits, []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 1000:
+            raise RuntimeError("router_layers_needed kept searching")
+        return max_qubits(*args)
+
+    monkeypatch.setattr(cap, "max_qubits", counted)
+    single = cap.PlatformProfile("single", root_ports=1, router_children=1)
+    with pytest.raises(ValueError, match="'single'"):
+        cap.router_layers_needed(single, 3)  # 17 qubits > 14 on the root
+    pair = cap.PlatformProfile("pair", root_ports=2, router_children=1)
+    assert cap.router_layers_needed(pair, 3) == 0  # 17 qubits <= 28 on the root

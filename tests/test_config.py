@@ -2,9 +2,24 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecfabric import qec_pipeline as qp
-from qecfabric.config import ConfigError, ExperimentConfig, config_from_dict, load_config
+from qecfabric.capacity_model import (
+    PROFILES,
+    ROUTER_STAGE_NAMES,
+    STAGE_NAMES,
+    StageLatency,
+    StageLatencyConfig,
+)
+from qecfabric.config import (
+    _SYNDROME_SOURCES,
+    ConfigError,
+    ExperimentConfig,
+    config_from_dict,
+    load_config,
+)
 from qecfabric.link_layer import LinkModel
 
 
@@ -121,3 +136,121 @@ def test_load_config_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(bad)
+
+
+def test_config_hashes_are_pinned():
+    # to_dict is the canonical form every report hashes; these pin its bytes
+    assert ExperimentConfig().config_hash() == (
+        "14ec1f7a478241cbfe735206e15bd97b7075246b8402648441a389c085b3b374"
+    )
+    config = ExperimentConfig(
+        distance=13, router_layers=1, error_rate=1e-3, zero_jitter=True, rounds=5,
+        syndrome_source="sampled",
+    )
+    assert config.config_hash() == (
+        "3591f2a6dba096fcaf10ed75ef2a1173073533d68fb6aed7cb3bf0023b3488f5"
+    )
+
+
+_PS = st.integers(0, 10**12)
+_STAGES = st.builds(StageLatency, _PS, _PS)
+_STAGE_CONFIGS = st.builds(
+    StageLatencyConfig,
+    decode_table=st.dictionaries(st.integers(0, 30).map(lambda k: 2 * k + 1), _PS, min_size=1),
+    decode_jitter_ps=_PS,
+    **{name: _STAGES for name in STAGE_NAMES + ROUTER_STAGE_NAMES if name != "decode"},
+)
+_RATES, _LANES = st.integers(1, 10**11), st.integers(1, 64)
+_DATA_LINKS = st.builds(LinkModel, _RATES, _LANES)
+_SYNC_LINKS = st.builds(LinkModel, _RATES, _LANES, st.integers(1, 10**9), st.integers(0, 10**9))
+
+
+def _valid(config):
+    try:
+        config.validate()
+    except ConfigError:
+        return False
+    return True
+
+
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    distance=st.integers(1, 30).map(lambda k: 2 * k + 1),
+    rounds=st.none() | st.integers(1, 50),
+    error_rate=st.floats(0.0, 1.0),
+    shots=st.integers(1, 10**9),
+    seed=st.integers(0, 2**64),
+    jobs=st.integers(1, 64),
+    profile=st.sampled_from(sorted(PROFILES)),
+    qubits_per_leaf=st.integers(1, 100),
+    router_layers=st.integers(0, 4),
+    syndrome_source=st.sampled_from(_SYNDROME_SOURCES),
+    zero_jitter=st.booleans(),
+    cycle_time_ps=st.integers(1, 10**9),
+    clock_offset_bound_ps=st.integers(0, 10**9),
+    drift_ppm=st.integers(-999_999, 10**6),
+    sync_at_start=st.booleans(),
+    stage_latency=_STAGE_CONFIGS,
+    uplink=_DATA_LINKS,
+    downlink=_DATA_LINKS,
+    sync_uplink=_SYNC_LINKS,
+    sync_downlink=_SYNC_LINKS,
+).filter(_valid)
+
+
+@settings(deadline=None)
+@given(_CONFIGS)
+def test_every_valid_config_round_trips_through_its_dict(config):
+    rebuilt = config_from_dict(config.to_dict())
+    assert rebuilt == config
+    assert rebuilt.config_hash() == config.config_hash()
+
+
+def _leaves(tree, path=()):
+    """(path, default) of every leaf of a canonical dict; the decode table is one leaf."""
+    for key, value in tree.items():
+        if isinstance(value, dict) and key != "decode_table":
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _nest(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+def _expected(default):
+    if default is None:  # rounds
+        return "an integer or null"
+    return {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+            dict: "an object"}[type(default)]
+
+
+def _accepts(default, value):
+    if default is None:
+        return value is None or type(value) is int
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+_LEAVES = list(_leaves(ExperimentConfig().to_dict()))
+
+
+@pytest.mark.parametrize("path, default", _LEAVES, ids=[".".join(path) for path, _ in _LEAVES])
+def test_every_leaf_rejects_wrong_types_and_unknown_siblings(path, default):
+    name = ".".join(path)
+    wrong = [value for value in (True, 7, 2.5, "x", None, [1], {}) if not _accepts(default, value)]
+    assert wrong
+    for value in wrong:
+        message = f"{name}: expected {_expected(default)}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(_nest(path, value))
+    # a misspelt key next to this leaf is named with the object that holds it
+    parent = ".".join(path[:-1]) or "top level"
+    sibling = path[-1] + "_typo"
+    message = f"unknown config key(s) [{sibling!r}] at {parent}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict(_nest(path[:-1] + (sibling,), default))

@@ -2,9 +2,10 @@
 
 A private name (``_name``, not a dunder) promises that nothing outside the
 package calls it, so one that nothing inside reads either is dead code that
-a deletion left behind.  The check covers module-level functions and
-classes and the methods of module-level classes; a read inside the helper's
-own definition (recursion) does not count.
+a deletion left behind.  The check covers module-level functions, classes
+and ``_NAME = ...`` assignments and the methods of module-level classes; a
+read inside the helper's own definition (recursion, or the assigned value)
+does not count.
 """
 
 import ast
@@ -30,8 +31,9 @@ def reads(tree: ast.AST) -> Counter:
 
 
 def unread_private_helpers(sources: dict) -> list:
-    """(module, name) of each private function, class or method that nothing
-    in ``sources`` (module name -> source text) reads outside its own definition."""
+    """(module, name) of each private function, class, method or module-level
+    assigned name that nothing in ``sources`` (module name -> source text)
+    reads outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((reads(tree) for tree in trees.values()), Counter())
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -46,6 +48,13 @@ def unread_private_helpers(sources: dict) -> list:
         for node in helpers:
             if _private(node.name) and total[node.name] == reads(node)[node.name]:
                 unread.append((module, node.name))
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if _private(name) and total[name] == reads(node)[name]:
+                    unread.append((module, name))
     return unread
 
 
@@ -73,6 +82,25 @@ def test_the_check_finds_an_unread_helper():
     }
     assert unread_private_helpers(sources) == [
         ("a", "_dead"), ("a", "_recursive"), ("a", "_Unread"), ("a", "_hidden"),
+    ]
+
+
+def test_the_check_finds_an_unread_private_constant():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_DEAD = _USED + 1\n"
+            "_ANNOTATED: int = 2\n"
+            "_PAIR_A, _PAIR_B = 3, 4\n"
+            "__version__ = '0'\n"
+            "PUBLIC = 5\n"
+            "print(_PAIR_B)\n"
+        ),
+        "b": "_ELSEWHERE = 6\n",
+        "c": "from a import _ELSEWHERE\nprint(_ELSEWHERE)\n",
+    }
+    assert unread_private_helpers(sources) == [
+        ("a", "_DEAD"), ("a", "_ANNOTATED"), ("a", "_PAIR_A"),
     ]
 
 
