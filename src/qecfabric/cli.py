@@ -393,7 +393,7 @@ def cmd_selftest(args) -> int:
             expected[u].append(e_id)
             if v != BOUNDARY:
                 expected[v].append(e_id)
-        incident_ok &= list(graph.incident_edges) == expected
+        incident_ok &= [list(ids) for ids in graph.incident_edges] == expected
         syndrome = syndrome_of(sample_errors(graph, 3e-3, seed=13, stream=(k,)), graph)
         defects = syndrome.defect_vertices(graph)
         ids, stats = decode_defects(graph, defects)

@@ -10,12 +10,18 @@ vertex absorbs chains that terminate on the open boundary.
 Noise is phenomenological: every edge of a decoding graph fails
 independently with probability p.  Sampling is counter-based (Philox) so a
 given (seed, stream) always reproduces the same pattern.
+
+Layouts and graphs are pure functions of (distance) and (distance, sector,
+rounds), so ``build_layout`` and ``build_decoding_graph`` keep the code
+built last and hand every caller that asks for it again the same object.
+A shared object is immutable: tuples, frozensets and read-only arrays.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -29,6 +35,13 @@ TIMELIKE = "timelike"
 
 #: Vertex id of the virtual boundary vertex.
 BOUNDARY = -1
+
+#: Codes ``build_layout`` keeps (``build_decoding_graph`` keeps both sectors'
+#: graphs of as many (distance, rounds) pairs); the least recently used is
+#: dropped.  Callers that repeat campaigns (a bench's reps, ``selftest``,
+#: the tests, ``latency``'s report) work on one code at a time, and a bound
+#: of one keeps a distance sweep from holding every distance's graphs.
+_CACHED_CODES = 1
 
 
 def rng_stream(seed, *stream):
@@ -207,13 +220,20 @@ class CodeLayout:
 
     ``crossing_chain[sector]`` is the support of the logical operator whose
     odd overlap with a residual error of that sector signals a logical
-    failure (a middle column for the X sector, a middle row for Z).
+    failure (a middle column for the X sector, a middle row for Z).  The
+    layout holds the supports as ``crossings``, (sector, frozenset) pairs,
+    so that a shared layout cannot be changed through its dict.
     """
 
     distance: int
     x_stabilizers: tuple
     z_stabilizers: tuple
-    crossing_chain: dict = field(compare=False)
+    crossings: tuple = field(compare=False)
+
+    @property
+    def crossing_chain(self) -> dict:
+        """Sector -> support of its logical crossing chain, a new dict per read."""
+        return dict(self.crossings)
 
     @property
     def data_qubit_count(self) -> int:
@@ -260,12 +280,17 @@ class CodeLayout:
 
 
 def build_layout(distance: int) -> CodeLayout:
-    """Build the rotated surface code layout for an odd distance.
+    """The rotated surface code layout for an odd distance, one shared object per distance.
 
     Plaquettes sit on the (d+1) x (d+1) dual grid; interior plaquettes
     alternate X/Z in a checkerboard, weight-2 X plaquettes close the top and
     bottom boundaries, and weight-2 Z plaquettes close the left and right.
     """
+    return _layout(operator.index(distance))  # any integer type, positional or keyword: one key
+
+
+@lru_cache(maxsize=_CACHED_CODES)
+def _layout(distance: int) -> CodeLayout:
     if distance < 1 or distance % 2 == 0:
         raise ValueError(f"distance must be an odd integer >= 1, got {distance}")
     d = distance
@@ -289,17 +314,17 @@ def build_layout(distance: int) -> CodeLayout:
             (x_stabs if stype == SECTOR_X else z_stabs).append(qubits)
 
     mid = (d - 1) // 2
-    crossing = {
+    crossings = (
         # Z-type residuals run left-right; a column crosses them once.
-        SECTOR_X: frozenset(r * d + mid for r in range(d)),
+        (SECTOR_X, frozenset(r * d + mid for r in range(d))),
         # X-type residuals run top-bottom; a row crosses them once.
-        SECTOR_Z: frozenset(mid * d + c for c in range(d)),
-    }
+        (SECTOR_Z, frozenset(mid * d + c for c in range(d))),
+    )
     layout = CodeLayout(
         distance=d,
         x_stabilizers=tuple(x_stabs),
         z_stabilizers=tuple(z_stabs),
-        crossing_chain=crossing,
+        crossings=crossings,
     )
     assert len(x_stabs) == layout.stabilizer_count_per_sector
     assert len(z_stabs) == layout.stabilizer_count_per_sector
@@ -335,13 +360,20 @@ class DecodingGraph:
     Edge ``e`` joins ``u[e]`` (always a real vertex) and ``v[e]`` (a vertex
     or BOUNDARY) and lies on data qubit ``qubit[e]`` (-1 on a timelike
     edge), all intp arrays; ``edge_u``, ``edge_v`` and ``edge_qubit`` (None
-    on a timelike edge) are the same as plain lists, which Python loops
-    index faster.  ``incident_edges[w]``
-    lists the ids of the edges at vertex ``w`` in ascending order.
+    on a timelike edge) are the same as tuples, which Python loops index
+    faster.  ``incident_edges[w]`` is the tuple of the ids of the edges at
+    vertex ``w`` in ascending order.
     ``crossing_ids`` are the spacelike edges on the sector's logical
     crossing chain: a residual error is a logical failure iff it holds an
-    odd number of them.  ``edges`` is the same graph as ``Edge`` objects, a
-    view built on first read for inspection and export.
+    odd number of them.
+
+    ``build_decoding_graph`` shares one graph per (distance, sector,
+    rounds) across the process, so a graph must not change once built: its
+    numpy arrays are read-only, its sequences are tuples, and no campaign
+    path (``Pipeline``, ``ler_campaign``) reads ``edges`` or
+    ``incidence_matrix``.  ``edges``, the same graph as ``Edge`` objects for
+    inspection and export, is built on first read and then kept as long as
+    the graph; ``incidence_matrix`` is built afresh on every call.
     """
 
     def __init__(self, layout: CodeLayout, sector: str, rounds: int):
@@ -359,9 +391,10 @@ class DecodingGraph:
         # only) has no edge, so its slot is -1.
         adj = layout.sector_adjacency(sector)
         qubits = [q for q, stabs in enumerate(adj) if stabs]
-        self._slot = [-1] * len(adj)
+        slot = [-1] * len(adj)
         for i, q in enumerate(qubits):
-            self._slot[q] = i
+            slot[q] = i
+        self._slot = tuple(slot)
         first = np.array([adj[q][0] for q in qubits], dtype=np.intp)
         second = np.array([adj[q][1] if len(adj[q]) == 2 else BOUNDARY for q in qubits],
                           dtype=np.intp)
@@ -373,11 +406,11 @@ class DecodingGraph:
         self.v = np.concatenate((
             np.where(second == BOUNDARY, BOUNDARY, second + base).ravel(), timelike + n_stab
         ))
-        self.edge_u = self.u.tolist()
-        self.edge_v = self.v.tolist()
+        self.edge_u = tuple(self.u.tolist())
+        self.edge_v = tuple(self.v.tolist())
         self.qubit = np.concatenate((np.tile(np.array(qubits, dtype=np.intp), rounds),
                                      np.full(len(timelike), -1, dtype=np.intp)))
-        self.edge_qubit = qubits * rounds + [None] * len(timelike)
+        self.edge_qubit = tuple(qubits) * rounds + (None,) * len(timelike)
 
         # CSR incidence: both ends of every edge in edge-id order, boundary
         # ends dropped, stably sorted by vertex
@@ -387,7 +420,7 @@ class DecodingGraph:
         ids = np.repeat(np.arange(self.n_edges, dtype=np.intp), 2)[inner]
         order = np.argsort(ends, kind="stable")
         stops = np.cumsum(np.bincount(ends, minlength=self.n_vertices)).tolist()
-        flat = ids[order].tolist()
+        flat = tuple(ids[order].tolist())
         self.incident_edges = tuple(flat[a:b] for a, b in zip([0] + stops, stops))
 
         chain = layout.crossing_chain[sector]
@@ -395,8 +428,8 @@ class DecodingGraph:
         rows = self._crossing[: self._n_spacelike].reshape(rounds, len(qubits))
         rows[:] = [q in chain for q in qubits]  # a view: sets every round's spacelike edges
         self.crossing_ids = frozenset(np.flatnonzero(self._crossing).tolist())
-
-        self._incidence = None
+        for array in (self.u, self.v, self.qubit, self._crossing):
+            array.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -431,15 +464,12 @@ class DecodingGraph:
         return tuple(out)
 
     def incidence_matrix(self) -> np.ndarray:
-        """Edge-by-vertex 0/1 incidence (boundary column omitted), cached."""
-        if self._incidence is None:
-            mat = np.zeros((self.n_edges, self.n_vertices), dtype=np.uint8)
-            inner = np.flatnonzero(self.v != BOUNDARY)
-            mat[np.concatenate((np.arange(self.n_edges), inner)),
-                np.concatenate((self.u, self.v[inner]))] = 1
-            mat.flags.writeable = False
-            self._incidence = mat
-        return self._incidence
+        """Edge-by-vertex 0/1 incidence (boundary column omitted), a new array per call."""
+        mat = np.zeros((self.n_edges, self.n_vertices), dtype=np.uint8)
+        inner = np.flatnonzero(self.v != BOUNDARY)
+        mat[np.concatenate((np.arange(self.n_edges), inner)),
+            np.concatenate((self.u, self.v[inner]))] = 1
+        return mat
 
     def fault_parity(self, faults: np.ndarray):
         """Detector and logical-crossing parities of each row of a fault matrix.
@@ -483,8 +513,18 @@ class DecodingGraph:
 
 
 def build_decoding_graph(layout: CodeLayout, sector: str, rounds: int) -> DecodingGraph:
-    """Space-time graph of `rounds` measurement rounds for one sector."""
-    return DecodingGraph(layout, sector, rounds)
+    """Space-time graph of `rounds` measurement rounds for one sector.
+
+    One shared graph per (distance, sector, rounds): it is keyed by the
+    layout's distance, not the layout object, and built on the layout
+    ``build_layout`` shares.
+    """
+    return _decoding_graph(layout.distance, sector, rounds)
+
+
+@lru_cache(maxsize=2 * _CACHED_CODES)
+def _decoding_graph(distance: int, sector: str, rounds: int) -> DecodingGraph:
+    return DecodingGraph(build_layout(distance), sector, rounds)
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,6 +68,12 @@ class ExperimentConfig:
     sync_uplink: LinkModel = TopologyConfig.sync_uplink
     sync_downlink: LinkModel = TopologyConfig.sync_downlink
 
+    def __post_init__(self):
+        # get_profile matches a name in any case; keep the one it matches, so
+        # that every spelling of a profile runs and hashes as one config
+        if isinstance(self.profile, str):
+            object.__setattr__(self, "profile", self.profile.lower())
+
     def validate(self) -> "ExperimentConfig":
         if self.distance < 3 or self.distance % 2 == 0:
             raise ConfigError(f"distance must be an odd integer >= 3, got {self.distance}")
@@ -77,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError("error_rate must be a probability")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.router_layers < 0:

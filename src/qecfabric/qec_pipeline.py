@@ -63,6 +63,7 @@ from .code_model import (
     SECTOR_Z,
     SECTORS,
     CodeLayout,
+    DecodingGraph,
     SyndromeRounds,
     build_decoding_graph,
     build_layout,
@@ -267,6 +268,11 @@ class Pipeline:
     interval is read off the marked chain.  ``now`` is the ideal time the
     last shot ended; the next shot starts at the cycle boundary after it, so
     the start times are a cumulative sum.  ``run_shot`` is a one-shot range.
+
+    The layout and both decoding graphs are the ones ``build_layout`` and
+    ``build_decoding_graph`` share across the process, so only the first
+    pipeline on a code builds them; a pipeline builds its own fabric, link
+    prices and decode memos.
     """
 
     def __init__(self, config, seed=None):
@@ -669,9 +675,10 @@ def _run_tasks(fn, tasks, workers: int) -> list:
 def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     """Run many shots and aggregate stage statistics plus an LER estimate.
 
-    Each worker builds a ``Pipeline`` and runs its contiguous shot range
-    through ``Pipeline.run_range``, a table of int64 columns built in chunks
-    of bounded byte size.  Shots are pure functions of (config, seed, shot
+    Each worker builds a ``Pipeline``, on its process's shared layout and
+    decoding graphs, and runs its contiguous shot range through
+    ``Pipeline.run_range``, a table of int64 columns built in chunks of
+    bounded byte size.  Shots are pure functions of (config, seed, shot
     index), so splitting a campaign into ranges, one per worker process (at
     most ``min(jobs, shots, os.cpu_count())``), changes nothing but wall
     time.  A range whose worst-case end time would not fit in int64 is
@@ -711,13 +718,19 @@ def _draw_faults(bit_generator, shape, error_rate: float) -> np.ndarray:
     """``Generator.random(shape) < error_rate`` on the same stream, from raw draws.
 
     ``random()`` is ``(raw >> 11) * 2**-53``, which is below p exactly when
-    ``raw >> 11 < ceil(p * 2**53)``, so the integer compare gives the same
-    booleans with no float array.  Successive calls continue the stream, so
-    drawing in row chunks gives the same bits as one draw.
+    ``raw >> 11 < t`` with ``t = ceil(p * 2**53)``, and so exactly when
+    ``raw < t << 11`` (the 11 dropped bits cannot lift ``raw >> 11`` to
+    ``t``): one integer compare per word gives the same booleans with no
+    float array.  Only p = 1 gives ``t = 2**53``, whose shift would
+    overflow uint64; every ``raw >> 11`` is below it, so every draw is
+    True.  Successive calls continue the stream, so drawing in row chunks
+    gives the same bits as one draw.
     """
     raw = bit_generator.random_raw(shape)
-    raw >>= np.uint64(11)
-    return raw < np.uint64(math.ceil(error_rate * 2.0**53))
+    threshold = math.ceil(error_rate * 2.0**53)
+    if threshold >= 2**53:
+        return np.ones(raw.shape, dtype=bool)
+    return raw < np.uint64(threshold << 11)
 
 
 def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
@@ -781,9 +794,12 @@ def _ler_sector_failures(
     Entry i is shot ``batches.start * batch + i``.  Each batch's Philox
     stream is drawn ``_TABLE_CHUNK_BYTES`` of raw draws at a time, and each
     chunk is checked and decoded before the next is drawn, so the arrays
-    are O(chunk x (edges + vertices)) for any ``batch``.
+    are O(chunk x (edges + vertices)) for any ``batch``.  The graph is
+    built here, not taken from ``build_decoding_graph``'s shared ones, and
+    freed on return, so that a distance sweep holds no graph of a code it
+    has finished with.
     """
-    graph = build_decoding_graph(layout, SECTORS[k], rounds)
+    graph = DecodingGraph(layout, SECTORS[k], rounds)
     chunk = max(1, _TABLE_CHUNK_BYTES // (8 * graph.n_edges))
     first = batches.start * batch
     failed = np.zeros(min(batches.stop * batch, shots) - first, dtype=bool)
@@ -816,16 +832,19 @@ def ler_campaign(
 
     A batch is drawn, checked and decoded in row chunks of
     ``_TABLE_CHUNK_BYTES`` of raw draws, so its arrays are O(chunk x (edges
-    + vertices)) for any ``batch``.  Each distinct syndrome is decoded once
-    per sector and call: a memo built fresh for every sector (and every
-    shard) maps the packed defect row to the fault ids of its correction,
-    and is cleared when it holds ``batch`` entries.  Every defect shot's
-    residual is still checked to have an empty syndrome (ValueError
-    otherwise).
+    + vertices)) for any ``batch``.  Each sector's graph is built by the
+    task that decodes it and freed when the task ends.  Each distinct
+    syndrome is decoded once per sector and call: a memo built fresh for
+    every sector (and every shard) maps the packed defect row to the fault
+    ids of its correction, and is cleared when it holds ``batch`` entries.
+    Every defect shot's residual is still checked to have an empty syndrome
+    (ValueError otherwise).
 
     ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are
     independent Philox streams, so every job count gives the same result.
+    Bad arguments, a negative ``seed`` among them, raise ValueError before
+    anything is built.
     """
     if distance < 3 or distance % 2 == 0:
         raise ValueError(f"distance must be an odd integer >= 3, got {distance}")
@@ -839,6 +858,8 @@ def ler_campaign(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     layout = build_layout(distance)
     r = distance if rounds is None else rounds
     n_batches = -(-shots // batch)

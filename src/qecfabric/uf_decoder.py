@@ -96,7 +96,7 @@ class ClusterState:
             return ra
         self.parent[rb] = ra
         frontier, incident = self._frontier, self.graph.incident_edges
-        frontier[ra] = frontier.get(ra, incident[ra]) + frontier.pop(rb, incident[rb])
+        frontier[ra] = [*frontier.get(ra, incident[ra]), *frontier.pop(rb, incident[rb])]
         odd = self.parity[ra] = self.parity[ra] ^ self.parity.pop(rb, 0)
         boundary = self.touches_boundary
         if rb in boundary:

@@ -134,6 +134,8 @@ def test_config_error_exit_code(tmp_path):
         assert rc == 2, (command, distances)
     for command in ("latency", "throughput"):  # a d=1 patch has no stabilizer
         assert main([command, "--distance", "1", "--out", str(tmp_path / "r")]) == 2, command
+    for command in ("latency", "ler"):
+        assert main([command, "--seed", "-1", "--shots", "2", "--out", str(tmp_path / "r")]) == 2
 
 
 def test_latency_bounds_include_the_serialization_of_long_messages(tmp_path):

@@ -1,4 +1,4 @@
-import functools
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -46,7 +46,9 @@ def test_stabilizer_geometry(d):
 
 
 def test_layout_deterministic():
-    assert cm.build_layout(5) == cm.build_layout(5)
+    layout = cm.build_layout(5)
+    cm._layout.cache_clear()  # a second build, not the shared object again
+    assert cm.build_layout(5) == layout
 
 
 def test_crossing_chains_commute_with_opposite_sector():
@@ -138,10 +140,10 @@ def test_graph_matches_reference_walk(d, rounds, sector):
         for name in ("kind", "u", "v", "qubit", "stab", "round"):
             assert getattr(e, name) == getattr(ref, name)
             assert type(getattr(e, name)) is type(getattr(ref, name))
-    assert graph.edge_u == [e.u for e in edges] == graph.u.tolist()
-    assert graph.edge_v == [e.v for e in edges] == graph.v.tolist()
-    assert graph.edge_qubit == [e.qubit for e in edges]
-    assert list(graph.incident_edges) == incident
+    assert list(graph.edge_u) == [e.u for e in edges] == graph.u.tolist()
+    assert list(graph.edge_v) == [e.v for e in edges] == graph.v.tolist()
+    assert list(graph.edge_qubit) == [e.qubit for e in edges]
+    assert [list(ids) for ids in graph.incident_edges] == incident
     assert graph.crossing_ids == crossing
     for e_id, e in enumerate(edges):
         if e.kind == cm.SPACELIKE:
@@ -178,12 +180,77 @@ def test_graph_holds_at_most_240_bytes_per_edge():
     layout = cm.build_layout(21)
     tracemalloc.start()
     try:
-        graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 21)
+        graph = cm.DecodingGraph(layout, cm.SECTOR_X, 21)  # a build, never a cache hit
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert graph.n_edges == 13_661
     assert held <= 240 * graph.n_edges
+
+
+def clear_code_caches():
+    cm._layout.cache_clear()
+    cm._decoding_graph.cache_clear()
+
+
+def test_layouts_and_graphs_are_shared_per_key():
+    clear_code_caches()
+    layout = cm.build_layout(5)
+    graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 5)
+    for same in (cm.build_layout(5), cm.build_layout(distance=5), cm.build_layout(np.int64(5))):
+        assert same is layout
+    assert cm.build_decoding_graph(cm.build_layout(5), cm.SECTOR_X, 5) is graph
+    assert graph.layout is layout
+    # the key is the layout's distance: an equal layout object gets the same graph
+    twin = cm.CodeLayout(5, layout.x_stabilizers, layout.z_stabilizers, layout.crossings)
+    assert cm.build_decoding_graph(twin, cm.SECTOR_X, 5) is graph
+    others = [cm.build_decoding_graph(layout, cm.SECTOR_X, 4),
+              cm.build_decoding_graph(layout, cm.SECTOR_Z, 5),
+              cm.build_decoding_graph(cm.build_layout(7), cm.SECTOR_X, 5)]
+    assert all(other is not graph for other in others)
+    # a rebuild after the caches are cleared is a new object equal to the shared one
+    clear_code_caches()
+    rebuilt = cm.build_decoding_graph(cm.build_layout(5), cm.SECTOR_X, 5)
+    assert rebuilt is not graph and rebuilt.layout is not layout
+    assert rebuilt.layout == layout and rebuilt.to_records() == graph.to_records()
+
+
+def test_code_caches_are_bounded():
+    clear_code_caches()
+    bound = cm._CACHED_CODES
+    layout = cm.build_layout(3)
+    first = cm.build_decoding_graph(layout, cm.SECTOR_X, 1)
+    for rounds in range(1, 2 * bound + 2):
+        for sector in cm.SECTORS:
+            cm.build_decoding_graph(layout, sector, rounds)
+    assert cm._decoding_graph.cache_info().currsize == 2 * bound
+    assert cm.build_decoding_graph(layout, cm.SECTOR_X, 1) is not first
+    for d in range(3, 2 * bound + 6, 2):
+        cm.build_layout(d)
+    assert cm._layout.cache_info().currsize == bound
+    assert cm.build_layout(3) is not layout
+
+
+def test_shared_layouts_and_graphs_cannot_be_changed():
+    layout = cm.build_layout(3)
+    graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 3)
+    crossing = graph.crossing_ids
+    for array in (graph.u, graph.v, graph.qubit, graph._crossing):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    sequences = (graph.edge_u, graph.edge_v, graph.edge_qubit, graph._slot,
+                 graph.incident_edges, graph.incident_edges[0],
+                 layout.x_stabilizers, layout.z_stabilizers[0], layout.crossings)
+    for seq in sequences:
+        with pytest.raises(TypeError):
+            seq[0] = seq[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.crossings = ()
+    # crossing_chain is a copy: writing to it changes no later graph
+    layout.crossing_chain[cm.SECTOR_X] = frozenset()
+    assert cm.build_layout(3).crossing_chain[cm.SECTOR_X]
+    cm._decoding_graph.cache_clear()
+    assert cm.build_decoding_graph(layout, cm.SECTOR_X, 3).crossing_ids == crossing
 
 
 def test_graph_rejects_bad_arguments():
@@ -285,15 +352,11 @@ def test_syndrome_linearity():
         assert combined == cm.syndrome_of(a, graph) ^ cm.syndrome_of(b, graph)
 
 
-@functools.lru_cache(maxsize=None)
-def cached_graph(d, rounds, sector):
-    return cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
-
-
 @st.composite
 def fault_matrices(draw):
     d = draw(st.sampled_from([3, 5]))
-    graph = cached_graph(d, draw(st.integers(1, d + 1)), draw(st.sampled_from(cm.SECTORS)))
+    rounds, sector = draw(st.integers(1, d + 1)), draw(st.sampled_from(cm.SECTORS))
+    graph = cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
     shots = draw(st.integers(0, 40))
     p = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,16 @@ def test_semantic_validation():
         ExperimentConfig(uplink=LinkModel(10_000_000_000, 1, 157_000)).validate()
 
 
+def test_profile_case_gives_one_hash():
+    configs = [config_from_dict({"profile": "VCU129", "distance": 15}),
+               config_from_dict({"profile": "vcu129", "distance": 15}),
+               ExperimentConfig(profile="VCU129", distance=15),
+               replace(ExperimentConfig(distance=15), profile="Vcu129")]
+    assert {c.profile for c in configs} == {"vcu129"}
+    assert len({c.config_hash() for c in configs}) == 1
+    assert configs[2] == configs[1]
+
+
 def test_worst_case_source_needs_its_pinned_rounds():
     # the pinned worst-case syndrome has 3 rounds, and `auto` picks it at d=3
     for kwargs in ({"rounds": 5}, {"rounds": 5, "syndrome_source": "worst_case"}):
@@ -108,6 +119,7 @@ def test_worst_case_source_needs_its_pinned_rounds():
         ({"clock": {"drift_ppm": -1_000_000}}, "clock.drift_ppm"),
         ({"links": {"uplink": {"line_rate_bps": 0}}}, "links.uplink.line_rate_bps"),
         ({"links": {"sync_uplink": {"line_rate_bps": 0}}}, "links.sync_uplink.line_rate_bps"),
+        ({"seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_bad_values_rejected(data, message):

@@ -1,4 +1,3 @@
-import functools
 import gc
 import hashlib
 import itertools
@@ -645,16 +644,45 @@ def test_ler_campaign_matches_reference_loop_when_memo_clears():
         {"error_rate": float("nan")},
         {"rounds": 0},
         {"jobs": 0},
+        {"seed": -1},
     ],
 )
 def test_ler_campaign_rejects_bad_inputs(kwargs, monkeypatch):
-    def no_sampling(*args):
-        raise AssertionError("sampled before validating inputs")
+    def no_work(*args):
+        raise AssertionError("built or sampled before validating inputs")
 
-    monkeypatch.setattr(qp, "rng_stream", no_sampling)
+    monkeypatch.setattr(qp, "build_layout", no_work)
+    monkeypatch.setattr(qp, "rng_stream", no_work)
     args = dict(distance=3, error_rate=0.01, shots=100, seed=1) | kwargs
     with pytest.raises(ValueError):
         qp.ler_campaign(**args)
+
+
+@pytest.mark.parametrize(
+    "overrides, shots",
+    [({"distance": 5, "syndrome_source": "sampled", "error_rate": 0.01, "seed": 4}, 120),
+     ({"distance": 13, "router_layers": 1, "syndrome_source": "sampled", "seed": 2}, 60)],
+)
+def test_campaign_is_the_same_from_cold_and_warm_code_caches(overrides, shots):
+    config = ExperimentConfig(**overrides).validate()
+    cm._layout.cache_clear()
+    cm._decoding_graph.cache_clear()
+    cold = qp.run_campaign(config, shots=shots, jobs=1)
+    hits = cm._decoding_graph.cache_info().hits
+    warm = qp.run_campaign(config, shots=shots, jobs=1)
+    assert cm._decoding_graph.cache_info().hits == hits + 2  # both sectors' graphs reused
+    assert warm.stage_names == cold.stage_names
+    for name in cold.stage_names:
+        assert np.array_equal(warm.samples[name], cold.samples[name])
+    for field in ("end_to_end_ps", "valid", "failures"):
+        assert np.array_equal(getattr(warm, field), getattr(cold, field))
+
+
+def test_ler_campaign_holds_no_graph_after_it_returns():
+    # a distance sweep must not keep each finished code's graphs alive
+    cm._decoding_graph.cache_clear()
+    qp.ler_campaign(5, 0.01, 200, seed=3)
+    assert cm._decoding_graph.cache_info().currsize == 0
 
 
 def test_ler_campaign_jobs_match_serial():
@@ -662,11 +690,6 @@ def test_ler_campaign_jobs_match_serial():
     parallel = qp.ler_campaign(3, 0.02, 3_000, seed=7, batch=1000, jobs=2)
     assert parallel == serial
     assert serial.failures == 237
-
-
-@functools.lru_cache(maxsize=None)
-def cached_graph(d, rounds, sector):
-    return cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
 
 
 class BoundedMemo(dict):
@@ -685,7 +708,8 @@ class BoundedMemo(dict):
 def repeating_chunks(draw):
     """A fault matrix whose rows repeat a few distinct rows, split into two chunks."""
     d = draw(st.sampled_from([3, 5, 7]))
-    graph = cached_graph(d, draw(st.integers(1, 3)), draw(st.sampled_from(cm.SECTORS)))
+    rounds, sector = draw(st.integers(1, 3)), draw(st.sampled_from(cm.SECTORS))
+    graph = cm.build_decoding_graph(cm.build_layout(d), sector, rounds)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1]))
     distinct = rng.random((draw(st.integers(1, 5)), graph.n_edges)) < p
@@ -729,7 +753,7 @@ def no_decoding(graph, defects):
 def test_a_poisoned_memo_entry_raises_on_a_hit(monkeypatch):
     # a memo hit is judged like a miss, so a wrong stored correction cannot
     # pass as a silent logical failure
-    graph = cached_graph(5, 5, cm.SECTOR_X)
+    graph = cm.build_decoding_graph(cm.build_layout(5), cm.SECTOR_X, 5)
     faults = np.random.default_rng(2).random((64, graph.n_edges)) < 0.01
     memo = {}
     qp._chunk_failures(graph, faults.copy(), memo, 1024)
@@ -770,7 +794,9 @@ def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
 
 def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     # the decoder, the memo's correction entries and the parity passes read
-    # the graph's flat edge lists; the lazy ``edges`` tuple is for export only
+    # the graph's flat edge lists; the lazy ``edges`` tuple is for export only.
+    # Graphs are shared, so start from fresh ones no earlier test has read.
+    cm._decoding_graph.cache_clear()
     decodes = []
     real = qp.decode_defects
     monkeypatch.setattr(qp, "decode_defects",
@@ -782,9 +808,9 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     assert any(pipeline.last_context["applied"].values())
     assert all("edges" not in graph.__dict__ for graph in pipeline.graphs.values())
 
-    built = []
-    build = qp.build_decoding_graph
-    monkeypatch.setattr(qp, "build_decoding_graph", lambda *args: built.append(build(*args)) or built[-1])
+    built = []  # an LER task builds its own graph
+    monkeypatch.setattr(qp, "DecodingGraph",
+                        lambda *args: built.append(cm.DecodingGraph(*args)) or built[-1])
     decodes.clear()
     qp._ler_sector_failures(cm.build_layout(5), 0, 5, 0.01, 1, 256, range(1), 256)
     assert decodes and len(built) == 1
