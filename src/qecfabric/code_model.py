@@ -362,7 +362,8 @@ class DecodingGraph:
     edge), all intp arrays; ``edge_u``, ``edge_v`` and ``edge_qubit`` (None
     on a timelike edge) are the same as tuples, which Python loops index
     faster.  ``incident_edges[w]`` is the tuple of the ids of the edges at
-    vertex ``w`` in ascending order.
+    vertex ``w`` in ascending order, and row ``w`` of the (vertices x max
+    degree) intp array ``incident_table`` holds the same ids, padded with -1.
     ``crossing_ids`` are the spacelike edges on the sector's logical
     crossing chain: a residual error is a logical failure iff it holds an
     odd number of them.
@@ -419,16 +420,21 @@ class DecodingGraph:
         ends = ends[inner]
         ids = np.repeat(np.arange(self.n_edges, dtype=np.intp), 2)[inner]
         order = np.argsort(ends, kind="stable")
-        stops = np.cumsum(np.bincount(ends, minlength=self.n_vertices)).tolist()
+        degree = np.bincount(ends, minlength=self.n_vertices)
+        stops = np.cumsum(degree).tolist()
         flat = tuple(ids[order].tolist())
         self.incident_edges = tuple(flat[a:b] for a, b in zip([0] + stops, stops))
+        # the same runs as -1-padded rows: an id's place in its run is its column
+        ends = ends[order]
+        self.incident_table = np.full((self.n_vertices, degree.max(initial=0)), -1, dtype=np.intp)
+        self.incident_table[ends, np.arange(len(ends)) - (np.cumsum(degree) - degree)[ends]] = ids[order]
 
         chain = layout.crossing_chain[sector]
         self._crossing = np.zeros(self.n_edges, dtype=bool)
         rows = self._crossing[: self._n_spacelike].reshape(rounds, len(qubits))
         rows[:] = [q in chain for q in qubits]  # a view: sets every round's spacelike edges
         self.crossing_ids = frozenset(np.flatnonzero(self._crossing).tolist())
-        for array in (self.u, self.v, self.qubit, self._crossing):
+        for array in (self.u, self.v, self.qubit, self._crossing, self.incident_table):
             array.flags.writeable = False
 
     @property
@@ -478,8 +484,10 @@ class DecodingGraph:
         crossings)``: the (shots, n_vertices) uint8 0/1 syndrome of each row
         (the boundary absorbs parity silently) and the (shots,) bool parity
         of its overlap with ``crossing_ids``.  Only the faulty edges'
-        endpoints are counted, so the cost is O(faults + shots x vertices),
-        with no edge-by-vertex product.
+        endpoints are counted, so the cost is O(faults log faults + shots x
+        vertices), with no edge-by-vertex product; a (shots x vertices) int64
+        count array is built only where it is the faster way, with at most 64
+        vertex slots per endpoint.
         """
         (n, n_edges), n_vertices = faults.shape, self.n_vertices
         idx = np.flatnonzero(faults)  # row-major, as 2-D nonzero, at a tenth of the cost
@@ -490,8 +498,13 @@ class DecodingGraph:
         ends = np.concatenate(
             (rows * n_vertices + self.u[edges], rows[inner] * n_vertices + v[inner])
         )
-        defects = np.bincount(ends, minlength=n * n_vertices).astype(np.uint8)
-        defects &= 1
+        if 64 * len(ends) < n * n_vertices:  # sparse: sorting the ends beats counting every slot
+            ends, counts = np.unique(ends, return_counts=True)
+            defects = np.zeros(n * n_vertices, dtype=np.uint8)
+            defects[ends] = counts & 1
+        else:
+            defects = np.bincount(ends, minlength=n * n_vertices).astype(np.uint8)
+            defects &= 1
         crossings = (np.bincount(rows[self._crossing[edges]], minlength=n) & 1).astype(bool)
         return defects.reshape(n, n_vertices), crossings
 

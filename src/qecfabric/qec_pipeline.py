@@ -25,8 +25,11 @@ campaign paths judge it with ``_chunk_failures``.  Only rows with a fault
 are looked at; their parities are the defect rows.  Each distinct defect
 row is looked up once in a per-sector memo that maps it to the fault ids
 of its correction (exact, since decoding is a pure function of (graph,
-defects)); a miss goes to ``uf_decoder.decode_defects`` with the defect
-ids the packed row holds.  One ``fault_parity`` over the distinct
+defects)).  When a chunk misses ``_SETTLE_MIN_ROWS`` rows or more, they
+all go through ``uf_decoder.settle_rows``, one numpy pass that gives the
+correction of each row that isolated single faults explain; only the rows
+it declines, and the misses of a smaller chunk, go to
+``uf_decoder.decode_defects``.  One ``fault_parity`` over the distinct
 corrections checks that each gives back its row's defects and, by
 linearity, flips its rows' logical checks.  A ``Pipeline`` keeps one memo
 per sector, cleared when it holds ``_DECODE_MEMO_ENTRIES``.  It counts
@@ -76,7 +79,7 @@ from .code_model import (
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
 from .fabric_sim import Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay
-from .uf_decoder import decode_defects
+from .uf_decoder import decode_defects, settle_rows
 
 # RNG stream tags under the campaign master seed
 _STREAM_SHOT = 7  # per-shot stage jitter
@@ -98,6 +101,10 @@ _TABLE_CHUNK_BYTES = 1 << 20
 #: Fewest shots whose streams are keyed in one batch: below it, building
 #: each stream costs less than the batch's fixed numpy overhead.
 _BATCHED_MIN_SHOTS = 8
+
+#: Fewest memo misses of one chunk and sector that go through
+#: ``settle_rows`` together: its fixed cost is a few single decodes.
+_SETTLE_MIN_ROWS = 8
 
 #: A Philox counter or buffer with nothing drawn yet.
 _ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
@@ -738,12 +745,15 @@ def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
 
     A row fails when its faults, XOR the correction of its syndrome, cross
     the logical chain oddly.  Only rows with a fault are looked at.  Each
-    distinct defect row is looked up once in ``memo`` (packed defect row ->
+    distinct defect row is first looked up in ``memo`` (packed defect row ->
     intp fault ids of its correction; the decoder is a pure function of
-    (graph, defects)); a miss is decoded from its defect ids, after
-    clearing the memo if it holds ``bound`` entries.  Each correction, hit
-    or miss, must have its key's defects as syndrome (ValueError otherwise);
-    by linearity, its crossing parity then flips its rows' failure flags.
+    (graph, defects)).  At least ``_SETTLE_MIN_ROWS`` misses go through
+    ``settle_rows`` in one call, and only the rows it declines are decoded;
+    fewer misses are each decoded from their defect ids.  Each new
+    correction enters the memo, which is cleared first when it holds
+    ``bound`` entries.  Each correction, hit, settled or decoded, must have
+    its key's defects as syndrome (ValueError otherwise); by linearity, its
+    crossing parity then flips its rows' failure flags.
 
     Returns ``(failed, rows, which, fixes)``: the (shots,) bool failure
     flags, the ascending rows with a defect, each one's index into
@@ -761,15 +771,20 @@ def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
     packed = np.packbits(defects, axis=1)
     keys, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                    return_index=True, return_inverse=True)
-    fixes = []
-    for key, row in zip(keys.tolist(), first.tolist()):
-        ids = memo.get(key)
-        if ids is None:
-            if len(memo) >= bound:
-                memo.clear()
-            ids, _ = decode_defects(graph, np.flatnonzero(defects[row]).tolist())
-            ids = memo[key] = np.array(ids, dtype=np.intp)
-        fixes.append(ids)
+    keys = keys.tolist()
+    fixes = [memo.get(key) for key in keys]
+    missed = [j for j, ids in enumerate(fixes) if ids is None]
+    if len(missed) >= _SETTLE_MIN_ROWS:
+        new, declined = settle_rows(graph, defects[first[missed]])
+    else:
+        new = [None] * len(missed)
+        declined = [(i, np.flatnonzero(defects[first[j]]).tolist()) for i, j in enumerate(missed)]
+    for i, ids in declined:
+        new[i] = np.array(decode_defects(graph, ids)[0], dtype=np.intp)
+    for j, ids in zip(missed, new):
+        if len(memo) >= bound:
+            memo.clear()
+        fixes[j] = memo[keys[j]] = ids
     fixed = np.zeros((len(fixes), graph.n_edges), dtype=bool)
     fixed[np.arange(len(fixes)).repeat(list(map(len, fixes))), np.concatenate(fixes)] = True
     syndromes, flips = graph.fault_parity(fixed)

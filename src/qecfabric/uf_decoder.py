@@ -21,6 +21,26 @@ the graph as flat lists indexed by id: an edge's endpoints from
 ``decode_with_stats(graph, syndrome)`` and ``decode`` wrap it for
 ``SyndromeRounds`` inputs.
 
+``settle_rows(graph, defect_rows)`` gives, in one numpy pass over many
+defect rows, the correction ``decode_defects`` would give each row that
+isolated single faults explain, and declines every other row.  A row is
+settled when each of its defects is either
+(a) one end of a pair: it shares an interior edge with exactly one other
+    defect, which shares one with no other; or
+(b) lone: no other defect lies within two hops, and it has a boundary edge.
+Its correction is its pair edges plus, per lone defect, that defect's
+lowest-id boundary edge.  This is exact: in iteration 1 only the pair
+edges get a half from both ends, so they alone fuse and leave each pair an
+even, inactive cluster; every other grown edge has one defect end and no
+other defect within reach.  In iteration 2 each lone defect's edges all
+become full, which joins its neighbours (no defect's neighbours) and
+touches the boundary, so growth stops.  The peel then takes each pair's
+edge, and each lone cluster, rooted at its lowest full boundary edge,
+takes that edge.  A settled row's ``DecodeStats`` are known without a
+decode: 1 growth iteration, or 2 with a lone defect; fusions = pairs +
+the summed degree (boundary edges included) of the lone defects; clusters
+= pairs + lone defects.
+
 ``oracle_decode`` is an independent reference: exhaustive minimum-weight
 search on small graphs, shortest-path defect pairing on small syndromes.
 It shares no code with the cluster decoder beyond the graph's edge lists.
@@ -31,6 +51,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .code_model import (
     BOUNDARY,
@@ -201,6 +223,54 @@ def decode_defects(graph: DecodingGraph, defects):
                 raise AssertionError("even-parity cluster left an unpaired defect")
             selected.append(root_edge[root])
     return selected, stats
+
+
+def settle_rows(graph: DecodingGraph, defect_rows: np.ndarray):
+    """``decode_defects``' corrections of the single-fault rows of a 0/1 defect matrix.
+
+    ``defect_rows`` is (rows, n_vertices); see the module docstring for
+    which rows are settled.  Returns ``(fixes, declined)``: ``fixes[i]`` is
+    row i's correction as intp fault ids (the set ``decode_defects`` gives),
+    or None for a declined row, and ``declined`` lists ``(i, defect ids)``
+    for each declined row, ascending, as ``decode_defects`` takes them.
+    """
+    m, n_vertices = defect_rows.shape
+    table, u, v = graph.incident_table, graph.u, graph.v
+    padded = np.zeros((m, n_vertices + 1), dtype=bool)  # column -1 reads "no defect"
+    padded[:, :n_vertices] = defect_rows
+    row, x = np.divmod(np.flatnonzero(padded), n_vertices + 1)  # 10x faster on bool than uint8
+    edges = table[x]
+    # each slot's far end: a vertex, or -1 for a boundary edge (u ^ -1 ^ u) and for padding
+    near = np.where(edges >= 0, u[edges] ^ v[edges] ^ x[:, None], -1)
+    is_defect = padded[row[:, None], near]
+    n_near = is_defect.sum(axis=1, dtype=np.int8)
+    slot = is_defect.argmax(axis=1)
+    partner = near[np.arange(len(x)), slot]
+    # a partner with a second defect neighbour is neither paired nor lone,
+    # so it declines the row itself
+    paired = n_near == 1
+    boundary = (edges >= 0) & (near < 0)
+    lone = (n_near == 0) & boundary.any(axis=1)
+    k = np.flatnonzero(lone)
+    w = near[k]  # two hops out, for the lone candidates only
+    far = table[w]
+    far = np.where((far >= 0) & (w >= 0)[:, :, None], u[far] ^ v[far] ^ w[:, :, None], -1)
+    far[far == x[k, None, None]] = -1
+    lone[k] = ~padded[row[k, None, None], far].any(axis=(1, 2))
+
+    settled = np.ones(m, dtype=bool)
+    settled[row[~(paired | lone)]] = False
+    take = (paired & (x < partner)) | lone
+    ids = edges[take, np.where(lone, boundary.argmax(axis=1), slot)[take]]
+    # each row's defects and correction ids are runs of x and ids
+    bounds = np.arange(m + 1)
+    starts, cuts = np.searchsorted(row, bounds).tolist(), np.searchsorted(row[take], bounds).tolist()
+    fixes, declined = [], []
+    for i, ok in enumerate(settled.tolist()):
+        fixes.append(ids[cuts[i] : cuts[i + 1]] if ok else None)
+        if not ok:
+            declined.append((i, x[starts[i] : starts[i + 1]].tolist()))
+    return fixes, declined
 
 
 def decode_with_stats(graph: DecodingGraph, syndrome: SyndromeRounds):

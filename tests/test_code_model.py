@@ -231,6 +231,19 @@ def test_code_caches_are_bounded():
     assert cm.build_layout(3) is not layout
 
 
+@pytest.mark.parametrize("d", [1, 3, 13])
+def test_incident_table_is_the_padded_incident_edges(d):
+    graph = cm.build_decoding_graph(cm.build_layout(d), cm.SECTOR_Z, d)
+    width = max(map(len, graph.incident_edges), default=0)
+    assert graph.incident_table.shape == (graph.n_vertices, width)
+    assert graph.incident_table.tolist() == [
+        [*ids, *[-1] * (width - len(ids))] for ids in graph.incident_edges
+    ]
+    if graph.incident_table.size:
+        with pytest.raises(ValueError, match="read-only"):
+            graph.incident_table[0, 0] = 0
+
+
 def test_shared_layouts_and_graphs_cannot_be_changed():
     layout = cm.build_layout(3)
     graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 3)
@@ -381,6 +394,22 @@ def test_fault_parity_matches_incidence_and_crossing_ids(instance):
         pattern = cm.pattern_from_fault_ids(graph, np.flatnonzero(row).tolist())
         expected = cm.syndrome_of(pattern, graph).sector_bits(graph.sector)
         assert np.array_equal(defect_row.reshape(graph.rounds, graph.n_stabilizers), expected)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.3])
+def test_fault_parity_counts_sparse_and_dense_chunks_alike(p):
+    # the graphs above are too small for the sorted count of a sparse chunk:
+    # at d=13, p=1e-3 takes it and p=0.3 the dense one
+    graph = cm.build_decoding_graph(cm.build_layout(13), cm.SECTOR_X, 13)
+    faults = np.random.default_rng(4).random((20, graph.n_edges)) < p
+    star = list(graph.incident_edges[500])  # a vertex met by several faults of one row
+    faults[0, star], faults[1, star[:3]] = True, True
+    defects, crossings = graph.fault_parity(faults)
+    for row, defect_row, crossing in zip(faults, defects, crossings):
+        pattern = cm.pattern_from_fault_ids(graph, np.flatnonzero(row).tolist())
+        expected = cm.syndrome_of(pattern, graph).sector_bits(graph.sector)
+        assert np.array_equal(defect_row.reshape(graph.rounds, graph.n_stabilizers), expected)
+        assert crossing == (len(pattern.fault_ids & graph.crossing_ids) % 2 == 1)
 
 
 def test_total_bits_transported():

@@ -781,6 +781,60 @@ def test_ler_campaign_checks_every_residual(monkeypatch):
         qp.ler_campaign(3, 0.02, 500, seed=7)
 
 
+D13_SAMPLED = dict(distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3, seed=1)
+
+
+def test_settled_corrections_are_checked(monkeypatch):
+    # a settled row never reaches decode_defects, so the tampered decode
+    # above cannot reach it: tamper with the settle pass instead
+    settle_rows = qp.settle_rows
+
+    def settle_dropping(graph, defect_rows):
+        fixes, declined = settle_rows(graph, defect_rows)
+        return [None if ids is None else ids[1:] for ids in fixes], declined
+
+    monkeypatch.setattr(qp, "settle_rows", settle_dropping)
+    with pytest.raises(ValueError, match="does not annihilate"):
+        qp.Pipeline(ExperimentConfig(**D13_SAMPLED).validate()).run_range(0, 50)
+    with pytest.raises(ValueError, match="does not annihilate"):
+        qp.ler_campaign(5, 1e-3, 8192, seed=1)
+
+
+def test_a_one_miss_chunk_skips_the_settle_pass(monkeypatch):
+    def refusing(graph, defect_rows):
+        raise AssertionError("a chunk of one miss went through settle_rows")
+
+    decodes = []
+    real = qp.decode_defects
+    monkeypatch.setattr(qp, "settle_rows", refusing)
+    monkeypatch.setattr(qp, "decode_defects",
+                        lambda graph, defects: decodes.append(1) or real(graph, defects))
+    qp.run_shot(ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.05).validate())
+    assert len(decodes) == 2  # one miss per sector
+    decodes.clear()
+    # the worst-case d=3 source repeats one row per sector: one miss each, then hits
+    qp.Pipeline(ExperimentConfig(syndrome_source="worst_case").validate()).run_range(0, 1000)
+    assert len(decodes) == 2
+
+
+def test_most_d13_misses_are_settled(monkeypatch):
+    # at p=1e-3 most defect rows are isolated single faults; a narrower rule
+    # or a lost pass would keep every output and show only here
+    settled, decodes = [], []
+    settle_rows, decode_defects = qp.settle_rows, qp.decode_defects
+
+    def counting(graph, defect_rows):
+        fixes, declined = settle_rows(graph, defect_rows)
+        settled.append(len(fixes) - len(declined))
+        return fixes, declined
+
+    monkeypatch.setattr(qp, "settle_rows", counting)
+    monkeypatch.setattr(qp, "decode_defects",
+                        lambda graph, defects: decodes.append(1) or decode_defects(graph, defects))
+    qp.Pipeline(ExperimentConfig(**D13_SAMPLED).validate()).run_range(0, 100)
+    assert sum(settled) >= 0.85 * (sum(settled) + len(decodes))
+
+
 @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-3, 0.5, 1 - 2**-53, 1.0])
 def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
     shape = (8 * 1024, 9)

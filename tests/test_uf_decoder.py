@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,6 +256,92 @@ def test_grow_adds_one_half_per_active_endpoint(instance):
             if v != cm.BOUNDARY and state.growth.get(e_id, 0) == uf.FULL:
                 assert state.find(u) == state.find(v)
     assert stats.growth_iterations <= graph.n_edges
+
+
+def neighbours(graph):
+    """Per vertex, its set of interior neighbours and its number of boundary edges."""
+    near, grounded = [set() for _ in range(graph.n_vertices)], [0] * graph.n_vertices
+    for u, v in zip(graph.edge_u, graph.edge_v):
+        if v == cm.BOUNDARY:
+            grounded[u] += 1
+        else:
+            near[u].add(v)
+            near[v].add(u)
+    return near, grounded
+
+
+@functools.lru_cache(maxsize=None)
+def near_misses(d, rounds, sector):
+    """Defect sets built to sit at the edge of the settle rule, each with whether it
+    settles; a shape the graph cannot hold is left out."""
+    graph = cached_graph(d, rounds, sector)
+    near, grounded = neighbours(graph)
+    vertices = range(graph.n_vertices)
+
+    def first(candidates):
+        return next((sorted(c) for c in candidates), None)
+
+    def pairs_only(defects):
+        return all(len(near[x] & defects) == 1 for x in defects)
+
+    shapes = {
+        # a lone boundary defect with another defect exactly two hops away
+        "two hops": (first({c, y} for c in vertices if grounded[c] for w in near[c]
+                           for y in near[w] if y != c and y not in near[c]), False),
+        # two isolated pairs whose ends share a neighbour
+        "shared neighbour": (first(
+            {a1, b1, a2, b2} for w in vertices for a1 in near[w] for a2 in near[w] if a1 < a2
+            for b1 in near[a1] for b2 in near[a2]
+            if len({w, a1, b1, a2, b2}) == 5 and pairs_only({a1, b1, a2, b2})), True),
+        "chain of three": (first({a, b, c} for b in vertices for a in near[b] for c in near[b]
+                                 if a < c and c not in near[a]), False),
+        "lone interior": (first({v} for v in vertices if not grounded[v]), False),
+        # the lowest of two boundary edges must be taken
+        "two boundary edges": (first({v} for v in vertices if grounded[v] == 2), True),
+    }
+    return {name: shape for name, shape in shapes.items() if shape[0] is not None}
+
+
+@st.composite
+def settle_instances(draw):
+    d = draw(st.sampled_from([3, 5, 7, 9]))
+    rounds = draw(st.integers(1, d))
+    sector = draw(st.sampled_from(cm.SECTORS))
+    p = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
+    return d, rounds, sector, p, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(settle_instances())
+def test_settled_rows_match_decode_defects(instance):
+    d, rounds, sector, p, seed = instance
+    graph = cached_graph(d, rounds, sector)
+    near, _ = neighbours(graph)
+    faults = np.random.default_rng(seed).random((32, graph.n_edges)) < p
+    rows = [np.flatnonzero(row).tolist() for row in graph.fault_parity(faults)[0] if row.any()]
+    shapes = near_misses(d, rounds, sector)
+    rows += [defects for defects, _ in shapes.values()]
+    matrix = np.zeros((len(rows), graph.n_vertices), dtype=np.uint8)
+    for i, defects in enumerate(rows):
+        matrix[i, defects] = 1
+    fixes, declined = uf.settle_rows(graph, matrix)
+    assert [i for i, _ in declined] == [i for i, ids in enumerate(fixes) if ids is None]
+    assert all(rows[i] == defects for i, defects in declined)
+    for i, (_, settles) in enumerate(shapes.values(), start=len(rows) - len(shapes)):
+        assert (fixes[i] is not None) == settles
+    for defects, ids in zip(rows, fixes):
+        if ids is None:
+            continue
+        expected, stats = uf.decode_defects(graph, defects)
+        assert sorted(ids.tolist()) == sorted(expected)
+        # the closed-form statistics of a settled row
+        paired = [x for x in defects if near[x] & set(defects)]
+        lone = [x for x in defects if x not in paired]
+        assert stats == uf.DecodeStats(
+            growth_iterations=2 if lone else 1,
+            fusions=len(paired) // 2 + sum(len(graph.incident_edges[x]) for x in lone),
+            clusters=len(paired) // 2 + len(lone),
+        )
 
 
 # ---- oracle ---------------------------------------------------------------
