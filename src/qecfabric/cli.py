@@ -393,7 +393,8 @@ def cmd_selftest(args) -> int:
             expected[u].append(e_id)
             if v != BOUNDARY:
                 expected[v].append(e_id)
-        incident_ok &= [list(ids) for ids in graph.incident_edges] == expected
+        starts = graph.incident_starts
+        incident_ok &= [list(graph.incident_ids[a:b]) for a, b in zip(starts, starts[1:])] == expected
         syndrome = syndrome_of(sample_errors(graph, 3e-3, seed=13, stream=(k,)), graph)
         defects = syndrome.defect_vertices(graph)
         ids, stats = decode_defects(graph, defects)
@@ -407,8 +408,8 @@ def cmd_selftest(args) -> int:
     pipeline.run_shot(0)
     context, odd = pipeline.last_context, []
     for sector, correction in context["corrections"].items():
-        qubits = [pipeline.graphs[sector].edge_qubit[e] for e in correction.fault_ids]
-        odd += [(sector, q) for q in set(qubits) - {None} if qubits.count(q) % 2]
+        qubits = pipeline.graphs[sector].qubit[sorted(correction.fault_ids)].tolist()
+        odd += [(sector, q) for q in set(qubits) - {-1} if qubits.count(q) % 2]
     applied = [(leaf, entry) for leaf, entries in context["applied"].items() for entry in entries]
     owners = [(pipeline.leaf_map.leaf_of(q), (sector, q)) for sector, q in odd]
     check("pipeline: a d=13/L1 shot applies each odd-parity corrected data qubit at its owning leaf",

@@ -12,16 +12,17 @@ independently with probability p.  Sampling is counter-based (Philox) so a
 given (seed, stream) always reproduces the same pattern.
 
 Layouts and graphs are pure functions of (distance) and (distance, sector,
-rounds), so ``build_layout`` and ``build_decoding_graph`` keep the code
-built last and hand every caller that asks for it again the same object.
-A shared object is immutable: tuples, frozensets and read-only arrays.
+rounds).  ``build_layout`` and ``build_decoding_graph`` build a new object
+on every call, so each campaign builds its own and frees it when done; a
+graph is built from one round's template in a few numpy calls.  Both are
+immutable: tuples, frozensets and read-only arrays.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -35,13 +36,6 @@ TIMELIKE = "timelike"
 
 #: Vertex id of the virtual boundary vertex.
 BOUNDARY = -1
-
-#: Codes ``build_layout`` keeps (``build_decoding_graph`` keeps both sectors'
-#: graphs of as many (distance, rounds) pairs); the least recently used is
-#: dropped.  Callers that repeat campaigns (a bench's reps, ``selftest``,
-#: the tests, ``latency``'s report) work on one code at a time, and a bound
-#: of one keeps a distance sweep from holding every distance's graphs.
-_CACHED_CODES = 1
 
 
 def rng_stream(seed, *stream):
@@ -216,13 +210,13 @@ class CodeLayout:
     Data qubits are indexed row-major on the d x d grid (qubit = row*d + col).
     Ancilla qubits follow: X-sector ancillas first, then Z-sector, each
     row-major by plaquette coordinate.  ``x_stabilizers[i]`` / ``z_stabilizers[i]``
-    list the 2 or 4 data qubits checked by that stabilizer.
+    list the 2 or 4 data qubits checked by that stabilizer, in ascending order.
 
     ``crossing_chain[sector]`` is the support of the logical operator whose
     odd overlap with a residual error of that sector signals a logical
     failure (a middle column for the X sector, a middle row for Z).  The
     layout holds the supports as ``crossings``, (sector, frozenset) pairs,
-    so that a shared layout cannot be changed through its dict.
+    so that a layout cannot be changed through its dict.
     """
 
     distance: int
@@ -280,38 +274,31 @@ class CodeLayout:
 
 
 def build_layout(distance: int) -> CodeLayout:
-    """The rotated surface code layout for an odd distance, one shared object per distance.
+    """The rotated surface code layout for an odd distance, a new object per call.
 
     Plaquettes sit on the (d+1) x (d+1) dual grid; interior plaquettes
     alternate X/Z in a checkerboard, weight-2 X plaquettes close the top and
     bottom boundaries, and weight-2 Z plaquettes close the left and right.
     """
-    return _layout(operator.index(distance))  # any integer type, positional or keyword: one key
-
-
-@lru_cache(maxsize=_CACHED_CODES)
-def _layout(distance: int) -> CodeLayout:
+    distance = operator.index(distance)  # any integer type; qubit ids are Python ints
     if distance < 1 or distance % 2 == 0:
         raise ValueError(f"distance must be an odd integer >= 1, got {distance}")
     d = distance
+    # Plaquette (i, j) has corners (i, j), (i, j + 1), (i + 1, j) and
+    # (i + 1, j + 1), for i, j in -1 .. d - 1; it is X iff i + j is even.
+    # X plaquettes lie in columns 0 .. d - 2, Z plaquettes in rows 0 .. d - 2.
     x_stabs = []
-    z_stabs = []
     for i in range(-1, d):
-        for j in range(-1, d):
-            corners = [
-                (r, c)
-                for r, c in ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))
-                if 0 <= r < d and 0 <= c < d
-            ]
-            if len(corners) not in (2, 4):
-                continue
-            stype = SECTOR_X if (i + j) % 2 == 0 else SECTOR_Z
-            if i in (-1, d - 1) and stype != SECTOR_X:
-                continue
-            if j in (-1, d - 1) and stype != SECTOR_Z:
-                continue
-            qubits = tuple(r * d + c for r, c in corners)
-            (x_stabs if stype == SECTOR_X else z_stabs).append(qubits)
+        for j in range(i % 2, d - 1, 2):
+            a = i * d + j
+            x_stabs.append((a + d, a + d + 1) if i < 0 else (a, a + 1) if i == d - 1
+                           else (a, a + 1, a + d, a + d + 1))
+    z_stabs = []
+    for i in range(d - 1):
+        for j in range(i % 2 - 1, d, 2):
+            a = i * d + j
+            z_stabs.append((a + 1, a + d + 1) if j < 0 else (a, a + d) if j == d - 1
+                           else (a, a + 1, a + d, a + d + 1))
 
     mid = (d - 1) // 2
     crossings = (
@@ -359,22 +346,22 @@ class DecodingGraph:
 
     Edge ``e`` joins ``u[e]`` (always a real vertex) and ``v[e]`` (a vertex
     or BOUNDARY) and lies on data qubit ``qubit[e]`` (-1 on a timelike
-    edge), all intp arrays; ``edge_u``, ``edge_v`` and ``edge_qubit`` (None
-    on a timelike edge) are the same as tuples, which Python loops index
-    faster.  ``incident_edges[w]`` is the tuple of the ids of the edges at
-    vertex ``w`` in ascending order, and row ``w`` of the (vertices x max
-    degree) intp array ``incident_table`` holds the same ids, padded with -1.
+    edge), all intp arrays; ``edge_u`` and ``edge_v`` are the same as
+    tuples, which Python loops index faster.  The edges at vertex ``w``, in
+    ascending id order, are ``incident_ids[incident_starts[w] :
+    incident_starts[w + 1]]``: one flat tuple in vertex order and its run
+    starts.  Row ``w`` of the (vertices x max degree) intp array
+    ``incident_table`` holds the same ids, padded with -1.
     ``crossing_ids`` are the spacelike edges on the sector's logical
     crossing chain: a residual error is a logical failure iff it holds an
     odd number of them.
 
-    ``build_decoding_graph`` shares one graph per (distance, sector,
-    rounds) across the process, so a graph must not change once built: its
-    numpy arrays are read-only, its sequences are tuples, and no campaign
-    path (``Pipeline``, ``ler_campaign``) reads ``edges`` or
-    ``incidence_matrix``.  ``edges``, the same graph as ``Edge`` objects for
-    inspection and export, is built on first read and then kept as long as
-    the graph; ``incidence_matrix`` is built afresh on every call.
+    A graph does not change once built: its numpy arrays are read-only and
+    its sequences are tuples.  No campaign path (``Pipeline``,
+    ``ler_campaign``) reads ``edges`` or ``incidence_matrix``.  ``edges``,
+    the same graph as ``Edge`` objects for inspection and export, is built
+    on first read and then kept as long as the graph; ``incidence_matrix``
+    is built afresh on every call.
     """
 
     def __init__(self, layout: CodeLayout, sector: str, rounds: int):
@@ -387,52 +374,71 @@ class DecodingGraph:
         self.rounds = rounds
         n_stab = self.n_stabilizers = layout.stabilizer_count_per_sector
 
-        # One round's spacelike edges; a qubit's slot is its edge's place
-        # among them.  A qubit touching no stabilizer of this sector (d=1
-        # only) has no edge, so its slot is -1.
-        adj = layout.sector_adjacency(sector)
-        qubits = [q for q, stabs in enumerate(adj) if stabs]
-        slot = [-1] * len(adj)
-        for i, q in enumerate(qubits):
-            slot[q] = i
-        self._slot = tuple(slot)
-        first = np.array([adj[q][0] for q in qubits], dtype=np.intp)
-        second = np.array([adj[q][1] if len(adj[q]) == 2 else BOUNDARY for q in qubits],
-                          dtype=np.intp)
-        self._per_round = len(qubits)
-        self._n_spacelike = rounds * len(qubits)
-        base = np.arange(rounds, dtype=np.intp)[:, None] * n_stab
-        timelike = np.arange((rounds - 1) * n_stab, dtype=np.intp)
-        self.u = np.concatenate(((first + base).ravel(), timelike))
-        self.v = np.concatenate((
-            np.where(second == BOUNDARY, BOUNDARY, second + base).ravel(), timelike + n_stab
-        ))
+        # One round's spacelike edges, one per data qubit in qubit order: it
+        # joins the qubit's two stabilizers, or its one stabilizer and the
+        # boundary.  A qubit's slot is its edge's place among them; a qubit
+        # touching no stabilizer of this sector (d=1 only) has no edge, so
+        # its slot is -1.  ``checks`` lists each stabilizer's qubits, padded
+        # to the widest with n_data, whose slot is -1 too.
+        stabs = layout.stabilizers(sector)
+        n_data = layout.data_qubit_count
+        width = max(map(len, stabs), default=0)
+        pad = (n_data,) * width
+        checks, first, second = [], [-1] * n_data, [BOUNDARY] * n_data
+        for s, qs in enumerate(stabs):
+            checks += qs + pad[len(qs) :]
+            for q in qs:
+                if first[q] < 0:
+                    first[q] = s
+                else:
+                    second[q] = s
+        first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+        qubits = np.flatnonzero(first >= 0)
+        first, second = first[qubits], second[qubits]
+        slot = np.full(n_data + 1, -1, dtype=np.intp)
+        slot[qubits] = np.arange(len(qubits))
+        self._slot = tuple(slot[:n_data].tolist())
+        per_round = self._per_round = len(qubits)
+        n_space = self._n_spacelike = rounds * per_round
+
+        # vertex (s, t) is t * n_stab + s, and timelike edge (t, s), from
+        # (s, t) to (s, t + 1), is edge n_space + t * n_stab + s
+        vertex = np.arange(rounds * n_stab, dtype=np.intp).reshape(rounds, n_stab)
+        round_base = vertex[:, :1]
+        v = second + round_base
+        v[:, second == BOUNDARY] = BOUNDARY
+        self.u = np.concatenate(((first + round_base).ravel(), vertex[:-1].ravel()))
+        self.v = np.concatenate((v.ravel(), vertex[1:].ravel()))
         self.edge_u = tuple(self.u.tolist())
         self.edge_v = tuple(self.v.tolist())
-        self.qubit = np.concatenate((np.tile(np.array(qubits, dtype=np.intp), rounds),
-                                     np.full(len(timelike), -1, dtype=np.intp)))
-        self.edge_qubit = tuple(qubits) * rounds + (None,) * len(timelike)
+        self.qubit = np.full(self.n_edges, -1, dtype=np.intp)
+        self.qubit[:n_space].reshape(rounds, per_round)[:] = qubits
 
-        # CSR incidence: both ends of every edge in edge-id order, boundary
-        # ends dropped, stably sorted by vertex
-        ends = np.stack((self.u, self.v), axis=1).ravel()
-        inner = ends != BOUNDARY
-        ends = ends[inner]
-        ids = np.repeat(np.arange(self.n_edges, dtype=np.intp), 2)[inner]
-        order = np.argsort(ends, kind="stable")
-        degree = np.bincount(ends, minlength=self.n_vertices)
-        stops = np.cumsum(degree).tolist()
-        flat = tuple(ids[order].tolist())
-        self.incident_edges = tuple(flat[a:b] for a, b in zip([0] + stops, stops))
-        # the same runs as -1-padded rows: an id's place in its run is its column
-        ends = ends[order]
-        self.incident_table = np.full((self.n_vertices, degree.max(initial=0)), -1, dtype=np.intp)
-        self.incident_table[ends, np.arange(len(ends)) - (np.cumsum(degree) - degree)[ends]] = ids[order]
+        # Vertex (s, t) meets stabilizer s's k_s spacelike slots offset by
+        # t x per_round (ascending, as s lists its qubits in order), then the
+        # timelike edges (t - 1, s) and (t, s), so the table is one round's
+        # (stabilizers x width) template of slots, broadcast over the
+        # rounds, with the timelike ids put after the slots.
+        template = slot[np.array(checks, dtype=np.intp).reshape(n_stab, width)]
+        padding = template < 0
+        table = np.full((rounds, n_stab, width + (min(rounds - 1, 2) if n_stab else 0)), -1,
+                        dtype=np.intp)
+        table[:, :, :width] = template + np.arange(rounds, dtype=np.intp)[:, None, None] * per_round
+        table[:, :, :width][:, padding] = -1
+        k = np.fromiter(map(len, stabs), np.intp, n_stab)
+        s, t = np.arange(n_stab), np.arange(rounds - 1)[:, None]
+        timelike = vertex[:-1] + n_space
+        table[t + 1, s, k] = timelike  # (t, s) is the first timelike edge of (s, t + 1)
+        table[t, s, k + (t > 0)] = timelike  # and follows (t - 1, s) at (s, t) if t > 0
+        self.incident_table = table.reshape(self.n_vertices, table.shape[2])
+        self.incident_ids = tuple(table[table >= 0].tolist())
+        degree = k + [[(r > 0) + (r < rounds - 1)] for r in range(rounds)]  # slots + timelike edges
+        self.incident_starts = (0, *np.cumsum(degree).tolist())
 
         chain = layout.crossing_chain[sector]
         self._crossing = np.zeros(self.n_edges, dtype=bool)
-        rows = self._crossing[: self._n_spacelike].reshape(rounds, len(qubits))
-        rows[:] = [q in chain for q in qubits]  # a view: sets every round's spacelike edges
+        rows = self._crossing[:n_space].reshape(rounds, per_round)
+        rows[:] = [q in chain for q in qubits.tolist()]  # a view: sets every round's spacelike edges
         self.crossing_ids = frozenset(np.flatnonzero(self._crossing).tolist())
         for array in (self.u, self.v, self.qubit, self._crossing, self.incident_table):
             array.flags.writeable = False
@@ -461,8 +467,8 @@ class DecodingGraph:
         """The edges as ``Edge`` objects in fault-id order, built on first read."""
         n_space, per_round = self._n_spacelike, self._per_round
         out = []
-        for e_id, (u, v, q) in enumerate(zip(self.edge_u, self.edge_v, self.edge_qubit)):
-            if q is not None:
+        for e_id, (u, v, q) in enumerate(zip(self.edge_u, self.edge_v, self.qubit.tolist())):
+            if q >= 0:
                 out.append(Edge(SPACELIKE, u, v, q, None, e_id // per_round))
             else:
                 t, s = divmod(e_id - n_space, self.n_stabilizers)
@@ -526,18 +532,8 @@ class DecodingGraph:
 
 
 def build_decoding_graph(layout: CodeLayout, sector: str, rounds: int) -> DecodingGraph:
-    """Space-time graph of `rounds` measurement rounds for one sector.
-
-    One shared graph per (distance, sector, rounds): it is keyed by the
-    layout's distance, not the layout object, and built on the layout
-    ``build_layout`` shares.
-    """
-    return _decoding_graph(layout.distance, sector, rounds)
-
-
-@lru_cache(maxsize=2 * _CACHED_CODES)
-def _decoding_graph(distance: int, sector: str, rounds: int) -> DecodingGraph:
-    return DecodingGraph(build_layout(distance), sector, rounds)
+    """Space-time graph of `rounds` measurement rounds for one sector, a new object per call."""
+    return DecodingGraph(layout, sector, rounds)
 
 
 @dataclass(frozen=True, eq=False)

@@ -276,10 +276,8 @@ class Pipeline:
     last shot ended; the next shot starts at the cycle boundary after it, so
     the start times are a cumulative sum.  ``run_shot`` is a one-shot range.
 
-    The layout and both decoding graphs are the ones ``build_layout`` and
-    ``build_decoding_graph`` share across the process, so only the first
-    pipeline on a code builds them; a pipeline builds its own fabric, link
-    prices and decode memos.
+    A pipeline builds its own layout, decoding graphs, fabric, link prices
+    and decode memos, and they are freed with it.
     """
 
     def __init__(self, config, seed=None):
@@ -682,8 +680,8 @@ def _run_tasks(fn, tasks, workers: int) -> list:
 def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     """Run many shots and aggregate stage statistics plus an LER estimate.
 
-    Each worker builds a ``Pipeline``, on its process's shared layout and
-    decoding graphs, and runs its contiguous shot range through
+    Each worker builds its own ``Pipeline``, layout and decoding graphs
+    included, and runs its contiguous shot range through
     ``Pipeline.run_range``, a table of int64 columns built in chunks of
     bounded byte size.  Shots are pure functions of (config, seed, shot
     index), so splitting a campaign into ranges, one per worker process (at
@@ -810,9 +808,8 @@ def _ler_sector_failures(
     stream is drawn ``_TABLE_CHUNK_BYTES`` of raw draws at a time, and each
     chunk is checked and decoded before the next is drawn, so the arrays
     are O(chunk x (edges + vertices)) for any ``batch``.  The graph is
-    built here, not taken from ``build_decoding_graph``'s shared ones, and
-    freed on return, so that a distance sweep holds no graph of a code it
-    has finished with.
+    built here and freed on return, so that a distance sweep holds no graph
+    of a code it has finished with.
     """
     graph = DecodingGraph(layout, SECTORS[k], rounds)
     chunk = max(1, _TABLE_CHUNK_BYTES // (8 * graph.n_edges))

@@ -16,8 +16,9 @@ function of (graph, defects).
 
 Every table is keyed by the vertices and edges a decode touches, so a
 decode costs O(defects + grown edges), with no graph-sized pass; it reads
-the graph as flat lists indexed by id: an edge's endpoints from
-``edge_u``/``edge_v`` and a vertex's edges from ``incident_edges``.
+the graph as flat tuples indexed by id: an edge's endpoints from
+``edge_u``/``edge_v``, and a vertex's edges as its run of ``incident_ids``,
+sliced at ``incident_starts`` when a cluster first reaches the vertex.
 ``decode_with_stats(graph, syndrome)`` and ``decode`` wrap it for
 ``SyndromeRounds`` inputs.
 
@@ -99,8 +100,8 @@ class ClusterState:
         self.active = set(self.parity)
         self.touches_boundary = set()
         self.full_edges = []
-        incident = graph.incident_edges
-        self._frontier = {v: incident[v] for v in self.active}  # never mutated in place
+        ids, starts = graph.incident_ids, graph.incident_starts
+        self._frontier = {v: ids[starts[v] : starts[v + 1]] for v in self.active}  # never mutated in place
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -117,8 +118,10 @@ class ClusterState:
         if ra == rb:
             return ra
         self.parent[rb] = ra
-        frontier, incident = self._frontier, self.graph.incident_edges
-        frontier[ra] = [*frontier.get(ra, incident[ra]), *frontier.pop(rb, incident[rb])]
+        frontier, ids, starts = self._frontier, self.graph.incident_ids, self.graph.incident_starts
+        fa, fb = frontier.get(ra), frontier.pop(rb, None)  # None: a vertex no cluster has reached
+        frontier[ra] = [*(ids[starts[ra] : starts[ra + 1]] if fa is None else fa),
+                        *(ids[starts[rb] : starts[rb + 1]] if fb is None else fb)]
         odd = self.parity[ra] = self.parity[ra] ^ self.parity.pop(rb, 0)
         boundary = self.touches_boundary
         if rb in boundary:

@@ -47,8 +47,8 @@ def test_stabilizer_geometry(d):
 
 def test_layout_deterministic():
     layout = cm.build_layout(5)
-    cm._layout.cache_clear()  # a second build, not the shared object again
-    assert cm.build_layout(5) == layout
+    again = cm.build_layout(5)  # a second build, not the same object
+    assert again is not layout and again == layout
 
 
 def test_crossing_chains_commute_with_opposite_sector():
@@ -142,8 +142,11 @@ def test_graph_matches_reference_walk(d, rounds, sector):
             assert type(getattr(e, name)) is type(getattr(ref, name))
     assert list(graph.edge_u) == [e.u for e in edges] == graph.u.tolist()
     assert list(graph.edge_v) == [e.v for e in edges] == graph.v.tolist()
-    assert list(graph.edge_qubit) == [e.qubit for e in edges]
-    assert [list(ids) for ids in graph.incident_edges] == incident
+    assert graph.qubit.dtype == np.intp
+    assert graph.qubit.tolist() == [-1 if e.qubit is None else e.qubit for e in edges]
+    starts = graph.incident_starts
+    assert [list(graph.incident_ids[a:b]) for a, b in zip(starts, starts[1:])] == incident
+    assert starts[0] == 0 and starts[-1] == len(graph.incident_ids)
     assert graph.crossing_ids == crossing
     for e_id, e in enumerate(edges):
         if e.kind == cm.SPACELIKE:
@@ -154,11 +157,37 @@ def test_graph_matches_reference_walk(d, rounds, sector):
 
 @pytest.mark.parametrize("d, rounds", [(1, 1), (3, 3), (5, 2), (13, 13)])
 def test_qubit_array_names_each_edges_data_qubit(d, rounds):
+    # every round repeats round 0's spacelike qubits; timelike edges name none
     layout = cm.build_layout(d)
     for sector in cm.SECTORS:
         graph = cm.build_decoding_graph(layout, sector, rounds)
+        n_space = graph.n_edges - (rounds - 1) * graph.n_stabilizers
+        per_round = n_space // rounds
         assert graph.qubit.dtype == np.intp
-        assert graph.qubit.tolist() == [-1 if q is None else q for q in graph.edge_qubit]
+        assert graph.qubit[:n_space].reshape(rounds, per_round).tolist() == (
+            [graph.qubit[:per_round].tolist()] * rounds
+        )
+        assert (graph.qubit[n_space:] == -1).all() and (graph.qubit[:n_space] >= 0).all()
+        for q in graph.qubit[:per_round].tolist():
+            for t in range(rounds):
+                assert graph.qubit[graph.fault_id_of((q, t), cm.SPACELIKE)] == q
+
+
+def test_layouts_and_graphs_are_built_afresh_per_call():
+    layout = cm.build_layout(5)
+    for again in (cm.build_layout(5), cm.build_layout(distance=5), cm.build_layout(np.int64(5))):
+        assert again is not layout and again == layout
+        assert type(again.distance) is int
+    graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 5)
+    assert graph.layout is layout
+    twin = cm.build_decoding_graph(cm.build_layout(5), cm.SECTOR_X, 5)
+    assert twin is not graph and twin.to_records() == graph.to_records()
+    for name in ("u", "v", "qubit", "incident_table"):
+        assert not np.shares_memory(getattr(twin, name), getattr(graph, name))
+    others = [cm.build_decoding_graph(layout, cm.SECTOR_X, 4),
+              cm.build_decoding_graph(layout, cm.SECTOR_Z, 5),
+              cm.build_decoding_graph(cm.build_layout(7), cm.SECTOR_X, 5)]
+    assert all(other.to_records() != graph.to_records() for other in others)
 
 
 @pytest.mark.parametrize("d, rounds", [(1, 1), (1, 3), (3, 1), (3, 3), (5, 2)])
@@ -188,71 +217,27 @@ def test_graph_holds_at_most_240_bytes_per_edge():
     assert held <= 240 * graph.n_edges
 
 
-def clear_code_caches():
-    cm._layout.cache_clear()
-    cm._decoding_graph.cache_clear()
-
-
-def test_layouts_and_graphs_are_shared_per_key():
-    clear_code_caches()
-    layout = cm.build_layout(5)
-    graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 5)
-    for same in (cm.build_layout(5), cm.build_layout(distance=5), cm.build_layout(np.int64(5))):
-        assert same is layout
-    assert cm.build_decoding_graph(cm.build_layout(5), cm.SECTOR_X, 5) is graph
-    assert graph.layout is layout
-    # the key is the layout's distance: an equal layout object gets the same graph
-    twin = cm.CodeLayout(5, layout.x_stabilizers, layout.z_stabilizers, layout.crossings)
-    assert cm.build_decoding_graph(twin, cm.SECTOR_X, 5) is graph
-    others = [cm.build_decoding_graph(layout, cm.SECTOR_X, 4),
-              cm.build_decoding_graph(layout, cm.SECTOR_Z, 5),
-              cm.build_decoding_graph(cm.build_layout(7), cm.SECTOR_X, 5)]
-    assert all(other is not graph for other in others)
-    # a rebuild after the caches are cleared is a new object equal to the shared one
-    clear_code_caches()
-    rebuilt = cm.build_decoding_graph(cm.build_layout(5), cm.SECTOR_X, 5)
-    assert rebuilt is not graph and rebuilt.layout is not layout
-    assert rebuilt.layout == layout and rebuilt.to_records() == graph.to_records()
-
-
-def test_code_caches_are_bounded():
-    clear_code_caches()
-    bound = cm._CACHED_CODES
-    layout = cm.build_layout(3)
-    first = cm.build_decoding_graph(layout, cm.SECTOR_X, 1)
-    for rounds in range(1, 2 * bound + 2):
-        for sector in cm.SECTORS:
-            cm.build_decoding_graph(layout, sector, rounds)
-    assert cm._decoding_graph.cache_info().currsize == 2 * bound
-    assert cm.build_decoding_graph(layout, cm.SECTOR_X, 1) is not first
-    for d in range(3, 2 * bound + 6, 2):
-        cm.build_layout(d)
-    assert cm._layout.cache_info().currsize == bound
-    assert cm.build_layout(3) is not layout
-
-
 @pytest.mark.parametrize("d", [1, 3, 13])
-def test_incident_table_is_the_padded_incident_edges(d):
+def test_incident_table_is_the_padded_incident_runs(d):
     graph = cm.build_decoding_graph(cm.build_layout(d), cm.SECTOR_Z, d)
-    width = max(map(len, graph.incident_edges), default=0)
+    starts = graph.incident_starts
+    runs = [graph.incident_ids[a:b] for a, b in zip(starts, starts[1:])]
+    width = max(map(len, runs), default=0)
     assert graph.incident_table.shape == (graph.n_vertices, width)
-    assert graph.incident_table.tolist() == [
-        [*ids, *[-1] * (width - len(ids))] for ids in graph.incident_edges
-    ]
+    assert graph.incident_table.tolist() == [[*ids, *[-1] * (width - len(ids))] for ids in runs]
     if graph.incident_table.size:
         with pytest.raises(ValueError, match="read-only"):
             graph.incident_table[0, 0] = 0
 
 
-def test_shared_layouts_and_graphs_cannot_be_changed():
+def test_layouts_and_graphs_cannot_be_changed():
     layout = cm.build_layout(3)
     graph = cm.build_decoding_graph(layout, cm.SECTOR_X, 3)
     crossing = graph.crossing_ids
     for array in (graph.u, graph.v, graph.qubit, graph._crossing):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
-    sequences = (graph.edge_u, graph.edge_v, graph.edge_qubit, graph._slot,
-                 graph.incident_edges, graph.incident_edges[0],
+    sequences = (graph.edge_u, graph.edge_v, graph._slot, graph.incident_ids, graph.incident_starts,
                  layout.x_stabilizers, layout.z_stabilizers[0], layout.crossings)
     for seq in sequences:
         with pytest.raises(TypeError):
@@ -262,7 +247,6 @@ def test_shared_layouts_and_graphs_cannot_be_changed():
     # crossing_chain is a copy: writing to it changes no later graph
     layout.crossing_chain[cm.SECTOR_X] = frozenset()
     assert cm.build_layout(3).crossing_chain[cm.SECTOR_X]
-    cm._decoding_graph.cache_clear()
     assert cm.build_decoding_graph(layout, cm.SECTOR_X, 3).crossing_ids == crossing
 
 
@@ -402,7 +386,8 @@ def test_fault_parity_counts_sparse_and_dense_chunks_alike(p):
     # at d=13, p=1e-3 takes it and p=0.3 the dense one
     graph = cm.build_decoding_graph(cm.build_layout(13), cm.SECTOR_X, 13)
     faults = np.random.default_rng(4).random((20, graph.n_edges)) < p
-    star = list(graph.incident_edges[500])  # a vertex met by several faults of one row
+    starts = graph.incident_starts
+    star = list(graph.incident_ids[starts[500] : starts[501]])  # a vertex met by several faults of one row
     faults[0, star], faults[1, star[:3]] = True, True
     defects, crossings = graph.fault_parity(faults)
     for row, defect_row, crossing in zip(faults, defects, crossings):

@@ -663,26 +663,40 @@ def test_ler_campaign_rejects_bad_inputs(kwargs, monkeypatch):
     [({"distance": 5, "syndrome_source": "sampled", "error_rate": 0.01, "seed": 4}, 120),
      ({"distance": 13, "router_layers": 1, "syndrome_source": "sampled", "seed": 2}, 60)],
 )
-def test_campaign_is_the_same_from_cold_and_warm_code_caches(overrides, shots):
+def test_consecutive_campaigns_in_one_process_are_equal(overrides, shots):
     config = ExperimentConfig(**overrides).validate()
-    cm._layout.cache_clear()
-    cm._decoding_graph.cache_clear()
-    cold = qp.run_campaign(config, shots=shots, jobs=1)
-    hits = cm._decoding_graph.cache_info().hits
-    warm = qp.run_campaign(config, shots=shots, jobs=1)
-    assert cm._decoding_graph.cache_info().hits == hits + 2  # both sectors' graphs reused
-    assert warm.stage_names == cold.stage_names
-    for name in cold.stage_names:
-        assert np.array_equal(warm.samples[name], cold.samples[name])
+    first = qp.run_campaign(config, shots=shots, jobs=1)
+    second = qp.run_campaign(config, shots=shots, jobs=1)
+    assert second.stage_names == first.stage_names
+    for name in first.stage_names:
+        assert np.array_equal(second.samples[name], first.samples[name])
     for field in ("end_to_end_ps", "valid", "failures"):
-        assert np.array_equal(getattr(warm, field), getattr(cold, field))
+        assert np.array_equal(getattr(second, field), getattr(first, field))
 
 
-def test_ler_campaign_holds_no_graph_after_it_returns():
+def test_ler_campaign_holds_no_graph_after_it_returns(monkeypatch):
     # a distance sweep must not keep each finished code's graphs alive
-    cm._decoding_graph.cache_clear()
+    built = []
+
+    def build(*args):
+        graph = cm.DecodingGraph(*args)
+        built.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(qp, "DecodingGraph", build)
     qp.ler_campaign(5, 0.01, 200, seed=3)
-    assert cm._decoding_graph.cache_info().currsize == 0
+    assert len(built) == 2  # one graph per sector
+    assert all(graph() is None for graph in built)
+
+
+def test_pipeline_graphs_die_with_the_pipeline():
+    pipeline = qp.Pipeline(ExperimentConfig(distance=5, syndrome_source="sampled").validate())
+    pipeline.run_range(0, 20)
+    graphs = [weakref.ref(graph) for graph in pipeline.graphs.values()]
+    layout = weakref.ref(pipeline.layout)
+    del pipeline
+    gc.collect()
+    assert all(graph() is None for graph in graphs) and layout() is None
 
 
 def test_ler_campaign_jobs_match_serial():
@@ -849,8 +863,6 @@ def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
 def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     # the decoder, the memo's correction entries and the parity passes read
     # the graph's flat edge lists; the lazy ``edges`` tuple is for export only.
-    # Graphs are shared, so start from fresh ones no earlier test has read.
-    cm._decoding_graph.cache_clear()
     decodes = []
     real = qp.decode_defects
     monkeypatch.setattr(qp, "decode_defects",
