@@ -117,21 +117,10 @@ def cmd_latency(args) -> int:
     result = qec_pipeline.run_campaign(config)
 
     stage_stats = result.stage_stats()
-    stages = config.stage_latency.zero_jitter() if config.zero_jitter else config.stage_latency
-    windows = stages.at_distance(config.distance)
-    # beyond one frame, a leaf's messages add serialization to its link stages
-    layout = build_layout(config.distance)
-    leaf_map = qec_pipeline.assign_qubits_to_leaves(layout, config.qubits_per_leaf)
-    uplink, downlink = qec_pipeline.link_excess_ps(layout, leaf_map, config)
-    excess = {"uplink": int(uplink.max()), "downlink": int(downlink[-1])}
     stage_rows = []
     stages_json = {}
-    for name in result.stage_names:
+    for name, (mean, jitter, high) in result.windows.items():
         stats = stage_stats[name]
-        # a router-stage sample is summed over every layer of the tree
-        scale = config.router_layers if name in capacity_model.ROUTER_STAGE_NAMES else 1
-        mean, jitter = scale * windows[name].mean_ps, scale * windows[name].jitter_ps
-        high = mean + jitter + excess.get(name, 0)
         within = mean - jitter <= stats["min_ps"] and stats["max_ps"] <= high
         stage_rows.append(
             [name, f"{stats['mean_ps']:.3f}", stats["min_ps"], stats["max_ps"],

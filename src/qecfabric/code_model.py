@@ -252,14 +252,6 @@ class CodeLayout:
             return self.z_stabilizers
         raise ValueError(f"unknown sector {sector!r}")
 
-    def sector_adjacency(self, sector):
-        """For each data qubit, the incident stabilizer indices of one sector."""
-        adj = [[] for _ in range(self.data_qubit_count)]
-        for s, qubits in enumerate(self.stabilizers(sector)):
-            for q in qubits:
-                adj[q].append(s)
-        return [tuple(a) for a in adj]
-
     def to_records(self):
         """Layout as one structured text record per line (debug export)."""
         lines = [f"layout distance={self.distance} total_qubits={self.total_qubits}"]

@@ -163,6 +163,24 @@ def link_excess_ps(layout: CodeLayout, leaf_map: LeafMap, config) -> tuple:
             np.array([excess_serialization_delay(k, config.downlink) for k in entries], np.int64))
 
 
+def _tree(config, seed) -> tuple:
+    """A validated config's layout, leaf map and fabric (CapacityError if the tree is too small)."""
+    layout = build_layout(config.distance)
+    leaf_map = assign_qubits_to_leaves(layout, config.qubits_per_leaf)
+    profile = capacity_model.get_profile(config.profile)
+    topo = TopologyConfig(
+        n_leaves=leaf_map.n_leaves,
+        root_ports=profile.root_ports,
+        router_children=profile.router_children,
+        router_layers=config.router_layers,
+        sync_uplink=config.sync_uplink,
+        sync_downlink=config.sync_downlink,
+        clock_offset_bound_ps=config.clock_offset_bound_ps,
+        drift_ppm=config.drift_ppm,
+    )
+    return layout, leaf_map, Fabric(topo, seed=seed)
+
+
 @dataclass
 class ShotReport:
     """Stage interval durations and decode outcome of one full shot; the intervals
@@ -277,7 +295,9 @@ class Pipeline:
     the start times are a cumulative sum.  ``run_shot`` is a one-shot range.
 
     A pipeline builds its own layout, decoding graphs, fabric, link prices
-    and decode memos, and they are freed with it.
+    and decode memos, and they are freed with it.  ``windows`` states once
+    each reported stage's interval window in one shot, which every campaign
+    result carries and ``_check_table_fits`` sums.
     """
 
     def __init__(self, config, seed=None):
@@ -295,23 +315,8 @@ class Pipeline:
             (name, st.mean_ps, st.jitter_ps) for name, st in stages.at_distance(self.distance).items()
         )
 
-        self.layout = build_layout(self.distance)
-        self.leaf_map = assign_qubits_to_leaves(self.layout, config.qubits_per_leaf)
-
-        profile = capacity_model.get_profile(config.profile)
-        topo = TopologyConfig(
-            n_leaves=self.leaf_map.n_leaves,
-            root_ports=profile.root_ports,
-            router_children=profile.router_children,
-            router_layers=config.router_layers,
-            sync_uplink=config.sync_uplink,
-            sync_downlink=config.sync_downlink,
-            clock_offset_bound_ps=config.clock_offset_bound_ps,
-            drift_ppm=config.drift_ppm,
-        )
-        # the fabric refuses a tree that cannot host the code (CapacityError)
-        # before the decoding graphs are built
-        self.fabric = Fabric(topo, seed=self.seed)
+        # a tree too small for the code is refused before any graph is built
+        self.layout, self.leaf_map, self.fabric = _tree(self.config, self.seed)
         self.graphs = {s: build_decoding_graph(self.layout, s, self.rounds) for s in SECTORS}
         self.now = 0
         if config.sync_at_start:
@@ -346,6 +351,15 @@ class Pipeline:
         self._uplink_excess_ps, self._downlink_excess_ps = link_excess_ps(
             self.layout, self.leaf_map, self.config
         )
+        # each stage's interval in one shot: mean, jitter and upper bound; a router
+        # stage counts once per layer, and a link adds its leaves' longest message
+        excess = {"uplink": self._uplink_excess_ps.max(),
+                  "downlink": self._downlink_excess_ps[-1]}
+        self.windows = {}
+        for name, mean, hw in self._stage_windows:
+            k = config.router_layers if name in ROUTER_STAGE_NAMES else 1
+            if k:
+                self.windows[name] = (k * mean, k * hw, k * (mean + hw) + int(excess.get(name, 0)))
         # the leaves' ancillas cover every syndrome column, so every round's
         # bits reach the root
         self._bits_received = self.rounds * self.layout.syndrome_bits_per_round
@@ -457,17 +471,13 @@ class Pipeline:
         """ValueError unless ``shots`` more shots keep every table entry within int64.
 
         Where Python ints would grow, the table would wrap silently, so the
-        worst case is bounded first: every stage at its maximum, the largest
-        serialization prices (the downlink's is its last, the table being
-        monotone in entry count), one extra cycle of alignment per shot,
-        then the clocks' offsets and drift.
+        worst case is bounded first: every stage at the upper bound of its
+        window in ``windows`` (which holds the largest serialization prices,
+        the downlink's being its last, the table being monotone in entry
+        count), one extra cycle of alignment per shot, then the clocks'
+        offsets and drift.
         """
-        layers = self.config.router_layers
-        walk = sum(
-            (mean + hw) * (layers if name in ROUTER_STAGE_NAMES else 1)
-            for name, mean, hw in self._stage_windows
-        )
-        walk += int(self._uplink_excess_ps.max()) + int(self._downlink_excess_ps[-1])
+        walk = sum(high for _, _, high in self.windows.values())
         end = -(-self.now // self.cycle_ps) * self.cycle_ps + shots * (walk + self.cycle_ps)
         clocks = [node.clock for node in self.fabric.nodes.values()]
         drift = max(abs(clock.drift_ppm) for clock in clocks)
@@ -573,11 +583,10 @@ class Pipeline:
             "applied": applied,
             "marks": marks[-1].tolist(),
         }
-        names = STAGE_NAMES + (ROUTER_STAGE_NAMES if self.config.router_layers else ())
         return CampaignResult(
             n_shots=n,
-            stage_names=names,
-            samples={name: gaps[:, self._stage_gaps[name]].sum(axis=1) for name in names},
+            windows=self.windows,
+            samples={name: gaps[:, self._stage_gaps[name]].sum(axis=1) for name in self.windows},
             end_to_end_ps=marks[:, -1] - marks[:, 0],
             valid=np.ones(n, dtype=bool),  # a residual with a defect raised above
             failures=failures,
@@ -616,14 +625,19 @@ def _latency_stats(arr: np.ndarray) -> dict:
 
 @dataclass
 class CampaignResult:
-    """Aggregated per-stage samples and decode outcomes of a campaign."""
+    """Aggregated per-stage samples and decode outcomes of a campaign, with
+    its stages' interval windows as ``Pipeline.windows`` states them."""
 
     n_shots: int
-    stage_names: tuple
+    windows: dict
     samples: dict
     end_to_end_ps: np.ndarray
     valid: np.ndarray
     failures: np.ndarray
+
+    @property
+    def stage_names(self) -> tuple:
+        return tuple(self.windows)
 
     def stage_stats(self):
         return {name: _latency_stats(self.samples[name]) for name in self.stage_names}
@@ -647,7 +661,7 @@ class CampaignResult:
         first = parts[0]
         return CampaignResult(
             n_shots=sum(p.n_shots for p in parts),
-            stage_names=first.stage_names,
+            windows=first.windows,
             samples={
                 name: np.concatenate([p.samples[name] for p in parts])
                 for name in first.stage_names
@@ -686,8 +700,9 @@ def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     bounded byte size.  Shots are pure functions of (config, seed, shot
     index), so splitting a campaign into ranges, one per worker process (at
     most ``min(jobs, shots, os.cpu_count())``), changes nothing but wall
-    time.  A range whose worst-case end time would not fit in int64 is
-    refused with ValueError before any shot runs.
+    time.  A tree that cannot host the code is refused with the fabric's
+    CapacityError before any worker starts, and a range whose worst-case end
+    time would not fit in int64 with ValueError before any shot runs.
     """
     shots = config.shots if shots is None else shots
     seed = config.seed if seed is None else seed
@@ -697,6 +712,9 @@ def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = _worker_count(jobs, shots)
+    if workers > 1:
+        # one refusal before the pool starts, not one in every worker
+        _tree(config.validate(), seed)
     bounds = np.linspace(0, shots, workers + 1, dtype=int)
     tasks = [(config, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     return CampaignResult.merge(_run_tasks(_campaign_range, tasks, workers))

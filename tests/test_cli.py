@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -262,6 +263,30 @@ def test_capacity_error_exit_code(tmp_path):
     rc = main(["latency", "--distance", "17", "--shots", "1",
                "--syndrome-source", "sampled", "--out", str(tmp_path / "r")])
     assert rc == 3
+
+
+def test_latency_builds_one_layout_and_one_link_price_table(tmp_path, monkeypatch):
+    # the stage windows come with the campaign result, so the command builds
+    # no second layout or link-price table to work them out again
+    from qecfabric import cli, qec_pipeline
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(qec_pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    build_layout = counted("build_layout")
+    monkeypatch.setattr(qec_pipeline, "build_layout", build_layout)
+    monkeypatch.setattr(cli, "build_layout", build_layout)
+    monkeypatch.setattr(qec_pipeline, "link_excess_ps", counted("link_excess_ps"))
+    assert main(["latency", "--distance", "13", "--router-layers", "1", "--shots", "20",
+                 "--jobs", "1", "--out", str(tmp_path / "r")]) == 0
+    assert calls == {"build_layout": 1, "link_excess_ps": 1}
 
 
 def test_config_file_with_overrides(tmp_path):

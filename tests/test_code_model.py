@@ -10,6 +10,15 @@ from numpy.random import Philox, SeedSequence
 from qecfabric import code_model as cm
 
 
+def sector_adjacency(layout, sector):
+    """For each data qubit, the incident stabilizer indices of one sector."""
+    adj = [[] for _ in range(layout.data_qubit_count)]
+    for s, qubits in enumerate(layout.stabilizers(sector)):
+        for q in qubits:
+            adj[q].append(s)
+    return adj
+
+
 @pytest.mark.parametrize(
     "d,total,bits",
     [(1, 1, 0), (3, 17, 8), (5, 49, 24), (7, 97, 48), (21, 881, 440)],
@@ -33,7 +42,7 @@ def test_layout_rejects_bad_distance(d):
 def test_stabilizer_geometry(d):
     layout = cm.build_layout(d)
     for sector in cm.SECTORS:
-        adjacency = layout.sector_adjacency(sector)
+        adjacency = sector_adjacency(layout, sector)
         assert all(1 <= len(stabs) <= 2 for stabs in adjacency)
         for qubits in layout.stabilizers(sector):
             assert len(qubits) in (2, 4)
@@ -103,7 +112,7 @@ def test_graph_edge_structure(d, rounds):
 def reference_graph(layout, sector, rounds):
     """Edges, per-vertex incident ids and crossing ids, built edge by edge as ``Edge`` objects."""
     n_stab = layout.stabilizer_count_per_sector
-    adj = layout.sector_adjacency(sector)
+    adj = sector_adjacency(layout, sector)
     edges = []
     for t in range(rounds):
         base = t * n_stab

@@ -485,6 +485,17 @@ def test_boundary_chain_yields_every_interval(layers):
     assert report.end_to_end_ps == 451_000 + 357_000 * layers
 
 
+def test_campaign_refuses_a_small_tree_before_starting_workers(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("started a worker pool for a tree that cannot host the code")
+
+    monkeypatch.setattr(qp.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(qp, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(qp.CapacityError, match="router layer"):
+        qp.run_campaign(ExperimentConfig(distance=13), shots=10, jobs=2)
+
+
 def test_capacity_error_directs_to_router_layer():
     config = ExperimentConfig(distance=17, syndrome_source="sampled").validate()
     with pytest.raises(qp.CapacityError, match="router layer"):
@@ -1117,3 +1128,23 @@ def test_table_refuses_ranges_beyond_int64(monkeypatch):
             qp.run_campaign(ExperimentConfig(cycle_time_ps=2**62).validate(), shots=4, jobs=1)
     # a range near the limit still runs exactly
     assert_table_matches_walk(ExperimentConfig(cycle_time_ps=2**60, drift_ppm=1).validate(), 0, 4)
+
+
+@pytest.mark.parametrize("overrides, largest", [
+    ({}, 6_177_744_164_001),
+    ({"distance": 13, "router_layers": 1, "drift_ppm": 50}, 90_248_258_673),
+    ({"distance": 9, "qubits_per_leaf": 150, "profile": "vcu129"}, 5_716_967_319_737),
+])
+def test_table_fit_threshold_is_pinned(overrides, largest):
+    # the worst case sums each stage window's upper bound, router stages per
+    # layer and link stages with their longest message's serialization
+    pipeline = qp.Pipeline(ExperimentConfig(**overrides).validate())
+    lo, hi = 1, 2**63
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            pipeline._check_table_fits(mid)
+            lo = mid
+        except ValueError:
+            hi = mid
+    assert lo == largest
