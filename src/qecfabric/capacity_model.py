@@ -192,9 +192,9 @@ def root_link(profile: PlatformProfile, uplink=LinkModel(DEFAULT_LINE_RATE_BPS))
     return replace(uplink, lanes=uplink.lanes * profile.root_ports)
 
 
-def decoder_peak_throughput(bits: int = DECODER_PEAK_BITS, time_ps: int = DECODER_PEAK_TIME_PS) -> Fraction:
+def decoder_peak_throughput() -> Fraction:
     """Decoder bits/s at its peak operating point (exact rational)."""
-    return Fraction(bits * PS_PER_SECOND, time_ps)
+    return Fraction(DECODER_PEAK_BITS * PS_PER_SECOND, DECODER_PEAK_TIME_PS)
 
 
 def syndrome_rate_required(distance: int, cycle_time_ps: int = DEFAULT_CYCLE_TIME_PS) -> Fraction:
@@ -202,21 +202,14 @@ def syndrome_rate_required(distance: int, cycle_time_ps: int = DEFAULT_CYCLE_TIM
     return Fraction((distance * distance - 1) * PS_PER_SECOND, cycle_time_ps)
 
 
-def available_throughput(link: LinkModel, decoder_peak_bps=None) -> Fraction:
+def available_throughput(link: LinkModel) -> Fraction:
     """Lesser of the link's effective payload rate and the decoder's peak rate."""
-    peak = decoder_peak_throughput() if decoder_peak_bps is None else Fraction(decoder_peak_bps)
-    return min(effective_throughput(link), peak)
+    return min(effective_throughput(link), decoder_peak_throughput())
 
 
-def throughput_margin(
-    distance: int,
-    link: LinkModel,
-    decoder_peak_bps=None,
-    cycle_time_ps: int = DEFAULT_CYCLE_TIME_PS,
-) -> Fraction:
-    """available / required throughput ratio for one distance."""
-    available = available_throughput(link, decoder_peak_bps)
-    return available / syndrome_rate_required(distance, cycle_time_ps)
+def throughput_margin(distance: int, link: LinkModel) -> Fraction:
+    """available / required throughput ratio for one distance at the default cycle time."""
+    return available_throughput(link) / syndrome_rate_required(distance)
 
 
 @dataclass(frozen=True)

@@ -43,17 +43,6 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _parse_distances(text: str):
     """'3..21' (odd values), '3,5,7', or '' for an empty sweep; ConfigError if malformed."""
     try:
@@ -102,23 +91,27 @@ def _resolve_config(args, **fixed) -> ExperimentConfig:
     return config.validate()
 
 
-def _report_meta(config: ExperimentConfig) -> dict:
-    return {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "tool_version": TOOL_VERSION,
-    }
+def _write_reports(out, config: ExperimentConfig, name: str, tables, **summary):
+    """Create ``out`` and write each ``(file, header, rows)`` of ``tables`` as a CSV and
+    ``<name>_summary.json``: the report meta (config hash, seed, tool version) plus ``summary``."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for filename, header, rows in tables:
+        with open(out / filename, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    summary.update(config_hash=config.config_hash(), seed=config.seed, tool_version=TOOL_VERSION)
+    (out / f"{name}_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    print(f"reports written to {out}")
 
 
 def cmd_latency(args) -> int:
     config = _resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = qec_pipeline.run_campaign(config)
 
     stage_stats = result.stage_stats()
-    stage_rows = []
-    stages_json = {}
+    stage_rows, stages_json = [], {}
     for name, (mean, jitter, high) in result.windows.items():
         stats = stage_stats[name]
         within = mean - jitter <= stats["min_ps"] and stats["max_ps"] <= high
@@ -130,33 +123,10 @@ def cmd_latency(args) -> int:
         stages_json[name] = dict(stats, configured_mean_ps=mean, configured_jitter_ps=jitter,
                                  within_bounds=within)
 
-    _write_csv(
-        out / "latency_stages.csv",
-        ["stage", "mean_ps", "min_ps", "max_ps", "p50_ps", "p90_ps", "p99_ps",
-         "configured_mean_ps", "configured_jitter_ps", "within_bounds"],
-        stage_rows,
-    )
-
     e2e_ns = result.end_to_end_ps // 1000
     lo, hi = int(e2e_ns.min()), int(e2e_ns.max())
     counts = np.bincount(e2e_ns - lo, minlength=hi - lo + 1)
-    _write_csv(
-        out / "latency_hist.csv",
-        ["end_to_end_ns", "count"],
-        [[lo + i, int(c)] for i, c in enumerate(counts)],
-    )
-
     e2e = result.end_to_end_stats()
-    summary = dict(
-        _report_meta(config),
-        shots=result.n_shots,
-        distance=config.distance,
-        stages=stages_json,
-        end_to_end=e2e,
-        all_corrections_valid=bool(result.valid.all()),
-        ler=result.ler(),
-    )
-    _write_json(out / "latency_summary.json", summary)
 
     print(f"{result.n_shots} shots at distance {config.distance}")
     for name in result.stage_names:
@@ -165,19 +135,25 @@ def cmd_latency(args) -> int:
               f"spread [{s['min_ps'] / 1000:.3f}, {s['max_ps'] / 1000:.3f}]")
     print(f"  end-to-end  mean {e2e['mean_ps'] / 1000:8.3f} ns   "
           f"spread [{e2e['min_ps'] / 1000:.3f}, {e2e['max_ps'] / 1000:.3f}]")
-    print(f"reports written to {out}")
+    _write_reports(
+        args.out, config, "latency",
+        [("latency_stages.csv",
+          ["stage", "mean_ps", "min_ps", "max_ps", "p50_ps", "p90_ps", "p99_ps",
+           "configured_mean_ps", "configured_jitter_ps", "within_bounds"],
+          stage_rows),
+         ("latency_hist.csv", ["end_to_end_ns", "count"],
+          [[lo + i, int(c)] for i, c in enumerate(counts)])],
+        shots=result.n_shots, distance=config.distance, stages=stages_json, end_to_end=e2e,
+        all_corrections_valid=bool(result.valid.all()), ler=result.ler(),
+    )
     return EXIT_OK
 
 
 def cmd_ler(args) -> int:
     # the LER path samples every shot, so any number of rounds is valid
     config = _resolve_config(args, syndrome_source="sampled")
-    distances = _parse_distances(args.distances)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    table = {}
-    for d in distances:
+    rows, table = [], {}
+    for d in _parse_distances(args.distances):
         est = qec_pipeline.ler_campaign(
             d, config.error_rate, config.shots, config.seed, rounds=config.rounds,
             jobs=config.jobs,
@@ -185,28 +161,21 @@ def cmd_ler(args) -> int:
         lo, hi = est.ci95
         rows.append([d, est.rounds, config.error_rate, est.shots, est.failures,
                      f"{est.rate:.6e}", f"{lo:.6e}", f"{hi:.6e}"])
-        table[str(d)] = {
-            "rounds": est.rounds,
-            "shots": est.shots,
-            "failures": est.failures,
-            "rate": est.rate,
-            "ci95_low": lo,
-            "ci95_high": hi,
-        }
+        table[str(d)] = dict(rounds=est.rounds, shots=est.shots, failures=est.failures,
+                             rate=est.rate, ci95_low=lo, ci95_high=hi)
         print(f"d={d}: {est.failures}/{est.shots} failures  "
               f"LER={est.rate:.3e}  CI95=[{lo:.3e}, {hi:.3e}]")
-    _write_csv(
-        out / "ler.csv",
-        ["distance", "rounds", "error_rate", "shots", "failures", "ler", "ci95_low", "ci95_high"],
-        rows,
+    _write_reports(
+        args.out, config, "ler",
+        [("ler.csv", ["distance", "rounds", "error_rate", "shots", "failures", "ler",
+                      "ci95_low", "ci95_high"], rows)],
+        error_rate=config.error_rate, distances=table,
     )
-    _write_json(out / "ler_summary.json",
-                dict(_report_meta(config), error_rate=config.error_rate, distances=table))
-    print(f"reports written to {out}")
     return EXIT_OK
 
 
 def _capacity_rows(distances, profile, config):
+    """Each distance's closed-form capacity, latency and throughput row, as a JSON-ready dict."""
     # leaves hold the config's qubits_per_leaf, as in the tree `latency` builds
     profile = replace(profile, qubits_per_leaf=config.qubits_per_leaf)
     link = capacity_model.root_link(profile, config.uplink)
@@ -222,46 +191,42 @@ def _capacity_rows(distances, profile, config):
     return rows
 
 
-def cmd_capacity(args) -> int:
+#: Per table command: its CSV columns of ``_capacity_rows`` and the line it prints per row.
+_TABLES = {
+    "capacity": (
+        ["distance", "required_qubits", "leaves_needed", "router_layers", "max_qubits",
+         "feasible"],
+        lambda r: (f"d={r['distance']:2d}  qubits={r['required_qubits']:5d}  "
+                   f"leaves={r['leaves_needed']:3d}  layers={r['router_layers']}  "
+                   f"max={r['max_qubits']:6d}  feasible={r['feasible']}"),
+    ),
+    "extrapolate": (
+        ["distance", "required_qubits", "router_layers", "decode_ps", "decode_anchored",
+         "predicted_latency_ps", "margin_ratio"],
+        lambda r: (f"d={r['distance']:2d}  layers={r['router_layers']}  "
+                   f"decode={r['decode_ps'] / 1000:7.2f} ns  "
+                   f"latency={r['predicted_latency_ps'] / 1000:8.2f} ns"
+                   + ("" if r["decode_anchored"] else " (decode estimated)")),
+    ),
+}
+
+
+def cmd_table(args) -> int:
+    """``capacity`` or ``extrapolate``: the closed-form rows, one per distance."""
     config = _resolve_config(args)
     profile = capacity_model.get_profile(config.profile)
     rows = _capacity_rows(_parse_distances(args.distances), profile, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["distance", "required_qubits", "leaves_needed", "router_layers",
-              "max_qubits", "feasible"]
-    _write_csv(out / "capacity.csv", header, [[r[k] for k in header] for r in rows])
-    _write_json(out / "capacity_summary.json",
-                dict(_report_meta(config), profile=profile.name, rows=rows))
+    header, line = _TABLES[args.command]
+    extras = {}
+    if args.command == "extrapolate":
+        extras = {"base_latency_ps": capacity_model.BASE_LATENCY_PS,
+                  "stage_mean_sum_ps": sum(config.stage_latency.stage(n).mean_ps
+                                           for n in capacity_model.STAGE_NAMES if n != "decode")}
     for r in rows:
-        print(f"d={r['distance']:2d}  qubits={r['required_qubits']:5d}  "
-              f"leaves={r['leaves_needed']:3d}  layers={r['router_layers']}  "
-              f"max={r['max_qubits']:6d}  feasible={r['feasible']}")
-    print(f"reports written to {out}")
-    return EXIT_OK
-
-
-def cmd_extrapolate(args) -> int:
-    config = _resolve_config(args)
-    profile = capacity_model.get_profile(config.profile)
-    rows = _capacity_rows(_parse_distances(args.distances), profile, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["distance", "required_qubits", "router_layers", "decode_ps",
-              "decode_anchored", "predicted_latency_ps", "margin_ratio"]
-    _write_csv(out / "extrapolate.csv", header, [[r[k] for k in header] for r in rows])
-    _write_json(out / "extrapolate_summary.json",
-                dict(_report_meta(config), profile=profile.name,
-                     base_latency_ps=capacity_model.BASE_LATENCY_PS,
-                     stage_mean_sum_ps=sum(config.stage_latency.stage(n).mean_ps
-                                           for n in capacity_model.STAGE_NAMES if n != "decode"),
-                     rows=rows))
-    for r in rows:
-        flag = "" if r["decode_anchored"] else " (decode estimated)"
-        print(f"d={r['distance']:2d}  layers={r['router_layers']}  "
-              f"decode={r['decode_ps'] / 1000:7.2f} ns  "
-              f"latency={r['predicted_latency_ps'] / 1000:8.2f} ns{flag}")
-    print(f"reports written to {out}")
+        print(line(r))
+    _write_reports(args.out, config, args.command,
+                   [(f"{args.command}.csv", header, [[r[k] for k in header] for r in rows])],
+                   profile=profile.name, rows=rows, **extras)
     return EXIT_OK
 
 
@@ -272,45 +237,32 @@ def cmd_throughput(args) -> int:
         args.config and "distance" in json.loads(Path(args.config).read_text())
     )
     d = config.distance if pinned else 21
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     profile = capacity_model.get_profile(config.profile)
+    row = _capacity_rows([d], profile, config)[0]
+    required, available = row["throughput_required_bps"], row["throughput_available_bps"]
 
     # the paper's quoted 4 x 10G and 4 x 28G figures, for reference
     link10 = link_layer.LinkModel(10_000_000_000, lanes=4)
     link28 = link_layer.LinkModel(28_000_000_000, lanes=4)
     peak = capacity_model.decoder_peak_throughput()
-    required = capacity_model.syndrome_rate_required(d, config.cycle_time_ps)
-    root = capacity_model.root_link(profile, config.uplink)
-    available = capacity_model.available_throughput(root)
-    margin = available / required
-
     rows = [
         ["network_4x10G_gbps", f"{link_layer.effective_throughput_gbps(link10):.3f}"],
         ["network_4x28G_gbps", f"{link_layer.effective_throughput_gbps(link28, 1):.1f}"],
         ["decoder_peak_gbps", f"{float(peak) / 1e9:.2f}"],
-        [f"required_d{d}_mbps", f"{float(required) / 1e6:.3f}"],
-        [f"available_d{d}_gbps", f"{float(available) / 1e9:.2f}"],
-        [f"margin_ratio_d{d}", f"{float(margin):.2f}"],
+        [f"required_d{d}_mbps", f"{required / 1e6:.3f}"],
+        [f"available_d{d}_gbps", f"{available / 1e9:.2f}"],
+        [f"margin_ratio_d{d}", f"{row['margin_ratio']:.2f}"],
     ]
-    _write_csv(out / "throughput.csv", ["quantity", "value"], rows)
-    _write_json(
-        out / "throughput_summary.json",
-        dict(
-            _report_meta(config),
-            distance=d,
-            profile=profile.name,
-            network_4x10G_bps=float(capacity_model.effective_throughput(link10)),
-            network_4x28G_bps=float(capacity_model.effective_throughput(link28)),
-            decoder_peak_bps=float(peak),
-            required_bps=float(required),
-            available_bps=float(available),
-            margin_ratio=float(margin),
-        ),
-    )
     for name, value in rows:
         print(f"  {name:22s} {value}")
-    print(f"reports written to {out}")
+    _write_reports(
+        args.out, config, "throughput", [("throughput.csv", ["quantity", "value"], rows)],
+        distance=d, profile=profile.name,
+        network_4x10G_bps=float(capacity_model.effective_throughput(link10)),
+        network_4x28G_bps=float(capacity_model.effective_throughput(link28)),
+        decoder_peak_bps=float(peak), required_bps=required, available_bps=available,
+        margin_ratio=row["margin_ratio"],
+    )
     return EXIT_OK
 
 
@@ -441,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ler", cmd_ler, "Monte-Carlo logical error rate sweep",
                 ("seed", "rounds", "error_rate", "shots", "jobs"))
     p.add_argument("--distances", default="3,5", help="e.g. '3,5,7' or '3..9'")
-    p = command("capacity", cmd_capacity, "qubit capacity table per distance", ("profile",))
-    p.add_argument("--distances", default="3..21")
-    p = command("extrapolate", cmd_extrapolate, "predicted latency scaling table", ("profile",))
-    p.add_argument("--distances", default="3..21")
+    for name, summary in (("capacity", "qubit capacity table per distance"),
+                          ("extrapolate", "predicted latency scaling table")):
+        p = command(name, cmd_table, summary, ("profile",))
+        p.add_argument("--distances", default="3..21")
     command("throughput", cmd_throughput, "network/decoder throughput ledger",
             ("distance", "profile"))
 

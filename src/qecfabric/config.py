@@ -27,7 +27,8 @@ _SYNDROME_SOURCES = ("auto", "worst_case", "sampled")
 #: Data links carry only a rate: their transport time is the measured
 #: ``stage_latency.uplink``/``downlink`` stage.  Sync links also carry latency.
 _DATA_LINKS = ("uplink", "downlink")
-_LINKS = _DATA_LINKS + ("sync_uplink", "sync_downlink")
+_SYNC_LINKS = ("sync_uplink", "sync_downlink")
+_LINKS = _DATA_LINKS + _SYNC_LINKS
 _LATENCY_KEYS = ("one_way_latency_ps", "jitter_half_width_ps")
 
 
@@ -107,6 +108,14 @@ class ExperimentConfig:
             link = getattr(self, name)
             if link != LinkModel(link.line_rate_bps, link.lanes):
                 raise _data_link_latency_error(name, "/".join(_LATENCY_KEYS))
+        for name in _SYNC_LINKS:
+            link = getattr(self, name)
+            # a wider uniform spread would draw negative one-way delays
+            if link.jitter_half_width_ps > link.one_way_latency_ps:
+                raise ConfigError(
+                    f"links.{name}.jitter_half_width_ps must be <= its one_way_latency_ps "
+                    f"({link.one_way_latency_ps}), got {link.jitter_half_width_ps}"
+                )
         if self.syndrome_source not in _SYNDROME_SOURCES:
             raise ConfigError(
                 f"syndrome_source must be one of {_SYNDROME_SOURCES}, got {self.syndrome_source!r}"

@@ -195,15 +195,15 @@ class ShotReport:
     correction_bits_sent: int
 
 
-def wilson_interval(failures: int, shots: int, z: float = Z95):
+def wilson_interval(failures: int, shots: int):
     """95% Wilson score interval for a binomial proportion."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p = failures / shots
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / shots
     center = (p + z2 / (2 * shots)) / denom
-    half = z * ((p * (1 - p) / shots + z2 / (4 * shots * shots)) ** 0.5) / denom
+    half = Z95 * ((p * (1 - p) / shots + z2 / (4 * shots * shots)) ** 0.5) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -673,7 +673,10 @@ class CampaignResult:
 
 
 def _campaign_range(config, seed, start, stop) -> CampaignResult:
-    return Pipeline(config, seed=seed).run_range(start, stop)
+    # where a serial run starts shot ``start`` if every shot takes one cycle
+    pipeline = Pipeline(config, seed=seed)
+    pipeline.now += start * pipeline.cycle_ps
+    return pipeline.run_range(start, stop)
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -700,7 +703,10 @@ def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     bounded byte size.  Shots are pure functions of (config, seed, shot
     index), so splitting a campaign into ranges, one per worker process (at
     most ``min(jobs, shots, os.cpu_count())``), changes nothing but wall
-    time.  A tree that cannot host the code is refused with the fabric's
+    time.  A range starts ``start`` cycles after sync, where the serial run
+    starts it if every shot takes one cycle; drifting clocks mark a shot by
+    its absolute start, so a drifting campaign whose shots may not runs as
+    one range.  A tree that cannot host the code is refused with the fabric's
     CapacityError before any worker starts, and a range whose worst-case end
     time would not fit in int64 with ValueError before any shot runs.
     """
@@ -714,7 +720,11 @@ def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     workers = _worker_count(jobs, shots)
     if workers > 1:
         # one refusal before the pool starts, not one in every worker
-        _tree(config.validate(), seed)
+        windows = Pipeline(config, seed).windows.values()
+        low = sum(max(0, mean - jitter) for mean, jitter, _ in windows)
+        one_cycle = 0 < low and sum(high for _, _, high in windows) <= config.cycle_time_ps
+        if config.drift_ppm and not one_cycle:
+            workers = 1
     bounds = np.linspace(0, shots, workers + 1, dtype=int)
     tasks = [(config, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     return CampaignResult.merge(_run_tasks(_campaign_range, tasks, workers))

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 from collections import Counter
 from dataclasses import replace
@@ -263,6 +265,34 @@ def test_capacity_error_exit_code(tmp_path):
     rc = main(["latency", "--distance", "17", "--shots", "1",
                "--syndrome-source", "sampled", "--out", str(tmp_path / "r")])
     assert rc == 3
+
+
+def test_a_refused_campaign_leaves_no_report_directory(tmp_path):
+    out = tmp_path / "r"
+    assert main(["latency", "--distance", "13", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_a_sync_link_wider_than_its_latency_is_a_config_error(tmp_path):
+    wide = {"one_way_latency_ps": 1000, "jitter_half_width_ps": 50000}
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"links": {"sync_uplink": wide, "sync_downlink": wide},
+                               "shots": 10}))
+    assert main(["latency", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_one_function_opens_report_files():
+    from qecfabric import cli
+
+    def opens_files(function):
+        called = [node.func for node in ast.walk(function) if isinstance(node, ast.Call)]
+        return any(getattr(f, "id", None) == "open"
+                   or getattr(f, "attr", None) in ("open", "write_text", "write_bytes")
+                   for f in called)
+
+    tree = ast.parse(inspect.getsource(cli))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in functions if opens_files(f)] == ["_write_reports"]
 
 
 def test_latency_builds_one_layout_and_one_link_price_table(tmp_path, monkeypatch):

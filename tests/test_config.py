@@ -127,6 +127,16 @@ def test_bad_values_rejected(data, message):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("name", ["sync_uplink", "sync_downlink"])
+def test_sync_link_jitter_above_its_latency_rejected(name):
+    # a uniform spread wider than the mean would draw negative one-way delays
+    wide = {"one_way_latency_ps": 1_000, "jitter_half_width_ps": 1_001}
+    with pytest.raises(ConfigError, match=re.escape(f"links.{name}.jitter_half_width_ps")):
+        config_from_dict({"links": {name: wide}})
+    equal = dict(wide, jitter_half_width_ps=1_000)
+    assert getattr(config_from_dict({"links": {name: equal}}), name).jitter_half_width_ps == 1_000
+
+
 def test_partial_override_keeps_defaults():
     config = config_from_dict(
         {"distance": 5, "stage_latency": {"uplink": {"jitter_ps": 0}}}

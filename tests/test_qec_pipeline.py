@@ -338,6 +338,36 @@ def test_campaign_worker_count_is_bounded(monkeypatch):
         assert (result.failures == serial.failures).all()
 
 
+@pytest.mark.parametrize("overrides, shots, workers", [
+    # one cycle per shot: each range starts where the serial run starts it
+    ({"cycle_time_ps": 999_983}, 4_000, 3),
+    # d=13/L1 shots overrun a 1 us cycle, so a drifting campaign runs as one range
+    ({"distance": 13, "router_layers": 1}, 300, 1),
+    # without drift the absolute start of a range changes no interval
+    ({"distance": 13, "router_layers": 1, "drift_ppm": 0}, 300, 3),
+    # a shot whose every stage draws 0 ps takes no cycle, which shifts the later shots
+    ({"cycle_time_ps": 999_983, "drift_ppm": 333_333, "stage_latency": StageLatencyConfig(
+        **dict.fromkeys(["leaf_agg", "uplink", "root_agg", "root_dist", "downlink", "leaf_dist"],
+                        StageLatency(1, 1)), decode_table={3: 0})}, 4_000, 1),
+])
+def test_campaign_with_drifting_clocks_is_job_count_invariant(monkeypatch, overrides, shots,
+                                                              workers):
+    config = ExperimentConfig(**dict(
+        {"drift_ppm": 50, "clock_offset_bound_ps": 20_000}, **overrides)).validate()
+    serial = qp.run_campaign(config, shots=shots, jobs=1)
+    asked = []
+
+    def inline(fn, tasks, n):
+        asked.append(n)
+        return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(qp.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(qp, "_run_tasks", inline)
+    parallel = qp.run_campaign(config, shots=shots, jobs=3)
+    assert asked == [workers]
+    assert campaign_digest(parallel) == campaign_digest(serial)
+
+
 def campaign_digest(result):
     """sha256 over every per-shot array of a campaign, in stage-name order."""
     digest = hashlib.sha256()
