@@ -8,10 +8,10 @@ Library layout:
 - ``uf_decoder``: union-find decoder plus a brute-force minimum-weight
   oracle and logical-failure checks.
 - ``fabric_sim``: tree topologies as lists of node levels, per-node clocks,
-  and the timer-alignment procedure, which runs on a deterministic
-  discrete-event engine.
-- ``link_layer``: 64B/66B framed link model (throughput, serialization,
-  latency, jitter).
+  and the timer-alignment procedure: a four-timestamp exchange per tree
+  edge, whose two frames a small deterministic event engine orders.
+- ``link_layer``: stateless 64B/66B framed link model (throughput,
+  serialization, latency, jitter and a frame's delivery time).
 - ``qec_pipeline``: the timed end-to-end decoding-feedback loop, run as a
   table (one row per shot: stage durations, per tree level the times its
   nodes mark their boundaries, and the marks of every stage boundary, in
@@ -66,8 +66,8 @@ from .fabric_sim import (
     ptp_sync,
 )
 from .link_layer import (
-    LinkEndpoint,
     LinkModel,
+    delivery_time,
     effective_throughput,
     effective_throughput_gbps,
     serialization_delay,

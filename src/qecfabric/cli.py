@@ -29,10 +29,10 @@ from .code_model import (
 )
 from .config import (
     _SYNDROME_SOURCES,
-    DEFAULT_PROVENANCE,
     TOOL_VERSION,
     ConfigError,
     ExperimentConfig,
+    default_provenance,
     load_config,
 )
 from .fabric_sim import CapacityError, Fabric, Simulator, TopologyConfig, global_sync
@@ -309,9 +309,8 @@ def cmd_selftest(args) -> int:
     check("rng: a seed of 2**32 or more keys its streams in the batch too",
           stream_blocks(12_345_000_001, [[7, 0]])[2].all())
 
-    sim = Simulator()
     fabric = Fabric(TopologyConfig(n_leaves=4, clock_offset_bound_ps=1_000_000), seed=5)
-    residuals = global_sync(sim, fabric)
+    residuals = global_sync(Simulator(), fabric)
     check("clock sync: zero residual under symmetric links",
           max(abs(v) for v in residuals.values()) == 0)
 
@@ -362,8 +361,9 @@ def cmd_selftest(args) -> int:
 
 def _show_defaults() -> int:
     print(f"qecfabric {TOOL_VERSION} defaults (reference prototype measurements)")
-    width = max(len(name) for name, _, _ in DEFAULT_PROVENANCE)
-    for name, value, note in DEFAULT_PROVENANCE:
+    rows = default_provenance()
+    width = max(len(name) for name, _, _ in rows)
+    for name, value, note in rows:
         print(f"  {name:<{width}}  {value:<26} {note}")
     print("\nresolved default config:")
     print(json.dumps(ExperimentConfig().to_dict(), sort_keys=True, indent=2))

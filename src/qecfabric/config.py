@@ -283,36 +283,45 @@ def _latency_row(key: str, st: StageLatency, note: str):
     return (f"stage_latency.{key}", value, note)
 
 
-_STAGES = StageLatencyConfig()
-
-#: Human-readable provenance of every default, printed by --show-defaults.
-DEFAULT_PROVENANCE = [
-    _latency_row("leaf_agg", _STAGES.leaf_agg, "measured leaf-side syndrome aggregation"),
-    _latency_row("uplink", _STAGES.uplink, "measured leaf-to-root network transfer"),
-    _latency_row("root_agg", _STAGES.root_agg, "measured root aggregation and pre-decode"),
-    _latency_row("decode_table[3]", StageLatency(_STAGES.decode_table[3]),
-                 "measured decode, worst-case d=3 pattern"),
-    _latency_row("decode_table[5]", StageLatency(_STAGES.decode_table[5]),
-                 "measured standalone decode, pre-sampled d=5 syndromes"),
-    _latency_row("decode_table[7]", StageLatency(_STAGES.decode_table[7]),
-                 "measured standalone decode, pre-sampled d=7 syndromes"),
-    _latency_row("decode_table[13]", StageLatency(_STAGES.decode_table[13]),
-                 "reported decoder latency at d=13"),
-    _latency_row("root_dist", _STAGES.root_dist, "measured root-side error distribution"),
-    _latency_row("downlink", _STAGES.downlink, "measured root-to-leaf network transfer"),
-    _latency_row("leaf_dist", _STAGES.leaf_dist, "measured leaf-side error distribution"),
-    _latency_row("router_proc", _STAGES.router_proc, "router on-board processing add-on per layer"),
-    _latency_row("router_net", _STAGES.router_net, "router round-trip network add-on per layer"),
-    ("links.uplink/downlink", f"{DEFAULT_LINE_RATE_BPS // 10**9} Gb/s x 1 lane",
-     "rate only; latency is stage_latency.uplink/downlink"),
-    ("links.sync_*", "156 ns symmetric", "timer-alignment frames on the raw link"),
-    ("error_rate", "0.001", "physical error rate typical of current superconducting qubits"),
-    ("cycle_time_ps", str(capacity_model.DEFAULT_CYCLE_TIME_PS), "typical 1 us measurement cycle"),
-    ("profile.zcu216", "4 root ports x 14 qubits", "prototype root board, 4 x 10 Gb/s transceivers"),
-    ("profile.vcu129", "34 root ports x 14 qubits", "high-port-count root option (476 qubits direct)"),
-    ("profile.router", f"{capacity_model.PlatformProfile.router_children} children",
-     "router board option per added layer; latency is stage_latency.router_*"),
-    ("capacity.base_latency_ps", str(capacity_model.BASE_LATENCY_PS),
-     "quoted total of all non-decoder components (stage means sum to "
-     f"{sum(_STAGES.stage(n).mean_ps for n in STAGE_NAMES if n != 'decode')})"),
-]
+def default_provenance() -> list:
+    """(key, value, note) of every default, as --show-defaults prints them; each
+    value is formatted from the default it names when this is called."""
+    defaults = ExperimentConfig()
+    stages = defaults.stage_latency
+    links, gbps = (defaults.sync_uplink, defaults.sync_downlink), DEFAULT_LINE_RATE_BPS // 10**9
+    up, down = (f"{link.one_way_latency_ps / 1000:g} ns" for link in links)
+    sync = f"{up} symmetric" if up == down else f"{up} up, {down} down"
+    zcu, vcu = capacity_model.PROFILES["zcu216"], capacity_model.PROFILES["vcu129"]
+    return [
+        _latency_row("leaf_agg", stages.leaf_agg, "measured leaf-side syndrome aggregation"),
+        _latency_row("uplink", stages.uplink, "measured leaf-to-root network transfer"),
+        _latency_row("root_agg", stages.root_agg, "measured root aggregation and pre-decode"),
+        _latency_row("decode_table[3]", StageLatency(stages.decode_table[3]),
+                     "measured decode, worst-case d=3 pattern"),
+        _latency_row("decode_table[5]", StageLatency(stages.decode_table[5]),
+                     "measured standalone decode, pre-sampled d=5 syndromes"),
+        _latency_row("decode_table[7]", StageLatency(stages.decode_table[7]),
+                     "measured standalone decode, pre-sampled d=7 syndromes"),
+        _latency_row("decode_table[13]", StageLatency(stages.decode_table[13]),
+                     "reported decoder latency at d=13"),
+        _latency_row("root_dist", stages.root_dist, "measured root-side error distribution"),
+        _latency_row("downlink", stages.downlink, "measured root-to-leaf network transfer"),
+        _latency_row("leaf_dist", stages.leaf_dist, "measured leaf-side error distribution"),
+        _latency_row("router_proc", stages.router_proc, "router on-board processing add-on per layer"),
+        _latency_row("router_net", stages.router_net, "router round-trip network add-on per layer"),
+        ("links.uplink/downlink", f"{gbps} Gb/s x 1 lane",
+         "rate only; latency is stage_latency.uplink/downlink"),
+        ("links.sync_*", sync, "timer-alignment frames on the raw link"),
+        ("error_rate", str(defaults.error_rate),
+         "physical error rate typical of current superconducting qubits"),
+        ("cycle_time_ps", str(capacity_model.DEFAULT_CYCLE_TIME_PS), "typical 1 us measurement cycle"),
+        ("profile.zcu216", f"{zcu.root_ports} root ports x {zcu.qubits_per_leaf} qubits",
+         f"prototype root board, {zcu.root_ports} x {gbps} Gb/s transceivers"),
+        ("profile.vcu129", f"{vcu.root_ports} root ports x {vcu.qubits_per_leaf} qubits",
+         f"high-port-count root option ({vcu.root_ports * vcu.qubits_per_leaf} qubits direct)"),
+        ("profile.router", f"{capacity_model.PlatformProfile.router_children} children",
+         "router board option per added layer; latency is stage_latency.router_*"),
+        ("capacity.base_latency_ps", str(capacity_model.BASE_LATENCY_PS),
+         "quoted total of all non-decoder components (stage means sum to "
+         f"{sum(stages.stage(n).mean_ps for n in STAGE_NAMES if n != 'decode')})"),
+    ]

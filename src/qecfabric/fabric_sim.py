@@ -1,20 +1,19 @@
-"""Deterministic discrete-event engine for the tree control fabric.
+"""Tree control fabric: node levels, per-node clocks and timer alignment.
 
-Time is integer picoseconds throughout; events at equal times fire in
-schedule order, so a whole run is a pure function of (config, seed).  Each
-node carries a local clock (offset + linear ppm drift against ideal time)
-that the timer-alignment procedure corrects via a two-message, four-
-timestamp exchange.
+Time is integer picoseconds.  Each node's local clock (offset + linear ppm
+drift against ideal time) is aligned by a four-timestamp exchange per tree
+edge, whose two frames arrive at ``link_layer.delivery_time`` of the edge's
+sync links, in the order a small deterministic event engine keeps, so an
+alignment is a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass, field
 
 from .code_model import rng_stream
-from .link_layer import DEFAULT_LINE_RATE_BPS, LinkEndpoint, LinkModel
+from .link_layer import DEFAULT_LINE_RATE_BPS, LinkModel, delivery_time
 
 ROLE_LEAF = "LEAF"
 ROLE_ROUTER = "ROUTER"
@@ -51,9 +50,6 @@ class Clock:
     def local(self, t: int) -> int:
         return t + self.offset_ps + (self.drift_ppm * t) // 1_000_000
 
-    def adjust(self, delta_ps: int):
-        self.offset_ps += int(delta_ps)
-
 
 @dataclass
 class NodeState:
@@ -78,12 +74,11 @@ class Event:
 class Simulator:
     """Event queue with deterministic (time, sequence) ordering."""
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
         self._handlers = {}
-        self.trace = [] if trace else None
 
     def on(self, kind: str, handler):
         self._handlers[kind] = handler
@@ -98,8 +93,6 @@ class Simulator:
 
     def _dispatch(self, ev: Event):
         self.now = ev.fire_time
-        if self.trace is not None:
-            self.trace.append(f"t={ev.fire_time} node={ev.node} {ev.kind}")
         handler = self._handlers.get(ev.kind)
         if handler is not None:
             handler(ev)
@@ -121,15 +114,6 @@ class Simulator:
             self._dispatch(ev)
             count += 1
         return count
-
-    def trace_hash(self) -> str:
-        if self.trace is None:
-            raise ValueError("simulator was created without trace recording")
-        h = hashlib.sha256()
-        for line in self.trace:
-            h.update(line.encode())
-            h.update(b"\n")
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -154,7 +138,7 @@ class TopologyConfig:
 
 
 class Fabric:
-    """Instantiated node tree with per-edge link endpoints.
+    """Instantiated node tree whose edges carry ``config``'s sync links.
 
     ``levels`` holds the node ids level by level, root first and leaves last;
     each level is its parents' children in order, one contiguous run per parent.
@@ -191,13 +175,6 @@ class Fabric:
         self.leaf_ids = self.levels[-1]
 
         self._init_clocks(seed)
-        self._endpoints = {}
-        for node in self.nodes.values():
-            for child in node.children:
-                self._endpoints[(node.node_id, child)] = {
-                    "sync_down": LinkEndpoint(config.sync_downlink),
-                    "sync_up": LinkEndpoint(config.sync_uplink),
-                }
 
     def _attach(self, parents, children):
         fanout = -(-len(children) // len(parents))
@@ -216,13 +193,15 @@ class Fabric:
         for node_id in sorted(self.nodes):
             self.nodes[node_id].clock = Clock(int(offsets[node_id]), self.config.drift_ppm)
 
-    def endpoint(self, parent: int, child: int, key: str) -> LinkEndpoint:
-        return self._endpoints[(parent, child)][key]
-
     def edges_top_down(self):
         """(parent, child) pairs level by level from the root: BFS order, since
         each level is its parents' child runs in order."""
         return [(n, child) for row in self.levels for n in row for child in self.nodes[n].children]
+
+    def residuals(self, t: int) -> dict:
+        """node -> its local clock minus the root's at ideal time ``t``."""
+        root = self.nodes[self.root_id].clock.local(t)
+        return {node_id: node.clock.local(t) - root for node_id, node in self.nodes.items()}
 
     @property
     def node_count(self) -> int:
@@ -243,27 +222,22 @@ def ptp_sync(sim: Simulator, fabric: Fabric, parent_id: int, child_id: int, rng=
     """
     parent = fabric.nodes[parent_id]
     child = fabric.nodes[child_id]
-    down = fabric.endpoint(parent_id, child_id, "sync_down")
-    up = fabric.endpoint(parent_id, child_id, "sync_up")
 
-    stamps = dict.fromkeys(("t1", "t2", "t3", "t4"))
-    t_send = sim.now
-    stamps["t1"] = parent.clock.local(t_send)
-    t_arrive = down.transfer(PTP_FRAME_BITS, t_send, rng)
+    t1 = parent.clock.local(sim.now)
+    t_arrive = delivery_time(PTP_FRAME_BITS, fabric.config.sync_downlink, sim.now, rng)
     sim.schedule(t_arrive, child_id, "sync_request")
     sim.run_until(t_arrive)
-    stamps["t2"] = child.clock.local(sim.now)
-    stamps["t3"] = child.clock.local(sim.now)  # immediate turnaround
-    t_back = up.transfer(PTP_FRAME_BITS, sim.now, rng)
+    t2 = t3 = child.clock.local(sim.now)  # immediate turnaround
+    t_back = delivery_time(PTP_FRAME_BITS, fabric.config.sync_uplink, sim.now, rng)
     sim.schedule(t_back, parent_id, "sync_response")
     sim.run_until(t_back)
-    stamps["t4"] = parent.clock.local(sim.now)
+    t4 = parent.clock.local(sim.now)
 
-    if any(v is None for v in stamps.values()):
-        missing = [k for k, v in stamps.items() if v is None]
+    if None in (t1, t2, t3, t4):
+        missing = [f"t{k}" for k, v in enumerate((t1, t2, t3, t4), 1) if v is None]
         raise SyncError(f"sync round lost timestamps {missing}")
-    correction = _half_even_div2((stamps["t2"] - stamps["t1"]) - (stamps["t4"] - stamps["t3"]))
-    child.clock.adjust(-correction)
+    correction = _half_even_div2((t2 - t1) - (t4 - t3))
+    child.clock.offset_ps -= correction
     return correction
 
 
@@ -275,9 +249,4 @@ def global_sync(sim: Simulator, fabric: Fabric, rng=None) -> dict:
     """
     for parent_id, child_id in fabric.edges_top_down():
         ptp_sync(sim, fabric, parent_id, child_id, rng)
-    t = sim.now
-    root_local = fabric.nodes[fabric.root_id].clock.local(t)
-    return {
-        node_id: node.clock.local(t) - root_local
-        for node_id, node in sorted(fabric.nodes.items())
-    }
+    return fabric.residuals(sim.now)

@@ -5,7 +5,7 @@ carried in 66 wire bits, 3.03% overhead) plus a fixed one-way latency with
 uniform jitter.  The latency and jitter apply to timer-alignment (sync)
 frames; data transport time is the pipeline's measured uplink/downlink stage,
 and data links contribute only their rate.  Scrambling, alignment and CRC
-internals are not modeled; links are lossless and FIFO.
+internals are not modeled; links are lossless and keep no state.
 """
 
 from __future__ import annotations
@@ -93,24 +93,8 @@ def draw_jitter(link: LinkModel, rng) -> int:
     return int(rng.integers(-hw, hw + 1))
 
 
-class LinkEndpoint:
-    """Stateful sender side of one link direction, enforcing FIFO delivery."""
-
-    def __init__(self, link: LinkModel):
-        self.link = link
-        self._last_delivery = 0
-
-    def transfer(self, payload_bits: int, now: int, rng=None) -> int:
-        """Delivery time for a message handed to the link at `now`.
-
-        delivery = now + serialization + one-way mean + jitter, clamped so
-        that deliveries on one link never reorder.
-        """
-        delay = (
-            serialization_delay(payload_bits, self.link)
-            + self.link.one_way_latency_ps
-            + (draw_jitter(self.link, rng) if rng is not None else 0)
-        )
-        t = max(now + delay, self._last_delivery)
-        self._last_delivery = t
-        return t
+def delivery_time(payload_bits: int, link: LinkModel, now: int, rng=None) -> int:
+    """When a message handed to ``link`` at ``now`` arrives: serialization, plus
+    the one-way mean, plus one ``draw_jitter`` draw from ``rng`` (none if None)."""
+    jitter = draw_jitter(link, rng) if rng is not None else 0
+    return now + serialization_delay(payload_bits, link) + link.one_way_latency_ps + jitter

@@ -153,14 +153,15 @@ def leaf_ancilla_columns(layout: CodeLayout, leaf_map: LeafMap, leaf: int):
 
 
 def link_excess_ps(layout: CodeLayout, leaf_map: LeafMap, config) -> tuple:
-    """Serialization beyond one frame, as int64 arrays: of each leaf's fixed
-    final-round uplink message (a bit per ancilla column it measures), and of
-    a downlink message of k entries, for k up to one per owned data qubit
-    and sector."""
+    """Serialization beyond one frame: as int64 arrays, of each leaf's fixed
+    final-round uplink message (a bit per ancilla column it measures), and of a
+    downlink message of k entries, up to one per sector and data qubit a leaf
+    can own; then of one with 2 * ``qubits_per_leaf`` entries, a bound on all."""
     bits = [len(leaf_ancilla_columns(layout, leaf_map, j)) for j in range(leaf_map.n_leaves)]
-    entries = range(2 * leaf_map.qubits_per_leaf + 1)
+    entries = range(2 * min(leaf_map.qubits_per_leaf, layout.data_qubit_count) + 1)
     return (np.array([excess_serialization_delay(b, config.uplink) for b in bits], np.int64),
-            np.array([excess_serialization_delay(k, config.downlink) for k in entries], np.int64))
+            np.array([excess_serialization_delay(k, config.downlink) for k in entries], np.int64),
+            excess_serialization_delay(2 * leaf_map.qubits_per_leaf, config.downlink))
 
 
 def _tree(config, seed) -> tuple:
@@ -303,6 +304,8 @@ class Pipeline:
     def __init__(self, config, seed=None):
         self.config = config.validate()
         self.seed = config.seed if seed is None else seed
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.distance = config.distance
         self.rounds = config.rounds if config.rounds else config.distance
         self.error_rate = config.error_rate
@@ -318,16 +321,11 @@ class Pipeline:
         # a tree too small for the code is refused before any graph is built
         self.layout, self.leaf_map, self.fabric = _tree(self.config, self.seed)
         self.graphs = {s: build_decoding_graph(self.layout, s, self.rounds) for s in SECTORS}
-        self.now = 0
+        sim = Simulator()
         if config.sync_at_start:
-            sim = Simulator()
             global_sync(sim, self.fabric, rng_stream(self.seed, _STREAM_SYNC))
-            self.now = sim.now
-        root_clock = self.fabric.nodes[self.fabric.root_id].clock
-        self.sync_residuals = {
-            n: node.clock.local(self.now) - root_clock.local(self.now)
-            for n, node in self.fabric.nodes.items()
-        }
+        self.now = sim.now
+        self.sync_residuals = self.fabric.residuals(self.now)
 
         self.chain = boundary_chain(config.router_layers)
         # each stage's chain gaps, in chain order: gap i ends at boundary i + 1
@@ -347,14 +345,13 @@ class Pipeline:
                 np.array([node.clock.drift_ppm for node in nodes], dtype=np.int64),
                 np.cumsum([0] + [len(node.children) for node in nodes[:-1]]),
             ))
-        # per leaf, the price of its uplink message; per k, of a downlink message of k entries
-        self._uplink_excess_ps, self._downlink_excess_ps = link_excess_ps(
+        # per leaf, its uplink message's price; per k, a k-entry downlink message's; their bound
+        self._uplink_excess_ps, self._downlink_excess_ps, longest_downlink = link_excess_ps(
             self.layout, self.leaf_map, self.config
         )
         # each stage's interval in one shot: mean, jitter and upper bound; a router
         # stage counts once per layer, and a link adds its leaves' longest message
-        excess = {"uplink": self._uplink_excess_ps.max(),
-                  "downlink": self._downlink_excess_ps[-1]}
+        excess = {"uplink": self._uplink_excess_ps.max(), "downlink": longest_downlink}
         self.windows = {}
         for name, mean, hw in self._stage_windows:
             k = config.router_layers if name in ROUTER_STAGE_NAMES else 1
@@ -473,8 +470,8 @@ class Pipeline:
         Where Python ints would grow, the table would wrap silently, so the
         worst case is bounded first: every stage at the upper bound of its
         window in ``windows`` (which holds the largest serialization prices,
-        the downlink's being its last, the table being monotone in entry
-        count), one extra cycle of alignment per shot, then the clocks'
+        the downlink's for ``2 * qubits_per_leaf`` entries, more than any leaf
+        sends), one extra cycle of alignment per shot, then the clocks'
         offsets and drift.
         """
         walk = sum(high for _, _, high in self.windows.values())

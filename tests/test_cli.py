@@ -336,6 +336,23 @@ def test_show_defaults(capsys):
     assert "29000" in out and "157000" in out and "decode_table" in out
 
 
+def test_show_defaults_output_is_pinned(capsys):
+    assert main(["--show-defaults"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "28e73758915d900e62a10cb1f721972439af26056802a5f2dc654a78fb21ad16"
+    )
+
+
+def test_show_defaults_formats_each_profile_from_its_definition(capsys, monkeypatch):
+    profile = replace(cap.PROFILES["vcu129"], root_ports=20)
+    monkeypatch.setitem(cap.PROFILES, "vcu129", profile)
+    assert main(["--show-defaults"]) == 0
+    out = capsys.readouterr().out
+    assert "20 root ports x 14 qubits" in out and "(280 qubits direct)" in out
+    assert "34 root ports" not in out and "476" not in out
+
+
 def test_selftest_passes():
     assert main(["selftest"]) == 0
 

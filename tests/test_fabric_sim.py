@@ -27,16 +27,6 @@ def test_scheduling_into_the_past_rejected():
         sim.schedule(499, node=0, kind="tick")
 
 
-def test_trace_hash_reproducible():
-    def run():
-        sim = fs.Simulator(trace=True)
-        fabric = fs.Fabric(fs.TopologyConfig(n_leaves=3, clock_offset_bound_ps=50_000), seed=2)
-        fs.global_sync(sim, fabric)
-        return sim.trace_hash()
-
-    assert run() == run()
-
-
 # ---- topology -------------------------------------------------------------
 
 def test_tree_shape_direct():

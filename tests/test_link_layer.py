@@ -69,19 +69,8 @@ def test_jitter_draws_fill_but_never_exceed_bounds():
 
 
 def test_transfer_reference_latencies():
-    uplink = ll.LinkEndpoint(ll.LinkModel(10_000_000_000, 1, 157_000, 0))
-    downlink = ll.LinkEndpoint(ll.LinkModel(10_000_000_000, 1, 155_000, 0))
+    uplink = ll.LinkModel(10_000_000_000, 1, 157_000, 0)
+    downlink = ll.LinkModel(10_000_000_000, 1, 155_000, 0)
     # zero jitter, zero payload: pure transport component
-    assert uplink.transfer(0, now=0) == 157_000
-    assert downlink.transfer(0, now=0) == 155_000
-
-
-def test_transfer_is_fifo():
-    link = ll.LinkEndpoint(ll.LinkModel(10_000_000_000, 1, 157_000, 16_000))
-    rng = rng_stream(9, 2)
-    deliveries = []
-    t = 0
-    for _ in range(200):
-        deliveries.append(link.transfer(13, now=t, rng=rng))
-        t += 10  # back-to-back sends, much faster than the jitter spread
-    assert deliveries == sorted(deliveries)
+    assert ll.delivery_time(0, uplink, now=0) == 157_000
+    assert ll.delivery_time(0, downlink, now=0) == 155_000

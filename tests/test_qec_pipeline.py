@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import tracemalloc
 import weakref
 from concurrent.futures import Future
@@ -160,12 +161,25 @@ def test_shot_prices_only_the_downlink_serialization(monkeypatch):
     pipeline = qp.Pipeline(ExperimentConfig(distance=5, router_layers=1).validate())
     config, n_leaves = pipeline.config, pipeline.leaf_map.n_leaves
     sizes = list(range(2 * pipeline.leaf_map.qubits_per_leaf + 1))
-    uplinks, downlinks = [config.uplink] * n_leaves, [config.downlink] * len(sizes)
+    uplinks, downlinks = [config.uplink] * n_leaves, [config.downlink] * (len(sizes) + 1)
     assert [link for _, link in calls] == uplinks + downlinks
-    assert [bits for bits, _ in calls[n_leaves:]] == sizes
+    assert [bits for bits, _ in calls[n_leaves:]] == sizes + [2 * pipeline.leaf_map.qubits_per_leaf]
     calls.clear()
     pipeline.run_shot(0)
     assert calls == []
+
+
+def test_link_prices_grow_with_the_code_not_with_qubits_per_leaf(monkeypatch):
+    # a leaf owns at most the code's 9 data qubits, so a d=3 pipeline prices
+    # its one uplink message, downlink messages of 0 to 18 entries, and the
+    # 20 000-entry bound that Pipeline.windows states
+    calls = []
+    excess = qp.excess_serialization_delay
+    monkeypatch.setattr(qp, "excess_serialization_delay",
+                        lambda bits, link: calls.append(bits) or excess(bits, link))
+    pipeline = qp.Pipeline(ExperimentConfig(qubits_per_leaf=10_000).validate())
+    assert calls == [8] + list(range(19)) + [20_000]
+    assert pipeline.windows["downlink"][2] == 164_000 + excess(20_000, pipeline.config.downlink)
 
 
 def expected_leaf_corrections(pipeline, corrections):
@@ -579,6 +593,24 @@ def test_run_shot_uses_synced_timers():
     assert pipeline.run_shot(0).end_to_end_ps == 451_000
 
 
+def test_jittered_sync_links_reproduce_pinned_residuals():
+    # the one pin whose sync frames draw jitter, down then up on each of the
+    # 26 edges of d=13 behind a router layer, with a 6 ns asymmetry; pinned
+    # while each sync link direction still clamped its deliveries to FIFO order
+    config = ExperimentConfig(
+        distance=13, router_layers=1, seed=5,
+        sync_uplink=LinkModel(10_000_000_000, 1, 156_000, 20_000),
+        sync_downlink=LinkModel(10_000_000_000, 1, 150_000, 20_000),
+    ).validate()
+    pipeline = qp.Pipeline(config)
+    residuals = json.dumps(sorted(pipeline.sync_residuals.items())).encode()
+    assert hashlib.sha256(residuals).hexdigest() == (
+        "3925edd5f5d95f045b01a81720839e3436bfe74a3cfb7940bf2964958644ecb1"
+    )
+    assert pipeline.now == 8_252_647
+    assert max(abs(v) for v in pipeline.sync_residuals.values()) == 27_535
+
+
 def test_pipeline_freed_when_last_reference_goes(monkeypatch):
     # with the cycle collector off, a pipeline that is still alive after its
     # last reference is dropped is held by a reference cycle
@@ -671,6 +703,16 @@ def test_ler_campaign_matches_reference_loop_when_memo_clears():
     est = qp.ler_campaign(3, 0.05, 600, seed=11, batch=40)
     assert est.failures == _reference_ler_failures(3, 0.05, 600, 11, 40)
     assert est.failures > 0
+
+
+@pytest.mark.parametrize("build", [qp.Pipeline, qp.run_campaign])
+def test_a_negative_seed_argument_is_refused_before_any_work(build, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("built before validating the seed")
+
+    monkeypatch.setattr(qp, "build_layout", no_work)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        build(ExperimentConfig(), seed=-1)
 
 
 @pytest.mark.parametrize(

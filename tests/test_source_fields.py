@@ -1,0 +1,59 @@
+"""Every attribute a ``qecfabric`` method stores on ``self`` is read somewhere in ``src/``.
+
+A field that is written and never read costs memory and a reader's time
+and tells nothing.  The check matches by attribute name: a load of
+``<anything>.<name>`` anywhere in ``src/`` counts as a read, and an
+augmented assignment (``self.n += 1``) does not.  Fields kept for readers
+outside ``src/`` are allow-listed below with the reader named.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qecfabric"
+
+#: Stored fields whose only readers live outside ``src/``, with those readers.
+READ_OUTSIDE_SRC = {
+    "leaf_ids": "Fabric.leaf_ids: tests/test_fabric_sim.py and test_criterion_7_clock_sync",
+    "sync_residuals": "Pipeline.sync_residuals: the sync pins in tests/test_qec_pipeline.py",
+}
+
+
+def unread_fields(sources: dict) -> list:
+    """(module, line, name) of each ``self.<name> = ...`` store whose name no
+    expression in ``sources`` (module name -> source text) loads as an attribute."""
+    stored, loaded = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.append((module, node.lineno, node.attr))
+    return [(module, line, name) for module, line, name in stored if name not in loaded]
+
+
+def test_the_check_finds_a_planted_unread_field():
+    source = (
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self.total = 0\n"
+        "        self.calls = 0\n"
+        "        self.label = 'c'\n"
+        "    def add(self, n):\n"
+        "        self.calls += 1\n"
+        "        self.total = self.total + n\n"
+        "        return self.total\n"
+        "def name(counter):\n"
+        "    return counter.label\n"
+    )
+    assert unread_fields({"counter": source}) == [("counter", 4, "calls"), ("counter", 7, "calls")]
+
+
+def test_every_stored_field_is_read():
+    # the allow-list also goes stale when one of its fields is deleted or read in src/
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    unread = unread_fields(sources)
+    assert [f for f in unread if f[2] not in READ_OUTSIDE_SRC] == []
+    assert {name for _, _, name in unread} == set(READ_OUTSIDE_SRC)
