@@ -52,6 +52,7 @@ from .code_model import (
     sample_errors,
     syndrome_of,
 )
+from .config import TOOL_VERSION as __version__
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .fabric_sim import (
     CapacityError,
@@ -92,5 +93,3 @@ from .uf_decoder import (
     is_valid,
     oracle_decode,
 )
-
-__version__ = "0.1.0"

@@ -88,7 +88,7 @@ def _resolve_config(args, **fixed) -> ExperimentConfig:
     overrides.update(fixed)
     if overrides:
         config = replace(config, **overrides)
-    return config.validate()
+    return config
 
 
 def _write_reports(out, config: ExperimentConfig, name: str, tables, **summary):

@@ -46,10 +46,11 @@ def _data_link_latency_error(name: str, key: str) -> ConfigError:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a campaign needs; defaults reproduce the d=3 reference run."""
+    """Everything a campaign needs; defaults reproduce the d=3 reference run.  Building
+    one, ``dataclasses.replace`` included, runs ``validate()``, so every config is valid."""
 
     distance: int = 3
-    rounds: int | None = None  # None -> one round per unit of distance
+    rounds: int | None = None  # None: see effective_rounds
     error_rate: float = 0.001
     shots: int = 10_000
     seed: int = 1
@@ -74,6 +75,7 @@ class ExperimentConfig:
         # that every spelling of a profile runs and hashes as one config
         if isinstance(self.profile, str):
             object.__setattr__(self, "profile", self.profile.lower())
+        self.validate()
 
     def validate(self) -> "ExperimentConfig":
         if self.distance < 3 or self.distance % 2 == 0:
@@ -120,7 +122,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"syndrome_source must be one of {_SYNDROME_SOURCES}, got {self.syndrome_source!r}"
             )
-        rounds = self.rounds or self.distance
+        rounds = self.effective_rounds
         if self.effective_syndrome_source == "worst_case" and (self.distance, rounds) != (3, 3):
             raise ConfigError(
                 f"the worst_case syndrome source is pinned for distance 3 with 3 rounds, "
@@ -131,6 +133,11 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
+
+    @property
+    def effective_rounds(self) -> int:
+        """``rounds``, or one round per unit of distance when it is None."""
+        return self.rounds or self.distance
 
     @property
     def effective_syndrome_source(self) -> str:
@@ -244,7 +251,7 @@ def _build(path: str, cls, **kwargs):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from ``data`` laid over the defaults' ``to_dict``;
+    """Build a config from ``data`` laid over the defaults' ``to_dict``;
     unknown keys anywhere are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -256,7 +263,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if isinstance(entry, dict) else entry
         for name, entry in stages.items()
     }
-    config = ExperimentConfig(
+    return ExperimentConfig(
         **fields,
         clock_offset_bound_ps=clock["offset_bound_ps"],
         drift_ppm=clock["drift_ppm"],
@@ -264,7 +271,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         stage_latency=_build("stage_latency", StageLatencyConfig, decode_table=table, **stages),
         **{name: _build(f"links.{name}", LinkModel, **entry) for name, entry in links.items()},
     )
-    return config.validate()
 
 
 def load_config(path) -> ExperimentConfig:

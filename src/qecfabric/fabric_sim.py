@@ -12,15 +12,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+from .capacity_model import PROFILES, PlatformProfile
 from .code_model import rng_stream
-from .link_layer import DEFAULT_LINE_RATE_BPS, LinkModel, delivery_time
+from .link_layer import DEFAULT_LINE_RATE_BPS, PAYLOAD_BITS_PER_FRAME, LinkModel, delivery_time
 
 ROLE_LEAF = "LEAF"
 ROLE_ROUTER = "ROUTER"
 ROLE_ROOT = "ROOT"
-
-#: Timer-alignment frames carry four 64-bit timestamps at most; one frame.
-PTP_FRAME_BITS = 64
 
 # RNG stream tags (first index after the master seed)
 _STREAM_CLOCK = 101
@@ -128,8 +126,8 @@ class TopologyConfig:
     """
 
     n_leaves: int
-    root_ports: int = 4
-    router_children: int = 29
+    root_ports: int = PROFILES["zcu216"].root_ports
+    router_children: int = PlatformProfile.router_children
     router_layers: int = 0
     sync_uplink: LinkModel = LinkModel(DEFAULT_LINE_RATE_BPS, 1, 156_000, 0)
     sync_downlink: LinkModel = LinkModel(DEFAULT_LINE_RATE_BPS, 1, 156_000, 0)
@@ -223,12 +221,13 @@ def ptp_sync(sim: Simulator, fabric: Fabric, parent_id: int, child_id: int, rng=
     parent = fabric.nodes[parent_id]
     child = fabric.nodes[child_id]
 
+    # each sync message is priced as one 64B/66B frame
     t1 = parent.clock.local(sim.now)
-    t_arrive = delivery_time(PTP_FRAME_BITS, fabric.config.sync_downlink, sim.now, rng)
+    t_arrive = delivery_time(PAYLOAD_BITS_PER_FRAME, fabric.config.sync_downlink, sim.now, rng)
     sim.schedule(t_arrive, child_id, "sync_request")
     sim.run_until(t_arrive)
     t2 = t3 = child.clock.local(sim.now)  # immediate turnaround
-    t_back = delivery_time(PTP_FRAME_BITS, fabric.config.sync_uplink, sim.now, rng)
+    t_back = delivery_time(PAYLOAD_BITS_PER_FRAME, fabric.config.sync_uplink, sim.now, rng)
     sim.schedule(t_back, parent_id, "sync_response")
     sim.run_until(t_back)
     t4 = parent.clock.local(sim.now)

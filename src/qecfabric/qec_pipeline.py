@@ -54,7 +54,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Philox
@@ -76,6 +76,7 @@ from .code_model import (
     stream_blocks,
     syndrome_of,
 )
+from .config import ConfigError, ExperimentConfig
 from .fabric_sim import CapacityError  # noqa: F401 -- the capacity error callers catch here
 from .fabric_sim import Fabric, Simulator, TopologyConfig, global_sync
 from .link_layer import excess_serialization_delay
@@ -164,8 +165,8 @@ def link_excess_ps(layout: CodeLayout, leaf_map: LeafMap, config) -> tuple:
             excess_serialization_delay(2 * leaf_map.qubits_per_leaf, config.downlink))
 
 
-def _tree(config, seed) -> tuple:
-    """A validated config's layout, leaf map and fabric (CapacityError if the tree is too small)."""
+def _tree(config) -> tuple:
+    """A config's layout, leaf map and fabric (CapacityError if the tree is too small)."""
     layout = build_layout(config.distance)
     leaf_map = assign_qubits_to_leaves(layout, config.qubits_per_leaf)
     profile = capacity_model.get_profile(config.profile)
@@ -179,7 +180,7 @@ def _tree(config, seed) -> tuple:
         clock_offset_bound_ps=config.clock_offset_bound_ps,
         drift_ppm=config.drift_ppm,
     )
-    return layout, leaf_map, Fabric(topo, seed=seed)
+    return layout, leaf_map, Fabric(topo, seed=config.seed)
 
 
 @dataclass
@@ -301,13 +302,11 @@ class Pipeline:
     result carries and ``_check_table_fits`` sums.
     """
 
-    def __init__(self, config, seed=None):
-        self.config = config.validate()
-        self.seed = config.seed if seed is None else seed
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    def __init__(self, config):
+        self.config = config
+        self.seed = config.seed
         self.distance = config.distance
-        self.rounds = config.rounds if config.rounds else config.distance
+        self.rounds = config.effective_rounds
         self.error_rate = config.error_rate
         self.cycle_ps = config.cycle_time_ps
 
@@ -319,7 +318,7 @@ class Pipeline:
         )
 
         # a tree too small for the code is refused before any graph is built
-        self.layout, self.leaf_map, self.fabric = _tree(self.config, self.seed)
+        self.layout, self.leaf_map, self.fabric = _tree(config)
         self.graphs = {s: build_decoding_graph(self.layout, s, self.rounds) for s in SECTORS}
         sim = Simulator()
         if config.sync_at_start:
@@ -465,7 +464,7 @@ class Pipeline:
     # ---- shot table ------------------------------------------------------
 
     def _check_table_fits(self, shots: int):
-        """ValueError unless ``shots`` more shots keep every table entry within int64.
+        """ConfigError unless ``shots`` more shots keep every table entry within int64.
 
         Where Python ints would grow, the table would wrap silently, so the
         worst case is bounded first: every stage at the upper bound of its
@@ -480,7 +479,7 @@ class Pipeline:
         drift = max(abs(clock.drift_ppm) for clock in clocks)
         offset = max(abs(clock.offset_ps) for clock in clocks)
         if max(end * max(drift, 1), end + offset + end * drift // 1_000_000) >= 2**63:
-            raise ValueError(
+            raise ConfigError(
                 f"{shots} shots could run to {end} ps, beyond the int64 range of the shot table"
             )
 
@@ -604,9 +603,9 @@ class Pipeline:
         )
 
 
-def run_shot(config, seed=None, shot: int = 0) -> ShotReport:
+def run_shot(config, shot: int = 0) -> ShotReport:
     """Build a pipeline for the config and run a single shot."""
-    return Pipeline(config, seed=seed).run_shot(shot)
+    return Pipeline(config).run_shot(shot)
 
 
 def _latency_stats(arr: np.ndarray) -> dict:
@@ -669,9 +668,9 @@ class CampaignResult:
         )
 
 
-def _campaign_range(config, seed, start, stop) -> CampaignResult:
+def _campaign_range(config, start, stop) -> CampaignResult:
     # where a serial run starts shot ``start`` if every shot takes one cycle
-    pipeline = Pipeline(config, seed=seed)
+    pipeline = Pipeline(config)
     pipeline.now += start * pipeline.cycle_ps
     return pipeline.run_range(start, stop)
 
@@ -703,27 +702,27 @@ def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
     time.  A range starts ``start`` cycles after sync, where the serial run
     starts it if every shot takes one cycle; drifting clocks mark a shot by
     its absolute start, so a drifting campaign whose shots may not runs as
-    one range.  A tree that cannot host the code is refused with the fabric's
-    CapacityError before any worker starts, and a range whose worst-case end
-    time would not fit in int64 with ValueError before any shot runs.
+    one range.  ``shots``, ``seed`` and ``jobs``, when given, replace the
+    config's.  A tree that cannot host the code is refused with the fabric's
+    CapacityError, and a campaign whose worst-case end time would not fit in
+    int64 with ConfigError, before any worker starts or any shot runs.
     """
-    shots = config.shots if shots is None else shots
-    seed = config.seed if seed is None else seed
-    jobs = config.jobs if jobs is None else jobs
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = _worker_count(jobs, shots)
+    overrides = {k: v for k, v in dict(shots=shots, seed=seed, jobs=jobs).items() if v is not None}
+    if overrides:
+        config = replace(config, **overrides)
+    workers = _worker_count(config.jobs, config.shots)
     if workers > 1:
-        # one refusal before the pool starts, not one in every worker
-        windows = Pipeline(config, seed).windows.values()
+        # one refusal of the whole campaign before the pool starts, not one
+        # in every worker, whose range alone may fit
+        pipeline = Pipeline(config)
+        pipeline._check_table_fits(config.shots)
+        windows = pipeline.windows.values()
         low = sum(max(0, mean - jitter) for mean, jitter, _ in windows)
         one_cycle = 0 < low and sum(high for _, _, high in windows) <= config.cycle_time_ps
         if config.drift_ppm and not one_cycle:
             workers = 1
-    bounds = np.linspace(0, shots, workers + 1, dtype=int)
-    tasks = [(config, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    bounds = np.linspace(0, config.shots, workers + 1, dtype=int)
+    tasks = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     return CampaignResult.merge(_run_tasks(_campaign_range, tasks, workers))
 
 
@@ -874,31 +873,22 @@ def ler_campaign(
     syndrome is decoded once per sector and call: a memo built fresh for
     every sector (and every shard) maps the packed defect row to the fault
     ids of its correction, and is cleared when it holds ``batch`` entries.
-    Every defect shot's residual is still checked to have an empty syndrome
-    (ValueError otherwise).
+    Each distinct correction is checked once per chunk to give back its
+    defect row (ValueError otherwise).
 
     ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are
     independent Philox streams, so every job count gives the same result.
-    Bad arguments, a negative ``seed`` among them, raise ValueError before
-    anything is built.
+    The arguments are checked as an ``ExperimentConfig``'s, and ``batch``
+    must be >= 1: bad ones raise ConfigError before anything is built.
     """
-    if distance < 3 or distance % 2 == 0:
-        raise ValueError(f"distance must be an odd integer >= 3, got {distance}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    # sampled: every shot is drawn, so the worst case's pinned rounds do not apply
+    config = ExperimentConfig(distance=distance, rounds=rounds, error_rate=error_rate, shots=shots,
+                              seed=seed, jobs=jobs, syndrome_source="sampled")
     if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if not 0.0 <= error_rate <= 1.0:
-        raise ValueError(f"error_rate must be a probability, got {error_rate}")
-    if rounds is not None and rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     layout = build_layout(distance)
-    r = distance if rounds is None else rounds
+    r = config.effective_rounds
     n_batches = -(-shots // batch)
     cuts = np.linspace(0, n_batches, min(jobs, n_batches) + 1, dtype=int)
     shards = [

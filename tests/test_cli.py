@@ -273,6 +273,13 @@ def test_a_refused_campaign_leaves_no_report_directory(tmp_path):
     assert not out.exists()
 
 
+def test_a_campaign_too_long_for_the_shot_table_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["latency", "--shots", "7000000000000", "--out", str(out)]) == 2
+    assert "beyond the int64 range of the shot table" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_sync_link_wider_than_its_latency_is_a_config_error(tmp_path):
     wide = {"one_way_latency_ps": 1000, "jitter_half_width_ps": 50000}
     cfg = tmp_path / "wide.json"

@@ -1,11 +1,13 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qecfabric
 from qecfabric import qec_pipeline as qp
 from qecfabric.capacity_model import (
     PROFILES,
@@ -16,6 +18,7 @@ from qecfabric.capacity_model import (
 )
 from qecfabric.config import (
     _SYNDROME_SOURCES,
+    TOOL_VERSION,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -33,6 +36,13 @@ def test_defaults_validate():
     for name in ("uplink", "downlink"):
         with pytest.raises(ConfigError, match=f"stage_latency.{name}"):
             config_from_dict({"links": {name: {"one_way_latency_ps": 999_000}}})
+
+
+def test_the_package_version_is_the_one_pyproject_states():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == TOOL_VERSION
+    assert qecfabric.__version__ == TOOL_VERSION
 
 
 def test_round_trip_through_dict():
@@ -187,16 +197,15 @@ _DATA_LINKS = st.builds(LinkModel, _RATES, _LANES)
 _SYNC_LINKS = st.builds(LinkModel, _RATES, _LANES, st.integers(1, 10**9), st.integers(0, 10**9))
 
 
-def _valid(config):
+def _valid_or_none(**fields):
     try:
-        config.validate()
+        return ExperimentConfig(**fields)
     except ConfigError:
-        return False
-    return True
+        return None
 
 
 _CONFIGS = st.builds(
-    ExperimentConfig,
+    _valid_or_none,
     distance=st.integers(1, 30).map(lambda k: 2 * k + 1),
     rounds=st.none() | st.integers(1, 50),
     error_rate=st.floats(0.0, 1.0),
@@ -217,7 +226,7 @@ _CONFIGS = st.builds(
     downlink=_DATA_LINKS,
     sync_uplink=_SYNC_LINKS,
     sync_downlink=_SYNC_LINKS,
-).filter(_valid)
+).filter(lambda config: config is not None)
 
 
 @settings(deadline=None)

@@ -2,9 +2,11 @@ import gc
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 import weakref
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from qecfabric import fabric_sim as fs
 from qecfabric import qec_pipeline as qp
 from qecfabric import uf_decoder as uf
 from qecfabric.capacity_model import StageLatency, StageLatencyConfig
-from qecfabric.config import ExperimentConfig
+from qecfabric.config import ConfigError, ExperimentConfig
 from qecfabric.link_layer import LinkModel, excess_serialization_delay
 
 PAPER_STAGE_MEANS = {
@@ -588,7 +590,7 @@ def test_worst_case_syndrome_properties():
 def test_run_shot_uses_synced_timers():
     # random initial offsets are aligned before the shot, leaving exact stages
     config = ExperimentConfig(zero_jitter=True, clock_offset_bound_ps=1_000_000).validate()
-    pipeline = qp.Pipeline(config, seed=31)
+    pipeline = qp.Pipeline(replace(config, seed=31))
     assert max(abs(v) for v in pipeline.sync_residuals.values()) == 0
     assert pipeline.run_shot(0).end_to_end_ps == 451_000
 
@@ -712,7 +714,10 @@ def test_a_negative_seed_argument_is_refused_before_any_work(build, monkeypatch)
 
     monkeypatch.setattr(qp, "build_layout", no_work)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        build(ExperimentConfig(), seed=-1)
+        if build is qp.Pipeline:
+            build(replace(ExperimentConfig(), seed=-1))
+        else:
+            build(ExperimentConfig(), seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -739,6 +744,57 @@ def test_ler_campaign_rejects_bad_inputs(kwargs, monkeypatch):
     args = dict(distance=3, error_rate=0.01, shots=100, seed=1) | kwargs
     with pytest.raises(ValueError):
         qp.ler_campaign(**args)
+
+
+#: Each run rule of ``ExperimentConfig.validate()``: a value it refuses, and its message.
+RUN_RULES = [
+    ("distance", 4, "distance must be an odd integer >= 3, got 4"),
+    ("rounds", 0, "rounds must be >= 1"),
+    ("error_rate", 1.5, "error_rate must be a probability"),
+    ("shots", 0, "shots must be >= 1"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("jobs", 0, "jobs must be >= 1"),
+]
+
+#: Every way a run's parameters reach a config, given one field's value.
+RUN_BUILDERS = {
+    "ExperimentConfig": lambda field, value: ExperimentConfig(**{field: value}),
+    "replace": lambda field, value: replace(ExperimentConfig(), **{field: value}),
+    "ler_campaign": lambda field, value: qp.ler_campaign(
+        **{"distance": 3, "error_rate": 0.01, "shots": 100, "seed": 1, field: value}),
+    "run_campaign": lambda field, value: qp.run_campaign(ExperimentConfig(), **{field: value}),
+}
+
+
+@pytest.mark.parametrize("builder, field, value, message", [
+    (builder, *rule) for builder in RUN_BUILDERS for rule in RUN_RULES
+    # run_campaign overrides only these three
+    if builder != "run_campaign" or rule[0] in ("shots", "seed", "jobs")
+])
+def test_each_run_rule_refuses_its_bad_value_wherever_a_run_is_built(
+    builder, field, value, message, monkeypatch
+):
+    def no_work(*args):
+        raise AssertionError("built or ran before validating the config")
+
+    monkeypatch.setattr(qp, "build_layout", no_work)
+    monkeypatch.setattr(qp, "_run_tasks", no_work)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RUN_BUILDERS[builder](field, value)
+
+
+def test_a_campaign_beyond_the_shot_table_is_refused_whole_before_any_worker(monkeypatch):
+    # each half of this d=3 campaign fits the int64 table on its own; the whole does not
+    half = 3_500_000_000_000
+    qp.Pipeline(ExperimentConfig())._check_table_fits(half)
+
+    def no_pool(*args):
+        raise AssertionError("started the workers before refusing the campaign")
+
+    monkeypatch.setattr(qp, "_run_tasks", no_pool)
+    monkeypatch.setattr(qp.os, "cpu_count", lambda: 2)
+    with pytest.raises(ConfigError, match="beyond the int64 range of the shot table"):
+        qp.run_campaign(ExperimentConfig(), shots=2 * half, jobs=2)
 
 
 @pytest.mark.parametrize(
