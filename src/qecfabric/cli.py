@@ -123,9 +123,7 @@ def cmd_latency(args) -> int:
         stages_json[name] = dict(stats, configured_mean_ps=mean, configured_jitter_ps=jitter,
                                  within_bounds=within)
 
-    e2e_ns = result.end_to_end_ps // 1000
-    lo, hi = int(e2e_ns.min()), int(e2e_ns.max())
-    counts = np.bincount(e2e_ns - lo, minlength=hi - lo + 1)
+    e2e_ns, counts = np.unique(result.end_to_end_ps // 1000, return_counts=True)
     e2e = result.end_to_end_stats()
 
     print(f"{result.n_shots} shots at distance {config.distance}")
@@ -142,7 +140,7 @@ def cmd_latency(args) -> int:
            "configured_mean_ps", "configured_jitter_ps", "within_bounds"],
           stage_rows),
          ("latency_hist.csv", ["end_to_end_ns", "count"],
-          [[lo + i, int(c)] for i, c in enumerate(counts)])],
+          zip(e2e_ns.tolist(), counts.tolist()))],
         shots=result.n_shots, distance=config.distance, stages=stages_json, end_to_end=e2e,
         all_corrections_valid=bool(result.valid.all()), ler=result.ler(),
     )
@@ -345,15 +343,13 @@ def cmd_selftest(args) -> int:
           agree)
     pipeline = qec_pipeline.Pipeline(ExperimentConfig(
         distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3))
-    pipeline.run_shot(0)
-    context, odd = pipeline.last_context, []
-    for sector, correction in context["corrections"].items():
-        qubits = pipeline.graphs[sector].qubit[sorted(correction.fault_ids)].tolist()
-        odd += [(sector, q) for q in set(qubits) - {-1} if qubits.count(q) % 2]
-    applied = [(leaf, entry) for leaf, entries in context["applied"].items() for entry in entries]
-    owners = [(pipeline.leaf_map.leaf_of(q), (sector, q)) for sector, q in odd]
-    check("pipeline: a d=13/L1 shot applies each odd-parity corrected data qubit at its owning leaf",
-          bool(odd) and sorted(applied) == sorted(owners))
+    report, entries = pipeline.run_shot(0), [0] * pipeline.leaf_map.n_leaves
+    for sector, ids in report.corrections.items():
+        qubits = pipeline.graphs[sector].qubit[sorted(ids)].tolist()
+        for q in set(qubits) - {-1}:
+            entries[pipeline.leaf_map.leaf_of(q)] += qubits.count(q) % 2
+    check("pipeline: a d=13/L1 shot sends each leaf one entry per odd-parity corrected data "
+          "qubit it owns", any(entries) and tuple(entries) == report.leaf_entries)
 
     print("selftest:", "all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return EXIT_OK if failures == 0 else 1

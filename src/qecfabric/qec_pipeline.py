@@ -186,7 +186,9 @@ def _tree(config) -> tuple:
 @dataclass
 class ShotReport:
     """Stage interval durations and decode outcome of one full shot; the intervals
-    are the gaps of one boundary chain, so they sum to ``end_to_end_ps``."""
+    are the gaps of one boundary chain, so they sum to ``end_to_end_ps``.  Per
+    sector, ``corrections`` holds its correction's fault ids; per leaf,
+    ``leaf_entries`` the correction entries that priced its downlink."""
 
     shot: int
     intervals: dict
@@ -194,7 +196,12 @@ class ShotReport:
     valid: bool
     logical_failure: bool
     syndrome_bits_received: int
-    correction_bits_sent: int
+    corrections: dict
+    leaf_entries: tuple
+
+    @property
+    def correction_bits_sent(self) -> int:
+        return sum(self.leaf_entries)
 
 
 def wilson_interval(failures: int, shots: int):
@@ -294,7 +301,8 @@ class Pipeline:
     is the latest local-clock reading of its level's nodes, and every stage
     interval is read off the marked chain.  ``now`` is the ideal time the
     last shot ended; the next shot starts at the cycle boundary after it, so
-    the start times are a cumulative sum.  ``run_shot`` is a one-shot range.
+    the start times are a cumulative sum.  ``run_shot`` reports a one-shot
+    chunk's row of its arrays.
 
     A pipeline builds its own layout, decoding graphs, fabric, link prices
     and decode memos, and they are freed with it.  ``windows`` states once
@@ -324,7 +332,6 @@ class Pipeline:
         if config.sync_at_start:
             global_sync(sim, self.fabric, rng_stream(self.seed, _STREAM_SYNC))
         self.now = sim.now
-        self.sync_residuals = self.fabric.residuals(self.now)
 
         self.chain = boundary_chain(config.router_layers)
         # each stage's chain gaps, in chain order: gap i ends at boundary i + 1
@@ -486,19 +493,20 @@ class Pipeline:
     def run_range(self, start: int, stop: int) -> CampaignResult:
         """Run shots ``start`` to ``stop - 1`` back to back, from the cycle boundary after ``now``.
 
-        The range runs in chunks of about ``_TABLE_CHUNK_BYTES`` of table,
-        fault and syndrome arrays, and of at least ``_BATCHED_MIN_SHOTS``
-        shots; ``last_context`` describes its last shot.
+        The range runs in chunks of about ``_TABLE_CHUNK_BYTES`` of table, fault
+        and syndrome arrays, and of at least ``_BATCHED_MIN_SHOTS`` shots.
         """
         if stop <= start:
             raise ValueError(f"empty shot range [{start}, {stop})")
         self._check_table_fits(stop - start)
         chunk = max(_BATCHED_MIN_SHOTS, _TABLE_CHUNK_BYTES // self._shot_bytes)
         return CampaignResult.merge(
-            [self._run_chunk(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
+            [self._run_chunk(a, min(a + chunk, stop))[0] for a in range(start, stop, chunk)]
         )
 
-    def _run_chunk(self, start: int, stop: int) -> CampaignResult:
+    def _run_chunk(self, start: int, stop: int) -> tuple:
+        """Shots ``start`` to ``stop - 1``: their ``CampaignResult``, their (shots x leaves)
+        downlink entries, and per sector ``_chunk_failures``' ``(rows, which, fixes)``."""
         shots = np.arange(start, stop, dtype=np.int64)
         n = len(shots)
 
@@ -509,15 +517,13 @@ class Pipeline:
         n_data, per_leaf = self.layout.data_qubit_count, self.leaf_map.qubits_per_leaf
         failures = np.zeros(n, dtype=bool)
         counts = np.zeros((n, self.leaf_map.n_leaves), dtype=np.intp)
-        corrections, applied = {}, dict.fromkeys(range(self.leaf_map.n_leaves), ())
+        corrections = {}
         for graph, sector_faults in zip(self.graphs.values(), faults):
             failed, rows, which, fixes = _chunk_failures(
                 graph, sector_faults, self._memos[graph.sector], _DECODE_MEMO_ENTRIES
             )
             failures |= failed
-            last = which[-1] if len(rows) and rows[-1] == n - 1 else None
-            ids = () if last is None else fixes[last]
-            corrections[graph.sector] = pattern_from_fault_ids(graph, ids)
+            corrections[graph.sector] = rows, which, fixes
             if not fixes:
                 continue
             # row j of odd marks the data qubits that correction j flips oddly
@@ -528,9 +534,6 @@ class Pipeline:
             odd = odd.reshape(-1, n_data)
             per_fix = np.add.reduceat(odd, np.arange(0, n_data, per_leaf), axis=1)
             counts[rows, :per_fix.shape[1]] += per_fix[which]
-            if last is not None:
-                for q in np.flatnonzero(odd[last]).tolist():
-                    applied[q // per_leaf] += ((graph.sector, q),)
         downlink = self._downlink_excess_ps[counts]
 
         # Vectorized pass: per tree level, a (shots x 4 x nodes) array of the
@@ -574,11 +577,6 @@ class Pipeline:
             marks[:, slots] = (t + offset + drift * t // 1_000_000).max(axis=2)
         gaps = np.diff(marks, axis=1)
 
-        self.last_context = {
-            "corrections": corrections,
-            "applied": applied,
-            "marks": marks[-1].tolist(),
-        }
         return CampaignResult(
             n_shots=n,
             windows=self.windows,
@@ -586,12 +584,12 @@ class Pipeline:
             end_to_end_ps=marks[:, -1] - marks[:, 0],
             valid=np.ones(n, dtype=bool),  # a residual with a defect raised above
             failures=failures,
-        )
+        ), counts, corrections
 
     def run_shot(self, shot: int = 0) -> ShotReport:
         """Run one full decoding-feedback shot at the next cycle boundary."""
-        result = self.run_range(shot, shot + 1)
-        applied = self.last_context["applied"]
+        self._check_table_fits(1)
+        result, counts, corrections = self._run_chunk(shot, shot + 1)
         return ShotReport(
             shot=shot,
             intervals={name: int(result.samples[name][0]) for name in self._stage_gaps},
@@ -599,7 +597,9 @@ class Pipeline:
             valid=bool(result.valid[0]),
             logical_failure=bool(result.failures[0]),
             syndrome_bits_received=self._bits_received,
-            correction_bits_sent=sum(len(owned) for owned in applied.values()),
+            corrections={s: frozenset(fixes[0].tolist() if fixes else ())
+                         for s, (_, _, fixes) in corrections.items()},
+            leaf_entries=tuple(counts[0].tolist()),
         )
 
 

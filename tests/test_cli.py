@@ -156,6 +156,20 @@ def test_latency_bounds_include_the_serialization_of_long_messages(tmp_path):
     assert {name: s["within_bounds"] for name, s in stages.items()} == dict.fromkeys(stages, True)
 
 
+def test_latency_histogram_has_a_row_per_distinct_latency_not_per_nanosecond(tmp_path):
+    # a 100 us uplink jitter spreads 5 shots over about 200 000 ns
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "shots": 5, "cycle_time_ps": 10**12,
+        "stage_latency": {"uplink": {"mean_ps": 10**8, "jitter_ps": 10**8}},
+    }))
+    out = tmp_path / "r"
+    assert main(["latency", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = (out / "latency_hist.csv").read_text().splitlines()
+    assert header == "end_to_end_ns,count" and len(rows) <= 5
+    assert sum(int(row.split(",")[1]) for row in rows) == 5
+
+
 @pytest.mark.parametrize(
     "qubits_per_leaf, leaves, layers, max_qubits", [(7, 126, 2, 23548), (14, 63, 1, 1624)]
 )
@@ -384,14 +398,15 @@ def _report_digests(out):
 
 #: Report digests recorded at commit 4793abf, before the data-link latency keys
 #: left the config schema.  ``config_hash`` is dropped: that schema change moves it.
+#: The ``latency_hist.csv`` digests are the same files without their zero-count rows.
 GOLDEN_REPORTS = {
     "latency --shots 200 --seed 3": {
-        "latency_hist.csv": "1ccedbd566fcedb3fbbd1663de8074eff5e193d6cf6bccd6bc2816a000f05311",
+        "latency_hist.csv": "736605a2b442dbd2bab08f31f1d3dca4f51ddbf63e05b7c9b8bd3d794a5bfbad",
         "latency_stages.csv": "3606cb220e6f1f5f1733d200eaf1429966c41ff31b5992a58acaedede950e509",
         "latency_summary.json": "744f99317555f901fc7f7f1a0204f2ff15d76a23a7b6926183357c411cea7652",
     },
     "latency --distance 13 --router-layers 1 --shots 20": {
-        "latency_hist.csv": "65c7e6adc1b96efd623ec13f26e2d568819e61b41e6395afccdefbf9f6f580e9",
+        "latency_hist.csv": "2953901c731148dbc17492306ce6ff64735df9ff921d0f8d823dc7d4dbc67843",
         "latency_stages.csv": "7ed4c1f0e39395206fcc9b03acd2b5fede57cfaf0d3017eec9b3430a12276add",
         "latency_summary.json": "12f18115d4c273efc428db147a944338487a222eb9e0d2f5fd1b07e5ff47875e",
     },

@@ -107,23 +107,20 @@ def test_bit_conservation_and_feedback():
     layout = pipeline.layout
     assert report.syndrome_bits_received == layout.syndrome_bits_per_round * pipeline.rounds
 
-    ctx = pipeline.last_context
-    # every identified error bit was applied at exactly the owning leaf
+    # every identified error bit is sent to exactly the owning leaf
     expected = set()
     for sector in cm.SECTORS:
         parity = {}
         edges = pipeline.graphs[sector].edges
-        for e_id in ctx["corrections"][sector].fault_ids:
+        for e_id in report.corrections[sector]:
             if edges[e_id].kind == cm.SPACELIKE:
                 qubit = edges[e_id].qubit
                 parity[qubit] = parity.get(qubit, 0) ^ 1
         expected |= {(sector, q) for q, v in parity.items() if v}
-    applied = set()
-    for leaf, entries in ctx["applied"].items():
-        for sector, qubit in entries:
-            assert pipeline.leaf_map.leaf_of(qubit) == leaf
-            applied.add((sector, qubit))
-    assert applied == expected
+    per_leaf = [0] * pipeline.leaf_map.n_leaves
+    for _, qubit in expected:
+        per_leaf[pipeline.leaf_map.leaf_of(qubit)] += 1
+    assert expected and report.leaf_entries == tuple(per_leaf)
     assert report.correction_bits_sent == len(expected)
 
 
@@ -230,8 +227,9 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
         )
         failure = any(uf.is_logical_failure(patterns[s], corrections[s]) for s in cm.SECTORS)
         assert report.logical_failure == failure
+        assert report.corrections == {s: corrections[s].fault_ids for s in cm.SECTORS}
         applied = expected_leaf_corrections(reference, corrections)
-        assert pipeline.last_context["applied"] == applied
+        assert report.leaf_entries == tuple(len(applied[leaf]) for leaf in sorted(applied))
         assert report.correction_bits_sent == sum(len(e) for e in applied.values())
         failures += failure
     assert failures > 0
@@ -523,7 +521,6 @@ def test_boundary_chain_yields_every_interval(layers):
     pipeline = qp.Pipeline(config)
     report = pipeline.run_shot(0)
     assert len(pipeline.chain) == 8 + 4 * layers
-    assert None not in pipeline.last_context["marks"]
     expected = dict(PAPER_STAGE_MEANS)
     if layers:
         expected.update(router_proc=45_000 * layers, router_net=312_000 * layers)
@@ -591,7 +588,7 @@ def test_run_shot_uses_synced_timers():
     # random initial offsets are aligned before the shot, leaving exact stages
     config = ExperimentConfig(zero_jitter=True, clock_offset_bound_ps=1_000_000).validate()
     pipeline = qp.Pipeline(replace(config, seed=31))
-    assert max(abs(v) for v in pipeline.sync_residuals.values()) == 0
+    assert max(abs(v) for v in pipeline.fabric.residuals(pipeline.now).values()) == 0
     assert pipeline.run_shot(0).end_to_end_ps == 451_000
 
 
@@ -605,12 +602,11 @@ def test_jittered_sync_links_reproduce_pinned_residuals():
         sync_downlink=LinkModel(10_000_000_000, 1, 150_000, 20_000),
     ).validate()
     pipeline = qp.Pipeline(config)
-    residuals = json.dumps(sorted(pipeline.sync_residuals.items())).encode()
-    assert hashlib.sha256(residuals).hexdigest() == (
-        "3925edd5f5d95f045b01a81720839e3436bfe74a3cfb7940bf2964958644ecb1"
-    )
+    residuals = pipeline.fabric.residuals(pipeline.now)
+    digest = hashlib.sha256(json.dumps(sorted(residuals.items())).encode()).hexdigest()
+    assert digest == "3925edd5f5d95f045b01a81720839e3436bfe74a3cfb7940bf2964958644ecb1"
     assert pipeline.now == 8_252_647
-    assert max(abs(v) for v in pipeline.sync_residuals.values()) == 27_535
+    assert max(abs(v) for v in residuals.values()) == 27_535
 
 
 def test_pipeline_freed_when_last_reference_goes(monkeypatch):
@@ -1010,7 +1006,7 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     pipeline = qp.Pipeline(config)
     pipeline.run_range(0, 40)
     assert decodes  # memo misses, whose corrections name data qubits
-    assert any(pipeline.last_context["applied"].values())
+    assert any(len(ids) for memo in pipeline._memos.values() for ids in memo.values())
     assert all("edges" not in graph.__dict__ for graph in pipeline.graphs.values())
 
     built = []  # an LER task builds its own graph
@@ -1020,22 +1016,6 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     qp._ler_sector_failures(cm.build_layout(5), 0, 5, 0.01, 1, 256, range(1), 256)
     assert decodes and len(built) == 1
     assert "edges" not in built[0].__dict__
-
-
-def test_last_context_is_the_last_shot_of_a_range():
-    # a 40-shot chunk holds many distinct corrections; the context takes the
-    # last shot's, as a range of that one shot does
-    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01).validate()
-    pipeline, single = qp.Pipeline(config), qp.Pipeline(config)
-    pipeline.run_range(0, 40)
-    single.run_range(39, 40)
-    ctx, alone = pipeline.last_context, single.last_context
-    assert {s: p.fault_ids for s, p in ctx["corrections"].items()} == {
-        s: p.fault_ids for s, p in alone["corrections"].items()
-    }
-    assert ctx["applied"] == alone["applied"]
-    assert ctx["applied"] == expected_leaf_corrections(pipeline, ctx["corrections"])
-    assert any(ctx["applied"].values())
 
 
 def test_ler_sector_memory_does_not_grow_with_batch():

@@ -1,10 +1,15 @@
-"""Every attribute a ``qecfabric`` method stores on ``self`` is read somewhere in ``src/``.
+"""Every attribute a ``qecfabric`` method stores on ``self`` is read somewhere in
+``src/``, and only run state is stored after construction.
 
 A field that is written and never read costs memory and a reader's time
 and tells nothing.  The check matches by attribute name: a load of
 ``<anything>.<name>`` anywhere in ``src/`` counts as a read, and an
 augmented assignment (``self.n += 1``) does not.  Fields kept for readers
 outside ``src/`` are allow-listed below with the reader named.
+
+A field a method sets after ``__init__`` or ``__post_init__`` is a record of
+the last call, which the next call overwrites; only the run state listed
+below may be one.
 """
 
 import ast
@@ -15,8 +20,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qecfabric"
 #: Stored fields whose only readers live outside ``src/``, with those readers.
 READ_OUTSIDE_SRC = {
     "leaf_ids": "Fabric.leaf_ids: tests/test_fabric_sim.py and test_criterion_7_clock_sync",
-    "sync_residuals": "Pipeline.sync_residuals: the sync pins in tests/test_qec_pipeline.py",
 }
+
+#: ``Class.name`` of each field a method other than ``__init__`` or
+#: ``__post_init__`` stores: the time and event counter a simulation advances,
+#: and the fused edges a decode's growth appends to.
+RUN_STATE = {"Pipeline.now", "Simulator.now", "Simulator._seq", "ClusterState.full_edges"}
 
 
 def unread_fields(sources: dict) -> list:
@@ -57,3 +66,47 @@ def test_every_stored_field_is_read():
     unread = unread_fields(sources)
     assert [f for f in unread if f[2] not in READ_OUTSIDE_SRC] == []
     assert {name for _, _, name in unread} == set(READ_OUTSIDE_SRC)
+
+
+def late_stores(sources: dict) -> set:
+    """``Class.name`` of each ``self.<name>`` store, augmented ones included, in a
+    method of ``Class`` other than ``__init__`` and ``__post_init__``, over
+    ``sources`` (module name -> source text)."""
+    found = set()
+    for source in sources.values():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name in (
+                    "__init__", "__post_init__"
+                ):
+                    continue
+                found |= {
+                    f"{cls.name}.{node.attr}" for node in ast.walk(method)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                }
+    return found
+
+
+def test_the_check_finds_a_planted_late_store():
+    source = (
+        "class Shots:\n"
+        "    def __init__(self):\n"
+        "        self.now = 0\n"
+        "    def __post_init__(self):\n"
+        "        self.seed = 1\n"
+        "    def run(self, other):\n"
+        "        self.now += 1\n"
+        "        other.last = self.now\n"
+        "        self.last = self.now\n"
+    )
+    assert late_stores({"shots": source}) == {"Shots.now", "Shots.last"}
+
+
+def test_only_run_state_is_stored_after_construction():
+    # the set also goes stale when one of its fields stops being stored late
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert late_stores(sources) - RUN_STATE == set()
+    assert late_stores(sources) == RUN_STATE
