@@ -61,7 +61,6 @@ from .fabric_sim import (
     Fabric,
     NodeState,
     Simulator,
-    SyncError,
     TopologyConfig,
     global_sync,
     ptp_sync,

@@ -172,10 +172,11 @@ def cmd_ler(args) -> int:
     return EXIT_OK
 
 
-def _capacity_rows(distances, profile, config):
+def _capacity_rows(distances, config):
     """Each distance's closed-form capacity, latency and throughput row, as a JSON-ready dict."""
     # leaves hold the config's qubits_per_leaf, as in the tree `latency` builds
-    profile = replace(profile, qubits_per_leaf=config.qubits_per_leaf)
+    profile = replace(capacity_model.get_profile(config.profile),
+                      qubits_per_leaf=config.qubits_per_leaf)
     link = capacity_model.root_link(profile, config.uplink)
     estimates = capacity_model.extrapolation_table(
         distances, profile, config.stage_latency, link, config.cycle_time_ps
@@ -212,8 +213,7 @@ _TABLES = {
 def cmd_table(args) -> int:
     """``capacity`` or ``extrapolate``: the closed-form rows, one per distance."""
     config = _resolve_config(args)
-    profile = capacity_model.get_profile(config.profile)
-    rows = _capacity_rows(_parse_distances(args.distances), profile, config)
+    rows = _capacity_rows(_parse_distances(args.distances), config)
     header, line = _TABLES[args.command]
     extras = {}
     if args.command == "extrapolate":
@@ -224,7 +224,7 @@ def cmd_table(args) -> int:
         print(line(r))
     _write_reports(args.out, config, args.command,
                    [(f"{args.command}.csv", header, [[r[k] for k in header] for r in rows])],
-                   profile=profile.name, rows=rows, **extras)
+                   profile=config.profile, rows=rows, **extras)
     return EXIT_OK
 
 
@@ -235,8 +235,7 @@ def cmd_throughput(args) -> int:
         args.config and "distance" in json.loads(Path(args.config).read_text())
     )
     d = config.distance if pinned else 21
-    profile = capacity_model.get_profile(config.profile)
-    row = _capacity_rows([d], profile, config)[0]
+    row = _capacity_rows([d], config)[0]
     required, available = row["throughput_required_bps"], row["throughput_available_bps"]
 
     # the paper's quoted 4 x 10G and 4 x 28G figures, for reference
@@ -255,7 +254,7 @@ def cmd_throughput(args) -> int:
         print(f"  {name:22s} {value}")
     _write_reports(
         args.out, config, "throughput", [("throughput.csv", ["quantity", "value"], rows)],
-        distance=d, profile=profile.name,
+        distance=d, profile=config.profile,
         network_4x10G_bps=float(capacity_model.effective_throughput(link10)),
         network_4x28G_bps=float(capacity_model.effective_throughput(link28)),
         decoder_peak_bps=float(peak), required_bps=required, available_bps=available,
@@ -298,7 +297,7 @@ def cmd_selftest(args) -> int:
           routed.end_to_end_ps == 808_000)
 
     sampled = qec_pipeline.run_campaign(ExperimentConfig(
-        distance=5, syndrome_source="sampled", error_rate=0.02), shots=200, seed=1, jobs=1)
+        distance=5, syndrome_source="sampled", error_rate=0.02, shots=200, seed=1, jobs=1))
     check("pipeline: d=5 p=0.02 200 sampled shots seed 1 give 19 failures, all corrections valid",
           sampled.failures.sum() == 19 and sampled.valid.all())
 

@@ -24,10 +24,6 @@ ROLE_ROOT = "ROOT"
 _STREAM_CLOCK = 101
 
 
-class SyncError(RuntimeError):
-    """A timer-alignment round lost one of its timestamps."""
-
-
 class CapacityError(ValueError):
     """The configured tree cannot host the code's qubits."""
 
@@ -232,9 +228,6 @@ def ptp_sync(sim: Simulator, fabric: Fabric, parent_id: int, child_id: int, rng=
     sim.run_until(t_back)
     t4 = parent.clock.local(sim.now)
 
-    if None in (t1, t2, t3, t4):
-        missing = [f"t{k}" for k, v in enumerate((t1, t2, t3, t4), 1) if v is None]
-        raise SyncError(f"sync round lost timestamps {missing}")
     correction = _half_even_div2((t2 - t1) - (t4 - t3))
     child.clock.offset_ps -= correction
     return correction

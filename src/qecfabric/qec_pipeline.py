@@ -41,11 +41,11 @@ which also prices each leaf's fixed uplink message once.
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
 path for accuracy studies that skips the (transport-independent) timing
-machinery.  It draws each batch in fixed-size row chunks, so memory does
-not grow with ``batch``, and judges each chunk with the same
-``_chunk_failures``, through a memo per sector and call that is cleared
-whenever it holds ``batch`` entries.  It shards by (sector, batch range)
-over ``jobs`` worker processes with identical results.
+machinery.  It draws each batch of ``_LER_BATCH`` shots in fixed-size row
+chunks, so memory does not grow with the batch, and judges each chunk with
+the same ``_chunk_failures``, through a memo per sector and call that is
+cleared whenever it holds ``_LER_BATCH`` entries.  It shards by (sector,
+batch range) over ``jobs`` worker processes with identical results.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -106,6 +106,10 @@ _BATCHED_MIN_SHOTS = 8
 #: Fewest memo misses of one chunk and sector that go through
 #: ``settle_rows`` together: its fixed cost is a few single decodes.
 _SETTLE_MIN_ROWS = 8
+
+#: Shots per ``ler_campaign`` batch, one Philox stream per sector, which every
+#: pinned LER count was drawn with; it also bounds each of its decode memos.
+_LER_BATCH = 8192
 
 #: A Philox counter or buffer with nothing drawn yet.
 _ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
@@ -193,7 +197,6 @@ class ShotReport:
     shot: int
     intervals: dict
     end_to_end_ps: int
-    valid: bool
     logical_failure: bool
     syndrome_bits_received: int
     corrections: dict
@@ -304,33 +307,30 @@ class Pipeline:
     the start times are a cumulative sum.  ``run_shot`` reports a one-shot
     chunk's row of its arrays.
 
-    A pipeline builds its own layout, decoding graphs, fabric, link prices
-    and decode memos, and they are freed with it.  ``windows`` states once
+    A pipeline reads every config value off ``config`` and keeps no copy of
+    one.  It builds its own layout, decoding graphs, fabric, link prices and
+    decode memos, and they are freed with it.  ``windows`` states once
     each reported stage's interval window in one shot, which every campaign
     result carries and ``_check_table_fits`` sums.
     """
 
     def __init__(self, config):
         self.config = config
-        self.seed = config.seed
-        self.distance = config.distance
-        self.rounds = config.effective_rounds
-        self.error_rate = config.error_rate
-        self.cycle_ps = config.cycle_time_ps
-
         stages = config.stage_latency
         if config.zero_jitter:
             stages = stages.zero_jitter()
         self._stage_windows = tuple(
-            (name, st.mean_ps, st.jitter_ps) for name, st in stages.at_distance(self.distance).items()
+            (name, st.mean_ps, st.jitter_ps)
+            for name, st in stages.at_distance(config.distance).items()
         )
 
         # a tree too small for the code is refused before any graph is built
         self.layout, self.leaf_map, self.fabric = _tree(config)
-        self.graphs = {s: build_decoding_graph(self.layout, s, self.rounds) for s in SECTORS}
+        rounds = config.effective_rounds
+        self.graphs = {s: build_decoding_graph(self.layout, s, rounds) for s in SECTORS}
         sim = Simulator()
         if config.sync_at_start:
-            global_sync(sim, self.fabric, rng_stream(self.seed, _STREAM_SYNC))
+            global_sync(sim, self.fabric, rng_stream(config.seed, _STREAM_SYNC))
         self.now = sim.now
 
         self.chain = boundary_chain(config.router_layers)
@@ -365,7 +365,7 @@ class Pipeline:
                 self.windows[name] = (k * mean, k * hw, k * (mean + hw) + int(excess.get(name, 0)))
         # the leaves' ancillas cover every syndrome column, so every round's
         # bits reach the root
-        self._bits_received = self.rounds * self.layout.syndrome_bits_per_round
+        self._bits_received = rounds * self.layout.syndrome_bits_per_round
         # bytes one shot adds to a chunk: 8 per int64 column (four hold times
         # per node, the marks, the leaves' downlink serializations, the stage
         # draws and one sector's fault_parity vertex counts), 1 per edge of
@@ -376,8 +376,6 @@ class Pipeline:
                             + 2 * self._bits_received)
         # per sector: packed defect row -> intp fault ids of its correction
         self._memos = {sector: {} for sector in SECTORS}
-
-        self.syndrome_source = config.effective_syndrome_source
         self._philox = Philox(0)
 
     # ---- per-shot inputs -------------------------------------------------
@@ -390,19 +388,20 @@ class Pipeline:
         one batch in a chunk of at least ``_BATCHED_MIN_SHOTS`` shots.
         """
         faults = [np.zeros((len(shots), g.n_edges), dtype=bool) for g in self.graphs.values()]
-        if self.syndrome_source == "worst_case":
+        if self.config.effective_syndrome_source == "worst_case":
             for rows, sector in zip(faults, SECTORS):
                 rows[:, _WORST_D3_FAULT_IDS[sector]] = True
             return faults
         keys = [None] * (len(shots) * len(SECTORS))
         if len(shots) >= _BATCHED_MIN_SHOTS:
             streams = [(_STREAM_SAMPLE, s, k) for s in shots.tolist() for k in range(len(SECTORS))]
-            batched, _, exact = stream_blocks(self.seed, streams, 0)
+            batched, _, exact = stream_blocks(self.config.seed, streams, 0)
             keys = [key if ok else None for key, ok in zip(batched, exact.tolist())]
+        error_rate = self.config.error_rate
         for j, key in enumerate(keys):
             i, k = divmod(j, len(SECTORS))
             source = self._sample_source(int(shots[i]), k, key)
-            faults[k][i] = _draw_faults(source, faults[k].shape[1], self.error_rate)
+            faults[k][i] = _draw_faults(source, faults[k].shape[1], error_rate)
         return faults
 
     def _sample_source(self, shot: int, k: int, key=None):
@@ -410,7 +409,7 @@ class Pipeline:
         stream's batched Philox ``key``, one reused Philox set to that key, which is
         much cheaper than building the stream and draws the same."""
         if key is None:
-            return rng_stream(self.seed, _STREAM_SAMPLE, shot, k).bit_generator
+            return rng_stream(self.config.seed, _STREAM_SAMPLE, shot, k).bit_generator
         self._philox.state = {
             "bit_generator": "Philox",
             "state": {"counter": _ZERO_BLOCK, "key": key},
@@ -433,7 +432,7 @@ class Pipeline:
         for name, mean, hw in self._stage_windows:
             if hw > 0:
                 if rng is None:
-                    rng = rng_stream(self.seed, _STREAM_SHOT, shot)
+                    rng = rng_stream(self.config.seed, _STREAM_SHOT, shot)
                 mean = mean + int(rng.integers(-hw, hw + 1))
             durations[name] = max(0, mean)
         return durations
@@ -457,7 +456,7 @@ class Pipeline:
         exact = np.zeros(n, dtype=bool)
         if n >= _BATCHED_MIN_SHOTS and all(2 * hw < 2**32 - 1 for _, hw in jittered):
             rows = np.column_stack((np.full(n, _STREAM_SHOT), shots))
-            _, raw, exact = stream_blocks(self.seed, rows, -(-len(jittered) // 8))
+            _, raw, exact = stream_blocks(self.config.seed, rows, -(-len(jittered) // 8))
             draws = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=2).reshape(n, -1)
             for j, (i, hw) in enumerate(jittered):
                 span = 2 * hw + 1
@@ -480,8 +479,9 @@ class Pipeline:
         sends), one extra cycle of alignment per shot, then the clocks'
         offsets and drift.
         """
+        cycle = self.config.cycle_time_ps
         walk = sum(high for _, _, high in self.windows.values())
-        end = -(-self.now // self.cycle_ps) * self.cycle_ps + shots * (walk + self.cycle_ps)
+        end = -(-self.now // cycle) * cycle + shots * (walk + cycle)
         clocks = [node.clock for node in self.fabric.nodes.values()]
         drift = max(abs(clock.drift_ppm) for clock in clocks)
         offset = max(abs(clock.offset_ps) for clock in clocks)
@@ -565,9 +565,10 @@ class Pipeline:
         length = leaves[:, 3].max(axis=1)
 
         # Shot k starts at the cycle boundary after shot k - 1 ended.
+        cycle = self.config.cycle_time_ps
         t0 = np.empty(n, dtype=np.int64)
-        t0[0] = -(-self.now // self.cycle_ps) * self.cycle_ps
-        np.cumsum(-(-length[:-1] // self.cycle_ps) * self.cycle_ps, out=t0[1:])
+        t0[0] = -(-self.now // cycle) * cycle
+        np.cumsum(-(-length[:-1] // cycle) * cycle, out=t0[1:])
         t0[1:] += t0[0]
         self.now = int(t0[-1] + length[-1])
         # Each boundary takes the latest local-clock mark of its level's nodes.
@@ -594,7 +595,6 @@ class Pipeline:
             shot=shot,
             intervals={name: int(result.samples[name][0]) for name in self._stage_gaps},
             end_to_end_ps=int(result.end_to_end_ps[0]),
-            valid=bool(result.valid[0]),
             logical_failure=bool(result.failures[0]),
             syndrome_bits_received=self._bits_received,
             corrections={s: frozenset(fixes[0].tolist() if fixes else ())
@@ -628,7 +628,7 @@ class CampaignResult:
     windows: dict
     samples: dict
     end_to_end_ps: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray  # all True (a correction that leaves a defect raises); bench/ hashes it
     failures: np.ndarray
 
     @property
@@ -671,7 +671,7 @@ class CampaignResult:
 def _campaign_range(config, start, stop) -> CampaignResult:
     # where a serial run starts shot ``start`` if every shot takes one cycle
     pipeline = Pipeline(config)
-    pipeline.now += start * pipeline.cycle_ps
+    pipeline.now += start * config.cycle_time_ps
     return pipeline.run_range(start, stop)
 
 
@@ -690,26 +690,24 @@ def _run_tasks(fn, tasks, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def run_campaign(config, shots=None, seed=None, jobs=None) -> CampaignResult:
+def run_campaign(config) -> CampaignResult:
     """Run many shots and aggregate stage statistics plus an LER estimate.
 
-    Each worker builds its own ``Pipeline``, layout and decoding graphs
+    The config is the campaign's only input: its ``shots``, ``seed`` and
+    ``jobs`` are the run's, so a report's config hash names the run.  Each
+    worker builds its own ``Pipeline``, layout and decoding graphs
     included, and runs its contiguous shot range through
     ``Pipeline.run_range``, a table of int64 columns built in chunks of
-    bounded byte size.  Shots are pure functions of (config, seed, shot
-    index), so splitting a campaign into ranges, one per worker process (at
-    most ``min(jobs, shots, os.cpu_count())``), changes nothing but wall
-    time.  A range starts ``start`` cycles after sync, where the serial run
-    starts it if every shot takes one cycle; drifting clocks mark a shot by
-    its absolute start, so a drifting campaign whose shots may not runs as
-    one range.  ``shots``, ``seed`` and ``jobs``, when given, replace the
-    config's.  A tree that cannot host the code is refused with the fabric's
-    CapacityError, and a campaign whose worst-case end time would not fit in
-    int64 with ConfigError, before any worker starts or any shot runs.
+    bounded byte size.  Shots are pure functions of (config, shot index),
+    so splitting a campaign into ranges, one per worker process (at most
+    ``min(jobs, shots, os.cpu_count())``), changes nothing but wall time.
+    A range starts ``start`` cycles after sync, where the serial run starts
+    it if every shot takes one cycle; drifting clocks mark a shot by its
+    absolute start, so a drifting campaign whose shots may not runs as one
+    range.  A tree that cannot host the code is refused with the fabric's
+    CapacityError, and a campaign whose worst-case end time would not fit
+    in int64 with ConfigError, before any worker starts or any shot runs.
     """
-    overrides = {k: v for k, v in dict(shots=shots, seed=seed, jobs=jobs).items() if v is not None}
-    if overrides:
-        config = replace(config, **overrides)
     workers = _worker_count(config.jobs, config.shots)
     if workers > 1:
         # one refusal of the whole campaign before the pool starts, not one
@@ -816,88 +814,72 @@ def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
     return failed, rows, which, fixes
 
 
-def _ler_sector_failures(
-    layout: CodeLayout,
-    k: int,
-    rounds: int,
-    error_rate: float,
-    seed: int,
-    batch: int,
-    batches: range,
-    shots: int,
-) -> np.ndarray:
-    """Failure flags of sector ``SECTORS[k]`` for the shots of a contiguous batch range.
+def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarray:
+    """Failure flags of sector ``SECTORS[k]`` for the shots of a contiguous range of
+    ``batch``-shot batches of a sampled config.
 
     Entry i is shot ``batches.start * batch + i``.  Each batch's Philox
     stream is drawn ``_TABLE_CHUNK_BYTES`` of raw draws at a time, and each
     chunk is checked and decoded before the next is drawn, so the arrays
-    are O(chunk x (edges + vertices)) for any ``batch``.  The graph is
-    built here and freed on return, so that a distance sweep holds no graph
-    of a code it has finished with.
+    are O(chunk x (edges + vertices)) for any ``batch``.  The layout and
+    graph are built here and freed on return, so that a distance sweep holds
+    no graph of a code it has finished with.
     """
-    graph = DecodingGraph(layout, SECTORS[k], rounds)
+    layout = build_layout(config.distance)
+    graph = DecodingGraph(layout, SECTORS[k], config.effective_rounds)
     chunk = max(1, _TABLE_CHUNK_BYTES // (8 * graph.n_edges))
     first = batches.start * batch
-    failed = np.zeros(min(batches.stop * batch, shots) - first, dtype=bool)
+    failed = np.zeros(min(batches.stop * batch, config.shots) - first, dtype=bool)
     memo = {}
     for b in batches:
-        source = rng_stream(seed, _STREAM_LER, layout.distance, k, b).bit_generator
-        stop = min((b + 1) * batch, shots) - first
+        source = rng_stream(config.seed, _STREAM_LER, config.distance, k, b).bit_generator
+        stop = min((b + 1) * batch, config.shots) - first
         for lo in range(b * batch - first, stop, chunk):
-            faults = _draw_faults(source, (min(chunk, stop - lo), graph.n_edges), error_rate)
+            faults = _draw_faults(source, (min(chunk, stop - lo), graph.n_edges), config.error_rate)
             failed[lo : lo + len(faults)] = _chunk_failures(graph, faults, memo, batch)[0]
     return failed
 
 
-def ler_campaign(
-    distance: int,
-    error_rate: float,
-    shots: int,
-    seed: int,
-    rounds: int | None = None,
-    batch: int = 8192,
-    jobs: int = 1,
-) -> LerEstimate:
+def ler_campaign(distance: int, error_rate: float, shots: int, seed: int,
+                 rounds: int | None = None, jobs: int = 1) -> LerEstimate:
     """Vectorized Monte-Carlo logical-error-rate estimate for one distance.
 
     Transport is lossless and order-preserving, so the logical error rate
     depends only on the sampled faults and the decoder; this path samples
     many shots per numpy call and decodes only the shots that show defects.
-    Shot i of a given (seed, distance) is reproducible independent of the
-    batch size schedule only if ``batch`` is kept fixed.
+    Shots come in batches of ``_LER_BATCH``, and each batch of a sector is
+    one Philox stream keyed by (seed, distance, sector, batch), so shot i of
+    a given (seed, distance) is the same for every ``shots`` and ``jobs``.
 
     A batch is drawn, checked and decoded in row chunks of
     ``_TABLE_CHUNK_BYTES`` of raw draws, so its arrays are O(chunk x (edges
-    + vertices)) for any ``batch``.  Each sector's graph is built by the
+    + vertices)) for any batch size.  Each sector's graph is built by the
     task that decodes it and freed when the task ends.  Each distinct
     syndrome is decoded once per sector and call: a memo built fresh for
     every sector (and every shard) maps the packed defect row to the fault
-    ids of its correction, and is cleared when it holds ``batch`` entries.
-    Each distinct correction is checked once per chunk to give back its
-    defect row (ValueError otherwise).
+    ids of its correction, and is cleared when it holds a batch's worth of
+    entries.  Each distinct correction is checked once per chunk to give
+    back its defect row (ValueError otherwise).
 
     ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are
     independent Philox streams, so every job count gives the same result.
-    The arguments are checked as an ``ExperimentConfig``'s, and ``batch``
-    must be >= 1: bad ones raise ConfigError before anything is built.
+    The arguments are checked as an ``ExperimentConfig``'s: bad ones raise
+    ConfigError before anything is built.
     """
     # sampled: every shot is drawn, so the worst case's pinned rounds do not apply
     config = ExperimentConfig(distance=distance, rounds=rounds, error_rate=error_rate, shots=shots,
                               seed=seed, jobs=jobs, syndrome_source="sampled")
-    if batch < 1:
-        raise ConfigError(f"batch must be >= 1, got {batch}")
-    layout = build_layout(distance)
-    r = config.effective_rounds
+    batch = _LER_BATCH  # read once, so every worker uses the caller's value
     n_batches = -(-shots // batch)
     cuts = np.linspace(0, n_batches, min(jobs, n_batches) + 1, dtype=int)
     shards = [
         (k, range(int(a), int(b))) for k in range(len(SECTORS)) for a, b in zip(cuts[:-1], cuts[1:])
     ]
-    tasks = [(layout, k, r, error_rate, seed, batch, batches, shots) for k, batches in shards]
+    tasks = [(config, k, batch, batches) for k, batches in shards]
     parts = _run_tasks(_ler_sector_failures, tasks, _worker_count(jobs, len(tasks)))
     failed = np.zeros(shots, dtype=bool)
     for (_, batches), part in zip(shards, parts):
         first = batches.start * batch
         failed[first : first + len(part)] |= part
-    return LerEstimate(distance, r, error_rate, shots, int(failed.sum()))
+    return LerEstimate(distance, config.effective_rounds, error_rate, shots, int(failed.sum()))

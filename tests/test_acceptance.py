@@ -37,7 +37,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_latency_reproduction():
     start = time.perf_counter()
-    config = ExperimentConfig(shots=10_000, seed=1).validate()
+    config = ExperimentConfig(shots=10_000, seed=1)
     result = qp.run_campaign(config)
     elapsed = time.perf_counter() - start
 
@@ -58,7 +58,7 @@ def test_criterion_1_latency_reproduction():
 
 
 def test_criterion_2_zero_jitter_determinism(tmp_path):
-    config = ExperimentConfig(shots=200, seed=6, zero_jitter=True, jobs=1).validate()
+    config = ExperimentConfig(shots=200, seed=6, zero_jitter=True, jobs=1)
     result = qp.run_campaign(config)
     exact = set(result.end_to_end_ps.tolist()) == {451_000}
 

@@ -158,7 +158,7 @@ def _zero_jitter_offsets(stages):
                 config = ExperimentConfig(
                     distance=d, profile=profile, router_layers=layers, zero_jitter=True,
                     stage_latency=stages,
-                ).validate()
+                )
                 try:
                     pipeline = qp.Pipeline(config)
                 except qp.CapacityError:

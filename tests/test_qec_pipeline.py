@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import re
@@ -65,22 +66,21 @@ def test_leaf_ancillas_cover_all_syndrome_columns(d, qubits_per_leaf):
 
 
 def test_zero_jitter_shot_is_exact():
-    config = ExperimentConfig(zero_jitter=True).validate()
+    config = ExperimentConfig(zero_jitter=True)
     report = qp.run_shot(config)
     assert report.end_to_end_ps == 451_000
     assert report.intervals == PAPER_STAGE_MEANS
-    assert report.valid
 
 
 def test_interval_sum_invariant_with_jitter():
-    config = ExperimentConfig(shots=200, seed=5).validate()
+    config = ExperimentConfig(shots=200, seed=5)
     result = qp.run_campaign(config)
     total = sum(result.samples[name] for name in result.stage_names)
     assert (total == result.end_to_end_ps).all()
 
 
 def test_stage_spreads_within_configured_bounds():
-    config = ExperimentConfig(shots=3_000, seed=8).validate()
+    config = ExperimentConfig(shots=3_000, seed=8)
     result = qp.run_campaign(config)
     for name in result.stage_names:
         arr = result.samples[name]
@@ -91,9 +91,7 @@ def test_stage_spreads_within_configured_bounds():
 
 
 def test_decode_interval_follows_table():
-    config = ExperimentConfig(
-        distance=5, shots=20, syndrome_source="sampled", seed=2
-    ).validate()
+    config = ExperimentConfig(distance=5, shots=20, syndrome_source="sampled", seed=2)
     result = qp.run_campaign(config)
     assert set(result.samples["decode"].tolist()) == {65_000}
 
@@ -101,11 +99,11 @@ def test_decode_interval_follows_table():
 def test_bit_conservation_and_feedback():
     config = ExperimentConfig(
         distance=5, shots=1, syndrome_source="sampled", error_rate=0.05, seed=6
-    ).validate()
+    )
     pipeline = qp.Pipeline(config)
     report = pipeline.run_shot(0)
     layout = pipeline.layout
-    assert report.syndrome_bits_received == layout.syndrome_bits_per_round * pipeline.rounds
+    assert report.syndrome_bits_received == layout.syndrome_bits_per_round * config.effective_rounds
 
     # every identified error bit is sent to exactly the owning leaf
     expected = set()
@@ -140,7 +138,7 @@ def test_pipeline_checks_every_correction(monkeypatch):
     monkeypatch.setattr(qp, "decode_defects", dropping_one_edge(qp.decode_defects))
     config = ExperimentConfig(
         distance=5, shots=1, syndrome_source="sampled", error_rate=0.05, seed=6
-    ).validate()
+    )
     with pytest.raises(ValueError, match="correction does not annihilate"):
         qp.Pipeline(config).run_shot(0)
 
@@ -157,7 +155,7 @@ def test_shot_prices_only_the_downlink_serialization(monkeypatch):
 
     excess = qp.excess_serialization_delay
     monkeypatch.setattr(qp, "excess_serialization_delay", recording)
-    pipeline = qp.Pipeline(ExperimentConfig(distance=5, router_layers=1).validate())
+    pipeline = qp.Pipeline(ExperimentConfig(distance=5, router_layers=1))
     config, n_leaves = pipeline.config, pipeline.leaf_map.n_leaves
     sizes = list(range(2 * pipeline.leaf_map.qubits_per_leaf + 1))
     uplinks, downlinks = [config.uplink] * n_leaves, [config.downlink] * (len(sizes) + 1)
@@ -176,7 +174,7 @@ def test_link_prices_grow_with_the_code_not_with_qubits_per_leaf(monkeypatch):
     excess = qp.excess_serialization_delay
     monkeypatch.setattr(qp, "excess_serialization_delay",
                         lambda bits, link: calls.append(bits) or excess(bits, link))
-    pipeline = qp.Pipeline(ExperimentConfig(qubits_per_leaf=10_000).validate())
+    pipeline = qp.Pipeline(ExperimentConfig(qubits_per_leaf=10_000))
     assert calls == [8] + list(range(19)) + [20_000]
     assert pipeline.windows["downlink"][2] == 164_000 + excess(20_000, pipeline.config.downlink)
 
@@ -204,9 +202,7 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
     real = qp.decode_defects
     monkeypatch.setattr(qp, "decode_defects",
                         lambda graph, defects: decodes.append(1) or real(graph, defects))
-    config = ExperimentConfig(
-        distance=5, syndrome_source="sampled", error_rate=0.004, seed=3
-    ).validate()
+    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.004, seed=3)
     pipeline = qp.Pipeline(config)
     reference = qp.Pipeline(config)
     shots = 400
@@ -215,16 +211,14 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
         report = pipeline.run_shot(shot)
         assert all(len(memo) <= bound for memo in pipeline._memos.values())
         graphs = reference.graphs
-        syndrome, patterns = cm.empty_syndrome(reference.layout, reference.rounds), {}
+        syndrome, patterns = cm.empty_syndrome(reference.layout, config.effective_rounds), {}
         for k, sector in enumerate(cm.SECTORS):
             patterns[sector] = cm.sample_errors(
-                graphs[sector], config.error_rate, reference.seed, stream=(qp._STREAM_SAMPLE, shot, k)
+                graphs[sector], config.error_rate, config.seed, stream=(qp._STREAM_SAMPLE, shot, k)
             )
             syndrome = syndrome ^ cm.syndrome_of(patterns[sector], graphs[sector])
         corrections = {s: uf.decode(graphs[s], syndrome) for s in cm.SECTORS}
-        assert report.valid == all(
-            uf.is_valid(corrections[s], syndrome, graphs[s]) for s in cm.SECTORS
-        )
+        assert all(uf.is_valid(corrections[s], syndrome, graphs[s]) for s in cm.SECTORS)
         failure = any(uf.is_logical_failure(patterns[s], corrections[s]) for s in cm.SECTORS)
         assert report.logical_failure == failure
         assert report.corrections == {s: corrections[s].fault_ids for s in cm.SECTORS}
@@ -245,7 +239,7 @@ def test_memo_entries_at_d13_match_their_corrections():
     config = ExperimentConfig(
         distance=13, router_layers=1, syndrome_source="sampled", error_rate=1e-3, seed=1,
         zero_jitter=True, clock_offset_bound_ps=0,
-    ).validate()
+    )
     pipeline = qp.Pipeline(config)
     reference = qp.Pipeline(config)
     pipeline._downlink_excess_ps = 1000 * np.arange(len(pipeline._downlink_excess_ps))
@@ -254,11 +248,11 @@ def test_memo_entries_at_d13_match_their_corrections():
     mean = config.stage_latency.downlink.mean_ps
     largest = []
     for shot in range(shots):
-        syndrome, patterns = cm.empty_syndrome(reference.layout, reference.rounds), {}
+        syndrome, patterns = cm.empty_syndrome(reference.layout, config.effective_rounds), {}
         for k, sector in enumerate(cm.SECTORS):
             graph = reference.graphs[sector]
             patterns[sector] = cm.sample_errors(
-                graph, config.error_rate, reference.seed, stream=(qp._STREAM_SAMPLE, shot, k)
+                graph, config.error_rate, config.seed, stream=(qp._STREAM_SAMPLE, shot, k)
             )
             syndrome = syndrome ^ cm.syndrome_of(patterns[sector], graph)
         corrections = {s: uf.decode(reference.graphs[s], syndrome) for s in cm.SECTORS}
@@ -275,7 +269,7 @@ def test_memo_hit_keeps_the_per_shot_logical_check(monkeypatch):
     real = qp.decode_defects
     monkeypatch.setattr(qp, "decode_defects",
                         lambda graph, defects: decodes.append(defects) or real(graph, defects))
-    config = ExperimentConfig(distance=3, syndrome_source="sampled").validate()
+    config = ExperimentConfig(distance=3, syndrome_source="sampled")
     pipeline = qp.Pipeline(config)
     graph = pipeline.graphs[cm.SECTOR_X]
     # round-0 faults on the top row of data qubits: an X-sector logical operator
@@ -297,7 +291,7 @@ def test_memo_hit_keeps_the_per_shot_logical_check(monkeypatch):
 
 
 def test_campaign_reports_match_single_shots():
-    config = ExperimentConfig(shots=5, seed=9).validate()
+    config = ExperimentConfig(shots=5, seed=9)
     result = qp.run_campaign(config)
     pipeline = qp.Pipeline(config)
     for shot in range(5):
@@ -306,18 +300,18 @@ def test_campaign_reports_match_single_shots():
 
 
 def test_campaign_is_job_count_invariant():
-    config = ExperimentConfig(shots=40, seed=4).validate()
-    sequential = qp.run_campaign(config, jobs=1)
-    parallel = qp.run_campaign(config, jobs=3)
+    config = ExperimentConfig(shots=40, seed=4)
+    sequential = qp.run_campaign(replace(config, jobs=1))
+    parallel = qp.run_campaign(replace(config, jobs=3))
     assert (sequential.end_to_end_ps == parallel.end_to_end_ps).all()
     for name in sequential.stage_names:
         assert (sequential.samples[name] == parallel.samples[name]).all()
 
 
 def test_campaign_worker_count_is_bounded(monkeypatch):
-    config = ExperimentConfig(seed=4).validate()
+    config = ExperimentConfig(seed=4)
     with pytest.raises(ValueError, match="jobs"):
-        qp.run_campaign(config, shots=3, jobs=0)
+        qp.run_campaign(replace(config, shots=3, jobs=0))
     asked = []
 
     class InlinePool:
@@ -338,11 +332,11 @@ def test_campaign_worker_count_is_bounded(monkeypatch):
             return future
 
     monkeypatch.setattr(qp, "ProcessPoolExecutor", InlinePool)
-    serial = qp.run_campaign(config, shots=3, jobs=1)
+    serial = qp.run_campaign(replace(config, shots=3, jobs=1))
     assert asked == []
     for cpus, workers in ((8, 3), (2, 2)):
         monkeypatch.setattr(qp.os, "cpu_count", lambda: cpus)
-        result = qp.run_campaign(config, shots=3, jobs=64)
+        result = qp.run_campaign(replace(config, shots=3, jobs=64))
         assert asked.pop() == workers
         assert result.n_shots == 3 and result.stage_names == serial.stage_names
         for name in serial.stage_names:
@@ -367,8 +361,8 @@ def test_campaign_worker_count_is_bounded(monkeypatch):
 def test_campaign_with_drifting_clocks_is_job_count_invariant(monkeypatch, overrides, shots,
                                                               workers):
     config = ExperimentConfig(**dict(
-        {"drift_ppm": 50, "clock_offset_bound_ps": 20_000}, **overrides)).validate()
-    serial = qp.run_campaign(config, shots=shots, jobs=1)
+        {"drift_ppm": 50, "clock_offset_bound_ps": 20_000}, **overrides))
+    serial = qp.run_campaign(replace(config, shots=shots, jobs=1))
     asked = []
 
     def inline(fn, tasks, n):
@@ -377,7 +371,7 @@ def test_campaign_with_drifting_clocks_is_job_count_invariant(monkeypatch, overr
 
     monkeypatch.setattr(qp.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(qp, "_run_tasks", inline)
-    parallel = qp.run_campaign(config, shots=shots, jobs=3)
+    parallel = qp.run_campaign(replace(config, shots=shots, jobs=3))
     assert asked == [workers]
     assert campaign_digest(parallel) == campaign_digest(serial)
 
@@ -472,8 +466,8 @@ PINNED_CAMPAIGN_DIGESTS = [
 
 @pytest.mark.parametrize("overrides, shots, digest", PINNED_CAMPAIGN_DIGESTS)
 def test_campaign_reproduces_pinned_digest(overrides, shots, digest):
-    config = ExperimentConfig(**overrides).validate()
-    assert campaign_digest(qp.run_campaign(config, shots=shots, jobs=1)) == digest
+    config = ExperimentConfig(**overrides, shots=shots, jobs=1)
+    assert campaign_digest(qp.run_campaign(config)) == digest
 
 
 @pytest.mark.parametrize(
@@ -490,13 +484,13 @@ def test_campaign_builds_only_the_sync_stream(overrides, shots, monkeypatch):
         return cm.rng_stream(*args)
 
     monkeypatch.setattr(qp, "rng_stream", counting)
-    config = ExperimentConfig(**overrides).validate()
-    qp.run_campaign(config, shots=shots, jobs=1)
+    config = ExperimentConfig(**overrides, shots=shots, jobs=1)
+    qp.run_campaign(config)
     assert built == [(config.seed, qp._STREAM_SYNC)]
 
 
 def test_campaign_repeatable():
-    config = ExperimentConfig(shots=50, seed=12).validate()
+    config = ExperimentConfig(shots=50, seed=12)
     a = qp.run_campaign(config)
     b = qp.run_campaign(config)
     assert (a.end_to_end_ps == b.end_to_end_ps).all()
@@ -505,7 +499,7 @@ def test_campaign_repeatable():
 
 def test_router_layer_adds_exactly_the_configured_overhead():
     # d=3 fits under one router on the prototype root, making the add-on visible
-    config = ExperimentConfig(router_layers=1, zero_jitter=True).validate()
+    config = ExperimentConfig(router_layers=1, zero_jitter=True)
     report = qp.run_shot(config)
     assert report.intervals["router_proc"] == 45_000
     assert report.intervals["router_net"] == 312_000
@@ -517,7 +511,7 @@ def test_boundary_chain_yields_every_interval(layers):
     # each router level adds a processing and a network stage on the way up
     # and again on the way down, so at zero jitter a router stage reads its
     # per-layer mean once per layer
-    config = ExperimentConfig(router_layers=layers, zero_jitter=True).validate()
+    config = ExperimentConfig(router_layers=layers, zero_jitter=True)
     pipeline = qp.Pipeline(config)
     report = pipeline.run_shot(0)
     assert len(pipeline.chain) == 8 + 4 * layers
@@ -536,20 +530,19 @@ def test_campaign_refuses_a_small_tree_before_starting_workers(monkeypatch):
     monkeypatch.setattr(qp.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(qp, "ProcessPoolExecutor", NoPool)
     with pytest.raises(qp.CapacityError, match="router layer"):
-        qp.run_campaign(ExperimentConfig(distance=13), shots=10, jobs=2)
+        qp.run_campaign(ExperimentConfig(distance=13, shots=10, jobs=2))
 
 
 def test_capacity_error_directs_to_router_layer():
-    config = ExperimentConfig(distance=17, syndrome_source="sampled").validate()
+    config = ExperimentConfig(distance=17, syndrome_source="sampled")
     with pytest.raises(qp.CapacityError, match="router layer"):
         qp.run_shot(config)
     # the same code fits once a router layer is added on the larger root
     routed = ExperimentConfig(
         distance=17, profile="vcu129", router_layers=1, syndrome_source="sampled",
         zero_jitter=True,
-    ).validate()
-    report = qp.run_shot(routed)
-    assert report.valid
+    )
+    qp.run_shot(routed)
 
 
 def search_worst_case_d3():
@@ -586,7 +579,7 @@ def test_worst_case_syndrome_properties():
 
 def test_run_shot_uses_synced_timers():
     # random initial offsets are aligned before the shot, leaving exact stages
-    config = ExperimentConfig(zero_jitter=True, clock_offset_bound_ps=1_000_000).validate()
+    config = ExperimentConfig(zero_jitter=True, clock_offset_bound_ps=1_000_000)
     pipeline = qp.Pipeline(replace(config, seed=31))
     assert max(abs(v) for v in pipeline.fabric.residuals(pipeline.now).values()) == 0
     assert pipeline.run_shot(0).end_to_end_ps == 451_000
@@ -600,7 +593,7 @@ def test_jittered_sync_links_reproduce_pinned_residuals():
         distance=13, router_layers=1, seed=5,
         sync_uplink=LinkModel(10_000_000_000, 1, 156_000, 20_000),
         sync_downlink=LinkModel(10_000_000_000, 1, 150_000, 20_000),
-    ).validate()
+    )
     pipeline = qp.Pipeline(config)
     residuals = pipeline.fabric.residuals(pipeline.now)
     digest = hashlib.sha256(json.dumps(sorted(residuals.items())).encode()).hexdigest()
@@ -627,7 +620,7 @@ def test_pipeline_freed_when_last_reference_goes(monkeypatch):
         pipeline.run_shot(0)
         del pipeline
         assert refs[0]() is None
-        qp.run_campaign(config, shots=2, jobs=1)
+        qp.run_campaign(replace(config, shots=2, jobs=1))
         assert len(refs) == 2 and refs[1]() is None
     finally:
         gc.enable()
@@ -660,7 +653,8 @@ def test_ler_campaign_reproducible_and_batch_stable():
 
 
 # Failure counts measured before corrections were memoized by syndrome and
-# residuals were checked in numpy: (distance, p, shots, seed, rounds, batch).
+# residuals were checked in numpy: (distance, p, shots, seed, rounds, batch),
+# where batch is the ``_LER_BATCH`` the count was drawn with.
 PINNED_LER_FAILURES = [
     ((3, 0.02, 3_000, 7, None, 8192), 245),
     ((3, 0.5, 2_000, 2, None, 8192), 1458),
@@ -673,9 +667,10 @@ PINNED_LER_FAILURES = [
 
 
 @pytest.mark.parametrize("args, failures", PINNED_LER_FAILURES)
-def test_ler_campaign_pinned_failures(args, failures):
+def test_ler_campaign_pinned_failures(args, failures, monkeypatch):
     distance, p, shots, seed, rounds, batch = args
-    est = qp.ler_campaign(distance, p, shots, seed=seed, rounds=rounds, batch=batch)
+    monkeypatch.setattr(qp, "_LER_BATCH", batch)
+    est = qp.ler_campaign(distance, p, shots, seed=seed, rounds=rounds)
     assert est.failures == failures
 
 
@@ -696,24 +691,31 @@ def _reference_ler_failures(distance, p, shots, seed, batch):
     return int(failed.sum())
 
 
-def test_ler_campaign_matches_reference_loop_when_memo_clears():
-    # batch=40 clears the 40-entry memo many times within and across batches
-    est = qp.ler_campaign(3, 0.05, 600, seed=11, batch=40)
+def test_ler_campaign_matches_reference_loop_when_memo_clears(monkeypatch):
+    # 40-shot batches clear the 40-entry memo many times within and across batches
+    monkeypatch.setattr(qp, "_LER_BATCH", 40)
+    est = qp.ler_campaign(3, 0.05, 600, seed=11)
     assert est.failures == _reference_ler_failures(3, 0.05, 600, 11, 40)
     assert est.failures > 0
 
 
-@pytest.mark.parametrize("build", [qp.Pipeline, qp.run_campaign])
-def test_a_negative_seed_argument_is_refused_before_any_work(build, monkeypatch):
+def test_a_run_takes_no_input_beside_its_config():
+    # the config a caller holds, and hashes into its report, is the one that runs
+    assert list(inspect.signature(qp.run_campaign).parameters) == ["config"]
+    assert list(inspect.signature(qp.Pipeline).parameters) == ["config"]
+    # the bench's positional call; the batch is the module's ``_LER_BATCH``
+    assert list(inspect.signature(qp.ler_campaign).parameters) == [
+        "distance", "error_rate", "shots", "seed", "rounds", "jobs"
+    ]
+
+
+def test_a_negative_seed_argument_is_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("built before validating the seed")
 
     monkeypatch.setattr(qp, "build_layout", no_work)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        if build is qp.Pipeline:
-            build(replace(ExperimentConfig(), seed=-1))
-        else:
-            build(ExperimentConfig(), seed=-1)
+        qp.Pipeline(replace(ExperimentConfig(), seed=-1))
 
 
 @pytest.mark.parametrize(
@@ -722,7 +724,6 @@ def test_a_negative_seed_argument_is_refused_before_any_work(build, monkeypatch)
         {"distance": 1},
         {"distance": 4},
         {"shots": 0},
-        {"batch": 0},
         {"error_rate": 1.5},
         {"error_rate": -0.1},
         {"error_rate": float("nan")},
@@ -758,13 +759,14 @@ RUN_BUILDERS = {
     "replace": lambda field, value: replace(ExperimentConfig(), **{field: value}),
     "ler_campaign": lambda field, value: qp.ler_campaign(
         **{"distance": 3, "error_rate": 0.01, "shots": 100, "seed": 1, field: value}),
-    "run_campaign": lambda field, value: qp.run_campaign(ExperimentConfig(), **{field: value}),
+    "run_campaign": lambda field, value: qp.run_campaign(
+        replace(ExperimentConfig(), **{field: value})),
 }
 
 
 @pytest.mark.parametrize("builder, field, value, message", [
     (builder, *rule) for builder in RUN_BUILDERS for rule in RUN_RULES
-    # run_campaign overrides only these three
+    # callers give a campaign its own shots, seed or jobs through ``replace``
     if builder != "run_campaign" or rule[0] in ("shots", "seed", "jobs")
 ])
 def test_each_run_rule_refuses_its_bad_value_wherever_a_run_is_built(
@@ -790,7 +792,7 @@ def test_a_campaign_beyond_the_shot_table_is_refused_whole_before_any_worker(mon
     monkeypatch.setattr(qp, "_run_tasks", no_pool)
     monkeypatch.setattr(qp.os, "cpu_count", lambda: 2)
     with pytest.raises(ConfigError, match="beyond the int64 range of the shot table"):
-        qp.run_campaign(ExperimentConfig(), shots=2 * half, jobs=2)
+        qp.run_campaign(ExperimentConfig(shots=2 * half, jobs=2))
 
 
 @pytest.mark.parametrize(
@@ -799,9 +801,9 @@ def test_a_campaign_beyond_the_shot_table_is_refused_whole_before_any_worker(mon
      ({"distance": 13, "router_layers": 1, "syndrome_source": "sampled", "seed": 2}, 60)],
 )
 def test_consecutive_campaigns_in_one_process_are_equal(overrides, shots):
-    config = ExperimentConfig(**overrides).validate()
-    first = qp.run_campaign(config, shots=shots, jobs=1)
-    second = qp.run_campaign(config, shots=shots, jobs=1)
+    config = ExperimentConfig(**overrides, shots=shots, jobs=1)
+    first = qp.run_campaign(config)
+    second = qp.run_campaign(config)
     assert second.stage_names == first.stage_names
     for name in first.stage_names:
         assert np.array_equal(second.samples[name], first.samples[name])
@@ -825,7 +827,7 @@ def test_ler_campaign_holds_no_graph_after_it_returns(monkeypatch):
 
 
 def test_pipeline_graphs_die_with_the_pipeline():
-    pipeline = qp.Pipeline(ExperimentConfig(distance=5, syndrome_source="sampled").validate())
+    pipeline = qp.Pipeline(ExperimentConfig(distance=5, syndrome_source="sampled"))
     pipeline.run_range(0, 20)
     graphs = [weakref.ref(graph) for graph in pipeline.graphs.values()]
     layout = weakref.ref(pipeline.layout)
@@ -834,9 +836,12 @@ def test_pipeline_graphs_die_with_the_pipeline():
     assert all(graph() is None for graph in graphs) and layout() is None
 
 
-def test_ler_campaign_jobs_match_serial():
-    serial = qp.ler_campaign(3, 0.02, 3_000, seed=7, batch=1000, jobs=1)
-    parallel = qp.ler_campaign(3, 0.02, 3_000, seed=7, batch=1000, jobs=2)
+def test_ler_campaign_jobs_match_serial(monkeypatch):
+    # three batches, so two workers each get a batch range; they take the
+    # batch size from their task, not from their own import of the module
+    monkeypatch.setattr(qp, "_LER_BATCH", 1000)
+    serial = qp.ler_campaign(3, 0.02, 3_000, seed=7, jobs=1)
+    parallel = qp.ler_campaign(3, 0.02, 3_000, seed=7, jobs=2)
     assert parallel == serial
     assert serial.failures == 237
 
@@ -958,11 +963,11 @@ def test_a_one_miss_chunk_skips_the_settle_pass(monkeypatch):
     monkeypatch.setattr(qp, "settle_rows", refusing)
     monkeypatch.setattr(qp, "decode_defects",
                         lambda graph, defects: decodes.append(1) or real(graph, defects))
-    qp.run_shot(ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.05).validate())
+    qp.run_shot(ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.05))
     assert len(decodes) == 2  # one miss per sector
     decodes.clear()
     # the worst-case d=3 source repeats one row per sector: one miss each, then hits
-    qp.Pipeline(ExperimentConfig(syndrome_source="worst_case").validate()).run_range(0, 1000)
+    qp.Pipeline(ExperimentConfig(syndrome_source="worst_case")).run_range(0, 1000)
     assert len(decodes) == 2
 
 
@@ -980,7 +985,7 @@ def test_most_d13_misses_are_settled(monkeypatch):
     monkeypatch.setattr(qp, "settle_rows", counting)
     monkeypatch.setattr(qp, "decode_defects",
                         lambda graph, defects: decodes.append(1) or decode_defects(graph, defects))
-    qp.Pipeline(ExperimentConfig(**D13_SAMPLED).validate()).run_range(0, 100)
+    qp.Pipeline(ExperimentConfig(**D13_SAMPLED)).run_range(0, 100)
     assert sum(settled) >= 0.85 * (sum(settled) + len(decodes))
 
 
@@ -1002,7 +1007,7 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     real = qp.decode_defects
     monkeypatch.setattr(qp, "decode_defects",
                         lambda graph, defects: decodes.append(1) or real(graph, defects))
-    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01).validate()
+    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01)
     pipeline = qp.Pipeline(config)
     pipeline.run_range(0, 40)
     assert decodes  # memo misses, whose corrections name data qubits
@@ -1013,16 +1018,17 @@ def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     monkeypatch.setattr(qp, "DecodingGraph",
                         lambda *args: built.append(cm.DecodingGraph(*args)) or built[-1])
     decodes.clear()
-    qp._ler_sector_failures(cm.build_layout(5), 0, 5, 0.01, 1, 256, range(1), 256)
+    config = replace(config, shots=256, seed=1)
+    qp._ler_sector_failures(config, 0, 256, range(1))
     assert decodes and len(built) == 1
     assert "edges" not in built[0].__dict__
 
 
 def test_ler_sector_memory_does_not_grow_with_batch():
-    layout = cm.build_layout(5)
+    config = ExperimentConfig(distance=5, error_rate=1e-3, shots=65_536, seed=1)
     tracemalloc.start()
     try:
-        failed = qp._ler_sector_failures(layout, 0, 5, 1e-3, 1, 65_536, range(1), 65_536)
+        failed = qp._ler_sector_failures(config, 0, 65_536, range(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1032,7 +1038,7 @@ def test_ler_sector_memory_does_not_grow_with_batch():
 
 @pytest.mark.parametrize("distance, shots", [(13, 400), (21, 200)])
 def test_run_range_memory_stays_within_its_chunks(distance, shots):
-    config = ExperimentConfig(distance=distance, router_layers=1, syndrome_source="sampled").validate()
+    config = ExperimentConfig(distance=distance, router_layers=1, syndrome_source="sampled")
     pipeline = qp.Pipeline(config)
     pipeline.run_range(0, 20)  # warm-up: first-use checks and memo entries
     tracemalloc.start()
@@ -1075,15 +1081,16 @@ def reference_walk(pipeline, shot):
     (intervals, end to end, valid, failure).
     """
     config, fabric, nodes = pipeline.config, pipeline.fabric, pipeline.fabric.nodes
-    t0 = -(-pipeline.now // pipeline.cycle_ps) * pipeline.cycle_ps
-    if pipeline.syndrome_source == "worst_case":
+    cycle = config.cycle_time_ps
+    t0 = -(-pipeline.now // cycle) * cycle
+    if config.effective_syndrome_source == "worst_case":
         syndrome, patterns = qp._worst_case_d3()
     else:
-        syndrome, patterns = cm.empty_syndrome(pipeline.layout, pipeline.rounds), {}
+        syndrome, patterns = cm.empty_syndrome(pipeline.layout, config.effective_rounds), {}
         for k, sector in enumerate(cm.SECTORS):
             graph = pipeline.graphs[sector]
             patterns[sector] = cm.sample_errors(
-                graph, config.error_rate, pipeline.seed, stream=(qp._STREAM_SAMPLE, shot, k)
+                graph, config.error_rate, config.seed, stream=(qp._STREAM_SAMPLE, shot, k)
             )
             syndrome = syndrome ^ cm.syndrome_of(patterns[sector], graph)
     corrections = {s: uf.decode(pipeline.graphs[s], syndrome) for s in cm.SECTORS}
@@ -1171,7 +1178,7 @@ def assert_table_matches_walk(config, start, stop):
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("overrides, shots, digest", PINNED_CAMPAIGN_DIGESTS)
 def test_table_matches_scalar_walk(overrides, shots, digest, chunked, monkeypatch):
-    config = ExperimentConfig(**overrides).validate()
+    config = ExperimentConfig(**overrides)
     if chunked:
         # nine-shot chunks (batched: see _BATCHED_MIN_SHOTS), from a range
         # start that is not a chunk multiple, with a short last chunk
@@ -1188,14 +1195,14 @@ def test_table_matches_walk_when_a_routers_children_arrive_apart():
     config = ExperimentConfig(
         distance=13, qubits_per_leaf=100, router_layers=2, uplink=LinkModel(100_000_000),
         syndrome_source="sampled",
-    ).validate()
+    )
     pipeline = assert_table_matches_walk(config, 0, 20)
     assert len(set(pipeline._uplink_excess_ps.tolist())) > 1
 
 
 @pytest.mark.parametrize("seed, shot", [(1, 68_174), (7, 70_300)])
 def test_table_redraws_after_a_lemire_rejection(seed, shot):
-    config = ExperimentConfig(seed=seed).validate()
+    config = ExperimentConfig(seed=seed)
     windows = qp.Pipeline(config)._stage_windows
     # numpy's own stream rejects one of this shot's stage draws and draws again
     raw = cm.rng_stream(seed, qp._STREAM_SHOT, shot).bit_generator.random_raw(4)
@@ -1212,7 +1219,7 @@ def test_table_draws_nine_jittered_stages():
         router_net=StageLatency(312_000, 20_000),
         decode_jitter_ps=4_000,
     )
-    config = ExperimentConfig(router_layers=1, stage_latency=stages, seed=3).validate()
+    config = ExperimentConfig(router_layers=1, stage_latency=stages, seed=3)
     pipeline = assert_table_matches_walk(config, 0, 300)
     assert sum(hw > 0 for _, _, hw in pipeline._stage_windows) == 9
 
@@ -1222,8 +1229,8 @@ def test_table_without_batched_streams_reproduces_pins(monkeypatch):
     # then builds its streams and the pins still hold
     monkeypatch.setattr(cm, "_BATCHED_STREAMS_OK", False)
     for overrides, shots, digest in (PINNED_CAMPAIGN_DIGESTS[0], PINNED_CAMPAIGN_DIGESTS[2]):
-        config = ExperimentConfig(**overrides).validate()
-        assert campaign_digest(qp.run_campaign(config, shots=shots, jobs=1)) == digest
+        config = ExperimentConfig(**overrides, shots=shots, jobs=1)
+        assert campaign_digest(qp.run_campaign(config)) == digest
 
 
 def test_table_refuses_ranges_beyond_int64(monkeypatch):
@@ -1233,9 +1240,9 @@ def test_table_refuses_ranges_beyond_int64(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(qp.Pipeline, "_chunk_faults", no_shot)
         with pytest.raises(ValueError, match="int64"):
-            qp.run_campaign(ExperimentConfig(cycle_time_ps=2**62).validate(), shots=4, jobs=1)
+            qp.run_campaign(ExperimentConfig(cycle_time_ps=2**62, shots=4, jobs=1))
     # a range near the limit still runs exactly
-    assert_table_matches_walk(ExperimentConfig(cycle_time_ps=2**60, drift_ppm=1).validate(), 0, 4)
+    assert_table_matches_walk(ExperimentConfig(cycle_time_ps=2**60, drift_ppm=1), 0, 4)
 
 
 @pytest.mark.parametrize("overrides, largest", [
@@ -1246,7 +1253,7 @@ def test_table_refuses_ranges_beyond_int64(monkeypatch):
 def test_table_fit_threshold_is_pinned(overrides, largest):
     # the worst case sums each stage window's upper bound, router stages per
     # layer and link stages with their longest message's serialization
-    pipeline = qp.Pipeline(ExperimentConfig(**overrides).validate())
+    pipeline = qp.Pipeline(ExperimentConfig(**overrides))
     lo, hi = 1, 2**63
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -1,5 +1,6 @@
 """Every attribute a ``qecfabric`` method stores on ``self`` is read somewhere in
-``src/``, and only run state is stored after construction.
+``src/``, only run state is stored after construction, and no attribute is a
+copy of a config value.
 
 A field that is written and never read costs memory and a reader's time
 and tells nothing.  The check matches by attribute name: a load of
@@ -10,6 +11,10 @@ outside ``src/`` are allow-listed below with the reader named.
 A field a method sets after ``__init__`` or ``__post_init__`` is a record of
 the last call, which the next call overwrites; only the run state listed
 below may be one.
+
+A field that copies a config value (``self.seed = config.seed``) is a second
+name for a value the object can read off the config it keeps, and the two
+can only drift apart.
 """
 
 import ast
@@ -110,3 +115,35 @@ def test_only_run_state_is_stored_after_construction():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert late_stores(sources) - RUN_STATE == set()
     assert late_stores(sources) == RUN_STATE
+
+
+def config_copies(sources: dict) -> list:
+    """(module, line, name) of each ``self.<name> = config.<field>`` (or
+    ``self.config.<field>``) store over ``sources`` (module name -> source text)."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+                    and ast.unparse(node.value.value) in ("config", "self.config")):
+                found += [(module, node.lineno, target.attr) for target in node.targets
+                          if isinstance(target, ast.Attribute) and ast.unparse(target.value) == "self"]
+    return found
+
+
+def test_the_check_finds_a_planted_config_copy():
+    source = (
+        "class Run:\n"
+        "    def __init__(self, config):\n"
+        "        self.config = config\n"
+        "        self.seed = config.seed\n"
+        "        self.rounds = self.config.effective_rounds\n"
+        "        self.shots = 2 * config.shots\n"
+        "        self.graph = build(config.distance)\n"
+        "        seed = config.seed\n"
+    )
+    assert config_copies({"run": source}) == [("run", 4, "seed"), ("run", 5, "rounds")]
+
+
+def test_no_field_copies_a_config_value():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert config_copies(sources) == []
