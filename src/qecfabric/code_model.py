@@ -153,6 +153,8 @@ def _stream_blocks(seed: int, streams: np.ndarray, blocks: int):
     words[:, : len(prefix)] = prefix
     words[:, len(prefix) :] = streams & 0xFFFFFFFF
     keys = _philox_keys(words)
+    if not blocks:  # keys only: ten Philox rounds on empty arrays still cost ~0.1 ms
+        return keys, np.empty((len(keys), 0), dtype=np.uint64)
     return keys, _philox_blocks(keys, blocks)
 
 
@@ -475,22 +477,23 @@ class DecodingGraph:
             np.concatenate((self.u, self.v[inner]))] = 1
         return mat
 
-    def fault_parity(self, faults: np.ndarray):
-        """Detector and logical-crossing parities of each row of a fault matrix.
+    def fault_parity(self, ids: np.ndarray, n: int):
+        """Detector and logical-crossing parities of ``n`` rows of flat fault ids.
 
-        ``faults`` is a (shots, n_edges) bool matrix.  Returns ``(defects,
-        crossings)``: the (shots, n_vertices) uint8 0/1 syndrome of each row
-        (the boundary absorbs parity silently) and the (shots,) bool parity
-        of its overlap with ``crossing_ids``.  Only the faulty edges'
-        endpoints are counted, so the cost is O(faults log faults + shots x
-        vertices), with no edge-by-vertex product; a (shots x vertices) int64
-        count array is built only where it is the faster way, with at most 64
-        vertex slots per endpoint.
+        ``ids`` holds each row's faults as ``row * n_edges + edge``, each at
+        most once (``np.flatnonzero`` of a (rows x edges) bool matrix gives
+        them, ascending).  Returns ``(defects, crossings)``: the (n,
+        n_vertices) uint8 0/1 syndrome of each row (the boundary absorbs
+        parity silently) and the (n,) bool parity of its overlap with
+        ``crossing_ids``.  Only the faulty edges' endpoints are counted, so
+        the cost is O(faults log faults + n x vertices), with no
+        edge-by-vertex product; an (n x vertices) int64 count array is built
+        only where it is the faster way, with at most 64 vertex slots per
+        endpoint.
         """
-        (n, n_edges), n_vertices = faults.shape, self.n_vertices
-        idx = np.flatnonzero(faults)  # row-major, as 2-D nonzero, at a tenth of the cost
-        rows = idx // n_edges
-        edges = idx - rows * n_edges
+        n_edges, n_vertices = self.n_edges, self.n_vertices
+        rows = ids // n_edges
+        edges = ids - rows * n_edges
         v = self.v[edges]
         inner = v != BOUNDARY
         ends = np.concatenate(

@@ -20,12 +20,13 @@ computed for a whole chunk at once (``code_model.stream_blocks``); decoder
 correctness is real (the union-find decoder runs on the actual syndrome)
 while decoder duration is table-driven.
 
-A chunk's faults are one (shots x edges) bool matrix per sector, and both
-campaign paths judge it with ``_chunk_failures``.  Only rows with a fault
-are looked at; their parities are the defect rows.  Each distinct defect
-row is looked up once in a per-sector memo that maps it to the fault ids
-of its correction (exact, since decoding is a pure function of (graph,
-defects)).  When a chunk misses ``_SETTLE_MIN_ROWS`` rows or more, they
+A chunk's faults are flat fault ids per sector, ``row * n_edges + edge``
+(one ``np.flatnonzero`` of the bool buffer ``_draw_faults`` fills), and
+both campaign paths judge them with ``_chunk_failures``.  Only rows with a
+fault are looked at, read off the ids; their parities are the defect
+rows.  Each distinct defect row is looked up once in a per-sector memo
+that maps it to the fault ids of its correction (exact, since decoding is
+a pure function of (graph, defects)).  When a chunk misses ``_SETTLE_MIN_ROWS`` rows or more, they
 all go through ``uf_decoder.settle_rows``, one numpy pass that gives the
 correction of each row that isolated single faults explain; only the rows
 it declines, and the misses of a smaller chunk, go to
@@ -42,10 +43,11 @@ Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
 path for accuracy studies that skips the (transport-independent) timing
 machinery.  It draws each batch of ``_LER_BATCH`` shots in fixed-size row
-chunks, so memory does not grow with the batch, and judges each chunk with
-the same ``_chunk_failures``, through a memo per sector and call that is
-cleared whenever it holds ``_LER_BATCH`` entries.  It shards by (sector,
-batch range) over ``jobs`` worker processes with identical results.
+chunks and judges spans of rows bounded by their rows with a fault, so
+memory does not grow with the batch, with the same ``_chunk_failures``,
+through a memo per sector and call that is cleared whenever it holds
+``_LER_BATCH`` entries.  It shards by (sector, batch range) over ``jobs``
+worker processes with identical results.
 """
 
 from __future__ import annotations
@@ -95,9 +97,16 @@ Z95 = 1.959963984540054
 _DECODE_MEMO_ENTRIES = 1024
 
 #: Bytes of arrays per chunk of a campaign: of table, fault and syndrome
-#: arrays per ``Pipeline.run_range`` chunk, and of raw uint64 draws per
-#: ``ler_campaign`` chunk (757 shots on the d=5, 5-round graph).
+#: arrays per ``Pipeline.run_range`` chunk; in ``ler_campaign``, of raw
+#: uint64 draws per draw, and of the arrays that judge a span's hit rows.
 _TABLE_CHUNK_BYTES = 1 << 20
+
+#: Bytes per vertex that one hit row (a row with a fault) holds while
+#: ``_chunk_failures`` judges it: its uint8 defect row, the padded bool row
+#: of ``settle_rows``, the int64 count of a dense ``fault_parity`` and their
+#: copies.  tracemalloc reads 21 B at d=5, p=1e-2 and about 4.5 B at d=13
+#: and d=21, p=1e-3 (peak of one call on 1 024 hit rows).
+_JUDGED_VERTEX_BYTES = 21
 
 #: Fewest shots whose streams are keyed in one batch: below it, building
 #: each stream costs less than the batch's fixed numpy overhead.
@@ -283,7 +292,7 @@ class Pipeline:
 
     ``run_range`` runs a range of shots as a table, a chunk of shots at a
     time, in two passes.  The first draws the chunk's faults
-    (``_chunk_faults``) and judges each sector's fault matrix with
+    (``_chunk_faults``) and judges each sector's fault ids with
     ``_chunk_failures`` through that sector's memo (see the module
     docstring), which gives every shot's logical check and its distinct
     corrections, whose leaf entries price each leaf's downlink.  A
@@ -381,11 +390,12 @@ class Pipeline:
     # ---- per-shot inputs -------------------------------------------------
 
     def _chunk_faults(self, shots: np.ndarray) -> list:
-        """Per sector, the (shots x edges) bool fault matrix of a chunk.
+        """Per sector, the (shots x edges) bool fault buffer of a chunk.
 
         A worst-case row holds ``_WORST_D3_FAULT_IDS``; a sampled row is
         ``_draw_faults`` on the shot's ``_sample_source`` stream, keyed in
-        one batch in a chunk of at least ``_BATCHED_MIN_SHOTS`` shots.
+        one batch in a chunk of at least ``_BATCHED_MIN_SHOTS`` shots.  One
+        buffer per sector takes a ``np.flatnonzero`` faster than one per row.
         """
         faults = [np.zeros((len(shots), g.n_edges), dtype=bool) for g in self.graphs.values()]
         if self.config.effective_syndrome_source == "worst_case":
@@ -400,8 +410,7 @@ class Pipeline:
         error_rate = self.config.error_rate
         for j, key in enumerate(keys):
             i, k = divmod(j, len(SECTORS))
-            source = self._sample_source(int(shots[i]), k, key)
-            faults[k][i] = _draw_faults(source, faults[k].shape[1], error_rate)
+            _draw_faults(self._sample_source(int(shots[i]), k, key), faults[k][i], error_rate)
         return faults
 
     def _sample_source(self, shot: int, k: int, key=None):
@@ -520,7 +529,8 @@ class Pipeline:
         corrections = {}
         for graph, sector_faults in zip(self.graphs.values(), faults):
             failed, rows, which, fixes = _chunk_failures(
-                graph, sector_faults, self._memos[graph.sector], _DECODE_MEMO_ENTRIES
+                graph, np.flatnonzero(sector_faults), n, self._memos[graph.sector],
+                _DECODE_MEMO_ENTRIES,
             )
             failures |= failed
             corrections[graph.sector] = rows, which, fixes
@@ -741,8 +751,9 @@ class LerEstimate:
         return wilson_interval(self.failures, self.shots)
 
 
-def _draw_faults(bit_generator, shape, error_rate: float) -> np.ndarray:
-    """``Generator.random(shape) < error_rate`` on the same stream, from raw draws.
+def _draw_faults(bit_generator, out: np.ndarray, error_rate: float) -> np.ndarray:
+    """``Generator.random(out.shape) < error_rate`` on the same stream, from raw
+    draws, written into the bool array ``out``, which is returned.
 
     ``random()`` is ``(raw >> 11) * 2**-53``, which is below p exactly when
     ``raw >> 11 < t`` with ``t = ceil(p * 2**53)``, and so exactly when
@@ -751,37 +762,45 @@ def _draw_faults(bit_generator, shape, error_rate: float) -> np.ndarray:
     float array.  Only p = 1 gives ``t = 2**53``, whose shift would
     overflow uint64; every ``raw >> 11`` is below it, so every draw is
     True.  Successive calls continue the stream, so drawing in row chunks
-    gives the same bits as one draw.
+    gives the same bits as one draw.  The raw words are freed on return.
     """
-    raw = bit_generator.random_raw(shape)
+    raw = bit_generator.random_raw(out.shape)
     threshold = math.ceil(error_rate * 2.0**53)
     if threshold >= 2**53:
-        return np.ones(raw.shape, dtype=bool)
-    return raw < np.uint64(threshold << 11)
+        out[...] = True
+        return out
+    return np.less(raw, np.uint64(threshold << 11), out=out)
 
 
-def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
-    """Failure flags and corrections of the rows (shots) of a (shots, n_edges) bool fault matrix.
+def _chunk_failures(graph, ids: np.ndarray, n: int, memo: dict, bound: int):
+    """Failure flags and corrections of ``n`` rows (shots) of flat fault ids.
 
-    A row fails when its faults, XOR the correction of its syndrome, cross
-    the logical chain oddly.  Only rows with a fault are looked at.  Each
-    distinct defect row is first looked up in ``memo`` (packed defect row ->
-    intp fault ids of its correction; the decoder is a pure function of
-    (graph, defects)).  At least ``_SETTLE_MIN_ROWS`` misses go through
+    ``ids`` is ascending intp ``row * n_edges + edge``, as ``np.flatnonzero``
+    of a (rows x edges) bool fault matrix gives it.  A row fails when its
+    faults, XOR the correction of its syndrome, cross the logical chain
+    oddly.  Only rows with a fault are looked at; they are read off the ids.
+    Each distinct defect row is first looked up in ``memo`` (packed defect
+    row -> intp fault ids of its correction; the decoder is a pure function
+    of (graph, defects)).  At least ``_SETTLE_MIN_ROWS`` misses go through
     ``settle_rows`` in one call, and only the rows it declines are decoded;
     fewer misses are each decoded from their defect ids.  Each new
     correction enters the memo, which is cleared first when it holds
-    ``bound`` entries.  Each correction, hit, settled or decoded, must have
-    its key's defects as syndrome (ValueError otherwise); by linearity, its
-    crossing parity then flips its rows' failure flags.
+    ``bound`` entries.  One ``fault_parity`` over the distinct corrections'
+    ids checks that each has its key's defects as syndrome (ValueError
+    otherwise); by linearity, its crossing parity then flips its rows'
+    failure flags.
 
-    Returns ``(failed, rows, which, fixes)``: the (shots,) bool failure
-    flags, the ascending rows with a defect, each one's index into
-    ``fixes``, and the intp fault ids of each distinct correction.
+    Returns ``(failed, rows, which, fixes)``: the (n,) bool failure flags,
+    the ascending rows with a defect, each one's index into ``fixes``, and
+    the intp fault ids of each distinct correction.
     """
-    failed = np.zeros(len(faults), dtype=bool)
-    hit = np.flatnonzero(faults.any(axis=1))
-    defects, crossings = graph.fault_parity(faults[hit])
+    n_edges = graph.n_edges
+    failed = np.zeros(n, dtype=bool)
+    rows = ids // n_edges
+    head = np.diff(rows, prepend=-1) != 0  # the first id of each row with a fault
+    hit = rows[head]
+    # the ids renumbered onto the hit rows, which fault_parity then counts alone
+    defects, crossings = graph.fault_parity(ids + (np.cumsum(head) - 1 - rows) * n_edges, len(hit))
     failed[hit] = crossings
     has_defect = defects.any(axis=1)
     rows = hit[has_defect]
@@ -793,21 +812,20 @@ def _chunk_failures(graph, faults: np.ndarray, memo: dict, bound: int):
                                    return_index=True, return_inverse=True)
     keys = keys.tolist()
     fixes = [memo.get(key) for key in keys]
-    missed = [j for j, ids in enumerate(fixes) if ids is None]
+    missed = [j for j, fix in enumerate(fixes) if fix is None]
     if len(missed) >= _SETTLE_MIN_ROWS:
         new, declined = settle_rows(graph, defects[first[missed]])
     else:
         new = [None] * len(missed)
         declined = [(i, np.flatnonzero(defects[first[j]]).tolist()) for i, j in enumerate(missed)]
-    for i, ids in declined:
-        new[i] = np.array(decode_defects(graph, ids)[0], dtype=np.intp)
-    for j, ids in zip(missed, new):
+    for i, defect_ids in declined:
+        new[i] = np.array(decode_defects(graph, defect_ids)[0], dtype=np.intp)
+    for j, fix in zip(missed, new):
         if len(memo) >= bound:
             memo.clear()
-        fixes[j] = memo[keys[j]] = ids
-    fixed = np.zeros((len(fixes), graph.n_edges), dtype=bool)
-    fixed[np.arange(len(fixes)).repeat(list(map(len, fixes))), np.concatenate(fixes)] = True
-    syndromes, flips = graph.fault_parity(fixed)
+        fixes[j] = memo[keys[j]] = fix
+    fix_ids = np.concatenate(fixes) + np.arange(len(fixes)).repeat(list(map(len, fixes))) * n_edges
+    syndromes, flips = graph.fault_parity(fix_ids, len(fixes))
     if not np.array_equal(syndromes, defects[first]):
         raise ValueError("correction does not annihilate the pattern's syndrome")
     failed[rows] ^= flips[which]
@@ -818,25 +836,49 @@ def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarr
     """Failure flags of sector ``SECTORS[k]`` for the shots of a contiguous range of
     ``batch``-shot batches of a sampled config.
 
-    Entry i is shot ``batches.start * batch + i``.  Each batch's Philox
-    stream is drawn ``_TABLE_CHUNK_BYTES`` of raw draws at a time, and each
-    chunk is checked and decoded before the next is drawn, so the arrays
-    are O(chunk x (edges + vertices)) for any ``batch``.  The layout and
-    graph are built here and freed on return, so that a distance sweep holds
-    no graph of a code it has finished with.
+    Entry i is shot ``batches.start * batch + i``.  Drawing and judging come
+    apart.  Each batch's Philox stream is drawn in row chunks of
+    ``_TABLE_CHUNK_BYTES`` of raw words, each compared into one reused bool
+    buffer, and each draw's fault ids (one ``np.flatnonzero``) join a span
+    of consecutive rows.  One ``_chunk_failures`` call judges the span when
+    the batch ends, or before a hit row beyond its first ``span`` would
+    join it, where ``span`` hit rows take ``_TABLE_CHUNK_BYTES`` at
+    ``_JUDGED_VERTEX_BYTES`` per vertex.  The raw words of a draw are freed
+    before a judge runs, so the arrays are O(``_TABLE_CHUNK_BYTES``) for
+    any ``batch``, and where few rows are hit a span covers many draws.
+    The layout and graph are built here and freed on return, so that a
+    distance sweep holds no graph of a code it has finished with.
     """
     layout = build_layout(config.distance)
     graph = DecodingGraph(layout, SECTORS[k], config.effective_rounds)
-    chunk = max(1, _TABLE_CHUNK_BYTES // (8 * graph.n_edges))
+    n_edges = graph.n_edges
+    draw = np.empty((max(1, _TABLE_CHUNK_BYTES // (8 * n_edges)), n_edges), dtype=bool)
+    span = max(1, _TABLE_CHUNK_BYTES // (_JUDGED_VERTEX_BYTES * graph.n_vertices))
     first = batches.start * batch
     failed = np.zeros(min(batches.stop * batch, config.shots) - first, dtype=bool)
     memo = {}
+
+    def judge(parts, start, stop):
+        ids = np.concatenate(parts) - start * n_edges
+        failed[start:stop] = _chunk_failures(graph, ids, stop - start, memo, batch)[0]
+
     for b in batches:
         source = rng_stream(config.seed, _STREAM_LER, config.distance, k, b).bit_generator
-        stop = min((b + 1) * batch, config.shots) - first
-        for lo in range(b * batch - first, stop, chunk):
-            faults = _draw_faults(source, (min(chunk, stop - lo), graph.n_edges), config.error_rate)
-            failed[lo : lo + len(faults)] = _chunk_failures(graph, faults, memo, batch)[0]
+        start, stop = b * batch - first, min((b + 1) * batch, config.shots) - first
+        parts, hits = [], 0  # the span from row ``start``: its ids and its hit rows
+        for lo in range(start, stop, len(draw)):
+            ids = np.flatnonzero(_draw_faults(source, draw[: stop - lo], config.error_rate))
+            ids += lo * n_edges
+            rows = ids // n_edges
+            heads = np.flatnonzero(np.diff(rows, prepend=-1))  # each hit row's first id
+            while hits + len(heads) > span:  # the span ends where its (span + 1)th hit row starts
+                cut = heads[span - hits]
+                judge(parts + [ids[:cut]], start, rows[cut])
+                start, ids, rows, heads = rows[cut], ids[cut:], rows[cut:], heads[span - hits :] - cut
+                parts, hits = [], 0
+            parts.append(ids)
+            hits += len(heads)
+        judge(parts, start, stop)
     return failed
 
 
@@ -851,15 +893,17 @@ def ler_campaign(distance: int, error_rate: float, shots: int, seed: int,
     one Philox stream keyed by (seed, distance, sector, batch), so shot i of
     a given (seed, distance) is the same for every ``shots`` and ``jobs``.
 
-    A batch is drawn, checked and decoded in row chunks of
-    ``_TABLE_CHUNK_BYTES`` of raw draws, so its arrays are O(chunk x (edges
-    + vertices)) for any batch size.  Each sector's graph is built by the
-    task that decodes it and freed when the task ends.  Each distinct
-    syndrome is decoded once per sector and call: a memo built fresh for
-    every sector (and every shard) maps the packed defect row to the fault
-    ids of its correction, and is cleared when it holds a batch's worth of
-    entries.  Each distinct correction is checked once per chunk to give
-    back its defect row (ValueError otherwise).
+    A batch is drawn in row chunks of ``_TABLE_CHUNK_BYTES`` of raw draws,
+    kept as fault ids, and judged in spans of rows whose rows with a fault
+    fill ``_TABLE_CHUNK_BYTES`` (``_ler_sector_failures``), so its arrays
+    are O(``_TABLE_CHUNK_BYTES``) for any batch size, and at low rates a
+    span covers many draws.  Each sector's graph is built by the task that
+    decodes it and freed when the task ends.  Each distinct syndrome is
+    decoded once per sector and call: a memo built fresh for every sector
+    (and every shard) maps the packed defect row to the fault ids of its
+    correction, and is cleared when it holds a batch's worth of entries.
+    Each distinct correction is checked once per span to give back its
+    defect row (ValueError otherwise).
 
     ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are

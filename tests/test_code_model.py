@@ -376,7 +376,7 @@ def fault_matrices(draw):
 @given(fault_matrices())
 def test_fault_parity_matches_incidence_and_crossing_ids(instance):
     graph, faults = instance
-    defects, crossings = graph.fault_parity(faults)
+    defects, crossings = graph.fault_parity(np.flatnonzero(faults), len(faults))
     counts = faults.astype(np.int64)
     assert defects.dtype == np.uint8
     assert np.array_equal(defects, (counts @ graph.incidence_matrix()) % 2)
@@ -398,7 +398,7 @@ def test_fault_parity_counts_sparse_and_dense_chunks_alike(p):
     starts = graph.incident_starts
     star = list(graph.incident_ids[starts[500] : starts[501]])  # a vertex met by several faults of one row
     faults[0, star], faults[1, star[:3]] = True, True
-    defects, crossings = graph.fault_parity(faults)
+    defects, crossings = graph.fault_parity(np.flatnonzero(faults), len(faults))
     for row, defect_row, crossing in zip(faults, defects, crossings):
         pattern = cm.pattern_from_fault_ids(graph, np.flatnonzero(row).tolist())
         expected = cm.syndrome_of(pattern, graph).sector_bits(graph.sector)
@@ -452,6 +452,18 @@ def test_stream_blocks_match_numpy_philox(seed, rows, blocks):
             bit_generator = Philox(SeedSequence((seed, *row)))
             assert np.array_equal(key, bit_generator.state["state"]["key"])
             assert np.array_equal(draws, bit_generator.random_raw(4 * blocks))
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_stream_blocks_give_keys_alone_for_zero_blocks(n, monkeypatch):
+    # keying a chunk's sample streams asks for no blocks: no Philox rounds run
+    assert cm.batched_streams_agree()  # its own check draws blocks, so it runs first
+    monkeypatch.setattr(cm, "_philox_blocks", None)
+    streams = np.column_stack((np.full(n, 11), np.arange(n), np.arange(n) % 2))
+    keys, raw, exact = cm.stream_blocks(3, streams, 0)
+    assert exact.all() and raw.shape == (n, 0) and raw.dtype == np.uint64
+    for row, key in zip(streams.tolist(), keys):
+        assert np.array_equal(key, cm.rng_stream(3, *row).bit_generator.state["state"]["key"])
 
 
 def test_stream_blocks_fall_back_when_numpy_disagrees(monkeypatch):

@@ -879,7 +879,9 @@ def test_chunk_failures_match_a_per_row_decode(instance):
     memo = BoundedMemo(bound)
     pairs, failed = [], []
     for lo, chunk in ((0, faults[:cut]), (cut, faults[cut:])):
-        chunk_failed, rows, which, fixes = qp._chunk_failures(graph, chunk.copy(), memo, bound)
+        chunk_failed, rows, which, fixes = qp._chunk_failures(
+            graph, np.flatnonzero(chunk), len(chunk), memo, bound
+        )
         pairs += [(row + lo, e) for row, j in zip(rows.tolist(), which.tolist())
                   for e in fixes[j].tolist()]
         failed += chunk_failed.tolist()
@@ -910,12 +912,12 @@ def test_a_poisoned_memo_entry_raises_on_a_hit(monkeypatch):
     graph = cm.build_decoding_graph(cm.build_layout(5), cm.SECTOR_X, 5)
     faults = np.random.default_rng(2).random((64, graph.n_edges)) < 0.01
     memo = {}
-    qp._chunk_failures(graph, faults.copy(), memo, 1024)
+    qp._chunk_failures(graph, np.flatnonzero(faults), len(faults), memo, 1024)
     assert memo
     poison(memo)
     monkeypatch.setattr(qp, "decode_defects", no_decoding)
     with pytest.raises(ValueError, match="does not annihilate"):
-        qp._chunk_failures(graph, faults.copy(), memo, 1024)
+        qp._chunk_failures(graph, np.flatnonzero(faults), len(faults), memo, 1024)
 
 
 def test_a_poisoned_pipeline_memo_raises_on_a_hit(monkeypatch):
@@ -994,9 +996,10 @@ def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
     shape = (8 * 1024, 9)
     floats = cm.rng_stream(3, qp._STREAM_LER, 5, 1, 0).random(shape) < p
     source = cm.rng_stream(3, qp._STREAM_LER, 5, 1, 0).bit_generator
-    chunks = [qp._draw_faults(source, (1024, shape[1]), p) for _ in range(8)]
+    chunks = [qp._draw_faults(source, np.empty((1024, shape[1]), dtype=bool), p) for _ in range(8)]
     assert np.array_equal(np.vstack(chunks), floats)
-    one = qp._draw_faults(cm.rng_stream(3, qp._STREAM_LER, 5, 1, 0).bit_generator, shape, p)
+    one = qp._draw_faults(cm.rng_stream(3, qp._STREAM_LER, 5, 1, 0).bit_generator,
+                         np.empty(shape, dtype=bool), p)
     assert np.array_equal(one, floats)
 
 
@@ -1034,6 +1037,64 @@ def test_ler_sector_memory_does_not_grow_with_batch():
         tracemalloc.stop()
     assert len(failed) == 65_536
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("args", [(5, 1e-2, 9000), (13, 1e-3, 500)])
+def test_ler_failures_do_not_depend_on_the_chunk_budget(args, monkeypatch):
+    # the budget sizes the draws and the judged spans; a span that ends
+    # mid-draw or mid-batch (9000 shots: a full and a partial batch) must
+    # change no bit
+    counts = []
+    for budget in (2**12, 2**16, qp._TABLE_CHUNK_BYTES):
+        monkeypatch.setattr(qp, "_TABLE_CHUNK_BYTES", budget)
+        counts.append(qp.ler_campaign(*args, seed=5).failures)
+    assert counts == counts[:1] * 3
+
+
+def test_d13_campaign_digest_does_not_depend_on_the_chunk_budget(monkeypatch):
+    config = ExperimentConfig(**D13_SAMPLED, shots=120, jobs=1)
+    digests = []
+    for budget in (qp._TABLE_CHUNK_BYTES, 2**16):
+        monkeypatch.setattr(qp, "_TABLE_CHUNK_BYTES", budget)
+        digests.append(campaign_digest(qp.run_campaign(config)))
+    assert digests[0] == digests[1]
+
+
+def test_a_d5_ler_batch_is_judged_in_two_spans_per_sector(monkeypatch):
+    # at p=1e-3 about 16% of d=5 rows hold a fault: a batch's ~1 300 hit rows
+    # fit two spans, where 757-row draws would be judged 11 times
+    calls = []
+    real = qp._chunk_failures
+    monkeypatch.setattr(qp, "_chunk_failures",
+                        lambda graph, *args: calls.append(graph.sector) or real(graph, *args))
+    qp.ler_campaign(5, 1e-3, 8192, seed=1)
+    assert all(calls.count(sector) in (1, 2) for sector in cm.SECTORS)
+
+
+@pytest.mark.parametrize("args", [(5, 1e-2, 8192), (21, 1e-3, 2000)])
+def test_ler_peak_memory_is_bounded_by_the_chunk_budget(args):
+    # One sector runs at a time, and holds its graph, then at most:
+    # - the raw uint64 words of one draw (<= C = _TABLE_CHUNK_BYTES), or,
+    #   once they are freed, the arrays that judge one span (its hit rows
+    #   times _JUDGED_VERTEX_BYTES per vertex, <= C);
+    # - the bool draw buffer (C / 8) and the failure flags (shots bytes);
+    # - the decode memo, at most one entry per distinct defect row: about
+    #   4 000 entries of ~230 B at d=5, p=1e-2 (0.9 C) and 2 000 of ~940 B
+    #   at d=21 (1.8 C).
+    # So the peak stays below the graph plus 3 C.  A judged span four times
+    # as large (d=5, p=1e-2) would read about 3.8 C and fail here.
+    distance = args[0]
+    tracemalloc.start()
+    try:
+        graph = cm.DecodingGraph(cm.build_layout(distance), cm.SECTOR_X, distance)
+        graph_bytes, _ = tracemalloc.get_traced_memory()
+        del graph
+        tracemalloc.reset_peak()
+        qp.ler_campaign(*args, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < graph_bytes + 3 * qp._TABLE_CHUNK_BYTES
 
 
 @pytest.mark.parametrize("distance, shots", [(13, 400), (21, 200)])

@@ -316,7 +316,8 @@ def test_settled_rows_match_decode_defects(instance):
     near, _ = neighbours(graph)
     starts = graph.incident_starts
     faults = np.random.default_rng(seed).random((32, graph.n_edges)) < p
-    rows = [np.flatnonzero(row).tolist() for row in graph.fault_parity(faults)[0] if row.any()]
+    defect_rows = graph.fault_parity(np.flatnonzero(faults), len(faults))[0]
+    rows = [np.flatnonzero(row).tolist() for row in defect_rows if row.any()]
     shapes = near_misses(d, rounds, sector)
     rows += [defects for defects, _ in shapes.values()]
     matrix = np.zeros((len(rows), graph.n_vertices), dtype=np.uint8)
