@@ -7,13 +7,14 @@ duration is drawn once per shot, so a shot's timing is one pass up the
 tree, a level at a time (a router or the root starts when its last child's
 data arrives), and one pass down it, with timestamps read off the
 synchronized node timers.  That pass only adds durations, so a range of
-shots runs as a table: int64 numpy arrays with one row per shot for the
-stage durations, per tree level the times its nodes mark its four
-boundaries, the start times (a cumulative sum of whole cycles) and the
-marks of every stage boundary.  ``level_boundaries`` is the one statement
-of which level marks which boundary and which stage ends there;
-``boundary_chain`` puts them in time order, and every stage interval is a
-sum of gaps between the marks of that one list.  Stage durations come from
+shots runs as a table: int64 numpy arrays, shots last (so every reduction
+runs over contiguous rows of shots), of the stage durations, per tree
+level the times its nodes mark its four boundaries, the start times (a
+cumulative sum of whole cycles) and the marks of every stage boundary.
+``level_boundaries`` is the one statement of which level marks which
+boundary and which stage ends there; ``boundary_chain`` puts them in time
+order, and every stage interval is a sum of gaps between the marks of
+that one list.  Stage durations come from
 ``capacity_model.StageLatencyConfig``'s measured means and min-max jitter
 spreads, drawn from per-shot Philox streams whose keys and first blocks are
 computed for a whole chunk at once (``code_model.stream_blocks``); decoder
@@ -296,14 +297,14 @@ class Pipeline:
     ``_chunk_failures`` through that sector's memo (see the module
     docstring), which gives every shot's logical check and its distinct
     corrections, whose leaf entries price each leaf's downlink.  A
-    vectorized pass then builds int64 arrays with one row per shot: the
-    stage durations, the start times, and the marks of
-    ``chain`` (see ``boundary_chain``), the one list of which boundaries
-    delimit which stage.
+    vectorized pass then builds int64 arrays with one column per shot: the
+    stage durations, the start times, and the marks of ``chain`` (see
+    ``boundary_chain``), the one list of which boundaries delimit which
+    stage.
 
     The tree is a list of levels (``Fabric.levels``), and each level's nodes
     mark four boundaries of the chain (``level_boundaries``); per level, a
-    (shots x 4 x nodes) array holds those times relative to the shot
+    (nodes x 4 x shots) array holds those times relative to the shot
     start.  Up the tree, from the leaves, a
     level's nodes start when their last child's data arrives: a
     ``np.maximum.reduceat`` over their children's contiguous runs of the
@@ -314,7 +315,7 @@ class Pipeline:
     interval is read off the marked chain.  ``now`` is the ideal time the
     last shot ended; the next shot starts at the cycle boundary after it, so
     the start times are a cumulative sum.  ``run_shot`` reports a one-shot
-    chunk's row of its arrays.
+    chunk's column of its arrays.
 
     A pipeline reads every config value off ``config`` and keeps no copy of
     one.  It builds its own layout, decoding graphs, fabric, link prices and
@@ -349,15 +350,15 @@ class Pipeline:
             self._stage_gaps.setdefault(stage, []).append(i)
         slot = {name: i for i, (name, _) in enumerate(self.chain)}
         # Per tree level, root first: the chain slots of its four boundaries,
-        # its clocks' offsets and drifts, and where each of its nodes' run of
-        # children starts in the level below.
+        # its clocks' offsets and drifts as (nodes, 1, 1) columns, and where
+        # each of its nodes' run of children starts in the level below.
         self._levels = []
         for row, bounds in zip(self.fabric.levels, level_boundaries(config.router_layers)):
             nodes = [self.fabric.nodes[n] for n in row]
             self._levels.append((
                 [slot[name] for name, _ in bounds],
-                np.array([node.clock.offset_ps for node in nodes], dtype=np.int64),
-                np.array([node.clock.drift_ppm for node in nodes], dtype=np.int64),
+                np.array([node.clock.offset_ps for node in nodes], dtype=np.int64)[:, None, None],
+                np.array([node.clock.drift_ppm for node in nodes], dtype=np.int64)[:, None, None],
                 np.cumsum([0] + [len(node.children) for node in nodes[:-1]]),
             ))
         # per leaf, its uplink message's price; per k, a k-entry downlink message's; their bound
@@ -375,10 +376,10 @@ class Pipeline:
         # the leaves' ancillas cover every syndrome column, so every round's
         # bits reach the root
         self._bits_received = rounds * self.layout.syndrome_bits_per_round
-        # bytes one shot adds to a chunk: 8 per int64 column (four hold times
-        # per node, the marks, the leaves' downlink serializations, the stage
-        # draws and one sector's fault_parity vertex counts), 1 per edge of
-        # each sector's fault row, 2 per syndrome bit (defect rows and keys)
+        # bytes one shot adds to a chunk: 8 per int64 entry of its table column
+        # (four hold times per node, the marks, the leaves' downlink prices, the
+        # stage draws and one sector's fault_parity vertex counts), 1 per edge
+        # of each sector's fault row, 2 per syndrome bit (defect rows and keys)
         columns = (4 * self.fabric.node_count + len(self.chain) + self.leaf_map.n_leaves
                    + len(self._stage_windows) + self.graphs[SECTOR_X].n_vertices)
         self._shot_bytes = (8 * columns + sum(g.n_edges for g in self.graphs.values())
@@ -390,18 +391,20 @@ class Pipeline:
     # ---- per-shot inputs -------------------------------------------------
 
     def _chunk_faults(self, shots: np.ndarray) -> list:
-        """Per sector, the (shots x edges) bool fault buffer of a chunk.
+        """Per sector, the bool fault buffer of a chunk: (shots x edges), or
+        (1 x edges) for a worst-case chunk, whose every shot has that row.
 
-        A worst-case row holds ``_WORST_D3_FAULT_IDS``; a sampled row is
+        The worst-case row holds ``_WORST_D3_FAULT_IDS``; a sampled row is
         ``_draw_faults`` on the shot's ``_sample_source`` stream, keyed in
         one batch in a chunk of at least ``_BATCHED_MIN_SHOTS`` shots.  One
         buffer per sector takes a ``np.flatnonzero`` faster than one per row.
         """
-        faults = [np.zeros((len(shots), g.n_edges), dtype=bool) for g in self.graphs.values()]
         if self.config.effective_syndrome_source == "worst_case":
-            for rows, sector in zip(faults, SECTORS):
-                rows[:, _WORST_D3_FAULT_IDS[sector]] = True
+            faults = [np.zeros((1, g.n_edges), dtype=bool) for g in self.graphs.values()]
+            for row, sector in zip(faults, SECTORS):
+                row[0, _WORST_D3_FAULT_IDS[sector]] = True
             return faults
+        faults = [np.zeros((len(shots), g.n_edges), dtype=bool) for g in self.graphs.values()]
         keys = [None] * (len(shots) * len(SECTORS))
         if len(shots) >= _BATCHED_MIN_SHOTS:
             streams = [(_STREAM_SAMPLE, s, k) for s in shots.tolist() for k in range(len(SECTORS))]
@@ -447,18 +450,19 @@ class Pipeline:
         return durations
 
     def _stage_table(self, shots: np.ndarray) -> np.ndarray:
-        """(shots x stages) int64 durations, row by row equal to ``_stage_durations``.
+        """(stages x shots) int64 durations, column by column equal to ``_stage_durations``.
 
         ``Generator.integers(-hw, hw + 1)`` over a span below 2**32 - 1 is
         Lemire's method on the stream's 32-bit outputs, the low then the high
         half of each raw word, so a shot's draws are read off the first
-        blocks of its stream.  A shot whose draw would be rejected and drawn
-        again, and every shot when a span is wider or the range holds fewer
-        than ``_BATCHED_MIN_SHOTS``, go through ``_stage_durations``.
+        blocks of its stream, and each stage's draws off one contiguous row
+        of half-words.  A shot whose draw would be rejected and drawn again,
+        and every shot when a span is wider or the range holds fewer than
+        ``_BATCHED_MIN_SHOTS``, go through ``_stage_durations``.
         """
         n = len(shots)
-        means = [[mean for _, mean, _ in self._stage_windows]]
-        table = np.repeat(np.array(means, dtype=np.int64), n, axis=0)
+        means = [[mean] for _, mean, _ in self._stage_windows]
+        table = np.repeat(np.array(means, dtype=np.int64), n, axis=1)
         jittered = [(i, hw) for i, (_, _, hw) in enumerate(self._stage_windows) if hw > 0]
         if not jittered:
             return np.maximum(table, 0, out=table)
@@ -466,14 +470,14 @@ class Pipeline:
         if n >= _BATCHED_MIN_SHOTS and all(2 * hw < 2**32 - 1 for _, hw in jittered):
             rows = np.column_stack((np.full(n, _STREAM_SHOT), shots))
             _, raw, exact = stream_blocks(self.config.seed, rows, -(-len(jittered) // 8))
-            draws = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=2).reshape(n, -1)
+            draws = np.stack((raw.T & 0xFFFFFFFF, raw.T >> 32), axis=1).reshape(-1, n)
             for j, (i, hw) in enumerate(jittered):
                 span = 2 * hw + 1
-                scaled = draws[:, j] * np.uint64(span)
+                scaled = draws[j] * np.uint64(span)
                 exact &= (scaled & 0xFFFFFFFF) >= 2**32 % span
-                table[:, i] += (scaled >> 32).astype(np.int64) - hw
-        for row in np.flatnonzero(~exact):
-            table[row] = list(self._stage_durations(int(shots[row])).values())
+                table[i] += (scaled >> 32).astype(np.int64) - hw
+        for col in np.flatnonzero(~exact):
+            table[:, col] = list(self._stage_durations(int(shots[col])).values())
         return np.maximum(table, 0, out=table)
 
     # ---- shot table ------------------------------------------------------
@@ -515,21 +519,24 @@ class Pipeline:
 
     def _run_chunk(self, start: int, stop: int) -> tuple:
         """Shots ``start`` to ``stop - 1``: their ``CampaignResult``, their (shots x leaves)
-        downlink entries, and per sector ``_chunk_failures``' ``(rows, which, fixes)``."""
+        downlink entries, one row for a worst-case chunk, and per sector
+        ``_chunk_failures``' ``(rows, which, fixes)``."""
         shots = np.arange(start, stop, dtype=np.int64)
         n = len(shots)
 
         # First pass: each sector's failures and distinct corrections through
         # its memo; each correction's leaf entries are counted once and
-        # gathered into the rows of the shots it serves.
+        # gathered into the rows of the shots it serves.  A worst-case chunk
+        # judges its one row, whose flags and counts hold for every shot.
         faults = self._chunk_faults(shots)
+        m = len(faults[0])
         n_data, per_leaf = self.layout.data_qubit_count, self.leaf_map.qubits_per_leaf
         failures = np.zeros(n, dtype=bool)
-        counts = np.zeros((n, self.leaf_map.n_leaves), dtype=np.intp)
+        counts = np.zeros((m, self.leaf_map.n_leaves), dtype=np.intp)
         corrections = {}
         for graph, sector_faults in zip(self.graphs.values(), faults):
             failed, rows, which, fixes = _chunk_failures(
-                graph, np.flatnonzero(sector_faults), n, self._memos[graph.sector],
+                graph, np.flatnonzero(sector_faults), m, self._memos[graph.sector],
                 _DECODE_MEMO_ENTRIES,
             )
             failures |= failed
@@ -544,35 +551,35 @@ class Pipeline:
             odd = odd.reshape(-1, n_data)
             per_fix = np.add.reduceat(odd, np.arange(0, n_data, per_leaf), axis=1)
             counts[rows, :per_fix.shape[1]] += per_fix[which]
-        downlink = self._downlink_excess_ps[counts]
+        downlink = self._downlink_excess_ps[counts.T]
 
-        # Vectorized pass: per tree level, a (shots x 4 x nodes) array of the
+        # Vectorized pass: per tree level, a (nodes x 4 x shots) array of the
         # times its nodes mark their four boundaries, relative to the shot
         # start.  Up the tree, a node starts when its last child's data arrives ...
-        dur = dict(zip((name for name, _, _ in self._stage_windows), self._stage_table(shots).T))
-        holds = [np.empty((n, 4, len(row)), dtype=np.int64) for row in self.fabric.levels]
+        dur = dict(zip((name for name, _, _ in self._stage_windows), self._stage_table(shots)))
+        holds = [np.empty((len(row), 4, n), dtype=np.int64) for row in self.fabric.levels]
         root, leaves = holds[0], holds[-1]
         leaves[:, 0] = 0
-        leaves[:, 1] = dur["leaf_agg"][:, None]
-        sent = leaves[:, 1] + dur["uplink"][:, None] + self._uplink_excess_ps
+        leaves[:, 1] = dur["leaf_agg"]
+        sent = leaves[:, 1] + dur["uplink"] + self._uplink_excess_ps[:, None]
         proc_up, net_up = dur["router_proc"] // 2, dur["router_net"] // 2
         for hold, (_, _, _, runs) in zip(holds[-2:0:-1], self._levels[-2:0:-1]):
-            hold[:, 0] = np.maximum.reduceat(sent, runs, axis=1)
-            hold[:, 1] = hold[:, 0] + proc_up[:, None]
-            sent = hold[:, 1] + net_up[:, None]
-        root[:, 0, 0] = sent.max(axis=1)
-        root[:, 1, 0] = root[:, 0, 0] + dur["root_agg"]
-        root[:, 2, 0] = root[:, 1, 0] + dur["decode"]
-        root[:, 3, 0] = forward = root[:, 2, 0] + dur["root_dist"]
+            hold[:, 0] = np.maximum.reduceat(sent, runs, axis=0)
+            hold[:, 1] = hold[:, 0] + proc_up
+            sent = hold[:, 1] + net_up
+        root[0, 0] = sent.max(axis=0)
+        root[0, 1] = root[0, 0] + dur["root_agg"]
+        root[0, 2] = root[0, 1] + dur["decode"]
+        root[0, 3] = forward = root[0, 2] + dur["root_dist"]
         # ... and down it, where a level's nodes all get the corrections at once
         net_down, proc_down = dur["router_net"] - net_up, dur["router_proc"] - proc_up
         for hold in holds[1:-1]:
             arrive = forward + net_down
             forward = arrive + proc_down
-            hold[:, 2], hold[:, 3] = arrive[:, None], forward[:, None]
-        leaves[:, 2] = (forward + dur["downlink"])[:, None] + downlink
-        leaves[:, 3] = leaves[:, 2] + dur["leaf_dist"][:, None]
-        length = leaves[:, 3].max(axis=1)
+            hold[:, 2], hold[:, 3] = arrive, forward
+        leaves[:, 2] = forward + dur["downlink"] + downlink
+        leaves[:, 3] = leaves[:, 2] + dur["leaf_dist"]
+        length = leaves[:, 3].max(axis=0)
 
         # Shot k starts at the cycle boundary after shot k - 1 ended.
         cycle = self.config.cycle_time_ps
@@ -582,17 +589,17 @@ class Pipeline:
         t0[1:] += t0[0]
         self.now = int(t0[-1] + length[-1])
         # Each boundary takes the latest local-clock mark of its level's nodes.
-        marks = np.empty((n, len(self.chain)), dtype=np.int64)
+        marks = np.empty((len(self.chain), n), dtype=np.int64)
         for t, (slots, offset, drift, _) in zip(holds, self._levels):
-            t += t0[:, None, None]
-            marks[:, slots] = (t + offset + drift * t // 1_000_000).max(axis=2)
-        gaps = np.diff(marks, axis=1)
+            t += t0
+            marks[slots] = (t + offset + drift * t // 1_000_000).max(axis=0)
+        gaps = np.diff(marks, axis=0)
 
         return CampaignResult(
             n_shots=n,
             windows=self.windows,
-            samples={name: gaps[:, self._stage_gaps[name]].sum(axis=1) for name in self.windows},
-            end_to_end_ps=marks[:, -1] - marks[:, 0],
+            samples={name: gaps[self._stage_gaps[name]].sum(axis=0) for name in self.windows},
+            end_to_end_ps=marks[-1] - marks[0],
             valid=np.ones(n, dtype=bool),  # a residual with a defect raised above
             failures=failures,
         ), counts, corrections

@@ -1285,6 +1285,43 @@ def test_table_draws_nine_jittered_stages():
     assert sum(hw > 0 for _, _, hw in pipeline._stage_windows) == 9
 
 
+@pytest.mark.parametrize("overrides, first, redrawn", [
+    # seed 1, shot 68_174 is a Lemire rejection, so its column is drawn again
+    ({"seed": 1}, 68_174 - 150, [68_174]),
+    ({"router_layers": 1, "seed": 3, "stage_latency": StageLatencyConfig(
+        router_proc=StageLatency(45_000, 6_000), router_net=StageLatency(312_000, 20_000),
+        decode_jitter_ps=4_000,
+    )}, 0, []),
+])
+def test_stage_table_columns_are_each_shots_durations(overrides, first, redrawn, monkeypatch):
+    pipeline = qp.Pipeline(ExperimentConfig(**overrides))
+    shots = np.arange(first, first + 300)
+    scalar, fallback = pipeline._stage_durations, []
+    monkeypatch.setattr(pipeline, "_stage_durations",
+                        lambda shot: fallback.append(shot) or scalar(shot))
+    table = pipeline._stage_table(shots)
+    assert table.shape == (len(pipeline._stage_windows), len(shots))
+    assert fallback == redrawn
+    for j, shot in enumerate(shots.tolist()):
+        assert table[:, j].tolist() == list(scalar(shot).values())
+
+
+def test_a_worst_case_chunk_is_judged_as_one_row(monkeypatch):
+    # every worst-case shot has the same faults, so each sector judges one row
+    judged = []
+    real = qp._chunk_failures
+    monkeypatch.setattr(qp, "_chunk_failures",
+                        lambda graph, ids, n, *args: judged.append(n) or real(graph, ids, n, *args))
+    result = qp.Pipeline(ExperimentConfig()).run_range(0, 1000)
+    assert judged == [1, 1]
+    assert result.failures.dtype == bool and result.failures.shape == (1000,)
+    assert result.failures.flags.writeable
+    # a sampled chunk still judges every shot
+    judged.clear()
+    qp.Pipeline(ExperimentConfig(distance=5, syndrome_source="sampled")).run_range(0, 100)
+    assert judged == [100, 100]
+
+
 def test_table_without_batched_streams_reproduces_pins(monkeypatch):
     # a numpy whose streams moved switches the batched keys off; every shot
     # then builds its streams and the pins still hold
