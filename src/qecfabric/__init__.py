@@ -5,8 +5,9 @@ Library layout:
 - ``code_model``: rotated surface code layouts, space-time decoding graphs,
   phenomenological noise sampling, syndrome extraction, and the Philox
   streams of many (seed, stream) tuples keyed in one numpy pass.
-- ``uf_decoder``: union-find decoder plus a brute-force minimum-weight
-  oracle and logical-failure checks.
+- ``uf_decoder``: union-find decoder plus validity and logical-failure
+  checks (the brute-force oracle the tests hold it to is in
+  ``tests/reference.py``).
 - ``fabric_sim``: tree topologies as lists of node levels, per-node clocks,
   and the timer-alignment procedure: a four-timestamp exchange per tree
   edge, whose two frames a small deterministic event engine orders.
@@ -32,11 +33,8 @@ from .capacity_model import (
     capacity_estimate,
     decode_latency_ps,
     decoder_peak_throughput,
-    estimate_latency,
-    extrapolation_table,
     max_qubits,
     required_qubits,
-    throughput_margin,
 )
 from .code_model import (
     BOUNDARY,
@@ -86,9 +84,7 @@ from .qec_pipeline import (
     worst_case_d3_syndrome,
 )
 from .uf_decoder import (
-    OracleCapError,
     decode,
     is_logical_failure,
     is_valid,
-    oracle_decode,
 )

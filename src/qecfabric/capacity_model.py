@@ -177,16 +177,6 @@ def decode_latency_ps(decode_table, distance: int):
     return int(round(value)), False
 
 
-def estimate_latency(distance: int, profile: PlatformProfile, stages=None) -> int:
-    """Predicted end-to-end decoding-feedback latency in ps.
-
-    The quoted non-decoder base, plus the stage table's decode latency at
-    this distance, plus its per-layer router processing and round-trip
-    network means for as many layers as the qubit count forces.
-    """
-    return capacity_estimate(distance, profile, stages).predicted_latency_ps
-
-
 def root_link(profile: PlatformProfile, uplink=LinkModel(DEFAULT_LINE_RATE_BPS)) -> LinkModel:
     """The syndrome stream's link into the root: one data uplink per root port."""
     return replace(uplink, lanes=uplink.lanes * profile.root_ports)
@@ -205,11 +195,6 @@ def syndrome_rate_required(distance: int, cycle_time_ps: int = DEFAULT_CYCLE_TIM
 def available_throughput(link: LinkModel) -> Fraction:
     """Lesser of the link's effective payload rate and the decoder's peak rate."""
     return min(effective_throughput(link), decoder_peak_throughput())
-
-
-def throughput_margin(distance: int, link: LinkModel) -> Fraction:
-    """available / required throughput ratio for one distance at the default cycle time."""
-    return available_throughput(link) / syndrome_rate_required(distance)
 
 
 @dataclass(frozen=True)
@@ -262,9 +247,3 @@ def capacity_estimate(
         throughput_available_bps=available_bps,
         feasible=need <= cap and required_bps <= available_bps and latency <= cycle_time_ps,
     )
-
-
-def extrapolation_table(distances, profile: PlatformProfile, stages=None, link=None,
-                        cycle_time_ps: int = DEFAULT_CYCLE_TIME_PS):
-    """Capacity estimates for each distance, in the given order."""
-    return [capacity_estimate(d, profile, stages, link, cycle_time_ps) for d in distances]

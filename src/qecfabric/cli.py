@@ -178,11 +178,10 @@ def _capacity_rows(distances, config):
     profile = replace(capacity_model.get_profile(config.profile),
                       qubits_per_leaf=config.qubits_per_leaf)
     link = capacity_model.root_link(profile, config.uplink)
-    estimates = capacity_model.extrapolation_table(
-        distances, profile, config.stage_latency, link, config.cycle_time_ps
-    )
     rows = []
-    for est in estimates:
+    for d in distances:
+        est = capacity_model.capacity_estimate(d, profile, config.stage_latency, link,
+                                               config.cycle_time_ps)
         required, available = est.throughput_required_bps, est.throughput_available_bps
         rows.append(dict(asdict(est), throughput_required_bps=float(required),
                          throughput_available_bps=float(available),

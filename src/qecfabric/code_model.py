@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -30,9 +29,6 @@ from numpy.random import Generator, Philox, SeedSequence
 SECTOR_X = "X"
 SECTOR_Z = "Z"
 SECTORS = (SECTOR_X, SECTOR_Z)
-
-SPACELIKE = "spacelike"
-TIMELIKE = "timelike"
 
 #: Vertex id of the virtual boundary vertex.
 BOUNDARY = -1
@@ -254,18 +250,6 @@ class CodeLayout:
             return self.z_stabilizers
         raise ValueError(f"unknown sector {sector!r}")
 
-    def to_records(self):
-        """Layout as one structured text record per line (debug export)."""
-        lines = [f"layout distance={self.distance} total_qubits={self.total_qubits}"]
-        for sector in SECTORS:
-            for s, qubits in enumerate(self.stabilizers(sector)):
-                qs = ",".join(str(q) for q in qubits)
-                lines.append(f"stabilizer sector={sector} id={s} qubits={qs}")
-        for sector in SECTORS:
-            qs = ",".join(str(q) for q in sorted(self.crossing_chain[sector]))
-            lines.append(f"logical sector={sector} qubits={qs}")
-        return lines
-
 
 def build_layout(distance: int) -> CodeLayout:
     """The rotated surface code layout for an odd distance, a new object per call.
@@ -312,31 +296,15 @@ def build_layout(distance: int) -> CodeLayout:
     return layout
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One elementary fault mechanism of a decoding graph.
-
-    ``u`` is always a real vertex id; ``v`` is a vertex id or BOUNDARY.
-    Spacelike edges carry the data ``qubit`` they live on; timelike edges
-    carry the ``stab`` whose measurement they corrupt.
-    """
-
-    kind: str
-    u: int
-    v: int
-    qubit: int | None
-    stab: int | None
-    round: int
-
-
 class DecodingGraph:
     """Space-time decoding graph of one error sector, held as flat edge arrays.
 
     Vertices are (stabilizer, round) pairs with id = round * n_stabilizers +
     stabilizer.  The edge order is fixed: each round's spacelike edges in
     data-qubit order, then the timelike edges round by round in stabilizer
-    order.  The position of an edge in that order is its fault id, so
-    ``fault_id_of`` is arithmetic on it.
+    order.  The position of an edge in that order is its fault id, so a
+    (qubit, round) or (stabilizer, round) fault's id is arithmetic on the
+    public arrays below.
 
     Edge ``e`` joins ``u[e]`` (always a real vertex) and ``v[e]`` (a vertex
     or BOUNDARY) and lies on data qubit ``qubit[e]`` (-1 on a timelike
@@ -352,10 +320,8 @@ class DecodingGraph:
 
     A graph does not change once built: its numpy arrays are read-only and
     its sequences are tuples.  No campaign path (``Pipeline``,
-    ``ler_campaign``) reads ``edges`` or ``incidence_matrix``.  ``edges``,
-    the same graph as ``Edge`` objects for inspection and export, is built
-    on first read and then kept as long as the graph; ``incidence_matrix``
-    is built afresh on every call.
+    ``ler_campaign``) reads ``incidence_matrix``, which is built afresh on
+    every call.
     """
 
     def __init__(self, layout: CodeLayout, sector: str, rounds: int):
@@ -391,9 +357,8 @@ class DecodingGraph:
         first, second = first[qubits], second[qubits]
         slot = np.full(n_data + 1, -1, dtype=np.intp)
         slot[qubits] = np.arange(len(qubits))
-        self._slot = tuple(slot[:n_data].tolist())
-        per_round = self._per_round = len(qubits)
-        n_space = self._n_spacelike = rounds * per_round
+        per_round = len(qubits)
+        n_space = rounds * per_round
 
         # vertex (s, t) is t * n_stab + s, and timelike edge (t, s), from
         # (s, t) to (s, t + 1), is edge n_space + t * n_stab + s
@@ -445,30 +410,6 @@ class DecodingGraph:
     def n_edges(self) -> int:
         return len(self.u)
 
-    def fault_id_of(self, entry, kind) -> int:
-        """Fault id for a (qubit, round) data fault or (stab, round) measurement fault."""
-        index, t = entry
-        if kind == SPACELIKE:
-            slot = self._slot[index] if 0 <= index < len(self._slot) else -1
-            if slot >= 0 and 0 <= t < self.rounds:
-                return t * self._per_round + slot
-        elif 0 <= index < self.n_stabilizers and 0 <= t < self.rounds - 1:
-            return self._n_spacelike + t * self.n_stabilizers + index
-        raise ValueError(f"unknown {kind} fault {entry!r} for this graph")
-
-    @cached_property
-    def edges(self):
-        """The edges as ``Edge`` objects in fault-id order, built on first read."""
-        n_space, per_round = self._n_spacelike, self._per_round
-        out = []
-        for e_id, (u, v, q) in enumerate(zip(self.edge_u, self.edge_v, self.qubit.tolist())):
-            if q >= 0:
-                out.append(Edge(SPACELIKE, u, v, q, None, e_id // per_round))
-            else:
-                t, s = divmod(e_id - n_space, self.n_stabilizers)
-                out.append(Edge(TIMELIKE, u, v, None, s, t))
-        return tuple(out)
-
     def incidence_matrix(self) -> np.ndarray:
         """Edge-by-vertex 0/1 incidence (boundary column omitted), a new array per call."""
         mat = np.zeros((self.n_edges, self.n_vertices), dtype=np.uint8)
@@ -509,22 +450,6 @@ class DecodingGraph:
         crossings = (np.bincount(rows[self._crossing[edges]], minlength=n) & 1).astype(bool)
         return defects.reshape(n, n_vertices), crossings
 
-    def to_records(self):
-        """Graph as one structured text record per line (debug export)."""
-        lines = [
-            f"graph sector={self.sector} rounds={self.rounds} "
-            f"vertices={self.n_vertices} edges={self.n_edges}"
-        ]
-        for v in range(self.n_vertices):
-            s = v % self.n_stabilizers
-            t = v // self.n_stabilizers
-            lines.append(f"vertex id={v} stab={s} round={t}")
-        for e_id, e in enumerate(self.edges):
-            v = "boundary" if e.v == BOUNDARY else str(e.v)
-            src = f"qubit={e.qubit}" if e.kind == SPACELIKE else f"stab={e.stab}"
-            lines.append(f"edge id={e_id} kind={e.kind} u={e.u} v={v} {src} round={e.round}")
-        return lines
-
 
 def build_decoding_graph(layout: CodeLayout, sector: str, rounds: int) -> DecodingGraph:
     """Space-time graph of `rounds` measurement rounds for one sector, a new object per call."""
@@ -545,10 +470,6 @@ class ErrorPattern:
     @property
     def sector(self) -> str:
         return self.graph.sector
-
-    @property
-    def weight(self) -> int:
-        return len(self.fault_ids)
 
     def __xor__(self, other: "ErrorPattern") -> "ErrorPattern":
         _check_same_graph(other.graph, self.graph)

@@ -201,10 +201,6 @@ class Fabric:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    @property
-    def depth(self) -> int:
-        return 1 + self.config.router_layers
-
 
 def ptp_sync(sim: Simulator, fabric: Fabric, parent_id: int, child_id: int, rng=None) -> int:
     """One two-message timer-alignment exchange along a tree edge.

@@ -212,13 +212,13 @@ class ShotReport:
     corrections: dict
     leaf_entries: tuple
 
-    @property
-    def correction_bits_sent(self) -> int:
-        return sum(self.leaf_entries)
-
 
 def wilson_interval(failures: int, shots: int):
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion.
+
+    The bounds are exactly 0.0 with no failures and exactly 1.0 with every
+    shot failed, where the formula meets them only up to rounding.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p = failures / shots
@@ -226,7 +226,9 @@ def wilson_interval(failures: int, shots: int):
     denom = 1.0 + z2 / shots
     center = (p + z2 / (2 * shots)) / denom
     half = Z95 * ((p * (1 - p) / shots + z2 / (4 * shots * shots)) ** 0.5) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if failures == 0 else max(0.0, center - half)
+    hi = 1.0 if failures == shots else min(1.0, center + half)
+    return lo, hi
 
 
 #: Fault ids, per sector, of the weight <= 2 pattern whose decode takes the

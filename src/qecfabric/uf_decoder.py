@@ -1,4 +1,4 @@
-"""Union-find decoding of space-time syndromes, plus a minimum-weight oracle.
+"""Union-find decoding of space-time syndromes, and the validity and logical-failure checks.
 
 ``decode_defects(graph, defects)`` is the one union-find decoder.  It takes
 a sector's sorted defect vertex ids and grows clusters by one synchronous
@@ -42,15 +42,14 @@ decode: 1 growth iteration, or 2 with a lone defect; fusions = pairs +
 the summed degree (boundary edges included) of the lone defects; clusters
 = pairs + lone defects.
 
-``oracle_decode`` is an independent reference: exhaustive minimum-weight
-search on small graphs, shortest-path defect pairing on small syndromes.
-It shares no code with the cluster decoder beyond the graph's edge lists.
+The tests check this decoder against a brute-force minimum-weight oracle
+in ``tests/reference.py``, which shares no code with it beyond the graph's
+edge arrays.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +65,6 @@ from .code_model import (
 
 HALF = 1
 FULL = 2
-
-
-class OracleCapError(ValueError):
-    """Instance too large for the brute-force oracle."""
 
 
 @dataclass
@@ -286,129 +281,6 @@ def decode(graph: DecodingGraph, syndrome: SyndromeRounds) -> ErrorPattern:
     """Decode one sector's syndrome; the correction always annihilates it."""
     correction, _ = decode_with_stats(graph, syndrome)
     return correction
-
-
-def _edge_masks(graph: DecodingGraph):
-    return [1 << u if v == BOUNDARY else (1 << u) ^ (1 << v)
-            for u, v in zip(graph.edge_u, graph.edge_v)]
-
-
-def _pairing_decode(graph: DecodingGraph, defects):
-    """Minimum shortest-path pairing of defects (boundary allowed)."""
-    n_b = graph.n_vertices  # pseudo-vertex standing in for the boundary
-    adjacency = defaultdict(list)
-    for e_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
-        v = n_b if v == BOUNDARY else v
-        adjacency[u].append((v, e_id))
-        adjacency[v].append((u, e_id))
-
-    def bfs(src):
-        dist = {src: 0}
-        pred = {src: None}  # vertex -> (prev vertex, edge id)
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w, e_id in sorted(adjacency[u], key=lambda x: x[1]):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    pred[w] = (u, e_id)
-                    queue.append(w)
-        return dist, pred
-
-    info = {d: bfs(d) for d in defects}
-
-    def path_edges(src, dst):
-        _, pred = info[src]
-        out = []
-        v = dst
-        while pred[v] is not None:
-            u, e_id = pred[v]
-            out.append(e_id)
-            v = u
-        return out
-
-    best = {"cost": None, "pairs": None}
-
-    def search(remaining, cost, pairs):
-        if best["cost"] is not None and cost >= best["cost"]:
-            return
-        if not remaining:
-            best["cost"], best["pairs"] = cost, list(pairs)
-            return
-        d0 = remaining[0]
-        rest = remaining[1:]
-        dist0 = info[d0][0]
-        for k, dj in enumerate(rest):
-            if dj in dist0:
-                pairs.append((d0, dj))
-                search(rest[:k] + rest[k + 1 :], cost + dist0[dj], pairs)
-                pairs.pop()
-        if n_b in dist0:
-            pairs.append((d0, n_b))
-            search(rest, cost + dist0[n_b], pairs)
-            pairs.pop()
-
-    search(sorted(defects), 0, [])
-    if best["pairs"] is None:
-        raise OracleCapError("no pairing annihilates the syndrome")
-    chosen = set()
-    for a, b in best["pairs"]:
-        chosen ^= set(path_edges(a, b))
-    return chosen
-
-
-def oracle_decode(
-    graph: DecodingGraph,
-    syndrome: SyndromeRounds,
-    exhaustive_edge_cap: int = 40,
-    defect_cap: int = 12,
-    max_weight: int = 6,
-) -> ErrorPattern:
-    """Minimum-weight correction by brute force, for small-instance checks.
-
-    Graphs with at most ``exhaustive_edge_cap`` edges are searched by
-    increasing subset weight; larger instances fall back to shortest-path
-    pairing of at most ``defect_cap`` defects.  Raises OracleCapError beyond
-    those caps.
-    """
-    defects = syndrome.defect_vertices(graph)
-    if not defects:
-        return pattern_from_fault_ids(graph, ())
-    if graph.n_edges <= exhaustive_edge_cap:
-        target = 0
-        for v in defects:
-            target ^= 1 << v
-        masks = _edge_masks(graph)
-        ids = range(graph.n_edges)
-        for w in range(max_weight + 1):
-            for combo in itertools.combinations(ids, w):
-                acc = 0
-                for e_id in combo:
-                    acc ^= masks[e_id]
-                if acc == target:
-                    return pattern_from_fault_ids(graph, combo)
-        raise OracleCapError(f"no solution of weight <= {max_weight} found")
-    if len(defects) <= defect_cap:
-        return pattern_from_fault_ids(graph, _pairing_decode(graph, defects))
-    raise OracleCapError(
-        f"instance too large: {graph.n_edges} edges, {len(defects)} defects"
-    )
-
-
-def count_min_weight_solutions(graph: DecodingGraph, syndrome: SyndromeRounds, weight: int) -> int:
-    """How many edge sets of exactly `weight` annihilate the syndrome."""
-    target = 0
-    for v in syndrome.defect_vertices(graph):
-        target ^= 1 << v
-    masks = _edge_masks(graph)
-    count = 0
-    for combo in itertools.combinations(range(graph.n_edges), weight):
-        acc = 0
-        for e_id in combo:
-            acc ^= masks[e_id]
-        if acc == target:
-            count += 1
-    return count
 
 
 def is_valid(correction: ErrorPattern, syndrome: SyndromeRounds, graph: DecodingGraph) -> bool:

@@ -18,6 +18,7 @@ from qecfabric import qec_pipeline as qp
 from qecfabric import uf_decoder as uf
 from qecfabric.cli import main
 from qecfabric.config import ExperimentConfig
+from reference import count_min_weight_solutions, oracle_decode
 
 PAPER_BOUNDS = {
     "leaf_agg": (29_000, 3_000),
@@ -80,7 +81,8 @@ def test_criterion_3_throughput_ledger():
     g10 = ll.effective_throughput_gbps(ll.LinkModel(10_000_000_000, lanes=4))
     g28 = ll.effective_throughput_gbps(ll.LinkModel(28_000_000_000, lanes=4), 1)
     peak = round(float(cap.decoder_peak_throughput()) / 1e9, 2)
-    margin = float(cap.throughput_margin(21, ll.LinkModel(10_000_000_000, lanes=4)))
+    link = ll.LinkModel(10_000_000_000, lanes=4)
+    margin = float(cap.available_throughput(link) / cap.syndrome_rate_required(21))
     ok = g10 == 38.788 and g28 == 108.6 and peak == 38.26 and round(margin) == 87
     report(
         3,
@@ -92,7 +94,7 @@ def test_criterion_3_throughput_ledger():
 
 def test_criterion_4_extrapolation_shape():
     vcu = cap.get_profile("vcu129")
-    rows = {e.distance: e for e in cap.extrapolation_table(range(3, 22, 2), vcu)}
+    rows = {d: cap.capacity_estimate(d, vcu) for d in range(3, 22, 2)}
     layers_ok = all(rows[d].router_layers == 0 for d in range(3, 16, 2)) and all(
         rows[d].router_layers == 1 for d in (17, 19, 21)
     )
@@ -212,13 +214,13 @@ def test_criterion_6_oracle_consistency():
             for e_id in range(graph.n_edges):
                 syn = cm.syndrome_of(cm.pattern_from_fault_ids(graph, [e_id]), graph)
                 corr = uf.decode(graph, syn)
-                oracle = uf.oracle_decode(graph, syn)
+                oracle = oracle_decode(graph, syn)
                 assert uf.is_valid(corr, syn, graph)
                 assert uf.is_valid(oracle, syn, graph)
-                if corr.weight < oracle.weight:
+                if len(corr.fault_ids) < len(oracle.fault_ids):
                     heavier += 1
                 if (
-                    uf.count_min_weight_solutions(graph, syn, 1) == 1
+                    count_min_weight_solutions(graph, syn, 1) == 1
                     and corr.fault_ids != oracle.fault_ids
                 ):
                     mismatched += 1

@@ -60,15 +60,15 @@ def test_decode_latency_anchors_and_interpolation():
 
 def test_estimate_latency_reference_points():
     vcu = cap.get_profile("vcu129")
-    assert cap.estimate_latency(3, vcu) == 446_000  # base 390 + decode 56
-    step = cap.estimate_latency(17, vcu) - cap.estimate_latency(15, vcu)
+    assert cap.capacity_estimate(3, vcu).predicted_latency_ps == 446_000  # base 390 + decode 56
+    step = cap.capacity_estimate(17, vcu).predicted_latency_ps - cap.capacity_estimate(15, vcu).predicted_latency_ps
     assert step == 357_000  # the router layer's 45 + 312 ns
-    assert cap.estimate_latency(21, vcu) < 1_000_000
+    assert cap.capacity_estimate(21, vcu).predicted_latency_ps < 1_000_000
 
 
 def test_estimate_latency_monotone_in_distance():
     vcu = cap.get_profile("vcu129")
-    values = [cap.estimate_latency(d, vcu) for d in range(3, 23, 2)]
+    values = [cap.capacity_estimate(d, vcu).predicted_latency_ps for d in range(3, 23, 2)]
     assert values == sorted(values)
 
 
@@ -85,7 +85,7 @@ def test_syndrome_rate_required():
 
 def test_throughput_margin_d21():
     link = LinkModel(10_000_000_000, lanes=4)
-    margin = cap.throughput_margin(21, link)
+    margin = cap.available_throughput(link) / cap.syndrome_rate_required(21)
     assert round(float(margin)) == 87
     # the decoder, not the network, limits throughput here
     assert cap.decoder_peak_throughput() < cap.effective_throughput(link)
@@ -106,7 +106,7 @@ def test_capacity_estimate_rows():
 
 def test_extrapolation_table_shape():
     zcu = cap.get_profile("zcu216")
-    rows = cap.extrapolation_table(range(3, 9, 2), zcu)
+    rows = [cap.capacity_estimate(d, zcu) for d in range(3, 9, 2)]
     assert [r.distance for r in rows] == [3, 5, 7]
     assert rows[0].predicted_latency_ps == 446_000
     # the prototype root holds 56 qubits: d=5 (49) fits, d=7 (97) needs a layer

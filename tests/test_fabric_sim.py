@@ -32,7 +32,7 @@ def test_scheduling_into_the_past_rejected():
 def test_tree_shape_direct():
     fabric = fs.Fabric(fs.TopologyConfig(n_leaves=4), seed=0)
     assert fabric.node_count == 5
-    assert fabric.depth == 1
+    assert len(fabric.levels) - 1 == 1
     root = fabric.nodes[fabric.root_id]
     assert len(root.children) == 4
     assert all(fabric.nodes[leaf].parent == fabric.root_id for leaf in fabric.leaf_ids)
@@ -43,7 +43,7 @@ def test_tree_shape_with_router_layer():
     fabric = fs.Fabric(config, seed=0)
     n_routers = -(-42 // 29)
     assert fabric.node_count == 1 + n_routers + 42
-    assert fabric.depth == 2
+    assert len(fabric.levels) - 1 == 2
     routers = [n for n in fabric.nodes.values() if n.role == fs.ROLE_ROUTER]
     assert len(routers) == n_routers
     assert all(len(r.children) <= 29 for r in routers)

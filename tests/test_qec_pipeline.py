@@ -21,6 +21,7 @@ from qecfabric import uf_decoder as uf
 from qecfabric.capacity_model import StageLatency, StageLatencyConfig
 from qecfabric.config import ConfigError, ExperimentConfig
 from qecfabric.link_layer import LinkModel, excess_serialization_delay
+from reference import SPACELIKE, edges, fault_id
 
 PAPER_STAGE_MEANS = {
     "leaf_agg": 29_000,
@@ -109,17 +110,17 @@ def test_bit_conservation_and_feedback():
     expected = set()
     for sector in cm.SECTORS:
         parity = {}
-        edges = pipeline.graphs[sector].edges
+        graph_edges = edges(pipeline.graphs[sector])
         for e_id in report.corrections[sector]:
-            if edges[e_id].kind == cm.SPACELIKE:
-                qubit = edges[e_id].qubit
+            if graph_edges[e_id].kind == SPACELIKE:
+                qubit = graph_edges[e_id].qubit
                 parity[qubit] = parity.get(qubit, 0) ^ 1
         expected |= {(sector, q) for q, v in parity.items() if v}
     per_leaf = [0] * pipeline.leaf_map.n_leaves
     for _, qubit in expected:
         per_leaf[pipeline.leaf_map.leaf_of(qubit)] += 1
     assert expected and report.leaf_entries == tuple(per_leaf)
-    assert report.correction_bits_sent == len(expected)
+    assert sum(report.leaf_entries) == len(expected)
 
 
 def dropping_one_edge(decode_defects):
@@ -184,10 +185,10 @@ def expected_leaf_corrections(pipeline, corrections):
     per_leaf = {leaf: [] for leaf in range(pipeline.leaf_map.n_leaves)}
     for sector in cm.SECTORS:
         parity = {}
-        edges = pipeline.graphs[sector].edges
+        graph_edges = edges(pipeline.graphs[sector])
         for e_id in corrections[sector].fault_ids:
-            if edges[e_id].kind == cm.SPACELIKE:
-                parity[edges[e_id].qubit] = parity.get(edges[e_id].qubit, 0) ^ 1
+            if graph_edges[e_id].kind == SPACELIKE:
+                parity[graph_edges[e_id].qubit] = parity.get(graph_edges[e_id].qubit, 0) ^ 1
         for qubit in sorted(q for q, v in parity.items() if v):
             per_leaf[pipeline.leaf_map.leaf_of(qubit)].append((sector, qubit))
     return {leaf: tuple(entries) for leaf, entries in per_leaf.items()}
@@ -224,7 +225,7 @@ def test_pipeline_memo_matches_reference_loop(monkeypatch):
         assert report.corrections == {s: corrections[s].fault_ids for s in cm.SECTORS}
         applied = expected_leaf_corrections(reference, corrections)
         assert report.leaf_entries == tuple(len(applied[leaf]) for leaf in sorted(applied))
-        assert report.correction_bits_sent == sum(len(e) for e in applied.values())
+        assert sum(report.leaf_entries) == sum(len(e) for e in applied.values())
         failures += failure
     assert failures > 0
     assert len(decodes) < 2 * shots  # some shots were served by the memo
@@ -274,11 +275,11 @@ def test_memo_hit_keeps_the_per_shot_logical_check(monkeypatch):
     graph = pipeline.graphs[cm.SECTOR_X]
     # round-0 faults on the top row of data qubits: an X-sector logical operator
     logical = cm.pattern_from_fault_ids(
-        graph, [graph.fault_id_of((q, 0), cm.SPACELIKE) for q in range(config.distance)]
+        graph, [fault_id(graph, (q, 0), SPACELIKE) for q in range(config.distance)]
     )
     assert cm.syndrome_of(logical, graph).total_weight == 0
     assert len(logical.fault_ids & graph.crossing_ids) == 1
-    fault = graph.fault_id_of((0, 1), cm.SPACELIKE)
+    fault = fault_id(graph, (0, 1), SPACELIKE)
     assert cm.syndrome_of(cm.pattern_from_fault_ids(graph, [fault]), graph).total_weight > 0
     rows = {}
     for shot, x_faults in ((0, [fault]), (1, [fault, *sorted(logical.fault_ids)])):
@@ -631,6 +632,10 @@ def test_wilson_interval_basics():
     assert lo < 1e-9 and 0 < hi < 0.05
     lo, hi = qp.wilson_interval(50, 100)
     assert lo < 0.5 < hi
+    # exact at the ends, where rounding left 1.7e-18 or 0.9999999999999998
+    for n in (1, 7, 100, 200, 300, 400, 1_000):
+        assert qp.wilson_interval(0, n)[0] == 0.0 and 0.0 < qp.wilson_interval(0, n)[1] < 1.0
+        assert qp.wilson_interval(n, n)[1] == 1.0 and 0.0 < qp.wilson_interval(n, n)[0] < 1.0
 
 
 def test_ler_campaign_zero_rate():
@@ -1005,7 +1010,7 @@ def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
 
 def test_campaign_paths_never_build_the_edge_view(monkeypatch):
     # the decoder, the memo's correction entries and the parity passes read
-    # the graph's flat edge lists; the lazy ``edges`` tuple is for export only.
+    # the graph's flat edge lists; no campaign path caches an edge view on a graph.
     decodes = []
     real = qp.decode_defects
     monkeypatch.setattr(qp, "decode_defects",

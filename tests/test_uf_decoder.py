@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 
 from qecfabric import code_model as cm
 from qecfabric import uf_decoder as uf
+from reference import (
+    SPACELIKE,
+    TIMELIKE,
+    OracleCapError,
+    count_min_weight_solutions,
+    edges,
+    fault_id,
+    oracle_decode,
+)
 
 
 def graph_for(d, sector=cm.SECTOR_X, rounds=None):
@@ -23,7 +32,7 @@ def test_zero_syndrome_gives_empty_correction():
     layout, graph = graph_for(3)
     syn = cm.empty_syndrome(layout, graph.rounds)
     corr = uf.decode(graph, syn)
-    assert corr.weight == 0
+    assert len(corr.fault_ids) == 0
     assert uf.is_valid(corr, syn, graph)
 
 
@@ -36,12 +45,12 @@ def test_dimension_mismatch_rejected():
 
 def test_adjacent_defect_pair_decodes_to_shared_edge():
     layout, graph = graph_for(3, rounds=1)
-    for e_id, e in enumerate(graph.edges):
+    for e_id, e in enumerate(edges(graph)):
         if e.v == cm.BOUNDARY:
             continue
         syn = cm.syndrome_from_defects(graph, [e.u, e.v])
         corr = uf.decode(graph, syn)
-        oracle = uf.oracle_decode(graph, syn)
+        oracle = oracle_decode(graph, syn)
         assert oracle.fault_ids == {e_id}
         assert corr.fault_ids == {e_id}
 
@@ -79,7 +88,7 @@ def test_cluster_state_invariants():
 
 def test_growth_is_monotone():
     layout, graph = graph_for(3, rounds=1)
-    defects = [graph.edges[0].u]
+    defects = [edges(graph)[0].u]
     state = uf.ClusterState(graph, defects)
     stats = uf.DecodeStats()
     previous = dict(state.growth)
@@ -128,11 +137,12 @@ def equivalence_corpus():
         layout = cm.build_layout(d)
         for sector in cm.SECTORS:
             graph = cm.build_decoding_graph(layout, sector, d)
+            graph_edges = edges(graph)
             for w in range(max_weight + 1):
                 for combo in itertools.combinations(range(graph.n_edges), w):
                     flipped = set()
                     for e_id in combo:
-                        e = graph.edges[e_id]
+                        e = graph_edges[e_id]
                         flipped ^= {e.u} if e.v == cm.BOUNDARY else {e.u, e.v}
                     yield graph, cm.syndrome_from_defects(graph, sorted(flipped))
     for d in (7, 9):
@@ -208,9 +218,9 @@ def test_decoder_properties(instance):
     assert uf.is_valid(corr, syn, graph)
     again, again_stats = uf.decode_with_stats(graph, syn)
     assert again.fault_ids == corr.fault_ids and again_stats == stats
-    if graph.n_edges <= 40 and corr.weight <= ORACLE_MAX_WEIGHT:
-        oracle = uf.oracle_decode(graph, syn, max_weight=corr.weight)
-        assert oracle.weight <= corr.weight
+    if graph.n_edges <= 40 and len(corr.fault_ids) <= ORACLE_MAX_WEIGHT:
+        oracle = oracle_decode(graph, syn, max_weight=len(corr.fault_ids))
+        assert len(oracle.fault_ids) <= len(corr.fault_ids)
 
 
 @st.composite
@@ -348,20 +358,21 @@ def test_settled_rows_match_decode_defects(instance):
 
 def test_oracle_zero_syndrome():
     layout, graph = graph_for(3, rounds=1)
-    corr = uf.oracle_decode(graph, cm.empty_syndrome(layout, 1))
-    assert corr.weight == 0
+    corr = oracle_decode(graph, cm.empty_syndrome(layout, 1))
+    assert len(corr.fault_ids) == 0
 
 
 def test_oracle_single_boundary_defect():
     layout, graph = graph_for(3, rounds=1)
-    for e_id, e in enumerate(graph.edges):
+    graph_edges = edges(graph)
+    for e_id, e in enumerate(graph_edges):
         if e.v != cm.BOUNDARY:
             continue
         syn = cm.syndrome_from_defects(graph, [e.u])
-        oracle = uf.oracle_decode(graph, syn)
-        assert oracle.weight == 1
+        oracle = oracle_decode(graph, syn)
+        assert len(oracle.fault_ids) == 1
         chosen = next(iter(oracle.fault_ids))
-        assert graph.edges[chosen].v == cm.BOUNDARY
+        assert graph_edges[chosen].v == cm.BOUNDARY
         assert uf.is_valid(oracle, syn, graph)
 
 
@@ -371,8 +382,8 @@ def test_oracle_recovers_weight_one(rounds):
     for e_id in range(graph.n_edges):
         pattern = cm.pattern_from_fault_ids(graph, [e_id])
         syn = cm.syndrome_of(pattern, graph)
-        oracle = uf.oracle_decode(graph, syn)
-        assert oracle.weight == 1
+        oracle = oracle_decode(graph, syn)
+        assert len(oracle.fault_ids) == 1
         assert cm.syndrome_of(
             cm.pattern_from_fault_ids(graph, oracle.fault_ids), graph
         ) == syn
@@ -383,9 +394,9 @@ def test_oracle_pairing_path_matches_exhaustive():
     layout, graph = graph_for(3, rounds=2)
     for e_id in range(0, graph.n_edges, 3):
         syn = cm.syndrome_of(cm.pattern_from_fault_ids(graph, [e_id]), graph)
-        exhaustive = uf.oracle_decode(graph, syn)
-        paired = uf.oracle_decode(graph, syn, exhaustive_edge_cap=0)
-        assert paired.weight == exhaustive.weight
+        exhaustive = oracle_decode(graph, syn)
+        paired = oracle_decode(graph, syn, exhaustive_edge_cap=0)
+        assert len(paired.fault_ids) == len(exhaustive.fault_ids)
         assert uf.is_valid(paired, syn, graph)
 
 
@@ -393,8 +404,8 @@ def test_oracle_cap_enforced():
     layout, graph = graph_for(5, rounds=5)  # 173 edges, beyond exhaustive cap
     defects = list(range(13))
     syn = cm.syndrome_from_defects(graph, defects)
-    with pytest.raises(uf.OracleCapError):
-        uf.oracle_decode(graph, syn)
+    with pytest.raises(OracleCapError):
+        oracle_decode(graph, syn)
 
 
 def test_oracle_consistency_with_decoder():
@@ -404,11 +415,11 @@ def test_oracle_consistency_with_decoder():
         for e_id in range(graph.n_edges):
             syn = cm.syndrome_of(cm.pattern_from_fault_ids(graph, [e_id]), graph)
             corr = uf.decode(graph, syn)
-            oracle = uf.oracle_decode(graph, syn)
+            oracle = oracle_decode(graph, syn)
             assert uf.is_valid(corr, syn, graph)
             assert uf.is_valid(oracle, syn, graph)
-            assert corr.weight >= oracle.weight
-            if uf.count_min_weight_solutions(graph, syn, 1) == 1:
+            assert len(corr.fault_ids) >= len(oracle.fault_ids)
+            if count_min_weight_solutions(graph, syn, 1) == 1:
                 assert corr.fault_ids == oracle.fault_ids
 
 
@@ -435,16 +446,17 @@ def test_is_valid_rejects_a_dropped_edge():
     layout, graph = graph_for(5)
     syn = cm.syndrome_of(cm.sample_errors(graph, 0.05, seed=8), graph)
     corr = uf.decode(graph, syn)
-    assert corr.weight >= 1 and uf.is_valid(corr, syn, graph)
+    assert len(corr.fault_ids) >= 1 and uf.is_valid(corr, syn, graph)
     for e_id in corr.fault_ids:
         assert not uf.is_valid(correction_of(graph, corr.fault_ids - {e_id}), syn, graph)
 
 
 def test_is_valid_boundary_edge_corrects_single_defect():
     layout, graph = graph_for(3)
-    boundary = [e_id for e_id, e in enumerate(graph.edges) if e.v == cm.BOUNDARY]
+    graph_edges = edges(graph)
+    boundary = [e_id for e_id, e in enumerate(graph_edges) if e.v == cm.BOUNDARY]
     for e_id in boundary:
-        syn = cm.syndrome_from_defects(graph, [graph.edges[e_id].u])
+        syn = cm.syndrome_from_defects(graph, [graph_edges[e_id].u])
         assert uf.is_valid(correction_of(graph, [e_id]), syn, graph)
 
 
@@ -452,12 +464,12 @@ def test_is_valid_double_flips_cancel():
     # a spacelike edge in rounds 0 and 1 plus the timelike edges of both
     # its endpoints form a cycle: every vertex on it is flipped twice
     layout, graph = graph_for(3, rounds=2)
-    e = next(e for e in graph.edges if e.kind == cm.SPACELIKE and e.v != cm.BOUNDARY)
+    e = next(e for e in edges(graph) if e.kind == SPACELIKE and e.v != cm.BOUNDARY)
     cycle = [
-        graph.fault_id_of((e.qubit, 0), cm.SPACELIKE),
-        graph.fault_id_of((e.qubit, 1), cm.SPACELIKE),
-        graph.fault_id_of((e.u, 0), cm.TIMELIKE),
-        graph.fault_id_of((e.v, 0), cm.TIMELIKE),
+        fault_id(graph, (e.qubit, 0), SPACELIKE),
+        fault_id(graph, (e.qubit, 1), SPACELIKE),
+        fault_id(graph, (e.u, 0), TIMELIKE),
+        fault_id(graph, (e.v, 0), TIMELIKE),
     ]
     corr = correction_of(graph, cycle)
     assert uf.is_valid(corr, cm.empty_syndrome(layout, 2), graph)
@@ -479,7 +491,7 @@ def test_full_logical_chain_is_a_failure():
     # support (a full row); it crosses the X crossing chain exactly once
     chain = layout.crossing_chain[cm.SECTOR_Z]
     pattern = cm.pattern_from_fault_ids(
-        graph, [graph.fault_id_of((q, 0), cm.SPACELIKE) for q in chain]
+        graph, [fault_id(graph, (q, 0), SPACELIKE) for q in chain]
     )
     syn = cm.syndrome_of(pattern, graph)
     assert syn.total_weight == 0  # the chain is undetectable
@@ -510,7 +522,7 @@ def test_data_fault_weight_one_at_d3_all_rounds():
     # spacelike-only variant: all single data faults across rounds decode clean
     layout = cm.build_layout(3)
     graph = cm.build_decoding_graph(layout, cm.SECTOR_Z, 3)
-    spacelike = [i for i, e in enumerate(graph.edges) if e.kind == cm.SPACELIKE]
+    spacelike = [i for i, e in enumerate(edges(graph)) if e.kind == SPACELIKE]
     for e_id in spacelike:
         pattern = cm.pattern_from_fault_ids(graph, [e_id])
         corr = uf.decode(graph, cm.syndrome_of(pattern, graph))
