@@ -54,9 +54,7 @@ worker processes with identical results.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -700,9 +698,17 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 
 def _run_tasks(fn, tasks, workers: int) -> list:
-    """``[fn(*task) for task in tasks]``, over ``workers`` spawned processes if > 1."""
+    """``[fn(*task) for task in tasks]``, over ``workers`` spawned processes if > 1.
+
+    The pool machinery loads on the first call that fans out, so a serial
+    run never imports ``multiprocessing`` or ``concurrent.futures``.
+    """
     if workers <= 1:
         return [fn(*task) for task in tasks]
+    # imported here, not at module level, so a serial run's cold start skips them (10-20 ms)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
@@ -723,9 +729,10 @@ def run_campaign(config) -> CampaignResult:
     A range starts ``start`` cycles after sync, where the serial run starts
     it if every shot takes one cycle; drifting clocks mark a shot by its
     absolute start, so a drifting campaign whose shots may not runs as one
-    range.  A tree that cannot host the code is refused with the fabric's
-    CapacityError, and a campaign whose worst-case end time would not fit
-    in int64 with ConfigError, before any worker starts or any shot runs.
+    range.  A run with one worker never loads the pool machinery.  A tree
+    that cannot host the code is refused with the fabric's CapacityError,
+    and a campaign whose worst-case end time would not fit in int64 with
+    ConfigError, before any worker starts or any shot runs.
     """
     workers = _worker_count(config.jobs, config.shots)
     if workers > 1:
@@ -917,6 +924,7 @@ def ler_campaign(distance: int, error_rate: float, shots: int, seed: int,
     ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are
     independent Philox streams, so every job count gives the same result.
+    A run with one worker never loads the pool machinery.
     The arguments are checked as an ``ExperimentConfig``'s: bad ones raise
     ConfigError before anything is built.
     """

@@ -225,7 +225,7 @@ def test_graph_holds_at_most_240_bytes_per_edge():
     layout = cm.build_layout(21)
     tracemalloc.start()
     try:
-        graph = cm.DecodingGraph(layout, cm.SECTOR_X, 21)  # a build, never a cache hit
+        graph = cm.DecodingGraph(layout, cm.SECTOR_X, 21)  # every byte the graph holds is traced
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

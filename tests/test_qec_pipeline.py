@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import hashlib
 import inspect
@@ -332,7 +333,7 @@ def test_campaign_worker_count_is_bounded(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(qp, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     serial = qp.run_campaign(replace(config, shots=3, jobs=1))
     assert asked == []
     for cpus, workers in ((8, 3), (2, 2)):
@@ -529,7 +530,7 @@ def test_campaign_refuses_a_small_tree_before_starting_workers(monkeypatch):
             raise AssertionError("started a worker pool for a tree that cannot host the code")
 
     monkeypatch.setattr(qp.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(qp, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     with pytest.raises(qp.CapacityError, match="router layer"):
         qp.run_campaign(ExperimentConfig(distance=13, shots=10, jobs=2))
 
@@ -1008,28 +1009,44 @@ def test_raw_fault_draw_matches_float_draw_in_any_chunking(p):
     assert np.array_equal(one, floats)
 
 
-def test_campaign_paths_never_build_the_edge_view(monkeypatch):
-    # the decoder, the memo's correction entries and the parity passes read
-    # the graph's flat edge lists; no campaign path caches an edge view on a graph.
+def test_campaign_paths_never_reach_the_object_api(monkeypatch):
+    # every campaign path works on fault ids and packed defect rows: no object
+    # API function runs, where it is defined or where a module imports it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign path reached the object API")
+
+    for module, names in ((cm, ("pattern_from_fault_ids", "syndrome_of", "empty_syndrome",
+                                "sample_errors", "syndrome_from_defects")),
+                          (uf, ("decode", "decode_with_stats", "is_valid", "is_logical_failure"))):
+        for name in names:
+            for holder in (module, qp):
+                if hasattr(holder, name):
+                    monkeypatch.setattr(holder, name, refuse)
     decodes = []
     real = qp.decode_defects
     monkeypatch.setattr(qp, "decode_defects",
                         lambda graph, defects: decodes.append(1) or real(graph, defects))
-    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01)
-    pipeline = qp.Pipeline(config)
-    pipeline.run_range(0, 40)
-    assert decodes  # memo misses, whose corrections name data qubits
-    assert any(len(ids) for memo in pipeline._memos.values() for ids in memo.values())
-    assert all("edges" not in graph.__dict__ for graph in pipeline.graphs.values())
+    pipelines = []
 
-    built = []  # an LER task builds its own graph
-    monkeypatch.setattr(qp, "DecodingGraph",
-                        lambda *args: built.append(cm.DecodingGraph(*args)) or built[-1])
+    class Recorded(qp.Pipeline):
+        def __init__(self, config):
+            super().__init__(config)
+            pipelines.append(self)
+
+    monkeypatch.setattr(qp, "Pipeline", Recorded)
+
+    qp.run_campaign(ExperimentConfig(shots=20, seed=1))
+    assert decodes and pipelines[-1].config.effective_syndrome_source == "worst_case"
+
     decodes.clear()
-    config = replace(config, shots=256, seed=1)
-    qp._ler_sector_failures(config, 0, 256, range(1))
-    assert decodes and len(built) == 1
-    assert "edges" not in built[0].__dict__
+    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.01, shots=40)
+    qp.run_campaign(config)
+    assert decodes  # memo misses, whose corrections name data qubits
+    assert any(len(ids) for memo in pipelines[-1]._memos.values() for ids in memo.values())
+
+    decodes.clear()
+    qp.ler_campaign(5, 0.01, 256, seed=1)
+    assert decodes
 
 
 def test_ler_sector_memory_does_not_grow_with_batch():

@@ -1,4 +1,5 @@
-"""Every name a ``qecfabric`` module imports is used in it or marked ``# noqa: F401``.
+"""Every name a ``qecfabric`` module imports is used in it or marked ``# noqa: F401``,
+and a serial run imports no worker-pool machinery.
 
 No linter runs on this repository, so an import that a deletion leaves
 unused would otherwise stay.  ``__init__.py`` re-exports names by design and
@@ -6,6 +7,9 @@ is not checked.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,20 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+SERIAL_RUN = """
+import sys
+import qecfabric
+qecfabric.run_campaign(qecfabric.ExperimentConfig(shots=10, seed=1))
+qecfabric.ler_campaign(3, 0.01, 1, seed=1)
+print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_a_serial_run_never_loads_the_pool_machinery():
+    # one fresh interpreter: this one has imported whatever the other tests did
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", SERIAL_RUN], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
