@@ -23,32 +23,38 @@ while decoder duration is table-driven.
 
 A chunk's faults are flat fault ids per sector, ``row * n_edges + edge``
 (one ``np.flatnonzero`` of the bool buffer ``_draw_faults`` fills), and
-both campaign paths judge them with ``_chunk_failures``.  Only rows with a
-fault are looked at, read off the ids; their parities are the defect
-rows.  Each distinct defect row is looked up once in a per-sector memo
-that maps it to the fault ids of its correction (exact, since decoding is
-a pure function of (graph, defects)).  When a chunk misses ``_SETTLE_MIN_ROWS`` rows or more, they
-all go through ``uf_decoder.settle_rows``, one numpy pass that gives the
+both campaign paths judge them with ``_chunk_failures`` under one rule:
+consecutive rows go to one call, a span, until the next row with a fault
+would carry the span's ``_span_bytes`` past ``_TABLE_CHUNK_BYTES``
+(``_span_cuts``).  That cost is computed from the span's own fault ids: per
+hit row a term in the graph's vertices (plus the int64 counts when
+``fault_parity`` would take its dense path on those ids), and per fault id
+a term for its ids and gathers.  Only rows with a fault are looked at, read
+off the ids; their parities are the defect rows.  Each distinct defect row
+is looked up once in a per-sector memo that maps it to the fault ids of
+its correction (exact, since decoding is a pure function of (graph,
+defects)).  When a span misses ``_SETTLE_MIN_ROWS`` rows or more, they all
+go through ``uf_decoder.settle_rows``, one numpy pass that gives the
 correction of each row that isolated single faults explain; only the rows
-it declines, and the misses of a smaller chunk, go to
+it declines, and the misses of a smaller span, go to
 ``uf_decoder.decode_defects``.  One ``fault_parity`` over the distinct
 corrections checks that each gives back its row's defects and, by
 linearity, flips its rows' logical checks.  A ``Pipeline`` keeps one memo
 per sector, cleared when it holds ``_DECODE_MEMO_ENTRIES``.  It counts
 each distinct correction's leaf entries, the qubits a leaf owns of odd
-correction parity, once, and reads a leaf's downlink price from a table
-of ``excess_serialization_delay`` by entry count, built with the pipeline,
-which also prices each leaf's fixed uplink message once.
+correction parity, once per span, and reads a leaf's downlink price from
+a table of ``excess_serialization_delay`` by entry count, built with the
+pipeline, which also prices each leaf's fixed uplink message once.
 
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
 path for accuracy studies that skips the (transport-independent) timing
 machinery.  It draws each batch of ``_LER_BATCH`` shots in fixed-size row
-chunks and judges spans of rows bounded by their rows with a fault, so
-memory does not grow with the batch, with the same ``_chunk_failures``,
-through a memo per sector and call that is cleared whenever it holds
-``_LER_BATCH`` entries.  It shards by (sector, batch range) over ``jobs``
-worker processes with identical results.
+chunks and judges the batch's ids in spans, which may cover many draws,
+so memory does not grow with the batch, through a memo per sector and
+call that is cleared whenever it holds ``_LER_BATCH`` entries.  It shards
+by (sector, batch range) over ``jobs`` worker processes with identical
+results.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from numpy.random import Philox
 from . import capacity_model
 from .capacity_model import ROUTER_STAGE_NAMES, STAGE_NAMES, StageLatency, StageLatencyConfig  # noqa: F401
 from .code_model import (
+    BOUNDARY,
     SECTOR_X,
     SECTOR_Z,
     SECTORS,
@@ -95,17 +102,11 @@ Z95 = 1.959963984540054
 #: miss that finds its memo full clears it first.
 _DECODE_MEMO_ENTRIES = 1024
 
-#: Bytes of arrays per chunk of a campaign: of table, fault and syndrome
-#: arrays per ``Pipeline.run_range`` chunk; in ``ler_campaign``, of raw
-#: uint64 draws per draw, and of the arrays that judge a span's hit rows.
+#: Bytes of arrays per chunk of a campaign: of the arrays a
+#: ``Pipeline.run_range`` chunk holds (table columns, bool fault rows and
+#: fault ids); in ``ler_campaign``, of the raw uint64 words per draw; and, in
+#: both, of the arrays that judge one span of hit rows (``_span_bytes``).
 _TABLE_CHUNK_BYTES = 1 << 20
-
-#: Bytes per vertex that one hit row (a row with a fault) holds while
-#: ``_chunk_failures`` judges it: its uint8 defect row, the padded bool row
-#: of ``settle_rows``, the int64 count of a dense ``fault_parity`` and their
-#: copies.  tracemalloc reads 21 B at d=5, p=1e-2 and about 4.5 B at d=13
-#: and d=21, p=1e-3 (peak of one call on 1 024 hit rows).
-_JUDGED_VERTEX_BYTES = 21
 
 #: Fewest shots whose streams are keyed in one batch: below it, building
 #: each stream costs less than the batch's fixed numpy overhead.
@@ -292,15 +293,18 @@ class Pipeline:
     """One instantiated fabric ready to run timed decoding-feedback shots.
 
     ``run_range`` runs a range of shots as a table, a chunk of shots at a
-    time, in two passes.  The first draws the chunk's faults
-    (``_chunk_faults``) and judges each sector's fault ids with
-    ``_chunk_failures`` through that sector's memo (see the module
-    docstring), which gives every shot's logical check and its distinct
-    corrections, whose leaf entries price each leaf's downlink.  A
-    vectorized pass then builds int64 arrays with one column per shot: the
-    stage durations, the start times, and the marks of ``chain`` (see
-    ``boundary_chain``), the one list of which boundaries delimit which
-    stage.
+    time, in two passes.  The first draws the chunk's bool fault rows
+    (``_chunk_faults``), keeps each sector's flat fault ids and drops the
+    rows, then judges each sector's ids in spans (see the module docstring)
+    through that sector's memo.  That gives every shot's logical check and
+    its distinct corrections, whose leaf entries price each leaf's
+    downlink.  A vectorized pass then builds int64 arrays with one column
+    per shot: the stage durations, the start times, and the marks of
+    ``chain`` (see ``boundary_chain``), the one list of which boundaries
+    delimit which stage.  A chunk is sized by what it holds per shot
+    (``_shot_bytes``): its table columns and result arrays, its bool fault
+    rows and its fault ids at the config's rate; the judge's arrays come
+    and go span by span, under their own budget.
 
     The tree is a list of levels (``Fabric.levels``), and each level's nodes
     mark four boundaries of the chain (``level_boundaries``); per level, a
@@ -377,13 +381,15 @@ class Pipeline:
         # bits reach the root
         self._bits_received = rounds * self.layout.syndrome_bits_per_round
         # bytes one shot adds to a chunk: 8 per int64 entry of its table column
-        # (four hold times per node, the marks, the leaves' downlink prices, the
-        # stage draws and one sector's fault_parity vertex counts), 1 per edge
-        # of each sector's fault row, 2 per syndrome bit (defect rows and keys)
-        columns = (4 * self.fabric.node_count + len(self.chain) + self.leaf_map.n_leaves
-                   + len(self._stage_windows) + self.graphs[SECTOR_X].n_vertices)
-        self._shot_bytes = (8 * columns + sum(g.n_edges for g in self.graphs.values())
-                            + 2 * self._bits_received)
+        # (four hold times per node, the marks, the leaves' entry counts and
+        # downlink prices, the stage draws, the reported samples and its
+        # end-to-end time), 2 for its failure and validity flags, 1 per edge of
+        # each sector's bool fault row and 8 per fault id drawn at the config's
+        # rate; the arrays that judge its faults come and go span by span
+        columns = (4 * self.fabric.node_count + len(self.chain) + 2 * self.leaf_map.n_leaves
+                   + len(self._stage_windows) + len(self.windows) + 1)
+        edges = sum(g.n_edges for g in self.graphs.values())
+        self._shot_bytes = 8 * columns + 2 + edges + math.ceil(8 * config.error_rate * edges)
         # per sector: packed defect row -> intp fault ids of its correction
         self._memos = {sector: {} for sector in SECTORS}
         self._philox = Philox(0)
@@ -506,8 +512,10 @@ class Pipeline:
     def run_range(self, start: int, stop: int) -> CampaignResult:
         """Run shots ``start`` to ``stop - 1`` back to back, from the cycle boundary after ``now``.
 
-        The range runs in chunks of about ``_TABLE_CHUNK_BYTES`` of table, fault
-        and syndrome arrays, and of at least ``_BATCHED_MIN_SHOTS`` shots.
+        The range runs in chunks of about ``_TABLE_CHUNK_BYTES`` of the arrays
+        a chunk holds per shot (``_shot_bytes``: table columns and results,
+        bool fault rows and fault ids), and of at least ``_BATCHED_MIN_SHOTS``
+        shots; each chunk's ids are judged in spans within the same budget.
         """
         if stop <= start:
             raise ValueError(f"empty shot range [{start}, {stop})")
@@ -530,14 +538,15 @@ class Pipeline:
         # judges its one row, whose flags and counts hold for every shot.
         faults = self._chunk_faults(shots)
         m = len(faults[0])
+        ids = [np.flatnonzero(sector_faults) for sector_faults in faults]
+        del faults  # the bool buffers go before any span is judged
         n_data, per_leaf = self.layout.data_qubit_count, self.leaf_map.qubits_per_leaf
         failures = np.zeros(n, dtype=bool)
         counts = np.zeros((m, self.leaf_map.n_leaves), dtype=np.intp)
         corrections = {}
-        for graph, sector_faults in zip(self.graphs.values(), faults):
-            failed, rows, which, fixes = _chunk_failures(
-                graph, np.flatnonzero(sector_faults), m, self._memos[graph.sector],
-                _DECODE_MEMO_ENTRIES,
+        for graph, sector_ids in zip(self.graphs.values(), ids):
+            failed, rows, which, fixes = _judge_in_spans(
+                graph, sector_ids, m, self._memos[graph.sector], _DECODE_MEMO_ENTRIES
             )
             failures |= failed
             corrections[graph.sector] = rows, which, fixes
@@ -848,6 +857,93 @@ def _chunk_failures(graph, ids: np.ndarray, n: int, memo: dict, bound: int):
     return failed, rows, which, fixes
 
 
+def _span_bytes(graph, hits, faults, ends):
+    """Bytes one ``_chunk_failures`` call holds to judge ``hits`` hit rows of
+    ``faults`` fault ids with ``ends`` endpoint ids (2 per edge, 1 per boundary
+    edge); ints, or numpy arrays of them elementwise.
+
+    The terms add up arrays that live in different phases of the call, so
+    the sum lies above the call's tracemalloc peak: 1.25 to 1.9 times it at
+    d = 5 to 21, p = 1e-3 and 1e-2, with a fresh memo.
+    """
+    n_vertices = graph.n_vertices
+    # per hit row and vertex: its uint8 defect row (1) and the copy that keeps
+    # the rows with a defect (1), its packed key with np.unique's flattened and
+    # sorted copies and its bytes key (4 x 1/8), settle_rows' padded bool row
+    # (1) and the check's syndrome row (1)
+    per_row = 9 * n_vertices // 2
+    # per fault id: it, its row and its two endpoint ids (4 x 8); per endpoint
+    # id, a defect at most, whose row and column settle_rows holds (2 x 8) and
+    # gathers four int64s per incident slot (edge, both ends, far end)
+    per_end = 16 + 32 * graph.incident_table.shape[1]
+    # fault_parity's dense path: an int64 count per vertex of each hit row
+    dense = 64 * ends >= hits * n_vertices
+    return hits * (per_row + dense * 8 * n_vertices) + 32 * faults + per_end * ends
+
+
+def _span_cuts(graph, ids: np.ndarray, held=(0, 0, 0)) -> tuple:
+    """Where ascending flat fault ids split into spans that ``_chunk_failures``
+    judges within ``_TABLE_CHUNK_BYTES`` of ``_span_bytes``.
+
+    A span takes all the ids left if they fit; otherwise it ends where its
+    next hit row would carry its cost past the budget, and it holds at
+    least one hit row.  The first span continues one that earlier ids
+    opened with ``held`` (hits, faults, ends).  Returns the indices into
+    ``ids`` where new spans start, each the first id of a hit row, and the
+    (hits, faults, ends) of the last span, still open.
+    """
+    if not len(ids):
+        return [], held
+    n_edges = graph.n_edges
+    rows = ids // n_edges
+    new_row = rows[1:] != rows[:-1]
+    inner = graph.v[ids - rows * n_edges] != BOUNDARY  # a second endpoint id
+    hits, faults, n_ends = held
+    load = (hits + 1 + int(np.count_nonzero(new_row)), faults + len(ids),
+            n_ends + len(ids) + int(np.count_nonzero(inner)))
+    if _span_bytes(graph, *load) <= _TABLE_CHUNK_BYTES:
+        return [], load
+    stops = np.append(np.flatnonzero(new_row) + 1, len(ids))  # past each hit row's last id
+    ends = np.concatenate(([0], np.cumsum(1 + inner)))  # endpoint ids before each id
+    cuts, a, b = [], 0, 0  # the open span's first id and first hit row here
+    while True:
+        tail = stops[b:]
+        cost = _span_bytes(graph, hits + np.arange(1, len(tail) + 1), faults + tail - a,
+                           n_ends + ends[tail] - ends[a])
+        first = int(hits == 0)  # an empty span takes its first row whatever it costs
+        over = np.flatnonzero(cost[first:] > _TABLE_CHUNK_BYTES)
+        if not len(over):
+            return cuts, load
+        b += first + int(over[0])
+        a = int(stops[b - 1]) if b else 0  # b = 0: the held span closes before these ids
+        cuts.append(a)
+        hits = faults = n_ends = 0
+        load = (len(stops) - b, len(ids) - a, int(ends[-1] - ends[a]))
+        if _span_bytes(graph, *load) <= _TABLE_CHUNK_BYTES:
+            return cuts, load
+
+
+def _judge_in_spans(graph, ids: np.ndarray, n: int, memo: dict, bound: int):
+    """``_chunk_failures`` of ``n`` rows, judged in the spans of ``_span_cuts``.
+
+    The spans' ``(failed, rows, which, fixes)`` are merged into one such
+    tuple; a correction two spans share is listed once per span.
+    """
+    cuts = _span_cuts(graph, ids)[0] if n > 1 else []  # one row is one span
+    if not cuts:
+        return _chunk_failures(graph, ids, n, memo, bound)
+    n_edges = graph.n_edges
+    bounds = [0, *(ids[cuts] // n_edges).tolist(), n]
+    failed, rows, which, fixes = [], [], [], []
+    for lo, hi, part in zip(bounds, bounds[1:], np.split(ids, cuts)):
+        span = _chunk_failures(graph, part - lo * n_edges, hi - lo, memo, bound)
+        failed.append(span[0])
+        rows.append(span[1] + lo)
+        which.append(span[2] + len(fixes))
+        fixes += span[3]
+    return np.concatenate(failed), np.concatenate(rows), np.concatenate(which), fixes
+
+
 def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarray:
     """Failure flags of sector ``SECTORS[k]`` for the shots of a contiguous range of
     ``batch``-shot batches of a sampled config.
@@ -857,19 +953,18 @@ def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarr
     ``_TABLE_CHUNK_BYTES`` of raw words, each compared into one reused bool
     buffer, and each draw's fault ids (one ``np.flatnonzero``) join a span
     of consecutive rows.  One ``_chunk_failures`` call judges the span when
-    the batch ends, or before a hit row beyond its first ``span`` would
-    join it, where ``span`` hit rows take ``_TABLE_CHUNK_BYTES`` at
-    ``_JUDGED_VERTEX_BYTES`` per vertex.  The raw words of a draw are freed
-    before a judge runs, so the arrays are O(``_TABLE_CHUNK_BYTES``) for
-    any ``batch``, and where few rows are hit a span covers many draws.
-    The layout and graph are built here and freed on return, so that a
-    distance sweep holds no graph of a code it has finished with.
+    the batch ends, or before a hit row that would carry the span's
+    ``_span_bytes`` past ``_TABLE_CHUNK_BYTES`` joins it (``_span_cuts``).
+    The raw words of a draw are freed before a judge runs, so the arrays
+    are O(``_TABLE_CHUNK_BYTES``) for any ``batch``, and where few rows are
+    hit a span covers many draws.  The layout and graph are built here and
+    freed on return, so that a distance sweep holds no graph of a code it
+    has finished with.
     """
     layout = build_layout(config.distance)
     graph = DecodingGraph(layout, SECTORS[k], config.effective_rounds)
     n_edges = graph.n_edges
     draw = np.empty((max(1, _TABLE_CHUNK_BYTES // (8 * n_edges)), n_edges), dtype=bool)
-    span = max(1, _TABLE_CHUNK_BYTES // (_JUDGED_VERTEX_BYTES * graph.n_vertices))
     first = batches.start * batch
     failed = np.zeros(min(batches.stop * batch, config.shots) - first, dtype=bool)
     memo = {}
@@ -881,19 +976,16 @@ def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarr
     for b in batches:
         source = rng_stream(config.seed, _STREAM_LER, config.distance, k, b).bit_generator
         start, stop = b * batch - first, min((b + 1) * batch, config.shots) - first
-        parts, hits = [], 0  # the span from row ``start``: its ids and its hit rows
+        parts, held = [], (0, 0, 0)  # the span from row ``start``: its ids and its load
         for lo in range(start, stop, len(draw)):
             ids = np.flatnonzero(_draw_faults(source, draw[: stop - lo], config.error_rate))
             ids += lo * n_edges
-            rows = ids // n_edges
-            heads = np.flatnonzero(np.diff(rows, prepend=-1))  # each hit row's first id
-            while hits + len(heads) > span:  # the span ends where its (span + 1)th hit row starts
-                cut = heads[span - hits]
-                judge(parts + [ids[:cut]], start, rows[cut])
-                start, ids, rows, heads = rows[cut], ids[cut:], rows[cut:], heads[span - hits :] - cut
-                parts, hits = [], 0
-            parts.append(ids)
-            hits += len(heads)
+            cuts, held = _span_cuts(graph, ids, held)
+            for a, cut in zip([0, *cuts], cuts):
+                row = int(ids[cut]) // n_edges
+                judge(parts + [ids[a:cut]], start, row)
+                parts, start = [], row
+            parts.append(ids[cuts[-1]:] if cuts else ids)
         judge(parts, start, stop)
     return failed
 
@@ -910,16 +1002,17 @@ def ler_campaign(distance: int, error_rate: float, shots: int, seed: int,
     a given (seed, distance) is the same for every ``shots`` and ``jobs``.
 
     A batch is drawn in row chunks of ``_TABLE_CHUNK_BYTES`` of raw draws,
-    kept as fault ids, and judged in spans of rows whose rows with a fault
-    fill ``_TABLE_CHUNK_BYTES`` (``_ler_sector_failures``), so its arrays
-    are O(``_TABLE_CHUNK_BYTES``) for any batch size, and at low rates a
-    span covers many draws.  Each sector's graph is built by the task that
-    decodes it and freed when the task ends.  Each distinct syndrome is
-    decoded once per sector and call: a memo built fresh for every sector
-    (and every shard) maps the packed defect row to the fault ids of its
-    correction, and is cleared when it holds a batch's worth of entries.
-    Each distinct correction is checked once per span to give back its
-    defect row (ValueError otherwise).
+    kept as fault ids, and judged in spans of rows, each ended before the
+    hit row that would carry its ``_span_bytes``, computed from its own
+    fault ids, past ``_TABLE_CHUNK_BYTES`` (``_ler_sector_failures``), so
+    its arrays are O(``_TABLE_CHUNK_BYTES``) for any batch size, and at low
+    rates a span covers many draws.  Each sector's graph is built by the
+    task that decodes it and freed when the task ends.  Each distinct
+    syndrome is decoded once per sector and call: a memo built fresh for
+    every sector (and every shard) maps the packed defect row to the fault
+    ids of its correction, and is cleared when it holds a batch's worth of
+    entries.  Each distinct correction is checked once per span to give
+    back its defect row (ValueError otherwise).
 
     ``jobs`` > 1 shards the run by (sector, contiguous batch range) over at
     most ``min(jobs, tasks, os.cpu_count())`` worker processes.  Batches are

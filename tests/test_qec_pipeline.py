@@ -1097,8 +1097,8 @@ def test_a_d5_ler_batch_is_judged_in_two_spans_per_sector(monkeypatch):
 def test_ler_peak_memory_is_bounded_by_the_chunk_budget(args):
     # One sector runs at a time, and holds its graph, then at most:
     # - the raw uint64 words of one draw (<= C = _TABLE_CHUNK_BYTES), or,
-    #   once they are freed, the arrays that judge one span (its hit rows
-    #   times _JUDGED_VERTEX_BYTES per vertex, <= C);
+    #   once they are freed, the arrays that judge one span (its
+    #   _span_bytes, computed from its own fault ids, <= C);
     # - the bool draw buffer (C / 8) and the failure flags (shots bytes);
     # - the decode memo, at most one entry per distinct defect row: about
     #   4 000 entries of ~230 B at d=5, p=1e-2 (0.9 C) and 2 000 of ~940 B
@@ -1132,6 +1132,103 @@ def test_run_range_memory_stays_within_its_chunks(distance, shots):
         tracemalloc.stop()
     assert result.n_shots == shots
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("distance, error_rate, shots", [
+    (5, 1e-3, 2000), (5, 1e-2, 1300), (13, 1e-3, 200), (13, 1e-2, 100), (21, 1e-3, 60), (21, 1e-2, 30),
+])
+def test_span_bytes_bound_the_judge_peak_within_a_factor_two(distance, error_rate, shots):
+    # one _chunk_failures call with a fresh memo, as a span of ler judges it:
+    # the estimate from its own ids must cover the call's tracemalloc peak,
+    # and not by more than twice
+    graph = cm.DecodingGraph(cm.build_layout(distance), cm.SECTOR_X, distance)
+    source = cm.rng_stream(1, qp._STREAM_LER, distance, 0, 0).bit_generator
+    draw = np.empty((shots, graph.n_edges), dtype=bool)
+    warm_up = np.flatnonzero(qp._draw_faults(source, draw, error_rate))
+    qp._chunk_failures(graph, warm_up, shots, {}, qp._LER_BATCH)
+    ids = np.flatnonzero(qp._draw_faults(source, draw, error_rate))
+    del draw
+    rows = ids // graph.n_edges
+    hits = len(np.unique(rows))
+    ends = len(ids) + int(np.count_nonzero(graph.v[ids - rows * graph.n_edges] != cm.BOUNDARY))
+    assert hits > 20  # a span of many rows, not one row's fixed costs
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        qp._chunk_failures(graph, ids, shots, {}, qp._LER_BATCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = qp._span_bytes(graph, hits, len(ids), ends)
+    assert peak - start <= estimate <= 2 * (peak - start)
+
+
+def test_span_cuts_keep_each_span_within_the_budget(monkeypatch):
+    # d=13, p=1e-2: a 400-shot draw splits into spans that each fit the
+    # budget, and a cut opens a span at a hit row's first id
+    graph = cm.DecodingGraph(cm.build_layout(13), cm.SECTOR_X, 13)
+    source = cm.rng_stream(1, qp._STREAM_LER, 13, 0, 0).bit_generator
+    ids = np.flatnonzero(qp._draw_faults(source, np.empty((400, graph.n_edges), dtype=bool), 1e-2))
+    rows = ids // graph.n_edges
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))
+    cuts, held = qp._span_cuts(graph, ids)
+    assert len(cuts) > 2 and set(cuts) <= set(heads.tolist())
+    for part in np.split(ids, cuts):
+        part_rows = part // graph.n_edges
+        ends = len(part) + np.count_nonzero(graph.v[part - part_rows * graph.n_edges] != cm.BOUNDARY)
+        assert qp._span_bytes(graph, len(np.unique(part_rows)), len(part), ends) <= qp._TABLE_CHUNK_BYTES
+    assert (held[0], held[1]) == (len(heads) - heads.tolist().index(cuts[-1]), len(ids) - cuts[-1])
+    # a span carried in from earlier ids ends sooner
+    assert qp._span_cuts(graph, ids, held)[0][0] < cuts[0]
+    # a row costlier than the budget is a span on its own, and a span held
+    # open from earlier ids closes before the first one
+    monkeypatch.setattr(qp, "_TABLE_CHUNK_BYTES", 1)
+    assert qp._span_cuts(graph, ids)[0] == heads[1:].tolist()
+    assert qp._span_cuts(graph, ids, (1, 1, 1))[0] == heads.tolist()
+
+
+def test_a_d13_rep_is_judged_as_one_span_per_sector(monkeypatch):
+    # the bench's 100-shot d=13/L1 rep at p=1e-3 is one chunk, and each
+    # sector judges it in one call
+    calls = []
+    real = qp._chunk_failures
+    monkeypatch.setattr(qp, "_chunk_failures",
+                        lambda graph, *args: calls.append(graph.sector) or real(graph, *args))
+    qp.Pipeline(ExperimentConfig(**D13_SAMPLED)).run_range(0, 100)
+    assert sorted(calls) == sorted(cm.SECTORS)
+
+
+@pytest.mark.parametrize("distance, error_rate", [(13, 1e-3), (13, 1e-2), (21, 1e-3)])
+def test_a_full_chunk_stays_within_twice_the_budget(distance, error_rate):
+    # a chunk holds its bool fault rows, its fault ids and its table, and
+    # each span that judges its ids fits the budget, so one full chunk
+    # after warm-up peaks below 2 C
+    config = ExperimentConfig(distance=distance, router_layers=1, syndrome_source="sampled",
+                              error_rate=error_rate)
+    pipeline = qp.Pipeline(config)
+    chunk = qp._TABLE_CHUNK_BYTES // pipeline._shot_bytes
+    pipeline.run_range(0, 20)  # warm-up: first-use checks and memo entries
+    tracemalloc.start()
+    try:
+        pipeline.run_range(20, 20 + chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * qp._TABLE_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("overrides, shots", [
+    ({**D13_SAMPLED, "error_rate": 1e-2}, 150),
+    ({**D13_SAMPLED, "distance": 21}, 80),
+])
+def test_campaign_digest_does_not_depend_on_the_chunk_budget(overrides, shots, monkeypatch):
+    # several spans per chunk at d=13, p=1e-2; three chunks at d=21
+    config = ExperimentConfig(**overrides, shots=shots, jobs=1)
+    digests = []
+    for budget in (qp._TABLE_CHUNK_BYTES, 2**16):
+        monkeypatch.setattr(qp, "_TABLE_CHUNK_BYTES", budget)
+        digests.append(campaign_digest(qp.run_campaign(config)))
+    assert digests[0] == digests[1]
 
 
 def test_ler_decreases_with_distance_at_moderate_rate():
