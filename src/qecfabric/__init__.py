@@ -79,7 +79,6 @@ from .qec_pipeline import (
     assign_qubits_to_leaves,
     ler_campaign,
     run_campaign,
-    run_shot,
     wilson_interval,
     worst_case_d3_syndrome,
 )

@@ -291,7 +291,7 @@ def cmd_selftest(args) -> int:
     check("determinism: repeated runs identical",
           (r1.end_to_end_ps == r2.end_to_end_ps).all()
           and all((r1.samples[n] == r2.samples[n]).all() for n in r1.stage_names))
-    routed = qec_pipeline.run_shot(ExperimentConfig(zero_jitter=True, router_layers=1))
+    routed = qec_pipeline.Pipeline(ExperimentConfig(zero_jitter=True, router_layers=1)).run_shot(0)
     check("routing: one router layer, zero-jitter end-to-end 808000 ps",
           routed.end_to_end_ps == 808_000)
 

@@ -166,7 +166,6 @@ class Fabric:
             if self.levels:
                 self._attach(self.levels[-1], row)
             self.levels.append(row)
-        self.leaf_ids = self.levels[-1]
 
         self._init_clocks(seed)
 

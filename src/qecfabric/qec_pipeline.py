@@ -23,28 +23,25 @@ while decoder duration is table-driven.
 
 A chunk's faults are flat fault ids per sector, ``row * n_edges + edge``
 (one ``np.flatnonzero`` of the bool buffer ``_draw_faults`` fills), and
-both campaign paths judge them with ``_chunk_failures`` under one rule:
-consecutive rows go to one call, a span, until the next row with a fault
-would carry the span's ``_span_bytes`` past ``_TABLE_CHUNK_BYTES``
-(``_span_cuts``).  That cost is computed from the span's own fault ids: per
-hit row a term in the graph's vertices (plus the int64 counts when
-``fault_parity`` would take its dense path on those ids), and per fault id
-a term for its ids and gathers.  Only rows with a fault are looked at, read
-off the ids; their parities are the defect rows.  Each distinct defect row
-is looked up once in a per-sector memo that maps it to the fault ids of
-its correction (exact, since decoding is a pure function of (graph,
-defects)).  When a span misses ``_SETTLE_MIN_ROWS`` rows or more, they all
-go through ``uf_decoder.settle_rows``, one numpy pass that gives the
-correction of each row that isolated single faults explain; only the rows
-it declines, and the misses of a smaller span, go to
-``uf_decoder.decode_defects``.  One ``fault_parity`` over the distinct
-corrections checks that each gives back its row's defects and, by
-linearity, flips its rows' logical checks.  A ``Pipeline`` keeps one memo
-per sector, cleared when it holds ``_DECODE_MEMO_ENTRIES``.  It counts
-each distinct correction's leaf entries, the qubits a leaf owns of odd
-correction parity, once per span, and reads a leaf's downlink price from
-a table of ``excess_serialization_delay`` by entry count, built with the
-pipeline, which also prices each leaf's fixed uplink message once.
+both campaign paths judge them with ``_chunk_failures`` in spans of
+consecutive rows, which one generator, ``_spans``, cuts under one cost,
+``_span_bytes``, computed from each span's own fault ids (``_spans`` states
+the rule).  Only rows with a fault are looked at, read off the ids; their
+parities are the defect rows.  Each distinct defect row is looked up once
+in a per-sector memo that maps it to the fault ids of its correction
+(exact, since decoding is a pure function of (graph, defects)).  When a
+span misses ``_SETTLE_MIN_ROWS`` rows or more, they all go through
+``uf_decoder.settle_rows``, one numpy pass that gives the correction of
+each row that isolated single faults explain; only the rows it declines,
+and the misses of a smaller span, go to ``uf_decoder.decode_defects``.
+One ``fault_parity`` over the distinct corrections checks that each gives
+back its row's defects and, by linearity, flips its rows' logical checks.
+A ``Pipeline`` keeps one memo per sector, cleared when it holds
+``_DECODE_MEMO_ENTRIES``.  It counts each distinct correction's leaf
+entries, the qubits a leaf owns of odd correction parity, once per span,
+and reads a leaf's downlink price from a table of
+``excess_serialization_delay`` by entry count, built with the pipeline,
+which also prices each leaf's fixed uplink message once.
 
 Campaign helpers aggregate many shots into per-stage statistics and a
 logical-error-rate estimate; ``ler_campaign`` is a vectorized Monte-Carlo
@@ -295,16 +292,16 @@ class Pipeline:
     ``run_range`` runs a range of shots as a table, a chunk of shots at a
     time, in two passes.  The first draws the chunk's bool fault rows
     (``_chunk_faults``), keeps each sector's flat fault ids and drops the
-    rows, then judges each sector's ids in spans (see the module docstring)
-    through that sector's memo.  That gives every shot's logical check and
-    its distinct corrections, whose leaf entries price each leaf's
-    downlink.  A vectorized pass then builds int64 arrays with one column
-    per shot: the stage durations, the start times, and the marks of
-    ``chain`` (see ``boundary_chain``), the one list of which boundaries
-    delimit which stage.  A chunk is sized by what it holds per shot
-    (``_shot_bytes``): its table columns and result arrays, its bool fault
-    rows and its fault ids at the config's rate; the judge's arrays come
-    and go span by span, under their own budget.
+    rows, then judges each sector's ids, fed to ``_spans`` as one draw,
+    span by span through that sector's memo.  That gives every shot's
+    logical check and its distinct corrections, whose leaf entries price
+    each leaf's downlink.  A vectorized pass then builds int64 arrays with
+    one column per shot: the stage durations, the start times, and the
+    marks of ``chain`` (see ``boundary_chain``), the one list of which
+    boundaries delimit which stage.  A chunk is sized by what it holds per
+    shot (``_shot_bytes``): its table columns and result arrays, its bool
+    fault rows and its fault ids at the config's rate; the judge's arrays
+    come and go span by span, under their own budget.
 
     The tree is a list of levels (``Fabric.levels``), and each level's nodes
     mark four boundaries of the chain (``level_boundaries``); per level, a
@@ -527,39 +524,40 @@ class Pipeline:
 
     def _run_chunk(self, start: int, stop: int) -> tuple:
         """Shots ``start`` to ``stop - 1``: their ``CampaignResult``, their (shots x leaves)
-        downlink entries, one row for a worst-case chunk, and per sector
-        ``_chunk_failures``' ``(rows, which, fixes)``."""
+        downlink entries, one row for a worst-case chunk, and per sector the
+        fault ids of its spans' distinct corrections, listed span by span."""
         shots = np.arange(start, stop, dtype=np.int64)
         n = len(shots)
 
-        # First pass: each sector's failures and distinct corrections through
-        # its memo; each correction's leaf entries are counted once and
-        # gathered into the rows of the shots it serves.  A worst-case chunk
-        # judges its one row, whose flags and counts hold for every shot.
+        # First pass: per sector and span (``_spans``), the failures and
+        # distinct corrections through the sector's memo, whose leaf entries
+        # are counted once per span into the rows of the shots they serve.  A
+        # worst-case chunk judges its one row; its flags and counts hold for all.
         faults = self._chunk_faults(shots)
         m = len(faults[0])
         ids = [np.flatnonzero(sector_faults) for sector_faults in faults]
         del faults  # the bool buffers go before any span is judged
         n_data, per_leaf = self.layout.data_qubit_count, self.leaf_map.qubits_per_leaf
-        failures = np.zeros(n, dtype=bool)
+        failures = np.zeros(m, dtype=bool)
         counts = np.zeros((m, self.leaf_map.n_leaves), dtype=np.intp)
-        corrections = {}
+        corrections = {sector: [] for sector in SECTORS}
         for graph, sector_ids in zip(self.graphs.values(), ids):
-            failed, rows, which, fixes = _judge_in_spans(
-                graph, sector_ids, m, self._memos[graph.sector], _DECODE_MEMO_ENTRIES
-            )
-            failures |= failed
-            corrections[graph.sector] = rows, which, fixes
-            if not fixes:
-                continue
-            # row j of odd marks the data qubits that correction j flips oddly
-            fix = np.arange(len(fixes)).repeat(list(map(len, fixes)))
-            qubit = graph.qubit[np.concatenate(fixes)]
-            data = qubit >= 0
-            odd = np.bincount(fix[data] * n_data + qubit[data], minlength=len(fixes) * n_data) & 1
-            odd = odd.reshape(-1, n_data)
-            per_fix = np.add.reduceat(odd, np.arange(0, n_data, per_leaf), axis=1)
-            counts[rows, :per_fix.shape[1]] += per_fix[which]
+            for lo, hi, span in _spans(graph, [(sector_ids, m)]):
+                failed, rows, which, fixes = _chunk_failures(
+                    graph, span, hi - lo, self._memos[graph.sector], _DECODE_MEMO_ENTRIES
+                )
+                failures[lo:hi] |= failed
+                corrections[graph.sector] += fixes
+                if not fixes:
+                    continue
+                # row j of odd marks the data qubits that correction j flips oddly
+                fix = np.arange(len(fixes)).repeat(list(map(len, fixes)))
+                qubit = graph.qubit[np.concatenate(fixes)]
+                data = qubit >= 0
+                odd = np.bincount(fix[data] * n_data + qubit[data], minlength=len(fixes) * n_data)
+                odd = (odd & 1).reshape(-1, n_data)
+                per_fix = np.add.reduceat(odd, np.arange(0, n_data, per_leaf), axis=1)
+                counts[lo + rows, :per_fix.shape[1]] += per_fix[which]
         downlink = self._downlink_excess_ps[counts.T]
 
         # Vectorized pass: per tree level, a (nodes x 4 x shots) array of the
@@ -610,7 +608,7 @@ class Pipeline:
             samples={name: gaps[self._stage_gaps[name]].sum(axis=0) for name in self.windows},
             end_to_end_ps=marks[-1] - marks[0],
             valid=np.ones(n, dtype=bool),  # a residual with a defect raised above
-            failures=failures,
+            failures=failures.repeat(n // m),  # a worst-case chunk's row holds for every shot
         ), counts, corrections
 
     def run_shot(self, shot: int = 0) -> ShotReport:
@@ -624,14 +622,9 @@ class Pipeline:
             logical_failure=bool(result.failures[0]),
             syndrome_bits_received=self._bits_received,
             corrections={s: frozenset(fixes[0].tolist() if fixes else ())
-                         for s, (_, _, fixes) in corrections.items()},
+                         for s, fixes in corrections.items()},
             leaf_entries=tuple(counts[0].tolist()),
         )
-
-
-def run_shot(config, shot: int = 0) -> ShotReport:
-    """Build a pipeline for the config and run a single shot."""
-    return Pipeline(config).run_shot(shot)
 
 
 def _latency_stats(arr: np.ndarray) -> dict:
@@ -822,7 +815,8 @@ def _chunk_failures(graph, ids: np.ndarray, n: int, memo: dict, bound: int):
     n_edges = graph.n_edges
     failed = np.zeros(n, dtype=bool)
     rows = ids // n_edges
-    head = np.diff(rows, prepend=-1) != 0  # the first id of each row with a fault
+    head = np.ones(len(rows), dtype=bool)  # the first id of each row with a fault
+    np.not_equal(rows[1:], rows[:-1], out=head[1:])
     hit = rows[head]
     # the ids renumbered onto the hit rows, which fault_parity then counts alone
     defects, crossings = graph.fault_parity(ids + (np.cumsum(head) - 1 - rows) * n_edges, len(hit))
@@ -864,7 +858,13 @@ def _span_bytes(graph, hits, faults, ends):
 
     The terms add up arrays that live in different phases of the call, so
     the sum lies above the call's tracemalloc peak: 1.25 to 1.9 times it at
-    d = 5 to 21, p = 1e-3 and 1e-2, with a fresh memo.
+    d = 5 to 21, p = 1e-3 and 1e-2, with a fresh memo.  It leaves out
+    ``settle_rows``' two-hop gathers for lone candidates: in a d = 5,
+    p = 1e-2, 1 300-row call, ``settle_rows`` rises 1.12 MB above its entry,
+    about 357 B per defect, where the per-endpoint term charges 208 B per
+    endpoint id.  That call peaks at 1.35 MB, and the terms other than the
+    dense-path term sum to 1.16 MB: the estimate covers the peak there only
+    because the dense term counts an int64 array of another phase.
     """
     n_vertices = graph.n_vertices
     # per hit row and vertex: its uint8 defect row (1) and the copy that keeps
@@ -881,67 +881,65 @@ def _span_bytes(graph, hits, faults, ends):
     return hits * (per_row + dense * 8 * n_vertices) + 32 * faults + per_end * ends
 
 
-def _span_cuts(graph, ids: np.ndarray, held=(0, 0, 0)) -> tuple:
-    """Where ascending flat fault ids split into spans that ``_chunk_failures``
-    judges within ``_TABLE_CHUNK_BYTES`` of ``_span_bytes``.
+def _spans(graph, draws):
+    """Spans of consecutive rows, each for one ``_chunk_failures`` call within
+    ``_TABLE_CHUNK_BYTES`` of ``_span_bytes``: the span rule of both campaign
+    paths, stated here alone.
 
-    A span takes all the ids left if they fit; otherwise it ends where its
-    next hit row would carry its cost past the budget, and it holds at
-    least one hit row.  The first span continues one that earlier ids
-    opened with ``held`` (hits, faults, ends).  Returns the indices into
-    ``ids`` where new spans start, each the first id of a hit row, and the
-    (hits, faults, ends) of the last span, still open.
+    ``draws`` yields ``(ids, n)`` in row order: the ascending flat fault ids
+    of ``n`` rows, numbered from the draw's first row.  A span takes all the
+    ids left if they fit; otherwise it ends before the hit row that would
+    carry its cost past the budget, and it holds at least one hit row.  A
+    span still open when a draw ends carries its ids and cost into the
+    next.  The spans tile the rows: the first starts at row 0, each other at
+    the hit row its predecessor ended before, and the last ends after the
+    last draw.  Yields ``(start, stop, ids)`` per span: its rows, numbered
+    from the first draw's first row, and its ids, numbered from ``start``.
     """
-    if not len(ids):
-        return [], held
     n_edges = graph.n_edges
-    rows = ids // n_edges
-    new_row = rows[1:] != rows[:-1]
-    inner = graph.v[ids - rows * n_edges] != BOUNDARY  # a second endpoint id
-    hits, faults, n_ends = held
-    load = (hits + 1 + int(np.count_nonzero(new_row)), faults + len(ids),
-            n_ends + len(ids) + int(np.count_nonzero(inner)))
-    if _span_bytes(graph, *load) <= _TABLE_CHUNK_BYTES:
-        return [], load
-    stops = np.append(np.flatnonzero(new_row) + 1, len(ids))  # past each hit row's last id
-    ends = np.concatenate(([0], np.cumsum(1 + inner)))  # endpoint ids before each id
-    cuts, a, b = [], 0, 0  # the open span's first id and first hit row here
-    while True:
-        tail = stops[b:]
-        cost = _span_bytes(graph, hits + np.arange(1, len(tail) + 1), faults + tail - a,
-                           n_ends + ends[tail] - ends[a])
-        first = int(hits == 0)  # an empty span takes its first row whatever it costs
-        over = np.flatnonzero(cost[first:] > _TABLE_CHUNK_BYTES)
-        if not len(over):
-            return cuts, load
-        b += first + int(over[0])
-        a = int(stops[b - 1]) if b else 0  # b = 0: the held span closes before these ids
-        cuts.append(a)
-        hits = faults = n_ends = 0
-        load = (len(stops) - b, len(ids) - a, int(ends[-1] - ends[a]))
-        if _span_bytes(graph, *load) <= _TABLE_CHUNK_BYTES:
-            return cuts, load
+    parts, start, lo = [], 0, 0  # the open span's ids and first row; the draw's first row
+    hits = faults = n_ends = 0  # the open span's load before this draw
 
+    def span_ids():  # the open span's ids, numbered from its first row
+        ids = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return ids - start * n_edges if start else ids
 
-def _judge_in_spans(graph, ids: np.ndarray, n: int, memo: dict, bound: int):
-    """``_chunk_failures`` of ``n`` rows, judged in the spans of ``_span_cuts``.
-
-    The spans' ``(failed, rows, which, fixes)`` are merged into one such
-    tuple; a correction two spans share is listed once per span.
-    """
-    cuts = _span_cuts(graph, ids)[0] if n > 1 else []  # one row is one span
-    if not cuts:
-        return _chunk_failures(graph, ids, n, memo, bound)
-    n_edges = graph.n_edges
-    bounds = [0, *(ids[cuts] // n_edges).tolist(), n]
-    failed, rows, which, fixes = [], [], [], []
-    for lo, hi, part in zip(bounds, bounds[1:], np.split(ids, cuts)):
-        span = _chunk_failures(graph, part - lo * n_edges, hi - lo, memo, bound)
-        failed.append(span[0])
-        rows.append(span[1] + lo)
-        which.append(span[2] + len(fixes))
-        fixes += span[3]
-    return np.concatenate(failed), np.concatenate(rows), np.concatenate(which), fixes
+    for ids, n in draws:
+        if len(ids):
+            ids = ids + lo * n_edges if lo else ids
+            rows = ids // n_edges
+            new_row = rows[1:] != rows[:-1]
+            inner = graph.v[ids - rows * n_edges] != BOUNDARY  # a second endpoint id
+            load = (hits + 1 + int(np.count_nonzero(new_row)), faults + len(ids),
+                    n_ends + len(ids) + int(np.count_nonzero(inner)))
+            if _span_bytes(graph, *load) > _TABLE_CHUNK_BYTES:
+                # per hit row: the index past its last id, and the endpoint ids up to there
+                stops = np.append(np.flatnonzero(new_row) + 1, len(ids))
+                ends = np.cumsum(1 + inner)[stops - 1]
+            del rows, new_row, inner  # no judged span holds this draw's per-id arrays,
+            a = b = e = 0  # the open span's first id and hit row here, and endpoint ids before it
+            while _span_bytes(graph, *load) > _TABLE_CHUNK_BYTES:
+                first = int(hits == 0)  # an empty span takes its first row whatever it costs
+                cost = _span_bytes(graph, hits + np.arange(1, len(stops) - b + 1),
+                                   faults + stops[b:] - a, n_ends + ends[b:] - e)
+                over = cost[first:] > _TABLE_CHUNK_BYTES
+                if not over.any():
+                    break
+                b += first + int(over.argmax())
+                # b = 0: the held span closes before these ids
+                cut, e = (int(stops[b - 1]), int(ends[b - 1])) if b else (0, 0)
+                row = int(ids[cut]) // n_edges
+                parts.append(ids[a:cut])
+                yield start, row, span_ids()
+                parts, start, a = [], row, cut
+                hits = faults = n_ends = 0
+                load = (len(stops) - b, len(ids) - a, int(ends[-1]) - e)
+            stops = ends = cost = over = None  # nor does the next draw hold its per-row arrays
+            ids = ids[a:]
+            hits, faults, n_ends = load
+        parts.append(ids)
+        lo += n
+    yield start, lo, span_ids()
 
 
 def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarray:
@@ -951,15 +949,12 @@ def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarr
     Entry i is shot ``batches.start * batch + i``.  Drawing and judging come
     apart.  Each batch's Philox stream is drawn in row chunks of
     ``_TABLE_CHUNK_BYTES`` of raw words, each compared into one reused bool
-    buffer, and each draw's fault ids (one ``np.flatnonzero``) join a span
-    of consecutive rows.  One ``_chunk_failures`` call judges the span when
-    the batch ends, or before a hit row that would carry the span's
-    ``_span_bytes`` past ``_TABLE_CHUNK_BYTES`` joins it (``_span_cuts``).
-    The raw words of a draw are freed before a judge runs, so the arrays
-    are O(``_TABLE_CHUNK_BYTES``) for any ``batch``, and where few rows are
-    hit a span covers many draws.  The layout and graph are built here and
-    freed on return, so that a distance sweep holds no graph of a code it
-    has finished with.
+    buffer, and the batch's draws, as fault ids (one ``np.flatnonzero``
+    each), are judged in the spans of ``_spans``, which may cover many
+    draws.  The raw words of a draw are freed before a span is judged, so
+    the arrays are O(``_TABLE_CHUNK_BYTES``) for any ``batch``.  The layout
+    and graph are built here and freed on return, so that a distance sweep
+    holds no graph of a code it has finished with.
     """
     layout = build_layout(config.distance)
     graph = DecodingGraph(layout, SECTORS[k], config.effective_rounds)
@@ -969,24 +964,16 @@ def _ler_sector_failures(config, k: int, batch: int, batches: range) -> np.ndarr
     failed = np.zeros(min(batches.stop * batch, config.shots) - first, dtype=bool)
     memo = {}
 
-    def judge(parts, start, stop):
-        ids = np.concatenate(parts) - start * n_edges
-        failed[start:stop] = _chunk_failures(graph, ids, stop - start, memo, batch)[0]
+    def draws(source, n):
+        for lo in range(0, n, len(draw)):
+            rows = _draw_faults(source, draw[: n - lo], config.error_rate)
+            yield np.flatnonzero(rows), len(rows)
 
     for b in batches:
         source = rng_stream(config.seed, _STREAM_LER, config.distance, k, b).bit_generator
-        start, stop = b * batch - first, min((b + 1) * batch, config.shots) - first
-        parts, held = [], (0, 0, 0)  # the span from row ``start``: its ids and its load
-        for lo in range(start, stop, len(draw)):
-            ids = np.flatnonzero(_draw_faults(source, draw[: stop - lo], config.error_rate))
-            ids += lo * n_edges
-            cuts, held = _span_cuts(graph, ids, held)
-            for a, cut in zip([0, *cuts], cuts):
-                row = int(ids[cut]) // n_edges
-                judge(parts + [ids[a:cut]], start, row)
-                parts, start = [], row
-            parts.append(ids[cuts[-1]:] if cuts else ids)
-        judge(parts, start, stop)
+        flags = failed[b * batch - first :][:batch]  # this batch's shots
+        for start, stop, ids in _spans(graph, draws(source, len(flags))):
+            flags[start:stop] = _chunk_failures(graph, ids, stop - start, memo, batch)[0]
     return failed
 
 
@@ -1002,13 +989,11 @@ def ler_campaign(distance: int, error_rate: float, shots: int, seed: int,
     a given (seed, distance) is the same for every ``shots`` and ``jobs``.
 
     A batch is drawn in row chunks of ``_TABLE_CHUNK_BYTES`` of raw draws,
-    kept as fault ids, and judged in spans of rows, each ended before the
-    hit row that would carry its ``_span_bytes``, computed from its own
-    fault ids, past ``_TABLE_CHUNK_BYTES`` (``_ler_sector_failures``), so
-    its arrays are O(``_TABLE_CHUNK_BYTES``) for any batch size, and at low
-    rates a span covers many draws.  Each sector's graph is built by the
-    task that decodes it and freed when the task ends.  Each distinct
-    syndrome is decoded once per sector and call: a memo built fresh for
+    kept as fault ids, and judged in the spans of ``_spans``
+    (``_ler_sector_failures``), so its arrays are O(``_TABLE_CHUNK_BYTES``)
+    for any batch size, and at low rates a span covers many draws.  Each
+    sector's graph is built by the task that decodes it and freed when the
+    task ends.  Each distinct syndrome is decoded once per sector and call: a memo built fresh for
     every sector (and every shard) maps the packed defect row to the fault
     ids of its correction, and is cleared when it holds a batch's worth of
     entries.  Each distinct correction is checked once per span to give

@@ -35,7 +35,7 @@ def test_tree_shape_direct():
     assert len(fabric.levels) - 1 == 1
     root = fabric.nodes[fabric.root_id]
     assert len(root.children) == 4
-    assert all(fabric.nodes[leaf].parent == fabric.root_id for leaf in fabric.leaf_ids)
+    assert all(fabric.nodes[leaf].parent == fabric.root_id for leaf in fabric.levels[-1])
 
 
 def test_tree_shape_with_router_layer():
@@ -47,7 +47,7 @@ def test_tree_shape_with_router_layer():
     routers = [n for n in fabric.nodes.values() if n.role == fs.ROLE_ROUTER]
     assert len(routers) == n_routers
     assert all(len(r.children) <= 29 for r in routers)
-    for leaf in fabric.leaf_ids:
+    for leaf in fabric.levels[-1]:
         assert fabric.nodes[fabric.nodes[leaf].parent].role == fs.ROLE_ROUTER
 
 
@@ -66,7 +66,8 @@ def test_levels_are_contiguous_child_runs(router_layers, router_children):
         # the levels partition the nodes, one role per level
         assert sorted(n for row in levels for n in row) == sorted(fabric.nodes)
         assert [{fabric.nodes[n].role for n in row} for row in levels] == [{r} for r in roles]
-        assert levels[0] == (fabric.root_id,) and levels[-1] == fabric.leaf_ids
+        assert levels[0] == (fabric.root_id,)
+        assert levels[-1] == tuple(range(fabric.node_count - n_leaves, fabric.node_count))
         # every non-leaf node's children: a non-empty run of the next level, in order
         for row, below in zip(levels, levels[1:]):
             runs = [fabric.nodes[n].children for n in row]
@@ -173,7 +174,7 @@ def test_global_sync_asymmetry_composes_down_the_tree():
     residuals = fs.global_sync(fs.Simulator(), fabric)
     # each edge contributes delta/2 relative to its parent
     assert residuals[1] == delta // 2  # router, one hop
-    for leaf in fabric.leaf_ids:
+    for leaf in fabric.levels[-1]:
         assert residuals[leaf] == 2 * (delta // 2)  # two hops from the root
 
 

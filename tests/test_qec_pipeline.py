@@ -69,7 +69,7 @@ def test_leaf_ancillas_cover_all_syndrome_columns(d, qubits_per_leaf):
 
 def test_zero_jitter_shot_is_exact():
     config = ExperimentConfig(zero_jitter=True)
-    report = qp.run_shot(config)
+    report = qp.Pipeline(config).run_shot(0)
     assert report.end_to_end_ps == 451_000
     assert report.intervals == PAPER_STAGE_MEANS
 
@@ -502,7 +502,7 @@ def test_campaign_repeatable():
 def test_router_layer_adds_exactly_the_configured_overhead():
     # d=3 fits under one router on the prototype root, making the add-on visible
     config = ExperimentConfig(router_layers=1, zero_jitter=True)
-    report = qp.run_shot(config)
+    report = qp.Pipeline(config).run_shot(0)
     assert report.intervals["router_proc"] == 45_000
     assert report.intervals["router_net"] == 312_000
     assert report.end_to_end_ps == 451_000 + 357_000
@@ -538,13 +538,13 @@ def test_campaign_refuses_a_small_tree_before_starting_workers(monkeypatch):
 def test_capacity_error_directs_to_router_layer():
     config = ExperimentConfig(distance=17, syndrome_source="sampled")
     with pytest.raises(qp.CapacityError, match="router layer"):
-        qp.run_shot(config)
+        qp.Pipeline(config).run_shot(0)
     # the same code fits once a router layer is added on the larger root
     routed = ExperimentConfig(
         distance=17, profile="vcu129", router_layers=1, syndrome_source="sampled",
         zero_jitter=True,
     )
-    qp.run_shot(routed)
+    qp.Pipeline(routed).run_shot(0)
 
 
 def search_worst_case_d3():
@@ -971,7 +971,8 @@ def test_a_one_miss_chunk_skips_the_settle_pass(monkeypatch):
     monkeypatch.setattr(qp, "settle_rows", refusing)
     monkeypatch.setattr(qp, "decode_defects",
                         lambda graph, defects: decodes.append(1) or real(graph, defects))
-    qp.run_shot(ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.05))
+    config = ExperimentConfig(distance=5, syndrome_source="sampled", error_rate=0.05)
+    qp.Pipeline(config).run_shot(0)
     assert len(decodes) == 2  # one miss per sector
     decodes.clear()
     # the worst-case d=3 source repeats one row per sector: one miss each, then hits
@@ -1163,28 +1164,64 @@ def test_span_bytes_bound_the_judge_peak_within_a_factor_two(distance, error_rat
     assert peak - start <= estimate <= 2 * (peak - start)
 
 
-def test_span_cuts_keep_each_span_within_the_budget(monkeypatch):
+def span_load(graph, ids):
+    """(hit rows, fault ids, endpoint ids) of flat fault ids, as ``_span_bytes`` takes them."""
+    rows = ids // graph.n_edges
+    ends = len(ids) + int(np.count_nonzero(graph.v[ids - rows * graph.n_edges] != cm.BOUNDARY))
+    return len(np.unique(rows)), len(ids), ends
+
+
+def test_spans_keep_each_span_within_the_budget(monkeypatch):
     # d=13, p=1e-2: a 400-shot draw splits into spans that each fit the
-    # budget, and a cut opens a span at a hit row's first id
+    # budget, and a span opens at a hit row's first id
     graph = cm.DecodingGraph(cm.build_layout(13), cm.SECTOR_X, 13)
     source = cm.rng_stream(1, qp._STREAM_LER, 13, 0, 0).bit_generator
-    ids = np.flatnonzero(qp._draw_faults(source, np.empty((400, graph.n_edges), dtype=bool), 1e-2))
+    draw = np.empty((400, graph.n_edges), dtype=bool)
+    ids = np.flatnonzero(qp._draw_faults(source, draw, 1e-2))
     rows = ids // graph.n_edges
     heads = np.flatnonzero(np.diff(rows, prepend=-1))
-    cuts, held = qp._span_cuts(graph, ids)
-    assert len(cuts) > 2 and set(cuts) <= set(heads.tolist())
-    for part in np.split(ids, cuts):
-        part_rows = part // graph.n_edges
-        ends = len(part) + np.count_nonzero(graph.v[part - part_rows * graph.n_edges] != cm.BOUNDARY)
-        assert qp._span_bytes(graph, len(np.unique(part_rows)), len(part), ends) <= qp._TABLE_CHUNK_BYTES
-    assert (held[0], held[1]) == (len(heads) - heads.tolist().index(cuts[-1]), len(ids) - cuts[-1])
-    # a span carried in from earlier ids ends sooner
-    assert qp._span_cuts(graph, ids, held)[0][0] < cuts[0]
+    spans = list(qp._spans(graph, [(ids, 400)]))
+    cuts = np.cumsum([len(part) for _, _, part in spans])[:-1].tolist()  # where spans open
+    assert len(spans) > 2 and set(cuts) <= set(heads.tolist())
+    # the spans tile the rows, and each holds its ids numbered from its first row
+    starts = [start for start, _, _ in spans]
+    assert starts == [0, *rows[cuts].tolist()]
+    assert [stop for _, stop, _ in spans] == [*starts[1:], 400]
+    for (start, _, part), own in zip(spans, np.split(ids, cuts)):
+        assert np.array_equal(part, own - start * graph.n_edges)
+        assert qp._span_bytes(graph, *span_load(graph, part)) <= qp._TABLE_CHUNK_BYTES
+    last = spans[-1][2]
+    held = len(heads) - heads.tolist().index(cuts[-1]), len(ids) - cuts[-1]
+    assert span_load(graph, last)[:2] == held
+    # a span carried in from an earlier draw ends sooner
+    carried = list(qp._spans(graph, [(last, 400 - starts[-1]), (ids, 400)]))
+    assert carried[0][1] - (400 - starts[-1]) < spans[0][1]
     # a row costlier than the budget is a span on its own, and a span held
-    # open from earlier ids closes before the first one
+    # open from an earlier draw closes before the next draw's first hit row
     monkeypatch.setattr(qp, "_TABLE_CHUNK_BYTES", 1)
-    assert qp._span_cuts(graph, ids)[0] == heads[1:].tolist()
-    assert qp._span_cuts(graph, ids, (1, 1, 1))[0] == heads.tolist()
+    hit = rows[heads].tolist()
+    assert [start for start, _, _ in qp._spans(graph, [(ids, 400)])] == [0, *hit[1:]]
+    after_one_row = qp._spans(graph, [(ids[:1], 1), (ids, 400)])
+    assert [start for start, _, _ in after_one_row] == [0, *(1 + row for row in hit)]
+
+
+@pytest.mark.parametrize("distance, shots", [(5, 6000), (13, 400)])
+def test_spans_do_not_depend_on_how_rows_are_split_into_draws(distance, shots):
+    graph = cm.DecodingGraph(cm.build_layout(distance), cm.SECTOR_X, distance)
+    source = cm.rng_stream(1, qp._STREAM_LER, distance, 0, 0).bit_generator
+    draw = np.empty((shots, graph.n_edges), dtype=bool)
+    ids = np.flatnonzero(qp._draw_faults(source, draw, 1e-2))
+
+    def spans(rows_per_draw):
+        bounds = np.searchsorted(ids, np.arange(0, shots, rows_per_draw) * graph.n_edges)
+        draws = [(part - lo * graph.n_edges, min(rows_per_draw, shots - lo))
+                 for lo, part in zip(range(0, shots, rows_per_draw), np.split(ids, bounds[1:]))]
+        return [(start, stop, part.tolist()) for start, stop, part in qp._spans(graph, draws)]
+
+    whole = spans(shots)
+    assert len(whole) > 2
+    for rows_per_draw in (1, 7, 40):
+        assert spans(rows_per_draw) == whole
 
 
 def test_a_d13_rep_is_judged_as_one_span_per_sector(monkeypatch):

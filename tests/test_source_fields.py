@@ -5,8 +5,8 @@ copy of a config value.
 A field that is written and never read costs memory and a reader's time
 and tells nothing.  The check matches by attribute name: a load of
 ``<anything>.<name>`` anywhere in ``src/`` counts as a read, and an
-augmented assignment (``self.n += 1``) does not.  Fields kept for readers
-outside ``src/`` are allow-listed below with the reader named.
+augmented assignment (``self.n += 1``) does not.  A field that only tests
+read is not kept: the tests read what ``src/`` reads.
 
 A field a method sets after ``__init__`` or ``__post_init__`` is a record of
 the last call, which the next call overwrites; only the run state listed
@@ -21,11 +21,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qecfabric"
-
-#: Stored fields whose only readers live outside ``src/``, with those readers.
-READ_OUTSIDE_SRC = {
-    "leaf_ids": "Fabric.leaf_ids: tests/test_fabric_sim.py and test_criterion_7_clock_sync",
-}
 
 #: ``Class.name`` of each field a method other than ``__init__`` or
 #: ``__post_init__`` stores: the time and event counter a simulation advances,
@@ -66,11 +61,8 @@ def test_the_check_finds_a_planted_unread_field():
 
 
 def test_every_stored_field_is_read():
-    # the allow-list also goes stale when one of its fields is deleted or read in src/
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    unread = unread_fields(sources)
-    assert [f for f in unread if f[2] not in READ_OUTSIDE_SRC] == []
-    assert {name for _, _, name in unread} == set(READ_OUTSIDE_SRC)
+    assert unread_fields(sources) == []
 
 
 def late_stores(sources: dict) -> set:
